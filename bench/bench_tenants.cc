@@ -219,9 +219,9 @@ int main() {
               noisy->succeeded, noisy->attempted, noisy->throttled_retries,
               noisy->gave_up_throttled);
   std::printf("  scheduler: shed=%lld budget_shrunk=%lld promotions=%lld\n",
-              static_cast<long long>(flood.scheduler_shed),
-              static_cast<long long>(flood.scheduler_budget_shrunk),
-              static_cast<long long>(flood.scheduler_promotions));
+              static_cast<long long>(flood.scheduler.shed),
+              static_cast<long long>(flood.scheduler.budget_shrunk),
+              static_cast<long long>(flood.scheduler.aging_promotions));
   std::printf("  row identity under flood: %d mismatched of 24\n",
               mismatched < 0 ? -1 : mismatched);
 
@@ -243,8 +243,8 @@ int main() {
         "  \"noisy_retries\": %d,\n"
         "  \"noisy_dropped\": %d,\n"
         "  \"untyped_failures\": %d,\n"
-        "  \"scheduler_shed\": %lld,\n"
-        "  \"scheduler_budget_shrunk\": %lld,\n"
+        "  \"shed\": %lld,\n"
+        "  \"budget_shrunk\": %lld,\n"
         "  \"aging_promotions\": %lld,\n"
         "  \"row_mismatches\": %d\n"
         "}\n",
@@ -254,9 +254,9 @@ int main() {
         control_victim ? control_victim->p99_ms : 0, ratio, victim->succeeded,
         noisy->succeeded, noisy->attempted, noisy->throttled_retries,
         noisy->gave_up_throttled, flood.untyped_failures(),
-        static_cast<long long>(flood.scheduler_shed),
-        static_cast<long long>(flood.scheduler_budget_shrunk),
-        static_cast<long long>(flood.scheduler_promotions), mismatched);
+        static_cast<long long>(flood.scheduler.shed),
+        static_cast<long long>(flood.scheduler.budget_shrunk),
+        static_cast<long long>(flood.scheduler.aging_promotions), mismatched);
     std::fclose(f);
     std::printf("  wrote BENCH_tenants.json\n");
   }

@@ -15,11 +15,14 @@
 # memory budget, so the serialize/partition/merge paths run under ASan).
 #
 #   $ ./ci.sh              # release + tsan + asan + bench-smoke + fuzz-smoke
+#                          #   + perfbench-smoke
 #   $ ./ci.sh release      # just the release config
 #   $ ./ci.sh tsan         # just the thread-sanitizer config
 #   $ ./ci.sh asan         # just the address/UB-sanitizer config
 #   $ ./ci.sh bench-smoke  # quick Release run of the perf benches
 #   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
+#   $ ./ci.sh perfbench-smoke  # builds the end-to-end benchmark, checks
+#                              # its deterministic counts
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -138,6 +141,17 @@ if [[ "${want}" == "all" || "${want}" == "fuzz-smoke" ]]; then
   (cd "${dir}" && ./tools/fuzz_cbqt --seed 3 --rounds 40 --time-box-ms 0 \
       --fault-sweep "exec-batch:p=0.02;planner:every=7;exec-spill-write:p=0.01" \
       --fault-seed 5)
+fi
+
+if [[ "${want}" == "all" || "${want}" == "perfbench-smoke" ]]; then
+  # perfbench (BENCHMARK.json) compiles src/ through its own CMake build,
+  # which no other leg runs, so an engine API change could otherwise break
+  # the end-to-end benchmark unseen. test_determinism.py builds it on first
+  # use, then requires two short traced runs of each single-session
+  # workload to agree on the deterministic per-query counts with every
+  # result row correct.
+  echo "=== [perfbench-smoke] build + determinism (seed 1) ==="
+  python3 perfbench/test_determinism.py --seed 1
 fi
 
 if [[ "${want}" == "all" || "${want}" == "asan" ]]; then

@@ -48,12 +48,13 @@ int RunMqoAxis(const WorkloadRunner& runner,
     std::printf(
         "  batches=%lld subplan_hits=%lld streams=%lld consumers=%lld "
         "rows_shared=%lld bytes_saved=%lld\n",
-        static_cast<long long>(report.mqo_batches),
-        static_cast<long long>(report.mqo_shared_subplan_hits),
-        static_cast<long long>(report.mqo_scan_streams),
-        static_cast<long long>(report.mqo_scan_consumers),
-        static_cast<long long>(report.mqo_rows_shared),
-        static_cast<long long>(report.mqo_bytes_saved));
+        static_cast<long long>(report.mqo.batches_formed),
+        static_cast<long long>(report.mqo.shared_subplan_hits),
+        static_cast<long long>(report.mqo.scan_streams +
+                               report.mqo.materialize_streams),
+        static_cast<long long>(report.mqo.scan_consumers),
+        static_cast<long long>(report.mqo.rows_shared),
+        static_cast<long long>(report.mqo.bytes_saved));
   }
   if (report.failed > 0) {
     std::printf("%s\n", report.ErrorSummary().c_str());
@@ -121,9 +122,9 @@ int RunTenantAxis(const WorkloadRunner& runner, const SchemaConfig& schema,
                 t.gave_up_throttled);
   }
   std::printf("scheduler: shed=%lld budget_shrunk=%lld promotions=%lld\n",
-              static_cast<long long>(report.scheduler_shed),
-              static_cast<long long>(report.scheduler_budget_shrunk),
-              static_cast<long long>(report.scheduler_promotions));
+              static_cast<long long>(report.scheduler.shed),
+              static_cast<long long>(report.scheduler.budget_shrunk),
+              static_cast<long long>(report.scheduler.aging_promotions));
   if (report.failed > 0) std::printf("%s\n", report.ErrorSummary().c_str());
   return report.untyped_failures() == 0 ? 0 : 1;
 }

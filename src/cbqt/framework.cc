@@ -56,14 +56,14 @@ SearchStrategy CbqtOptimizer::ChooseStrategy(int num_objects,
   return SearchStrategy::kLinear;
 }
 
-Result<CbqtResult> CbqtOptimizer::Optimize(
-    const QueryBlock& query, const OptimizerBudget& budget,
-    const QueryGuards& caller_guards,
-    const SharedOptimizeCaches& shared) const {
+Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
+                                           const OptimizeOptions& opts) const {
+  const OptimizerBudget& budget = opts.budget ? *opts.budget : config_.budget;
+  const SharedOptimizeCaches& shared = opts.shared;
   // Per-query guardrails: the caller's handles, with the configured fault
   // injector filled in so the kCancelAt / kMemoryPressure sites fire even
   // when the caller only set the token/tracker.
-  QueryGuards guards = caller_guards;
+  QueryGuards guards = opts.guards;
   if (guards.faults == nullptr) guards.faults = config_.fault_injector.get();
   if (guards.any()) CBQT_RETURN_IF_ERROR(guards.Poll());
 

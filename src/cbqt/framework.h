@@ -97,6 +97,27 @@ struct SharedOptimizeCaches {
   AnnotationCache* join_memo = nullptr;
 };
 
+/// Per-call options of CbqtOptimizer::Optimize.
+struct OptimizeOptions {
+  /// Overrides CbqtConfig::budget when set — the plan cache's upgrade path
+  /// re-optimizes degraded statements with an enlarged budget, and the
+  /// scheduler's overload ladder shrinks it.
+  std::optional<OptimizerBudget> budget;
+  /// Per-query runtime guardrails: the cancellation token is polled once
+  /// per state (and per planned block); per-state tree clones are charged
+  /// against the memory tracker for the lifetime of their evaluation.
+  /// Cancellation and memory exhaustion are hard failures — unlike budget
+  /// exhaustion there is no best-so-far degradation.
+  QueryGuards guards;
+  /// Batch-shared caches (the MQO layer's path): non-null members replace
+  /// the private per-optimization annotation cache / join-order memo, and
+  /// annotation reuse is relaxed to whole signature equivalence classes.
+  /// The reported cache telemetry becomes before/after deltas of the shared
+  /// counters (concurrent batch members may inflate each other's numbers —
+  /// diagnostics, not decisions).
+  SharedOptimizeCaches shared;
+};
+
 /// Configuration of the cost-based transformation framework.
 struct CbqtConfig {
   /// Master switch: false reproduces the heuristic-only optimizer (each
@@ -266,41 +287,12 @@ class CbqtOptimizer {
                          CostParams params = {});
 
   /// Optimizes a bound or unbound query tree (the input is cloned and
-  /// re-bound internally) under the configured budget.
-  Result<CbqtResult> Optimize(const QueryBlock& query) const {
-    return Optimize(query, config_.budget);
-  }
-
-  /// Same, under an explicit budget overriding CbqtConfig::budget — the plan
-  /// cache's upgrade path re-optimizes degraded statements with an enlarged
-  /// budget through this overload.
+  /// re-bound internally). `opts` carries the per-call budget override,
+  /// runtime guardrails, and batch-shared caches (see OptimizeOptions);
+  /// the default runs under CbqtConfig::budget with no guardrails and
+  /// private caches.
   Result<CbqtResult> Optimize(const QueryBlock& query,
-                              const OptimizerBudget& budget) const {
-    return Optimize(query, budget, QueryGuards{});
-  }
-
-  /// Same, with per-query runtime guardrails: the cancellation token is
-  /// polled once per state (and per planned block); per-state tree clones
-  /// are charged against the memory tracker for the lifetime of their
-  /// evaluation. Cancellation and memory exhaustion are hard failures —
-  /// unlike budget exhaustion there is no best-so-far degradation.
-  Result<CbqtResult> Optimize(const QueryBlock& query,
-                              const OptimizerBudget& budget,
-                              const QueryGuards& guards) const {
-    return Optimize(query, budget, guards, SharedOptimizeCaches{});
-  }
-
-  /// Same, optimizing against batch-shared caches (the MQO layer's path):
-  /// non-null members of `shared` replace the private per-optimization
-  /// annotation cache / join-order memo, and annotation reuse is relaxed to
-  /// whole signature equivalence classes. The reported cache telemetry
-  /// becomes before/after deltas of the shared counters (concurrent batch
-  /// members may inflate each other's numbers — diagnostics, not
-  /// decisions).
-  Result<CbqtResult> Optimize(const QueryBlock& query,
-                              const OptimizerBudget& budget,
-                              const QueryGuards& guards,
-                              const SharedOptimizeCaches& shared) const;
+                              const OptimizeOptions& opts = {}) const;
 
   /// The strategy the framework would pick for a transformation with
   /// `num_objects` objects given `total_objects` in the whole query.

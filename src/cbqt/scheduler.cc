@@ -38,24 +38,9 @@ double RetryAfterMs(const Status& s) {
   return ms;
 }
 
-SchedulerConfig TenantScheduler::FromLegacy(const AdmissionConfig& ac) {
-  SchedulerConfig c;
-  c.enabled = true;
-  c.max_concurrent = ac.max_concurrent;
-  c.queue_timeout_ms = ac.queue_timeout_ms;
-  c.default_tenant.max_queued = ac.max_queued;
-  c.default_tenant.priority = 0;
-  // The historical ladder had one rung: queue, then reject. No budget
-  // shrinking, no cross-tenant shedding.
-  c.budget_shrink_occupancy = 1;
-  c.max_queued_total = 0;
-  return c;
-}
-
 TenantScheduler::TenantScheduler(const SchedulerConfig& config,
-                                 bool legacy_mode, MemoryTracker* engine_root)
-    : legacy_(legacy_mode),
-      queue_timeout_ms_(config.queue_timeout_ms),
+                                 MemoryTracker* engine_root)
+    : queue_timeout_ms_(config.queue_timeout_ms),
       max_concurrent_(std::max(1, config.max_concurrent)),
       aging_dispatches_(std::max(1, config.aging_dispatches)),
       budget_shrink_occupancy_(config.budget_shrink_occupancy),
@@ -124,7 +109,6 @@ void TenantScheduler::RemoveFromQueueLocked(
 
 Status TenantScheduler::ThrottleStatusLocked(TenantState& t,
                                              const std::string& why) {
-  if (legacy_) return Status::AdmissionRejected(why);
   double occupancy =
       t.spec.max_queued > 0
           ? static_cast<double>(t.queue.size()) / t.spec.max_queued
@@ -217,7 +201,7 @@ Result<Admission> TenantScheduler::Admit(const std::string& tenant,
   // Overload ladder step 2 (decided at arrival): a backed-up queue buys
   // admission with a shrunk optimizer budget.
   const bool shrink =
-      !legacy_ && budget_shrink_occupancy_ < 1 && t.spec.max_queued > 0 &&
+      budget_shrink_occupancy_ < 1 && t.spec.max_queued > 0 &&
       static_cast<double>(t.queue.size()) >=
           budget_shrink_occupancy_ * t.spec.max_queued &&
       !t.queue.empty();
@@ -239,10 +223,6 @@ Result<Admission> TenantScheduler::Admit(const std::string& tenant,
       // queues, even when max_queued > 0.
       std::string why = "all " + std::to_string(max_concurrent_) +
                         " execution slots busy (no queueing configured)";
-      if (legacy_) {
-        ++t.rejected;
-        return Status::AdmissionRejected(why);
-      }
       ++t.throttled;
       return ThrottleStatusLocked(t, why);
     }
@@ -250,14 +230,10 @@ Result<Admission> TenantScheduler::Admit(const std::string& tenant,
       std::string why = "admission queue full (" +
                         std::to_string(t.queue.size()) + " waiting for " +
                         std::to_string(max_concurrent_) + " slots)";
-      if (legacy_) {
-        ++t.rejected;
-        return Status::AdmissionRejected(why);
-      }
       ++t.throttled;
       return ThrottleStatusLocked(t, why);
     }
-    if (!legacy_ && max_queued_total_ > 0 && queued_now_ >= max_queued_total_) {
+    if (max_queued_total_ > 0 && queued_now_ >= max_queued_total_) {
       // Overload ladder step 3: the global backlog is at its bound. Shed
       // the lowest-priority queued waiter if this arrival outranks it;
       // otherwise the arrival itself is turned away.
@@ -321,10 +297,6 @@ Result<Admission> TenantScheduler::Admit(const std::string& tenant,
       std::string why = "queued for " + std::to_string(queue_timeout_ms_) +
                         " ms without getting one of " +
                         std::to_string(max_concurrent_) + " execution slots";
-      if (legacy_) {
-        ++t.rejected;
-        return Status::AdmissionRejected(why);
-      }
       ++t.throttled;
       return ThrottleStatusLocked(t, why);
     }
@@ -371,7 +343,6 @@ SchedulerStats TenantScheduler::stats() const {
     ts.queued = t.queued;
     ts.throttled = t.throttled;
     ts.shed = t.shed;
-    ts.rejected = t.rejected;
     ts.budget_shrunk = t.budget_shrunk;
     ts.aging_promotions = t.aging_promotions;
     ts.running = t.running;
@@ -385,7 +356,6 @@ SchedulerStats TenantScheduler::stats() const {
     out.queued += ts.queued;
     out.throttled += ts.throttled;
     out.shed += ts.shed;
-    out.rejected += ts.rejected;
     out.budget_shrunk += ts.budget_shrunk;
     out.aging_promotions += ts.aging_promotions;
     out.per_tenant.push_back(std::move(ts));

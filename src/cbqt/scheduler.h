@@ -40,7 +40,6 @@ struct TenantStats {
   int64_t queued = 0;      ///< grants-or-failures that waited in the queue
   int64_t throttled = 0;   ///< typed kTenantThrottled turn-aways (arrivals)
   int64_t shed = 0;        ///< queued waiters evicted by a higher-priority arrival
-  int64_t rejected = 0;    ///< legacy-mode kAdmissionRejected turn-aways
   int64_t budget_shrunk = 0;  ///< admissions with a shrunk optimizer budget
   int64_t aging_promotions = 0;  ///< waiters promoted to the top class
   int running = 0;         ///< slots held right now
@@ -57,7 +56,6 @@ struct SchedulerStats {
   int64_t queued = 0;
   int64_t throttled = 0;
   int64_t shed = 0;
-  int64_t rejected = 0;
   int64_t budget_shrunk = 0;
   int64_t aging_promotions = 0;
   int64_t dispatches = 0;  ///< slot-grant decisions taken
@@ -88,11 +86,6 @@ double RetryAfterMs(const Status& s);
 /// or are turned away themselves — both with a typed kTenantThrottled
 /// carrying a `retry-after-ms=N` hint.
 ///
-/// Legacy mode (FromLegacy) runs a single-tenant configuration that
-/// reproduces the historical AdmissionConfig semantics exactly: turn-aways
-/// are kAdmissionRejected (never kTenantThrottled), nothing is shed, and no
-/// budget shrinking happens.
-///
 /// Thread-safe; all waiting is cooperative (sliced waits, so a tripped
 /// CancellationToken is noticed within ~10 ms even though the token has no
 /// condition-variable hookup).
@@ -101,26 +94,21 @@ class TenantScheduler {
   /// `engine_root`: parent for the per-tenant quota MemoryTrackers (only
   /// consulted for tenants with `memory_bytes > 0`; may be null when no
   /// tenant carries a quota).
-  TenantScheduler(const SchedulerConfig& config, bool legacy_mode,
-                  MemoryTracker* engine_root);
+  TenantScheduler(const SchedulerConfig& config, MemoryTracker* engine_root);
   ~TenantScheduler();
 
   TenantScheduler(const TenantScheduler&) = delete;
   TenantScheduler& operator=(const TenantScheduler&) = delete;
 
-  /// The historical single-queue AdmissionConfig expressed as a one-tenant
-  /// scheduler configuration (pair with legacy_mode = true).
-  static SchedulerConfig FromLegacy(const AdmissionConfig& ac);
-
   /// Blocks until a slot is granted (within the queue/timeout bounds) and
   /// returns the admission receipt; the caller must pair it with Release.
-  /// Failure statuses: kTenantThrottled (tenant mode: queue full, shed, or
-  /// wait timed out; carries a retry-after hint), kAdmissionRejected
-  /// (legacy mode), the token's status when `cancel` trips while queued,
-  /// and kInternal when the armed `faults` injector fires at the kAdmit
-  /// site after the grant — the slot is released before returning, so an
-  /// injected fault can never leak a slot or a queue entry. (The engine
-  /// fires a second, pre-admission kAdmit hit before calling in here.)
+  /// Failure statuses: kTenantThrottled (queue full, shed, or wait timed
+  /// out; carries a retry-after hint), the token's status when `cancel`
+  /// trips while queued, and kInternal when the armed `faults` injector
+  /// fires at the kAdmit site after the grant — the slot is released
+  /// before returning, so an injected fault can never leak a slot or a
+  /// queue entry. (The engine fires a second, pre-admission kAdmit hit
+  /// before calling in here.)
   Result<Admission> Admit(const std::string& tenant,
                           CancellationToken* cancel, FaultInjector* faults);
 
@@ -163,7 +151,6 @@ class TenantScheduler {
     int64_t queued = 0;
     int64_t throttled = 0;
     int64_t shed = 0;
-    int64_t rejected = 0;
     int64_t budget_shrunk = 0;
     int64_t aging_promotions = 0;
     int peak_running = 0;
@@ -189,11 +176,10 @@ class TenantScheduler {
   /// Removes `w` from its tenant's queue (no-op when already popped).
   void RemoveFromQueueLocked(const std::shared_ptr<Waiter>& w);
 
-  /// The typed turn-away for tenant `t` in the current mode; `why` is the
-  /// human-readable cause. Tenant mode appends the retry-after hint.
+  /// The typed kTenantThrottled turn-away for tenant `t`; `why` is the
+  /// human-readable cause, followed by the retry-after hint.
   Status ThrottleStatusLocked(TenantState& t, const std::string& why);
 
-  const bool legacy_;
   const double queue_timeout_ms_;
   const int max_concurrent_;
   const int aging_dispatches_;

@@ -12,31 +12,6 @@ namespace cbqt {
 
 class FaultInjector;
 
-/// Admission-control knobs for QueryEngine. A query that arrives while
-/// `max_concurrent` queries are already running waits in a bounded queue;
-/// if the queue is full, or the wait exceeds `queue_timeout_ms`, the query
-/// is turned away with a fast typed kAdmissionRejected — overload yields
-/// cheap rejections instead of memory exhaustion.
-///
-/// Queueing requires BOTH `max_queued > 0` and `queue_timeout_ms > 0`: the
-/// queue bounds how many waiters can exist, the timeout bounds how long each
-/// one waits. With `queue_timeout_ms = 0` nothing ever waits — a query
-/// arriving while all slots are busy is rejected immediately even when
-/// `max_queued > 0` (the rejection message says so explicitly).
-struct AdmissionConfig {
-  /// 0 = admission control disabled (every query admitted immediately).
-  int max_concurrent = 0;
-  /// Queries allowed to wait for a slot beyond the concurrent ones.
-  /// Effective only together with a positive `queue_timeout_ms`.
-  int max_queued = 0;
-  /// How long a queued query waits before being rejected. 0 = no wait:
-  /// reject immediately when all slots are busy, regardless of
-  /// `max_queued`.
-  double queue_timeout_ms = 0;
-
-  bool enabled() const { return max_concurrent > 0; }
-};
-
 /// One tenant's scheduling contract under the tenant-aware scheduler
 /// (cbqt/scheduler.h). Weights buy proportional slot share under
 /// saturation; priority classes buy dispatch order (with aging so lower
@@ -70,20 +45,26 @@ struct TenantSpec {
 /// Number of priority classes the scheduler distinguishes (0 = highest).
 inline constexpr int kNumPriorityClasses = 3;
 
-/// Tenant-aware admission scheduling (cbqt/scheduler.h): weighted
-/// deficit-round-robin slot dispatch over per-tenant bounded queues, with
-/// priority classes, aging, per-tenant quotas, and an overload ladder
-/// (queue -> shrink optimizer budget -> shed lowest-priority work with a
-/// typed kTenantThrottled + retry-after hint). When enabled it replaces
-/// the single global AdmissionConfig queue; a query names its tenant via
+/// Admission scheduling (cbqt/scheduler.h): weighted deficit-round-robin
+/// slot dispatch over per-tenant bounded queues, with priority classes,
+/// aging, per-tenant quotas, and an overload ladder (queue -> shrink
+/// optimizer budget -> shed lowest-priority work with a typed
+/// kTenantThrottled + retry-after hint). A query names its tenant via
 /// QueryOptions::tenant (unknown or empty names fall into
 /// `default_tenant`).
+///
+/// A single global queue is the one-tenant case: leave `tenants` empty,
+/// set `default_tenant.priority = 0` and `default_tenant.max_queued`, keep
+/// `max_queued_total = 0`, and set `budget_shrink_occupancy = 1` so
+/// nothing is shed and no budget shrinks — overload is then queue, then a
+/// typed kTenantThrottled turn-away.
 struct SchedulerConfig {
   bool enabled = false;
   /// Global concurrency ceiling (slots). Must be > 0 when enabled.
   int max_concurrent = 0;
   /// How long a queued query waits for a slot before being throttled.
-  /// 0 = no wait: reject immediately when no slot can be granted.
+  /// 0 = no wait: reject immediately when no slot can be granted, even
+  /// when the tenant's max_queued > 0.
   double queue_timeout_ms = 0;
   /// The configured tenants. Names must be unique.
   std::vector<TenantSpec> tenants;
@@ -116,23 +97,20 @@ struct SchedulerConfig {
 };
 
 /// Engine-level runtime-guardrail configuration: memory budgets plus
-/// admission control. All knobs default off so existing single-user
+/// admission scheduling. All knobs default off so existing single-user
 /// embedding (tests, benches, examples) pay nothing.
 struct GuardrailConfig {
   /// Engine-wide byte budget (root MemoryTracker limit). <= 0 = unlimited.
   int64_t engine_memory_bytes = 0;
   /// Per-query byte budget (child tracker limit). <= 0 = unlimited.
   int64_t query_memory_bytes = 0;
-  /// Single-queue admission control. Ignored when `scheduler` is enabled
-  /// (the scheduler subsumes it — internally a legacy AdmissionConfig is
-  /// run as a one-tenant scheduler).
-  AdmissionConfig admission;
-  /// Tenant-aware admission scheduling; replaces `admission` when enabled.
+  /// Admission scheduling; every engine operation is admitted through it
+  /// when enabled.
   SchedulerConfig scheduler;
 
   bool enabled() const {
     return engine_memory_bytes > 0 || query_memory_bytes > 0 ||
-           admission.enabled() || scheduler.enabled_and_valid();
+           scheduler.enabled_and_valid();
   }
 
   /// True when any tenant (or the default tenant) carries a byte quota —

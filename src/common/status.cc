@@ -33,8 +33,6 @@ const char* CodeName(StatusCode code) {
       return "Cancelled";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kAdmissionRejected:
-      return "AdmissionRejected";
     case StatusCode::kTenantThrottled:
       return "TenantThrottled";
     case StatusCode::kDataCorruption:

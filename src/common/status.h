@@ -37,15 +37,11 @@ enum class StatusCode {
   /// kCancelled.
   kResourceExhausted,
   /// Admission control turned the query away before any work was done:
-  /// the engine is at its concurrency ceiling and the admission queue is
-  /// full (or the queue deadline expired). Cheap, typed, retryable.
-  kAdmissionRejected,
-  /// The tenant-aware scheduler shed this query under overload: its
-  /// tenant's queue was full (or its wait timed out) and it was the
-  /// lowest-priority work available to drop. The message carries a
-  /// `retry-after-ms=N` hint (see cbqt/scheduler.h RetryAfterMs) that
-  /// well-behaved clients honor with jittered backoff. Cheap, typed,
-  /// retryable — the multi-tenant sibling of kAdmissionRejected.
+  /// the engine is at its concurrency ceiling and the query's tenant queue
+  /// was full, its wait timed out, or it was the lowest-priority waiter
+  /// shed under overload. The message carries a `retry-after-ms=N` hint
+  /// (see cbqt/scheduler.h RetryAfterMs) that well-behaved clients honor
+  /// with jittered backoff. Cheap, typed, retryable.
   kTenantThrottled,
   /// Serialized bytes (plan snapshot, shared plan store record) failed
   /// structural validation: bad magic, version skew, checksum mismatch,
@@ -58,11 +54,10 @@ enum class StatusCode {
 /// True for the runtime-guardrail codes that must abort a whole query
 /// instead of being fault-isolated per transformation state or degraded to
 /// a best-so-far answer: cancellation, memory exhaustion, admission
-/// rejection. The search and executor propagate these verbatim.
+/// throttling. The search and executor propagate these verbatim.
 inline bool IsGuardrailAbort(StatusCode code) {
   return code == StatusCode::kCancelled ||
          code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kAdmissionRejected ||
          code == StatusCode::kTenantThrottled;
 }
 
@@ -109,9 +104,6 @@ class Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status AdmissionRejected(std::string msg) {
-    return Status(StatusCode::kAdmissionRejected, std::move(msg));
   }
   static Status TenantThrottled(std::string msg) {
     return Status(StatusCode::kTenantThrottled, std::move(msg));

@@ -23,7 +23,7 @@ struct DiffFailure {
 struct OracleOutcome {
   int executions = 0;        ///< engine runs whose rows were compared
   int guardrail_aborts = 0;  ///< typed aborts (kCancelled/kResourceExhausted/
-                             ///< kAdmissionRejected/kBudgetExhausted): the
+                             ///< kTenantThrottled/kBudgetExhausted): the
                              ///< run is skipped, not compared
   int injected_faults = 0;   ///< "injected fault" kInternal errors — clean
                              ///< degradation under a fault sweep

@@ -238,11 +238,25 @@ TEST_F(GuardrailTest, HalfPeakEngineBudgetCompletesWorkloadTyped) {
   EXPECT_EQ(constrained.untyped_failures(), 0) << constrained.ErrorSummary();
 }
 
+// A single global admission queue: the one-tenant scheduler configuration
+// with one slot, no priority classes to shed across, and no budget
+// shrinking, so overload is queue-then-throttle and nothing else.
+SchedulerConfig SingleQueue(int max_queued, double queue_timeout_ms) {
+  SchedulerConfig sc;
+  sc.enabled = true;
+  sc.max_concurrent = 1;
+  sc.queue_timeout_ms = queue_timeout_ms;
+  sc.default_tenant.priority = 0;
+  sc.default_tenant.max_queued = max_queued;
+  sc.budget_shrink_occupancy = 1;
+  sc.max_queued_total = 0;
+  return sc;
+}
+
 TEST_F(GuardrailTest, AdmissionRejectsImmediatelyWhenSaturated) {
   CbqtConfig cfg = UnnestOnlyConfig();
-  cfg.guardrails.admission.max_concurrent = 1;
-  cfg.guardrails.admission.max_queued = 0;
-  cfg.guardrails.admission.queue_timeout_ms = 0;
+  cfg.guardrails.scheduler = SingleQueue(/*max_queued=*/0,
+                                         /*queue_timeout_ms=*/0);
   cfg.fault_injector = std::make_shared<FaultInjector>(1);
   FaultSpec spec;
   spec.every_n = 1;
@@ -261,20 +275,22 @@ TEST_F(GuardrailTest, AdmissionRejectsImmediatelyWhenSaturated) {
 
   auto rejected = engine.Run(kJoinSql);
   ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kAdmissionRejected);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kTenantThrottled);
+  EXPECT_GT(RetryAfterMs(rejected.status()), 0);
   slow.join();
   EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
 
-  GuardrailStats gs = engine.guardrail_stats();
-  EXPECT_EQ(gs.admission_rejected, 1);
-  EXPECT_EQ(gs.admitted, 1);
+  SchedulerStats ss = engine.scheduler_stats();
+  EXPECT_EQ(ss.throttled, 1);
+  EXPECT_EQ(ss.queued, 0);
+  EXPECT_EQ(ss.budget_shrunk, 0);
+  EXPECT_EQ(engine.guardrail_stats().admitted, 1);
 }
 
 TEST_F(GuardrailTest, AdmissionQueueTimesOutWithTypedRejection) {
   CbqtConfig cfg = UnnestOnlyConfig();
-  cfg.guardrails.admission.max_concurrent = 1;
-  cfg.guardrails.admission.max_queued = 1;
-  cfg.guardrails.admission.queue_timeout_ms = 20;
+  cfg.guardrails.scheduler = SingleQueue(/*max_queued=*/1,
+                                         /*queue_timeout_ms=*/20);
   cfg.fault_injector = std::make_shared<FaultInjector>(1);
   FaultSpec spec;
   spec.every_n = 1;
@@ -293,20 +309,21 @@ TEST_F(GuardrailTest, AdmissionQueueTimesOutWithTypedRejection) {
 
   auto timed_out = engine.Run(kJoinSql);
   ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kAdmissionRejected);
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kTenantThrottled);
+  EXPECT_GT(RetryAfterMs(timed_out.status()), 0);
   slow.join();
   EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
 
-  GuardrailStats gs = engine.guardrail_stats();
-  EXPECT_EQ(gs.queued, 1);
-  EXPECT_EQ(gs.admission_rejected, 1);
+  SchedulerStats ss = engine.scheduler_stats();
+  EXPECT_EQ(ss.queued, 1);
+  EXPECT_EQ(ss.throttled, 1);
+  EXPECT_EQ(ss.budget_shrunk, 0);
 }
 
 TEST_F(GuardrailTest, AdmissionQueueGrantsFreedSlot) {
   CbqtConfig cfg = UnnestOnlyConfig();
-  cfg.guardrails.admission.max_concurrent = 1;
-  cfg.guardrails.admission.max_queued = 2;
-  cfg.guardrails.admission.queue_timeout_ms = 10000;
+  cfg.guardrails.scheduler = SingleQueue(/*max_queued=*/2,
+                                         /*queue_timeout_ms=*/10000);
   cfg.fault_injector = std::make_shared<FaultInjector>(1);
   FaultSpec spec;
   spec.every_n = 1;
@@ -328,10 +345,11 @@ TEST_F(GuardrailTest, AdmissionQueueGrantsFreedSlot) {
   slow.join();
   EXPECT_TRUE(slow_status.ok()) << slow_status.ToString();
 
-  GuardrailStats gs = engine.guardrail_stats();
-  EXPECT_EQ(gs.queued, 1);
-  EXPECT_EQ(gs.admission_rejected, 0);
-  EXPECT_EQ(gs.admitted, 2);
+  SchedulerStats ss = engine.scheduler_stats();
+  EXPECT_EQ(ss.queued, 1);
+  EXPECT_EQ(ss.throttled, 0);
+  EXPECT_EQ(ss.budget_shrunk, 0);
+  EXPECT_EQ(engine.guardrail_stats().admitted, 2);
 }
 
 // Engine-shutdown ordering: destroying the engine while a background

@@ -319,7 +319,7 @@ TEST(Mqo, CancelledConsumerDoesNotStallTheBatch) {
     workers.emplace_back([&, t] {
       for (int r = 0; r < kRounds; ++r) {
         CancellationToken* token = (t == 0) ? &doomed : nullptr;
-        auto result = on.Run(kUnionSql, token);
+        auto result = on.Run(kUnionSql, {.cancel = token});
         if (result.ok()) {
           SortRowsCanonical(&result->rows);
           if (result->rows != expected) row_mismatch = true;
@@ -398,7 +398,7 @@ TEST(Mqo, RunAllConcurrentMergesInInputOrder) {
   EXPECT_EQ(report.succeeded, 12);
   EXPECT_EQ(report.untyped_failures(), 0);
   EXPECT_EQ(report.measurements.size(), 12u);
-  EXPECT_GE(report.mqo_batches, 1);
+  EXPECT_GE(report.mqo.batches_formed, 1);
 
   // sessions <= 1 degenerates to the serial path with identical counting.
   WorkloadRunReport serial = runner.RunAllConcurrent(queries, MqoOn(), 1);

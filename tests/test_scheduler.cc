@@ -58,7 +58,7 @@ TEST(TenantSchedulerTest, FifoWithinTenant) {
   cfg.max_concurrent = 1;
   cfg.queue_timeout_ms = 10000;
   cfg.tenants = {Spec("a", 1, 1)};
-  TenantScheduler sched(cfg, /*legacy_mode=*/false, nullptr);
+  TenantScheduler sched(cfg, nullptr);
 
   auto holder = sched.Admit("a", nullptr, nullptr);
   ASSERT_TRUE(holder.ok()) << holder.status().ToString();
@@ -97,7 +97,7 @@ TEST(TenantSchedulerTest, WeightedSharesConverge) {
   cfg.max_concurrent = 1;
   cfg.queue_timeout_ms = 20000;
   cfg.tenants = {Spec("heavy", 3, 1), Spec("light", 1, 1)};
-  TenantScheduler sched(cfg, /*legacy_mode=*/false, nullptr);
+  TenantScheduler sched(cfg, nullptr);
 
   auto holder = sched.Admit("heavy", nullptr, nullptr);
   ASSERT_TRUE(holder.ok());
@@ -150,7 +150,7 @@ TEST(TenantSchedulerTest, AgingPromotesStarvedLowPriorityWaiter) {
   cfg.queue_timeout_ms = 20000;
   cfg.aging_dispatches = 4;
   cfg.tenants = {Spec("vip", 4, 0), Spec("batch", 1, 2)};
-  TenantScheduler sched(cfg, /*legacy_mode=*/false, nullptr);
+  TenantScheduler sched(cfg, nullptr);
 
   auto holder = sched.Admit("vip", nullptr, nullptr);
   ASSERT_TRUE(holder.ok());
@@ -206,7 +206,7 @@ TEST(TenantSchedulerTest, CancelWhileQueuedReleasesQueueSlot) {
   cfg.max_concurrent = 1;
   cfg.queue_timeout_ms = 20000;
   cfg.tenants = {Spec("a", 1, 1, /*max_queued=*/1)};
-  TenantScheduler sched(cfg, /*legacy_mode=*/false, nullptr);
+  TenantScheduler sched(cfg, nullptr);
 
   auto holder = sched.Admit("a", nullptr, nullptr);
   ASSERT_TRUE(holder.ok());
@@ -245,7 +245,7 @@ TEST(TenantSchedulerTest, FullQueueThrottlesWithRetryHint) {
   cfg.queue_timeout_ms = 20000;
   cfg.retry_after_ms = 40;
   cfg.tenants = {Spec("a", 1, 1, /*max_queued=*/1)};
-  TenantScheduler sched(cfg, /*legacy_mode=*/false, nullptr);
+  TenantScheduler sched(cfg, nullptr);
 
   auto holder = sched.Admit("a", nullptr, nullptr);
   ASSERT_TRUE(holder.ok());
@@ -272,7 +272,7 @@ TEST(TenantSchedulerTest, ConcurrentMultiTenantRoundTrip) {
   cfg.queue_timeout_ms = 20000;
   cfg.tenants = {Spec("a", 3, 0), Spec("b", 2, 1), Spec("c", 1, 2)};
   cfg.aging_dispatches = 8;
-  TenantScheduler sched(cfg, /*legacy_mode=*/false, nullptr);
+  TenantScheduler sched(cfg, nullptr);
 
   constexpr int kThreadsPerTenant = 4;
   constexpr int kAdmitsPerThread = 50;
