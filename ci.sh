@@ -9,10 +9,12 @@
 # memo equivalence sweeps (CowMemoMatchesFullClones in test_equivalence and
 # CowMemoEscapeHatchBitIdentical in test_paper_queries, both at
 # num_threads = 4) are exercised in every config. ASan/UBSan additionally
-# covers the robustness corpus (test_parser_robustness, test_governor) and
-# the spill-to-disk pipeline (test_batch_executor forces sort / hash-join /
-# aggregation / distinct state through SpillManager temp files under a tiny
-# memory budget, so the serialize/partition/merge paths run under ASan).
+# covers the robustness corpus (test_parser_robustness, test_governor), plans
+# borrowed from annotation-cache entries that are evicted or cleared while
+# held (test_annotation_cache), and the spill-to-disk pipeline
+# (test_batch_executor forces sort / hash-join / aggregation / distinct
+# state through SpillManager temp files under a tiny memory budget, so the
+# serialize/partition/merge paths run under ASan).
 #
 #   $ ./ci.sh              # release + tsan + asan + bench-smoke + fuzz-smoke
 #                          #   + perfbench-smoke
@@ -22,7 +24,7 @@
 #   $ ./ci.sh bench-smoke  # quick Release run of the perf benches
 #   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
 #   $ ./ci.sh perfbench-smoke  # builds the end-to-end benchmark, checks
-#                              # its deterministic counts
+#                              # its deterministic counts (seeds 1, 20061)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -149,9 +151,13 @@ if [[ "${want}" == "all" || "${want}" == "perfbench-smoke" ]]; then
   # the end-to-end benchmark unseen. test_determinism.py builds it on first
   # use, then requires two short traced runs of each single-session
   # workload to agree on the deterministic per-query counts with every
-  # result row correct.
+  # result row correct, at seed 1 and at the held-out seed 20061. Its search
+  # counts (states/query, blocks planned/query) show whether a planner
+  # change kept the same search.
   echo "=== [perfbench-smoke] build + determinism (seed 1) ==="
   python3 perfbench/test_determinism.py --seed 1
+  echo "=== [perfbench-smoke] determinism (held-out seed 20061) ==="
+  python3 perfbench/test_determinism.py --seed 20061
 fi
 
 if [[ "${want}" == "all" || "${want}" == "asan" ]]; then

@@ -60,8 +60,8 @@ std::shared_ptr<const CostAnnotation> AnnotationCache::Find(
   return it->second.annotation;
 }
 
-void AnnotationCache::Put(std::string_view signature,
-                          CostAnnotation annotation) {
+std::shared_ptr<const CostAnnotation> AnnotationCache::Put(
+    std::string_view signature, CostAnnotation annotation) {
   int64_t entry_bytes =
       tracker_ != nullptr ? EstimateEntryBytes(signature, annotation) : 0;
   auto entry =
@@ -73,12 +73,12 @@ void AnnotationCache::Put(std::string_view signature,
     auto it = shard.map.find(signature);
     if (it != shard.map.end()) {
       delta = entry_bytes - it->second.bytes;
-      it->second.annotation = std::move(entry);
+      it->second.annotation = entry;
       it->second.bytes = entry_bytes;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     } else {
       auto pos = shard.map.try_emplace(std::string(signature)).first;
-      pos->second.annotation = std::move(entry);
+      pos->second.annotation = entry;
       pos->second.bytes = entry_bytes;
       shard.lru.push_front(&pos->first);
       pos->second.lru_it = shard.lru.begin();
@@ -103,6 +103,7 @@ void AnnotationCache::Put(std::string_view signature,
     }
     memory_bytes_.fetch_add(delta, std::memory_order_relaxed);
   }
+  return entry;
 }
 
 void AnnotationCache::Clear() {

@@ -79,7 +79,11 @@ class AnnotationCache {
   /// nullptr if not cached. A hit refreshes the entry's LRU position.
   std::shared_ptr<const CostAnnotation> Find(std::string_view signature) const;
 
-  void Put(std::string_view signature, CostAnnotation annotation);
+  /// Publishes `annotation` (replacing any entry under `signature`) and
+  /// returns the published entry, so the caller can keep reading the plan
+  /// it just moved in without copying it first.
+  std::shared_ptr<const CostAnnotation> Put(std::string_view signature,
+                                            CostAnnotation annotation);
 
   void Clear();
 

@@ -28,10 +28,11 @@ Result<JoinStepPlan> JoinOrderEnumerator::Enumerate() {
 }
 
 // Pull-style subset DP: each target mask is settled in a single visit —
-// memo lookup first, otherwise the best of Join(dp[mask \ i], i) over the
-// member relations i. This is the same recurrence as the classic
-// source-major ("push") formulation, restructured so a memo hit skips every
-// join costing for that subset, not just the final comparison.
+// memo lookup first, otherwise the cheapest of EstimateJoin(dp[mask \ i], i)
+// over the member relations i, and only that winner is built. This is the
+// same recurrence as the classic source-major ("push") formulation,
+// restructured so a memo hit skips every join costing for that subset, not
+// just the final comparison.
 //
 // Tie-breaks match the push formulation exactly: there, sources were
 // visited in ascending mask order and a target kept its first-written plan
@@ -74,25 +75,34 @@ Result<JoinStepPlan> JoinOrderEnumerator::EnumerateDp() {
       e.valid = true;
       e.step = std::move(base.value());
     } else {
+      int best_rel = -1;
+      JoinEstimate best;
       for (int i = n - 1; i >= 0; --i) {
         uint64_t bit = 1ULL << i;
         if (!(mask & bit)) continue;
         uint64_t sub = mask & ~bit;
         if (!dp[sub].valid) continue;
         if ((deps_[static_cast<size_t>(i)] & ~sub) != 0) continue;
-        auto joined = coster_->Join(dp[sub].step, sub, i);
-        if (!joined.ok()) {
-          if (joined.status().code() == StatusCode::kCostCutoff) continue;
-          return joined.status();
+        auto est = coster_->EstimateJoin(dp[sub].step, sub, i);
+        if (!est.ok()) {
+          if (est.status().code() == StatusCode::kCostCutoff) continue;
+          return est.status();
         }
-        if (joined->cost > cutoff_) continue;
-        if (!e.valid || joined->cost < e.step.cost) {
-          e.valid = true;
-          e.step = std::move(joined.value());
+        if (est->cost > cutoff_) continue;
+        if (best_rel < 0 || est->cost < best.cost) {
+          best_rel = i;
+          best = *est;
         }
       }
+      if (best_rel >= 0) {
+        uint64_t sub = mask & ~(1ULL << best_rel);
+        auto built = coster_->BuildJoin(dp[sub].step, sub, best_rel, best);
+        if (!built.ok()) return built.status();
+        e.valid = true;
+        e.step = std::move(built.value());
+      }
     }
-    if (e.valid && memo_ != nullptr) memo_->Store(mask, e.step);
+    if (e.valid && memo_ != nullptr) memo_->Store(mask, &e.step);
   }
 
   if (!dp[full].valid) return Status::CostCutoff();
@@ -144,29 +154,31 @@ Result<JoinStepPlan> JoinOrderEnumerator::EnumerateGreedy() {
   for (int step = 1; step < n; ++step) {
     double best_cost = std::numeric_limits<double>::infinity();
     int best = -1;
-    JoinStepPlan best_step;
+    JoinEstimate best_est;
     for (int i = 0; i < n; ++i) {
       uint64_t bit = 1ULL << i;
       if (mask & bit) continue;
       if ((deps_[static_cast<size_t>(i)] & ~mask) != 0) continue;
-      auto joined = coster_->Join(current, mask, i);
-      if (!joined.ok()) {
-        if (joined.status().code() == StatusCode::kCostCutoff) continue;
-        return joined.status();
+      auto est = coster_->EstimateJoin(current, mask, i);
+      if (!est.ok()) {
+        if (est.status().code() == StatusCode::kCostCutoff) continue;
+        return est.status();
       }
-      if (joined->cost < best_cost) {
-        best_cost = joined->cost;
+      if (est->cost < best_cost) {
+        best_cost = est->cost;
         best = i;
-        best_step = std::move(joined.value());
+        best_est = *est;
       }
     }
     if (best < 0) return Status::CostCutoff();
-    current = std::move(best_step);
+    if (best_est.cost > cutoff_) return Status::CostCutoff();
+    auto built = coster_->BuildJoin(current, mask, best, best_est);
+    if (!built.ok()) return built.status();
+    current = std::move(built.value());
     mask |= 1ULL << best;
-    if (current.cost > cutoff_) return Status::CostCutoff();
   }
   if (current.cost > cutoff_) return Status::CostCutoff();
-  if (memo_ != nullptr) memo_->Store(full, current);
+  if (memo_ != nullptr) memo_->Store(full, &current);
   return current;
 }
 

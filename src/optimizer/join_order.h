@@ -12,31 +12,38 @@ namespace cbqt {
 
 /// One step of a join order being built: a plan fragment plus its estimates.
 ///
-/// The fragment is either owned (freshly built by a coster) or borrowed
-/// read-only from a memo/cache entry that the shared_ptr keeps alive.
-/// Borrowing lets a memo hit or a cached base-relation plan be used as a
-/// join input — which only ever reads and Clone()s it — without paying a
-/// deep copy per use; the one place that needs ownership (the completed
-/// enumeration result) materializes it via TakePlan().
+/// The fragment is owned when a coster has just built it, and borrowed once
+/// it is published in a memo or cache (or when it is a block's shared view
+/// plan). Join inputs are only read; BuildJoin deep-copies the inputs of the
+/// one candidate it materializes, and the completed enumeration result is
+/// taken with `plan.Take()`.
 struct JoinStepPlan {
-  std::unique_ptr<PlanNode> plan;          // owned fragment, or
-  std::shared_ptr<const PlanNode> shared;  // borrowed immutable fragment
+  PlanFragment plan;
   double rows = 0;
   double cost = 0;
+};
 
-  const PlanNode* node() const {
-    return plan != nullptr ? plan.get() : shared.get();
-  }
-  /// Owned plan: moves the owned fragment out, or deep-copies the borrowed
-  /// one (so callers may mutate the result freely).
-  std::unique_ptr<PlanNode> TakePlan() {
-    if (plan != nullptr) return std::move(plan);
-    return shared->Clone();
-  }
+/// Physical join methods a coster can choose between.
+enum class JoinMethod : uint8_t {
+  kHash,
+  kMerge,
+  kIndexNestedLoop,  ///< per-left-row index probe into the right base table
+  kNestedLoop,       ///< rescans the right input (lateral views included)
+};
+
+/// The priced cheapest join of one candidate, before any plan is built.
+struct JoinEstimate {
+  double rows = 0;
+  double cost = 0;
+  JoinMethod method = JoinMethod::kNestedLoop;
 };
 
 /// Cost callbacks implemented by the planner: the enumerator drives the
 /// search, the coster knows scans, join methods and predicates.
+///
+/// Join candidates are chosen, then built: the enumerator prices every
+/// candidate with EstimateJoin, which builds no plan, and calls BuildJoin
+/// only for the winner of each subset it settles.
 class JoinCoster {
  public:
   virtual ~JoinCoster() = default;
@@ -45,10 +52,18 @@ class JoinCoster {
   /// plan, ...).
   virtual Result<JoinStepPlan> BaseRel(int rel) = 0;
 
-  /// Cheapest join of `left` (covering the relations in `left_mask`) with
-  /// relation `rel` on the right, over all join methods.
-  virtual Result<JoinStepPlan> Join(const JoinStepPlan& left,
-                                    uint64_t left_mask, int rel) = 0;
+  /// Cost, rows and method of the cheapest join of `left` (covering the
+  /// relations in `left_mask`) with relation `rel` on the right, over all
+  /// join methods. Builds no plan.
+  virtual Result<JoinEstimate> EstimateJoin(const JoinStepPlan& left,
+                                            uint64_t left_mask, int rel) = 0;
+
+  /// Builds the join `chosen` = EstimateJoin(left, left_mask, rel) priced.
+  /// The returned step owns its fragment and carries exactly
+  /// `chosen.rows` and `chosen.cost`.
+  virtual Result<JoinStepPlan> BuildJoin(const JoinStepPlan& left,
+                                         uint64_t left_mask, int rel,
+                                         const JoinEstimate& chosen) = 0;
 };
 
 /// Cross-state memo for join-order subproblems. The caller (the planner)
@@ -60,8 +75,8 @@ class JoinCoster {
 /// Contract (relies on join-cost monotonicity, joined.cost >= left.cost,
 /// which every coster here satisfies): a stored entry is the
 /// cutoff-independent best plan for its subset. Lookup must fill `out` only
-/// when returning kHit, and may fill it with a borrowed (shared) plan — the
-/// enumerator only reads and Clone()s hit plans, never mutates them.
+/// when returning kHit, and may fill it with a borrowed plan — the
+/// enumerator never mutates join inputs.
 class JoinOrderMemo {
  public:
   virtual ~JoinOrderMemo() = default;
@@ -73,7 +88,11 @@ class JoinOrderMemo {
   };
 
   virtual Probe Lookup(uint64_t mask, double cutoff, JoinStepPlan* out) = 0;
-  virtual void Store(uint64_t mask, const JoinStepPlan& step) = 0;
+
+  /// Publishes the settled best plan of `mask`. Takes the fragment `step`
+  /// owns (the enumerator passes the winner it just built, not a copy) and
+  /// leaves `step` borrowing the published entry.
+  virtual void Store(uint64_t mask, JoinStepPlan* step) = 0;
 };
 
 /// Join-order search with non-commutative-join partial orders (paper
@@ -85,6 +104,11 @@ class JoinOrderMemo {
 ///
 /// `cutoff`: partial plans costing more than this are pruned; if nothing
 /// survives, Enumerate returns StatusCode::kCostCutoff (paper §3.4.1).
+///
+/// Every candidate is priced with EstimateJoin; each subset of two or more
+/// relations the enumeration settles itself (not from the memo) is built
+/// once, as its cheapest candidate. Greedy builds one join per step, n-1 in
+/// all. A subset whose every candidate exceeds the cutoff builds nothing.
 ///
 /// `memo`: optional cross-state subproblem memo. Memoized subsets are
 /// settled without re-costing; every freshly computed valid subset is

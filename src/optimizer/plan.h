@@ -124,6 +124,40 @@ struct PlanNode {
   int64_t EstimateBytes() const;
 };
 
+/// A plan fragment that is either owned or borrowed read-only from an
+/// immutable shared tree (an annotation-cache or join-memo entry, a block's
+/// re-tagged view) that the shared_ptr keeps alive. Readers use it like a
+/// const pointer. Only splicing a fragment into a parent node needs a
+/// mutable tree, and Take() deep-copies a borrowed fragment exactly there.
+class PlanFragment {
+ public:
+  PlanFragment() = default;
+  PlanFragment(std::unique_ptr<PlanNode> owned)  // NOLINT(runtime/explicit)
+      : owned_(std::move(owned)) {}
+  PlanFragment(std::shared_ptr<const PlanNode> borrowed)  // NOLINT
+      : borrowed_(std::move(borrowed)) {}
+
+  const PlanNode* get() const {
+    return owned_ != nullptr ? owned_.get() : borrowed_.get();
+  }
+  const PlanNode& operator*() const { return *get(); }
+  const PlanNode* operator->() const { return get(); }
+  bool owned() const { return owned_ != nullptr; }
+
+  /// A mutable tree the caller owns: moves an owned fragment out, or
+  /// deep-copies a borrowed one. Leaves this handle empty.
+  std::unique_ptr<PlanNode> Take() {
+    if (owned_ != nullptr) return std::move(owned_);
+    std::unique_ptr<PlanNode> copy = borrowed_->Clone();
+    borrowed_.reset();
+    return copy;
+  }
+
+ private:
+  std::unique_ptr<PlanNode> owned_;
+  std::shared_ptr<const PlanNode> borrowed_;
+};
+
 /// One-line-per-node rendering of a plan tree with cost annotations, for
 /// EXPLAIN-style output and plan-diff experiments (Figure 2 counts plan
 /// changes).

@@ -126,6 +126,14 @@ std::vector<std::pair<std::string, std::string>> CollectOuterRefs(
   return out;
 }
 
+// Borrows the plan of a published annotation: the aliasing shared_ptr pins
+// the entry, so the plan stays valid even if the entry is evicted or the
+// cache cleared while the borrower holds it.
+PlanFragment BorrowPlan(std::shared_ptr<const CostAnnotation> entry) {
+  const PlanNode* plan = entry->plan.get();
+  return std::shared_ptr<const PlanNode>(std::move(entry), plan);
+}
+
 double GroupOutputRows(const std::vector<ExprPtr>& keys,
                        const std::vector<int>* set, const StatsContext& ctx,
                        double input_rows) {
@@ -145,28 +153,14 @@ double GroupOutputRows(const std::vector<ExprPtr>& keys,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BuildScan: access-path selection for one base table
+// ChooseScan / BuildScan: access-path selection for one base table
 // ---------------------------------------------------------------------------
 
-Result<JoinStepPlan> Planner::BuildScan(
-    const TableRef& tr, const std::vector<const Expr*>& filters,
-    const std::vector<std::pair<std::string, const Expr*>>& extra_probes,
-    const StatsContext& ctx, std::set<const Expr*>* used_extra_probes) {
-  const CostParams& P = params_;
-  const RelStats* rel = ctx.FindRelation(tr.alias);
-  double base_rows = rel != nullptr ? rel->rows : 1000;
-  const TableStats* ts = db_.stats().Find(tr.table_name);
-  double blocks = ts != nullptr ? ts->blocks : std::max(1.0, base_rows / 100);
-
-  // Candidate equality probes: filter conjuncts `col = bound-value` plus
-  // join-derived probes handed in by the join coster.
-  struct Probe {
-    std::string column;
-    const Expr* value;       // expression producing the probe value
-    const Expr* source;      // original predicate (to exclude from residual)
-    double sel;
-  };
-  std::vector<Probe> probes;
+void Planner::CollectScanProbes(const TableRef& tr,
+                                const std::vector<const Expr*>& filters,
+                                const ExtraProbes& extra_probes,
+                                const StatsContext& ctx) {
+  scan_probes_.clear();
   for (const Expr* f : filters) {
     if (f->kind != ExprKind::kBinary || f->bop != BinaryOp::kEq) continue;
     const Expr* l = f->children[0].get();
@@ -186,100 +180,120 @@ Result<JoinStepPlan> Planner::BuildScan(
     // The probe value must not depend on this table.
     if (ExprUsesAlias(*val, tr.alias)) continue;
     double sel = Selectivity(*f, ctx);
-    probes.push_back(Probe{col->column_name, val, f, sel});
+    scan_probes_.push_back(ScanProbe{col->column_name, val, f, sel});
   }
   for (const auto& [col, val] : extra_probes) {
-    const ColumnStats* cs = ctx.FindColumn(tr.alias, col);
+    const ColumnStats* cs = ctx.FindColumn(tr.alias, std::string(col));
     double sel = (cs != nullptr && cs->ndv > 0) ? 1.0 / cs->ndv : 0.01;
-    probes.push_back(Probe{col, val, nullptr, sel});
+    scan_probes_.push_back(ScanProbe{col, val, nullptr, sel});
   }
+}
+
+void Planner::MatchIndex(const IndexDef& idx) {
+  scan_used_.clear();
+  for (const auto& key_col : idx.columns) {
+    const ScanProbe* found = nullptr;
+    for (const auto& p : scan_probes_) {
+      if (p.column == key_col &&
+          std::find(scan_used_.begin(), scan_used_.end(), &p) ==
+              scan_used_.end()) {
+        found = &p;
+        break;
+      }
+    }
+    if (found == nullptr) break;
+    scan_used_.push_back(found);
+  }
+}
+
+bool Planner::ConsumedByIndex(const Expr* f) const {
+  for (const ScanProbe* u : scan_used_) {
+    if (u->source == f) return true;
+  }
+  return false;
+}
+
+Planner::ScanChoice Planner::ChooseScan(const TableRef& tr,
+                                        const std::vector<const Expr*>& filters,
+                                        const ExtraProbes& extra_probes,
+                                        const StatsContext& ctx) {
+  const CostParams& P = params_;
+  const RelStats* rel = ctx.FindRelation(tr.alias);
+  double base_rows = rel != nullptr ? rel->rows : 1000;
+  const TableStats* ts = db_.stats().Find(tr.table_name);
+  double blocks = ts != nullptr ? ts->blocks : std::max(1.0, base_rows / 100);
 
   // Full-scan option.
-  double full_sel = ConjSelectivity(filters, ctx);
-  double full_rows = std::max(base_rows * full_sel, 0.0);
-  double full_cost = blocks * P.seq_block + base_rows * P.cpu_tuple +
-                     base_rows * PredEvalCost(filters, P);
+  ScanChoice best;
+  best.rows = std::max(base_rows * ConjSelectivity(filters, ctx), 0.0);
+  best.cost = blocks * P.seq_block + base_rows * P.cpu_tuple +
+              base_rows * PredEvalCost(filters, P);
 
   // Best index option.
-  double best_cost = full_cost;
-  double best_rows = full_rows;
-  const IndexDef* best_index = nullptr;
-  std::vector<const Probe*> best_used;
+  CollectScanProbes(tr, filters, extra_probes, ctx);
+  if (scan_probes_.empty()) return best;
   for (const auto& idx : tr.table_def->indexes) {
-    std::vector<const Probe*> used;
-    for (const auto& key_col : idx.columns) {
-      const Probe* found = nullptr;
-      for (const auto& p : probes) {
-        bool already = false;
-        for (const Probe* u : used) {
-          if (u == &p) already = true;
-        }
-        if (!already && p.column == key_col) {
-          found = &p;
-          break;
-        }
-      }
-      if (found == nullptr) break;
-      used.push_back(found);
-    }
-    if (used.empty()) continue;
+    MatchIndex(idx);
+    if (scan_used_.empty()) continue;
     double probe_sel = 1.0;
-    std::set<const Expr*> used_sources;
-    for (const Probe* u : used) {
-      probe_sel *= u->sel;
-      if (u->source != nullptr) used_sources.insert(u->source);
-    }
+    for (const ScanProbe* u : scan_used_) probe_sel *= u->sel;
     double match_rows = std::max(base_rows * probe_sel, 0.0);
-    std::vector<const Expr*> residual;
+    // Residual filters: the conjuncts no consumed probe came from. Same
+    // arithmetic, in the same order, as ConjSelectivity/PredEvalCost over
+    // the residual list.
+    double residual_sel = 1.0;
+    double residual_eval = 0;
     for (const Expr* f : filters) {
-      if (used_sources.count(f) == 0) residual.push_back(f);
+      if (ConsumedByIndex(f)) continue;
+      residual_sel *= Selectivity(*f, ctx);
+      residual_eval += P.cpu_pred;
+      residual_eval += CountExpensiveCalls(*f) * P.expensive_call;
     }
-    double out_rows = match_rows * ConjSelectivity(residual, ctx);
+    double out_rows = match_rows * std::max(residual_sel, 1e-9);
     double cost = P.index_probe + match_rows * P.index_row +
-                  match_rows * PredEvalCost(residual, P);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_rows = out_rows;
-      best_index = &idx;
-      best_used = used;
+                  match_rows * residual_eval;
+    if (cost < best.cost) {
+      best.cost = cost;
+      best.rows = out_rows;
+      best.index = &idx;
     }
   }
+  return best;
+}
 
-  JoinStepPlan step;
-  if (best_index == nullptr) {
-    auto node = std::make_unique<PlanNode>(PlanOp::kTableScan);
-    node->table_name = tr.table_name;
-    node->table_alias = tr.alias;
-    node->output = SchemaForTable(tr);
-    for (const Expr* f : filters) node->filter.push_back(f->Clone());
-    node->est_rows = full_rows;
-    node->est_cost = full_cost;
-    step.plan = std::move(node);
-    step.rows = full_rows;
-    step.cost = full_cost;
-    return step;
-  }
-  auto node = std::make_unique<PlanNode>(PlanOp::kIndexScan);
+JoinStepPlan Planner::BuildScan(const TableRef& tr,
+                                const std::vector<const Expr*>& filters,
+                                const ExtraProbes& extra_probes,
+                                const StatsContext& ctx,
+                                const ScanChoice& choice,
+                                std::set<const Expr*>* used_extra_probes) {
+  auto node = std::make_unique<PlanNode>(choice.index == nullptr
+                                             ? PlanOp::kTableScan
+                                             : PlanOp::kIndexScan);
   node->table_name = tr.table_name;
   node->table_alias = tr.alias;
-  node->index_name = best_index->name;
   node->output = SchemaForTable(tr);
-  std::set<const Expr*> used_sources;
-  for (const Probe* u : best_used) {
-    node->probes.push_back(u->value->Clone());
-    if (u->source != nullptr) used_sources.insert(u->source);
-    if (u->source == nullptr && used_extra_probes != nullptr) {
-      used_extra_probes->insert(u->value);
+  scan_used_.clear();
+  if (choice.index != nullptr) {
+    node->index_name = choice.index->name;
+    CollectScanProbes(tr, filters, extra_probes, ctx);
+    MatchIndex(*choice.index);
+    for (const ScanProbe* u : scan_used_) {
+      node->probes.push_back(u->value->Clone());
+      if (u->source == nullptr && used_extra_probes != nullptr) {
+        used_extra_probes->insert(u->value);
+      }
     }
   }
   for (const Expr* f : filters) {
-    if (used_sources.count(f) == 0) node->filter.push_back(f->Clone());
+    if (!ConsumedByIndex(f)) node->filter.push_back(f->Clone());
   }
-  node->est_rows = best_rows;
-  node->est_cost = best_cost;
+  node->est_rows = choice.rows;
+  node->est_cost = choice.cost;
+  JoinStepPlan step;
   step.plan = std::move(node);
-  step.rows = best_rows;
-  step.cost = best_cost;
+  step.rows = choice.rows;
+  step.cost = choice.cost;
   return step;
 }
 
@@ -291,18 +305,39 @@ namespace {
 
 struct RelEntry {
   const TableRef* tr = nullptr;
-  std::vector<const Expr*> filters;          // single-alias predicates
-  std::unique_ptr<PlanNode> derived_plan;    // planned view (cloned on use)
-  double derived_cost = 0;
+  std::vector<const Expr*> filters;  // single-alias predicates
+  // Derived table: the planned view, re-tagged with the view alias and
+  // topped with `filters`. Built once per block; every use borrows it.
+  std::shared_ptr<const PlanNode> view;
+  double derived_cost = 0;  // the view before `filters`
   double derived_rows = 0;
   bool lateral = false;
-  uint64_t deps = 0;
 };
 
 struct WherePred {
   const Expr* expr;
   uint64_t mask;  // relations referenced
 };
+
+// Re-tags a planned view with its alias and applies its single-alias
+// filters once, so every join that reads the view borrows one fragment.
+void FinishView(std::unique_ptr<PlanNode> plan, const StatsContext& ctx,
+                const CostParams& P, RelEntry* r) {
+  for (auto& slot : plan->output) slot.alias = r->tr->alias;
+  r->derived_rows = plan->est_rows;
+  r->derived_cost = plan->est_cost;
+  if (!r->filters.empty()) {
+    auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
+    filter->output = plan->output;
+    for (const Expr* f : r->filters) filter->filter.push_back(f->Clone());
+    filter->est_rows = r->derived_rows * ConjSelectivity(r->filters, ctx);
+    filter->est_cost =
+        r->derived_cost + r->derived_rows * PredEvalCost(r->filters, P);
+    filter->children.push_back(std::move(plan));
+    plan = std::move(filter);
+  }
+  r->view = std::move(plan);
+}
 
 }  // namespace
 
@@ -322,29 +357,134 @@ class BlockJoinCoster : public JoinCoster {
   Result<JoinStepPlan> BaseRel(int rel) override {
     RelEntry& r = rels_[static_cast<size_t>(rel)];
     if (r.tr->IsBaseTable()) {
-      return planner_->BuildScan(*r.tr, r.filters, {}, ctx_);
+      Planner::ScanChoice choice =
+          planner_->ChooseScan(*r.tr, r.filters, {}, ctx_);
+      return planner_->BuildScan(*r.tr, r.filters, {}, ctx_, choice);
     }
-    // Derived table: clone the pre-planned view, apply its filters.
     JoinStepPlan step;
-    step.plan = r.derived_plan->Clone();
-    step.rows = r.derived_rows;
-    step.cost = r.derived_cost;
-    if (!r.filters.empty()) {
-      auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-      filter->output = step.plan->output;
-      for (const Expr* f : r.filters) filter->filter.push_back(f->Clone());
-      step.rows *= ConjSelectivity(r.filters, ctx_);
-      step.cost += r.derived_rows * PredEvalCost(r.filters, P_);
-      filter->est_rows = step.rows;
-      filter->est_cost = step.cost;
-      filter->children.push_back(std::move(step.plan));
-      step.plan = std::move(filter);
-    }
+    step.plan = r.view;
+    step.rows = r.view->est_rows;
+    step.cost = r.view->est_cost;
     return step;
   }
 
-  Result<JoinStepPlan> Join(const JoinStepPlan& left, uint64_t left_mask,
-                            int rel) override {
+  Result<JoinEstimate> EstimateJoin(const JoinStepPlan& left,
+                                    uint64_t left_mask, int rel) override {
+    auto priced = Price(left, left_mask, rel);
+    if (!priced.ok()) return priced.status();
+    return JoinEstimate{priced->rows, priced->cost, priced->method};
+  }
+
+  Result<JoinStepPlan> BuildJoin(const JoinStepPlan& left, uint64_t left_mask,
+                                 int rel, const JoinEstimate& chosen) override {
+    auto priced = Price(left, left_mask, rel);
+    if (!priced.ok()) return priced.status();
+    if (priced->method != chosen.method) {
+      return Status::Internal("join estimate does not match its build");
+    }
+    const Priced& p = *priced;
+    RelEntry& r = rels_[static_cast<size_t>(rel)];
+
+    auto node = std::make_unique<PlanNode>(
+        p.method == JoinMethod::kHash    ? PlanOp::kHashJoin
+        : p.method == JoinMethod::kMerge ? PlanOp::kMergeJoin
+                                         : PlanOp::kNestedLoopJoin);
+    node->join_kind = r.tr->join;
+    node->null_aware = r.tr->join == JoinKind::kAntiNA;
+    node->children.push_back(left.plan->Clone());
+
+    if (p.method == JoinMethod::kHash || p.method == JoinMethod::kMerge) {
+      node->children.push_back(p.right->plan->Clone());
+      for (const auto& eq : equis_) {
+        node->hash_left_keys.push_back(eq.left_side->Clone());
+        node->hash_right_keys.push_back(eq.right_side->Clone());
+      }
+      for (const Expr* c : conds_) {
+        if (!IsEqui(c)) node->join_conds.push_back(c->Clone());
+      }
+    } else if (r.lateral) {
+      // Single-alias WHERE predicates on the lateral view are part of the
+      // shared view fragment and apply to its output on every rescan.
+      node->rescan_right = true;
+      node->children.push_back(r.view->Clone());
+      for (const Expr* c : conds_) node->join_conds.push_back(c->Clone());
+    } else if (p.method == JoinMethod::kIndexNestedLoop) {
+      node->rescan_right = true;
+      std::set<const Expr*> used_values;
+      JoinStepPlan probe_scan = planner_->BuildScan(
+          *r.tr, r.filters, extra_, ctx_, p.probe_scan, &used_values);
+      node->children.push_back(probe_scan.plan.Take());
+      // Only conditions whose probe the chosen index actually consumed are
+      // guaranteed by the scan; everything else — including equis on columns
+      // the index does not cover — must still be evaluated at the join.
+      for (const Expr* c : conds_) {
+        bool probed = false;
+        for (const auto& eq : equis_) {
+          if (eq.pred == c && used_values.count(eq.left_side) != 0) {
+            probed = true;
+          }
+        }
+        if (!probed) node->join_conds.push_back(c->Clone());
+      }
+    } else {
+      node->children.push_back(p.right->plan->Clone());
+      for (const Expr* c : conds_) node->join_conds.push_back(c->Clone());
+    }
+
+    // Output schema: left ⊕ right for inner/outer, left only for semi/anti.
+    node->output = node->children[0]->output;
+    if (r.tr->join == JoinKind::kInner || r.tr->join == JoinKind::kLeftOuter) {
+      const Schema& right_schema = node->children[1]->output;
+      node->output.insert(node->output.end(), right_schema.begin(),
+                          right_schema.end());
+    }
+    node->est_rows = p.join_rows;
+    node->est_cost = p.join_cost;
+
+    if (!post_conds_.empty()) {
+      auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
+      filter->output = node->output;
+      for (const Expr* c : post_conds_) filter->filter.push_back(c->Clone());
+      filter->est_rows = p.rows;
+      filter->est_cost = p.cost;
+      filter->children.push_back(std::move(node));
+      node = std::move(filter);
+    }
+
+    JoinStepPlan step;
+    step.plan = std::move(node);
+    step.rows = p.rows;
+    step.cost = p.cost;
+    return step;
+  }
+
+ private:
+  // Equi conditions usable as hash keys / index probes: one side only
+  // references `rel`, the other only relations in left_mask.
+  struct EquiCond {
+    const Expr* pred;
+    const Expr* left_side;   // refers to left_mask relations
+    const Expr* right_side;  // refers to rel
+  };
+
+  // The cheapest join of one candidate. `join_*` describe the join node,
+  // `rows`/`cost` the step including the filter of WHERE predicates
+  // completed at an outer join.
+  struct Priced {
+    JoinMethod method = JoinMethod::kNestedLoop;
+    double join_rows = 0;
+    double join_cost = 0;
+    double rows = 0;
+    double cost = 0;
+    const JoinStepPlan* right = nullptr;  // the right input's base plan
+    Planner::ScanChoice probe_scan;  // kIndexNestedLoop: the probed scan
+  };
+
+  // Prices every join method for `left` ⋈ `rel` and keeps the cheapest.
+  // Leaves the candidate's conds_, post_conds_, equis_ and extra_ in the
+  // scratch members for BuildJoin.
+  Result<Priced> Price(const JoinStepPlan& left, uint64_t left_mask,
+                       int rel) {
     RelEntry& r = rels_[static_cast<size_t>(rel)];
     uint64_t bit = 1ULL << rel;
     uint64_t new_mask = left_mask | bit;
@@ -357,48 +497,41 @@ class BlockJoinCoster : public JoinCoster {
     // predicates completed at an outer join must NOT become part of the
     // join condition (that would re-admit null-extended rows the WHERE
     // clause rejects); they are applied as a filter above the join.
-    std::vector<const Expr*> conds;
-    std::vector<const Expr*> post_conds;
+    conds_.clear();
+    post_conds_.clear();
     for (const auto& p : preds_) {
       if ((p.mask & ~new_mask) == 0 && (p.mask & bit) != 0) {
         if (kind == JoinKind::kLeftOuter) {
-          post_conds.push_back(p.expr);
+          post_conds_.push_back(p.expr);
         } else {
-          conds.push_back(p.expr);
+          conds_.push_back(p.expr);
         }
       }
     }
-    for (const auto& c : r.tr->join_conds) conds.push_back(c.get());
+    for (const auto& c : r.tr->join_conds) conds_.push_back(c.get());
 
-    // Equi conditions usable as hash keys / index probes: one side only
-    // references `rel`, the other only relations in left_mask.
-    struct EquiCond {
-      const Expr* pred;
-      const Expr* left_side;   // refers to left_mask relations
-      const Expr* right_side;  // refers to rel
-    };
-    std::vector<EquiCond> equis;
-    for (const Expr* c : conds) {
+    equis_.clear();
+    for (const Expr* c : conds_) {
       if (c->kind != ExprKind::kBinary || c->bop != BinaryOp::kEq) continue;
       const Expr* a = c->children[0].get();
       const Expr* b = c->children[1].get();
       uint64_t am = AliasMask(*a);
       uint64_t bm = AliasMask(*b);
       if (am != 0 && (am & ~left_mask) == 0 && bm == bit) {
-        equis.push_back(EquiCond{c, a, b});
+        equis_.push_back(EquiCond{c, a, b});
       } else if (bm != 0 && (bm & ~left_mask) == 0 && am == bit) {
-        equis.push_back(EquiCond{c, b, a});
+        equis_.push_back(EquiCond{c, b, a});
       }
     }
 
     // Output cardinality estimates.
-    double conds_sel = ConjSelectivity(conds, ctx_);
+    double conds_sel = ConjSelectivity(conds_, ctx_);
     double right_rows_base = RightRows(rel);
     double inner_rows =
         std::max(left.rows * right_rows_base * conds_sel, 0.0);
     double semi_sel = 0.5;
-    if (!equis.empty()) {
-      semi_sel = SemiJoinSelectivity(*equis[0].pred, ctx_, r.tr->alias);
+    if (!equis_.empty()) {
+      semi_sel = SemiJoinSelectivity(*equis_[0].pred, ctx_, r.tr->alias);
     }
     double out_rows;
     switch (kind) {
@@ -418,24 +551,30 @@ class BlockJoinCoster : public JoinCoster {
     }
 
     // ---- candidate methods ----
-    struct Option {
-      double cost = 0;
-      PlanOp op = PlanOp::kNestedLoopJoin;
-      bool use_index = false;
-      bool valid = false;
-    };
-    Option best;
-    best.cost = std::numeric_limits<double>::infinity();
-
-    Result<JoinStepPlan> right_base = BaseRightPlan(rel);
+    auto right_base = BaseRightPlan(rel);
     if (!right_base.ok()) return right_base.status();
+    const JoinStepPlan& right = **right_base;
+
+    Priced best;
+    best.right = &right;
+    best.join_cost = std::numeric_limits<double>::infinity();
+    bool valid = false;
+    auto consider = [&](double cost, JoinMethod method) {
+      if (cost < best.join_cost) {
+        best.join_cost = cost;
+        best.method = method;
+        valid = true;
+      }
+    };
 
     if (r.lateral) {
       // JPPD views must be joined by nested loop after their referenced
       // tables (paper §2.2.3).
       double cost = left.cost + left.rows * r.derived_cost +
                     out_rows * P_.cpu_tuple;
-      best = Option{cost, PlanOp::kNestedLoopJoin, false, true};
+      best.join_cost = cost;
+      best.method = JoinMethod::kNestedLoop;
+      valid = true;
       // The lateral view's internal predicates already account for the
       // correlation; per execution it returns derived_rows rows.
       out_rows = std::max(1.0, left.rows * r.derived_rows * conds_sel);
@@ -444,168 +583,88 @@ class BlockJoinCoster : public JoinCoster {
       }
     } else {
       // Hash join.
-      if (!equis.empty()) {
+      if (!equis_.empty()) {
         double penalty = null_aware ? 1.6 : 1.0;
-        double cost = left.cost + right_base->cost +
-                      right_base->rows * P_.hash_build * penalty +
-                      left.rows * P_.hash_probe * penalty +
-                      out_rows * P_.cpu_tuple;
-        if (cost < best.cost) best = Option{cost, PlanOp::kHashJoin, false, true};
+        consider(left.cost + right.cost + right.rows * P_.hash_build * penalty +
+                     left.rows * P_.hash_probe * penalty +
+                     out_rows * P_.cpu_tuple,
+                 JoinMethod::kHash);
       }
       // Merge join (inner only).
-      if (!equis.empty() && kind == JoinKind::kInner) {
-        double cost = left.cost + right_base->cost + P_.SortCost(left.rows) +
-                      P_.SortCost(right_base->rows) +
-                      (left.rows + right_base->rows) * P_.cpu_tuple +
-                      out_rows * P_.cpu_tuple;
-        if (cost < best.cost) {
-          best = Option{cost, PlanOp::kMergeJoin, false, true};
-        }
+      if (!equis_.empty() && kind == JoinKind::kInner) {
+        consider(left.cost + right.cost + P_.SortCost(left.rows) +
+                     P_.SortCost(right.rows) +
+                     (left.rows + right.rows) * P_.cpu_tuple +
+                     out_rows * P_.cpu_tuple,
+                 JoinMethod::kMerge);
       }
       // Index nested loop (base tables with a usable index).
-      if (r.tr->IsBaseTable() && !equis.empty()) {
-        std::vector<std::pair<std::string, const Expr*>> extra;
-        for (const auto& eq : equis) {
+      extra_.clear();
+      if (r.tr->IsBaseTable()) {
+        for (const auto& eq : equis_) {
           if (eq.right_side->kind == ExprKind::kColumnRef) {
-            extra.push_back({eq.right_side->column_name, eq.left_side});
+            extra_.push_back({eq.right_side->column_name, eq.left_side});
           }
         }
-        if (!extra.empty()) {
-          auto probe_scan = planner_->BuildScan(*r.tr, r.filters, extra, ctx_);
-          if (probe_scan.ok() &&
-              probe_scan->plan->op == PlanOp::kIndexScan) {
-            double per_exec = probe_scan->cost;
-            double cost = left.cost + left.rows * per_exec +
-                          out_rows * P_.cpu_tuple;
-            if (cost < best.cost) {
-              best = Option{cost, PlanOp::kNestedLoopJoin, true, true};
-            }
+      }
+      if (!extra_.empty()) {
+        Planner::ScanChoice probe =
+            planner_->ChooseScan(*r.tr, r.filters, extra_, ctx_);
+        if (probe.index != nullptr) {
+          consider(left.cost + left.rows * probe.cost + out_rows * P_.cpu_tuple,
+                   JoinMethod::kIndexNestedLoop);
+          if (best.method == JoinMethod::kIndexNestedLoop) {
+            best.probe_scan = probe;
           }
         }
       }
       // Plain nested loop over the materialized right input.
-      {
-        double pair_cost = PredEvalCost(conds, P_) + P_.rescan_row;
-        double cost = left.cost + right_base->cost +
-                      left.rows * right_base->rows * pair_cost +
-                      out_rows * P_.cpu_tuple;
-        if (cost < best.cost) {
-          best = Option{cost, PlanOp::kNestedLoopJoin, false, true};
-        }
-      }
+      double pair_cost = PredEvalCost(conds_, P_) + P_.rescan_row;
+      consider(left.cost + right.cost + left.rows * right.rows * pair_cost +
+                   out_rows * P_.cpu_tuple,
+               JoinMethod::kNestedLoop);
     }
 
-    if (!best.valid) return Status::CostCutoff();
+    if (!valid) return Status::CostCutoff();
 
-    // ---- build the chosen node ----
-    auto node = std::make_unique<PlanNode>(best.op);
-    node->join_kind = kind;
-    node->null_aware = null_aware;
-    node->children.push_back(left.node()->Clone());
-
-    if (best.op == PlanOp::kHashJoin || best.op == PlanOp::kMergeJoin) {
-      node->children.push_back(right_base->node()->Clone());
-      std::set<const Expr*> used;
-      for (const auto& eq : equis) {
-        node->hash_left_keys.push_back(eq.left_side->Clone());
-        node->hash_right_keys.push_back(eq.right_side->Clone());
-        used.insert(eq.pred);
-      }
-      for (const Expr* c : conds) {
-        if (used.count(c) == 0) node->join_conds.push_back(c->Clone());
-      }
-    } else if (r.lateral) {
-      node->rescan_right = true;
-      std::unique_ptr<PlanNode> right = r.derived_plan->Clone();
-      if (!r.filters.empty()) {
-        // Single-alias WHERE predicates on the lateral view apply to its
-        // output on every rescan.
-        auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-        filter->output = right->output;
-        for (const Expr* f : r.filters) filter->filter.push_back(f->Clone());
-        filter->est_rows =
-            std::max(right->est_rows * ConjSelectivity(r.filters, ctx_), 0.0);
-        filter->est_cost =
-            right->est_cost + right->est_rows * PredEvalCost(r.filters, P_);
-        filter->children.push_back(std::move(right));
-        right = std::move(filter);
-      }
-      node->children.push_back(std::move(right));
-      for (const Expr* c : conds) node->join_conds.push_back(c->Clone());
-    } else if (best.use_index) {
-      node->rescan_right = true;
-      std::vector<std::pair<std::string, const Expr*>> extra;
-      for (const auto& eq : equis) {
-        if (eq.right_side->kind == ExprKind::kColumnRef) {
-          extra.push_back({eq.right_side->column_name, eq.left_side});
-        }
-      }
-      std::set<const Expr*> used_values;
-      auto probe_scan =
-          planner_->BuildScan(*r.tr, r.filters, extra, ctx_, &used_values);
-      if (!probe_scan.ok()) return probe_scan.status();
-      node->children.push_back(std::move(probe_scan->plan));
-      // Only conditions whose probe the chosen index actually consumed are
-      // guaranteed by the scan; everything else — including equis on columns
-      // the index does not cover — must still be evaluated at the join.
-      std::set<const Expr*> probe_preds;
-      for (const auto& eq : equis) {
-        if (used_values.count(eq.left_side) != 0) probe_preds.insert(eq.pred);
-      }
-      for (const Expr* c : conds) {
-        if (probe_preds.count(c) == 0) node->join_conds.push_back(c->Clone());
-      }
-    } else {
-      node->children.push_back(right_base->node()->Clone());
-      for (const Expr* c : conds) node->join_conds.push_back(c->Clone());
+    best.join_rows = out_rows;
+    best.rows = out_rows;
+    best.cost = best.join_cost;
+    if (!post_conds_.empty()) {
+      best.cost += out_rows * PredEvalCost(post_conds_, P_);
+      best.rows =
+          std::max(out_rows * ConjSelectivity(post_conds_, ctx_), 0.0);
     }
-
-    // Output schema: left ⊕ right for inner/outer, left only for semi/anti.
-    node->output = node->children[0]->output;
-    if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
-      const Schema& right_schema = node->children[1]->output;
-      node->output.insert(node->output.end(), right_schema.begin(),
-                          right_schema.end());
-    }
-    node->est_rows = out_rows;
-    node->est_cost = best.cost;
-
-    double step_cost = best.cost;
-    if (!post_conds.empty()) {
-      auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-      filter->output = node->output;
-      for (const Expr* c : post_conds) filter->filter.push_back(c->Clone());
-      step_cost += out_rows * PredEvalCost(post_conds, P_);
-      out_rows = std::max(out_rows * ConjSelectivity(post_conds, ctx_), 0.0);
-      filter->est_rows = out_rows;
-      filter->est_cost = step_cost;
-      filter->children.push_back(std::move(node));
-      node = std::move(filter);
-    }
-
-    JoinStepPlan step;
-    step.plan = std::move(node);
-    step.rows = out_rows;
-    step.cost = step_cost;
-    return step;
+    return best;
   }
 
- private:
+  bool IsEqui(const Expr* c) const {
+    for (const auto& eq : equis_) {
+      if (eq.pred == c) return true;
+    }
+    return false;
+  }
+
   uint64_t AliasMask(const Expr& e) const {
-    uint64_t mask = 0;
-    bool unknown = false;
-    VisitExprConst(&e, [&](const Expr* x) {
+    // Two captured pointers fit std::function's inline buffer, so pricing a
+    // candidate does not allocate here.
+    struct {
+      uint64_t mask = 0;
+      bool unknown = false;
+    } acc;
+    VisitExprConst(&e, [&acc, this](const Expr* x) {
       if (x->kind == ExprKind::kColumnRef) {
         auto it = alias_to_rel_.find(x->table_alias);
         if (it != alias_to_rel_.end() && x->corr_depth == 0) {
-          mask |= 1ULL << it->second;
+          acc.mask |= 1ULL << it->second;
         } else if (x->corr_depth == 0) {
-          unknown = true;
+          acc.unknown = true;
         }
       }
     });
-    if (unknown) return ~0ULL;  // refuses to classify — never matches a side
-    return mask;
+    // An unknown alias refuses to classify: the mask never matches a side.
+    if (acc.unknown) return ~0ULL;
+    return acc.mask;
   }
 
   double RightRows(int rel) {
@@ -618,22 +677,16 @@ class BlockJoinCoster : public JoinCoster {
     return std::max(r.derived_rows * ConjSelectivity(r.filters, ctx_), 0.0);
   }
 
-  Result<JoinStepPlan> BaseRightPlan(int rel) {
+  // The right input's standalone plan, built once per relation and read in
+  // place by every candidate that joins it.
+  Result<const JoinStepPlan*> BaseRightPlan(int rel) {
     auto it = base_cache_.find(rel);
     if (it == base_cache_.end()) {
       auto base = BaseRel(rel);
       if (!base.ok()) return base.status();
       it = base_cache_.emplace(rel, std::move(base.value())).first;
     }
-    JoinStepPlan copy;
-    // Borrow the cached scan: Join() only reads and Clone()s the right
-    // input, and the cache entry (a stable map node) outlives every
-    // borrower, all of which die with the enumeration.
-    copy.shared = std::shared_ptr<const PlanNode>(std::shared_ptr<void>(),
-                                                  it->second.plan.get());
-    copy.rows = it->second.rows;
-    copy.cost = it->second.cost;
-    return copy;
+    return &it->second;
   }
 
   Planner* planner_;
@@ -643,6 +696,11 @@ class BlockJoinCoster : public JoinCoster {
   std::vector<WherePred> preds_;
   std::map<std::string, int> alias_to_rel_;
   std::map<int, JoinStepPlan> base_cache_;
+  // Scratch of the last Price call, reused across candidates.
+  std::vector<const Expr*> conds_;
+  std::vector<const Expr*> post_conds_;
+  std::vector<EquiCond> equis_;
+  Planner::ExtraProbes extra_;
 };
 
 // ---------------------------------------------------------------------------
@@ -695,24 +753,22 @@ class SubsetJoinMemo : public JoinOrderMemo {
     // join_order.h): a best above the cutoff means the subset is pruned
     // under it, exactly as a from-scratch DP would conclude.
     if (hit->cost > cutoff) return Probe::kPruned;
-    // Borrow the memoized plan: the aliasing shared_ptr pins the cache
-    // entry (Find hands out ownership), so the hit stays valid even if the
-    // entry is evicted mid-enumeration. No per-hit deep copy.
-    out->plan.reset();
-    out->shared = std::shared_ptr<const PlanNode>(hit, hit->plan.get());
+    // Borrow the memoized plan: no per-hit deep copy.
+    out->plan = BorrowPlan(hit);
     out->rows = hit->rows;
     out->cost = hit->cost;
     return Probe::kHit;
   }
 
-  void Store(uint64_t mask, const JoinStepPlan& step) override {
+  void Store(uint64_t mask, JoinStepPlan* step) override {
     CostAnnotation ann;
-    ann.cost = step.cost;
-    ann.rows = step.rows;
-    ann.plan = step.node()->Clone();
+    ann.cost = step->cost;
+    ann.rows = step->rows;
+    ann.plan = step->plan.Take();
     char key[kKeyLen];
     KeyFor(mask, key);
-    cache_->Put(std::string_view(key, kKeyLen), std::move(ann));
+    step->plan =
+        BorrowPlan(cache_->Put(std::string_view(key, kKeyLen), std::move(ann)));
   }
 
  private:
@@ -792,7 +848,7 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
     // plan text (tie-breaks followed the cached member's orderings).
     if (hit != nullptr && (relaxed_reuse_ || hit->exact_sql == exact)) {
       BlockPlan out;
-      out.plan = hit->plan->Clone();
+      out.plan = BorrowPlan(hit);
       out.out_stats = hit->out_stats;
       return out;
     }
@@ -802,13 +858,14 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
   if (!result.ok()) return result;
   ++blocks_planned_;
   if (cache_ != nullptr) {
+    // Publish the fresh plan itself and continue with a borrowed handle.
     CostAnnotation ann;
     ann.cost = result->plan->est_cost;
     ann.rows = result->plan->est_rows;
     ann.out_stats = result->out_stats;
-    ann.plan = result->plan->Clone();
+    ann.plan = result->plan.Take();
     ann.exact_sql = std::move(exact);
-    cache_->Put(sig, std::move(ann));
+    result->plan = BorrowPlan(cache_->Put(sig, std::move(ann)));
   }
   return result;
 }
@@ -841,7 +898,7 @@ Result<BlockPlan> Planner::PlanSetOp(const QueryBlock& qb) {
     }
     cost += bcost;
     if (qb.set_op != SetOpKind::kUnionAll) cost += brows * params_.agg_row;
-    node->children.push_back(std::move(branch->plan));
+    node->children.push_back(branch->plan.Take());
   }
   if (qb.set_op == SetOpKind::kUnion) rows *= 0.8;
   node->output = node->children[0]->output;
@@ -945,6 +1002,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
   StatsContext ctx;
   std::vector<RelEntry> rels;
   rels.reserve(qb.from.size());
+  std::vector<std::unique_ptr<PlanNode>> views(qb.from.size());
   for (size_t i = 0; i < qb.from.size(); ++i) {
     const TableRef& tr = qb.from[i];
     RelEntry entry;
@@ -963,17 +1021,17 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     } else {
       auto sub = PlanBlock(*tr.derived);
       if (!sub.ok()) return sub.status();
-      // Re-tag the view's output schema with the view alias.
-      for (auto& slot : sub->plan->output) slot.alias = tr.alias;
-      entry.derived_rows = sub->plan->est_rows;
-      entry.derived_cost = sub->plan->est_cost;
       entry.lateral = tr.lateral;
       RelStats vstats = sub->out_stats;
-      vstats.rows = entry.derived_rows;
+      vstats.rows = sub->plan->est_rows;
       ctx.AddRelation(tr.alias, std::move(vstats));
-      entry.derived_plan = std::move(sub->plan);
+      views[i] = sub->plan.Take();
     }
     rels.push_back(std::move(entry));
+  }
+  // View filters are priced against the complete stats context.
+  for (size_t i = 0; i < rels.size(); ++i) {
+    if (views[i] != nullptr) FinishView(std::move(views[i]), ctx, P, &rels[i]);
   }
 
   // Dependencies (partial join orders).
@@ -1048,7 +1106,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
                                  /*dp_threshold=*/10, memo.get());
   auto joined = enumerator.Enumerate();
   if (!joined.ok()) return joined.status();
-  std::unique_ptr<PlanNode> top = joined->TakePlan();
+  std::unique_ptr<PlanNode> top = joined->plan.Take();
   double rows = joined->rows;
   double cost = joined->cost;
 
@@ -1080,7 +1138,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
                            ? 1.0
                            : std::min(rows, std::max(1.0, distinct_keys));
         cost += nexec * subplan->plan->est_cost + rows * P.cpu_pred;
-        node->subplans.push_back(std::move(subplan->plan));
+        node->subplans.push_back(subplan->plan.Take());
         node->subplan_corr_keys.push_back(std::move(keys));
       }
       cost += rows * PredEvalCost({p}, P);
@@ -1227,7 +1285,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
             keys.push_back(MakeColumnRef(alias, col));
           }
           cost += std::max(1.0, rows) * subplan->plan->est_cost * 0.5;
-          node->subplans.push_back(std::move(subplan->plan));
+          node->subplans.push_back(subplan->plan.Take());
           node->subplan_corr_keys.push_back(std::move(keys));
         }
         rows = std::max(rows * Selectivity(*p, ctx), 0.0);

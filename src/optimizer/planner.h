@@ -5,6 +5,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cbqt/annotation_cache.h"
@@ -21,9 +23,11 @@
 namespace cbqt {
 
 /// A planned query block: physical plan plus output statistics (used when
-/// the block is a derived table of some outer block).
+/// the block is a derived table of some outer block). With an annotation
+/// cache the plan is borrowed from the published cache entry; callers that
+/// splice it into a parent take it with `plan.Take()`.
 struct BlockPlan {
-  std::unique_ptr<PlanNode> plan;
+  PlanFragment plan;
   RelStats out_stats;
 };
 
@@ -69,17 +73,54 @@ class Planner {
   Result<BlockPlan> PlanRegular(const QueryBlock& qb);
   Result<BlockPlan> PlanSetOp(const QueryBlock& qb);
 
-  /// Best standalone scan of a base table `tr` with `filters` applied:
-  /// chooses a full scan or an index scan driven by constant/bound equality
-  /// predicates. `extra_probes` (column-name, probe-expr) adds join-derived
-  /// equalities for index nested-loop planning. When `used_extra_probes` is
-  /// non-null it receives the probe-expr of every extra probe the chosen
-  /// index actually consumed — the caller must keep re-checking the rest.
-  Result<JoinStepPlan> BuildScan(
-      const TableRef& tr, const std::vector<const Expr*>& filters,
-      const std::vector<std::pair<std::string, const Expr*>>& extra_probes,
-      const StatsContext& ctx,
-      std::set<const Expr*>* used_extra_probes = nullptr);
+  /// Equality probes a scan of `tr` could drive an index with: filter
+  /// conjuncts `col = bound-value`, then the join-derived `extra_probes`
+  /// (column name, probe-expr) handed in for index nested-loop planning.
+  using ExtraProbes = std::vector<std::pair<std::string_view, const Expr*>>;
+
+  /// The access path chosen for one base table: a full scan (`index` null)
+  /// or an index scan, with its output rows and cost.
+  struct ScanChoice {
+    const IndexDef* index = nullptr;
+    double rows = 0;
+    double cost = 0;
+  };
+
+  /// Picks the cheapest access path of base table `tr` with `filters`
+  /// applied — a full scan or an index scan driven by constant/bound or
+  /// extra-probe equalities — without building a plan.
+  ScanChoice ChooseScan(const TableRef& tr,
+                        const std::vector<const Expr*>& filters,
+                        const ExtraProbes& extra_probes,
+                        const StatsContext& ctx);
+
+  /// Materializes `choice` (from ChooseScan with the same arguments). When
+  /// `used_extra_probes` is non-null it receives the probe-expr of every
+  /// extra probe the chosen index actually consumed — the caller must keep
+  /// re-checking the rest.
+  JoinStepPlan BuildScan(const TableRef& tr,
+                         const std::vector<const Expr*>& filters,
+                         const ExtraProbes& extra_probes,
+                         const StatsContext& ctx, const ScanChoice& choice,
+                         std::set<const Expr*>* used_extra_probes = nullptr);
+
+  struct ScanProbe {
+    std::string_view column;
+    const Expr* value;   // expression producing the probe value
+    const Expr* source;  // filter conjunct it came from; null for extras
+    double sel;
+  };
+  /// Fills scan_probes_ with the candidate probes of a scan of `tr`.
+  void CollectScanProbes(const TableRef& tr,
+                         const std::vector<const Expr*>& filters,
+                         const ExtraProbes& extra_probes,
+                         const StatsContext& ctx);
+  /// Fills scan_used_ with the probes (into scan_probes_) index `idx`
+  /// consumes, in key-column order.
+  void MatchIndex(const IndexDef& idx);
+  /// True when filter `f` is the source of a probe in scan_used_: the index
+  /// guarantees it, so it is not re-checked as a residual filter.
+  bool ConsumedByIndex(const Expr* f) const;
 
   friend class BlockJoinCoster;
 
@@ -101,6 +142,9 @@ class Planner {
   /// exact unparsing match (bit-identical plan determinism).
   bool relaxed_reuse_;
   int64_t blocks_planned_ = 0;
+  /// Scratch for ChooseScan/BuildScan, reused across calls.
+  std::vector<ScanProbe> scan_probes_;
+  std::vector<const ScanProbe*> scan_used_;
 };
 
 }  // namespace cbqt

@@ -127,7 +127,7 @@ TEST_F(AnnotationReuseTest, DifferentBlocksDifferentSignatures) {
   EXPECT_NE(BlockSignature(*a), BlockSignature(*b));
 }
 
-TEST_F(AnnotationReuseTest, CachedPlanIsDeepCopied) {
+TEST_F(AnnotationReuseTest, HitsBorrowThePublishedPlan) {
   auto qb = ParseAndBind(*db_, "SELECT e.salary FROM employees e");
   ASSERT_NE(qb, nullptr);
   AnnotationCache cache;
@@ -136,12 +136,67 @@ TEST_F(AnnotationReuseTest, CachedPlanIsDeepCopied) {
   ASSERT_TRUE(r1.ok());
   auto r2 = p.PlanBlock(*qb);
   ASSERT_TRUE(r2.ok());
-  EXPECT_NE(r1->plan.get(), r2->plan.get());
-  // Mutating one copy cannot corrupt the cache.
-  r1->plan->table_name = "corrupted";
+  // The fresh plan was moved into the cache, and the hit reads that same
+  // tree: neither is a private copy.
+  EXPECT_FALSE(r1->plan.owned());
+  EXPECT_FALSE(r2->plan.owned());
+  EXPECT_EQ(r1->plan.get(), r2->plan.get());
+}
+
+TEST_F(AnnotationReuseTest, TakenPlanMutationDoesNotReachTheCache) {
+  auto qb = ParseAndBind(*db_, "SELECT e.salary FROM employees e");
+  ASSERT_NE(qb, nullptr);
+  AnnotationCache cache;
+  Planner p(*db_, CostParams{}, &cache);
+  auto r1 = p.PlanBlock(*qb);
+  ASSERT_TRUE(r1.ok());
+  const std::string before = PlanToString(*r1->plan);
+  std::unique_ptr<PlanNode> owned = r1->plan.Take();
+  owned->table_name = "corrupted";
+  owned->est_cost = -1;
+  auto r2 = p.PlanBlock(*qb);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(p.blocks_planned(), 1);  // r2 is a hit
+  EXPECT_NE(r2->plan.get(), owned.get());
+  EXPECT_EQ(PlanToString(*r2->plan), before);
+  // The same holds for a plan taken from a hit.
+  std::unique_ptr<PlanNode> owned_hit = r2->plan.Take();
+  owned_hit->children.clear();
+  owned_hit->est_rows = -1;
   auto r3 = p.PlanBlock(*qb);
   ASSERT_TRUE(r3.ok());
-  EXPECT_NE(r3->plan->table_name, "corrupted");
+  EXPECT_EQ(PlanToString(*r3->plan), before);
+}
+
+TEST_F(AnnotationReuseTest, BorrowedPlanOutlivesEvictionAndClear) {
+  auto qa = ParseAndBind(*db_,
+                         "SELECT e.salary FROM employees e WHERE e.salary > 5");
+  auto qb = ParseAndBind(*db_, "SELECT d.dept_name FROM departments d");
+  ASSERT_NE(qa, nullptr);
+  ASSERT_NE(qb, nullptr);
+  AnnotationCache cache(/*num_shards=*/1, /*capacity=*/1);
+  Planner p(*db_, CostParams{}, &cache);
+  auto fresh = p.PlanBlock(*qa);  // published, then borrowed
+  ASSERT_TRUE(fresh.ok());
+  auto hit = p.PlanBlock(*qa);  // a hit on that entry
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(cache.hits(), 1);
+  const std::string want = PlanToString(*hit->plan);
+
+  // Planning another block evicts qa's entry; the borrowers still hold it.
+  auto other = p.PlanBlock(*qb);
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(cache.evictions(), 1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(PlanToString(*fresh->plan), want);
+  EXPECT_EQ(PlanToString(*hit->plan), want);
+
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(PlanToString(*fresh->plan), want);
+  EXPECT_EQ(PlanToString(*hit->plan), want);
+  EXPECT_EQ(PlanToString(*other->plan),
+            PlanToString(*Planner(*db_, CostParams{}).PlanBlock(*qb)->plan));
 }
 
 }  // namespace

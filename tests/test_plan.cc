@@ -72,7 +72,7 @@ class PlanShapeTest : public ::testing::Test {
       ADD_FAILURE() << bp.status().ToString();
       return nullptr;
     }
-    return std::move(bp->plan);
+    return bp->plan.Take();
   }
   std::unique_ptr<Database> db_;
 };

@@ -23,7 +23,7 @@ class PlannerTest : public ::testing::Test {
       ADD_FAILURE() << "plan failed: " << bp.status().ToString();
       return nullptr;
     }
-    return std::move(bp->plan);
+    return bp->plan.Take();
   }
 
   static bool ShapeContains(const PlanNode& plan, const std::string& text) {
