@@ -412,9 +412,13 @@ int main(int argc, char** argv) {
     }
     const PlanNode& plan = *bp->plan;
 
+    // Baseline and batch reps alternate, so host drift during the run
+    // lands on both sides of the ratio instead of on one block of reps.
     RowAtATimeBaseline baseline(db);
     std::vector<Row> base_rows;
+    std::vector<Row> batch_rows;
     double base_ms = 1e300;
+    double batch_ms = 1e300;
     for (int r = 0; r < reps; ++r) {
       double t0 = TickMs();
       auto rows = baseline.Run(plan);
@@ -426,15 +430,11 @@ int main(int argc, char** argv) {
       }
       base_ms = std::min(base_ms, dt);
       base_rows = std::move(rows.value());
-    }
 
-    std::vector<Row> batch_rows;
-    double batch_ms = 1e300;
-    for (int r = 0; r < reps; ++r) {
       Executor exec(db, ExecOptions{});
-      double t0 = TickMs();
+      t0 = TickMs();
       auto result = exec.Execute(plan);
-      double dt = TickMs() - t0;
+      dt = TickMs() - t0;
       if (!result.ok()) {
         std::fprintf(stderr, "  [%s] batch executor failed: %s\n", w.name,
                      result.status().ToString().c_str());

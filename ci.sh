@@ -14,7 +14,12 @@
 # held (test_annotation_cache), and the spill-to-disk pipeline
 # (test_batch_executor forces sort / hash-join / aggregation / distinct
 # state through SpillManager temp files under a tiny memory budget, so the
-# serialize/partition/merge paths run under ASan).
+# serialize/partition/merge paths run under ASan), the hash-join build table
+# (JoinTableTest in test_batch_executor: duplicate, Int/Real and NULL keys,
+# and a 110k-distinct-key build that grows the table many times, joined in
+# memory, from reloaded spill partitions and in chunks), and the compiled
+# expression fast path against the tree evaluator (CompiledExpr tests in
+# test_eval, including by-reference leaf operands).
 #
 #   $ ./ci.sh              # release + tsan + asan + bench-smoke + fuzz-smoke
 #                          #   + perfbench-smoke

@@ -109,15 +109,19 @@ bool TotalLess(const Value& a, const Value& b) {
   return static_cast<int>(a.kind()) < static_cast<int>(b.kind());
 }
 
+bool ValuesEqualStructural(const Value& a, const Value& b) {
+  if (a.is_null() && b.is_null()) return true;
+  if (a.is_null() || b.is_null()) return false;
+  Ordering ord = CompareValues(a, b);
+  if (ord == Ordering::kEqual) return true;
+  if (ord != Ordering::kUnknown) return false;
+  return a == b;
+}
+
 bool RowsEqualStructural(const Row& a, const Row& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].is_null() && b[i].is_null()) continue;
-    if (a[i].is_null() || b[i].is_null()) return false;
-    Ordering ord = CompareValues(a[i], b[i]);
-    if (ord == Ordering::kEqual) continue;
-    if (ord != Ordering::kUnknown) return false;
-    if (!(a[i] == b[i])) return false;
+    if (!ValuesEqualStructural(a[i], b[i])) return false;
   }
   return true;
 }

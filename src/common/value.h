@@ -95,8 +95,12 @@ struct RowHasher {
   size_t operator()(const Row& r) const { return HashRow(r); }
 };
 
-/// Structural row equality (NULLs match; numeric kinds compare by value so
+/// Structural value equality (NULLs match; numeric kinds compare by value so
 /// Int(2) == Real(2.0) for hashing consistency).
+bool ValuesEqualStructural(const Value& a, const Value& b);
+
+/// Structural row equality: same width and ValuesEqualStructural slot by
+/// slot.
 bool RowsEqualStructural(const Row& a, const Row& b);
 
 struct RowEq {

@@ -16,6 +16,19 @@ CompiledExpr CompiledExpr::Compile(const Expr* e, const Schema* schema) {
   return c;
 }
 
+bool CompiledExpr::RemapSlots(const std::vector<int>& map) {
+  if (!fast_) return false;
+  for (const Node& n : nodes_) {
+    if (n.op == Op::kSlot && map[static_cast<size_t>(n.slot)] < 0) {
+      return false;
+    }
+  }
+  for (Node& n : nodes_) {
+    if (n.op == Op::kSlot) n.slot = map[static_cast<size_t>(n.slot)];
+  }
+  return true;
+}
+
 int CompiledExpr::CompileNode(const Expr& e, const Schema& schema) {
   switch (e.kind) {
     case ExprKind::kLiteral: {
@@ -69,7 +82,7 @@ int CompiledExpr::CompileNode(const Expr& e, const Schema& schema) {
       return idx;
     }
     case ExprKind::kUnary: {
-      Op op;
+      Op op = Op::kNot;
       switch (e.uop) {
         case UnaryOp::kNot:
           op = Op::kNot;
@@ -124,9 +137,19 @@ int CompiledExpr::CompileNode(const Expr& e, const Schema& schema) {
   return -1;
 }
 
+const Value& CompiledExpr::Operand(int idx, const Row& row, int64_t rownum,
+                                   Value* scratch) const {
+  const Node& n = nodes_[idx];
+  if (n.op == Op::kSlot) return row[static_cast<size_t>(n.slot)];
+  if (n.op == Op::kConst) return n.constant;
+  *scratch = EvalNode(idx, row, rownum);
+  return *scratch;
+}
+
 // Mirrors EvalExpr's semantics exactly for the compiled subset; any change
 // here must track exec/eval.cc (the oracle-equivalence tests in
-// test_batch_executor compare the two paths row for row).
+// test_batch_executor compare the two paths row for row). Leaf operands are
+// read by reference through Operand(), so a comparison copies no value.
 Value CompiledExpr::EvalNode(int idx, const Row& row, int64_t rownum) const {
   const Node& n = nodes_[idx];
   switch (n.op) {
@@ -136,19 +159,14 @@ Value CompiledExpr::EvalNode(int idx, const Row& row, int64_t rownum) const {
       return row[static_cast<size_t>(n.slot)];
     case Op::kRownum:
       return Value::Int(rownum);
-    case Op::kCmp: {
-      Value l = EvalNode(children_[n.child_begin], row, rownum);
-      Value r = EvalNode(children_[n.child_begin + 1], row, rownum);
-      return EvalCompareOp(l, r, n.bop);
-    }
-    case Op::kArith: {
-      Value l = EvalNode(children_[n.child_begin], row, rownum);
-      Value r = EvalNode(children_[n.child_begin + 1], row, rownum);
-      return EvalArithOp(l, r, n.bop);
-    }
+    case Op::kCmp:
+    case Op::kArith:
     case Op::kNullSafeEq: {
-      Value l = EvalNode(children_[n.child_begin], row, rownum);
-      Value r = EvalNode(children_[n.child_begin + 1], row, rownum);
+      Value ls, rs;
+      const Value& l = Operand(children_[n.child_begin], row, rownum, &ls);
+      const Value& r = Operand(children_[n.child_begin + 1], row, rownum, &rs);
+      if (n.op == Op::kCmp) return EvalCompareOp(l, r, n.bop);
+      if (n.op == Op::kArith) return EvalArithOp(l, r, n.bop);
       return Value::Boolean(NullSafeEqual(l, r));
     }
     case Op::kAnd: {
@@ -176,26 +194,25 @@ Value CompiledExpr::EvalNode(int idx, const Row& row, int64_t rownum) const {
       return Value::Null();
     }
     case Op::kNot: {
-      Value v = EvalNode(children_[n.child_begin], row, rownum);
+      Value scratch;
+      const Value& v = Operand(children_[n.child_begin], row, rownum, &scratch);
       if (v.is_null()) return Value::Null();
       return Value::Boolean(!v.AsBool());
     }
     case Op::kNeg: {
-      Value v = EvalNode(children_[n.child_begin], row, rownum);
+      Value scratch;
+      const Value& v = Operand(children_[n.child_begin], row, rownum, &scratch);
       if (v.is_null()) return Value::Null();
       if (v.kind() == ValueKind::kInt64) return Value::Int(-v.AsInt());
       return Value::Real(-v.NumericValue());
     }
-    case Op::kIsNull: {
-      Value v = EvalNode(children_[n.child_begin], row, rownum);
-      return Value::Boolean(v.is_null());
-    }
-    case Op::kIsNotNull: {
-      Value v = EvalNode(children_[n.child_begin], row, rownum);
-      return Value::Boolean(!v.is_null());
-    }
+    case Op::kIsNull:
+    case Op::kIsNotNull:
     case Op::kLnnvl: {
-      Value v = EvalNode(children_[n.child_begin], row, rownum);
+      Value scratch;
+      const Value& v = Operand(children_[n.child_begin], row, rownum, &scratch);
+      if (n.op == Op::kIsNull) return Value::Boolean(v.is_null());
+      if (n.op == Op::kIsNotNull) return Value::Boolean(!v.is_null());
       return Value::Boolean(!IsTruthy(v));
     }
     case Op::kCase: {

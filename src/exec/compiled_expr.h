@@ -46,6 +46,12 @@ class CompiledExpr {
   /// innermost frame must hold the compiled schema and current row).
   Result<Value> EvalSlow(EvalContext& ctx) const { return EvalExpr(*expr_, ctx); }
 
+  /// Re-targets a fast program at another layout of the same columns: the
+  /// node that read slot s reads slot `map[s]` instead. Returns false,
+  /// leaving the program unchanged, when it is not fast or reads a slot
+  /// with no image (`map[s] < 0`).
+  bool RemapSlots(const std::vector<int>& map);
+
   /// Convenience dispatcher used by non-hot call sites.
   Result<Value> Eval(const Row& row, EvalContext& ctx) const {
     if (fast_) return EvalNode(root_, row, ctx.rownum);
@@ -83,6 +89,12 @@ class CompiledExpr {
   int CompileNode(const Expr& e, const Schema& schema);
 
   Value EvalNode(int idx, const Row& row, int64_t rownum) const;
+
+  /// An operand of node evaluation, read without copying: a slot or
+  /// constant child is returned by reference (into `row` or the node
+  /// array); any other child is evaluated into `*scratch`.
+  const Value& Operand(int idx, const Row& row, int64_t rownum,
+                       Value* scratch) const;
 
   const Expr* expr_ = nullptr;
   bool fast_ = false;

@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -60,7 +61,6 @@ Result<SpillManager*> ExecContext::GetSpill() {
 
 namespace {
 
-using RowMap = std::unordered_map<Row, std::vector<size_t>, RowHasher, RowEq>;
 using SeenMap = std::unordered_map<Row, bool, RowHasher, RowEq>;
 
 /// Fan-out of a spilling pipeline breaker, and the recursion bound when a
@@ -74,13 +74,143 @@ constexpr int kMaxSpillDepth = 6;
 /// recounting (and without consuming kExecBatch fault hits).
 constexpr int64_t kSpillPollMask = 0xFF;
 
-size_t PartitionOfKey(const Row& key, int salt) {
-  uint64_t h = static_cast<uint64_t>(HashRow(key));
+size_t PartitionOfHash(size_t row_hash, int salt) {
+  uint64_t h = static_cast<uint64_t>(row_hash);
   h ^= 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(salt + 1);
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   return static_cast<size_t>(h % kSpillPartitions);
 }
+
+size_t PartitionOfKey(const Row& key, int salt) {
+  return PartitionOfHash(HashRow(key), salt);
+}
+
+/// The hash join's build image, flat: distinct keys sit back to back in one
+/// value array (a key is copied only the first time it is seen), each with
+/// its HashRow and its first and last build row. An open-addressed bucket
+/// array maps a hash to a key id, and per-build-row next links chain each
+/// key's rows in build-input order. Keys hash with HashRow and compare with
+/// ValuesEqualStructural slot by slot (RowsEqualStructural), so Int(2)
+/// finds Real(2.0); callers never insert a key that holds a NULL.
+class JoinTable {
+ public:
+  static constexpr int kNone = -1;
+
+  /// Drops every key and row, keeping the allocations for the next build.
+  void Clear() {
+    keys_.clear();
+    hashes_.clear();
+    head_.clear();
+    tail_.clear();
+    std::fill(buckets_.begin(), buckets_.end(), kNone);
+    rows_.clear();
+    next_.clear();
+  }
+
+  bool empty() const { return rows_.empty(); }
+  size_t size() const { return rows_.size(); }
+
+  /// Appends `row` after the earlier build rows of `key`.
+  Status Insert(const Row& key, Row&& row) {
+    if (rows_.size() >= static_cast<size_t>(INT32_MAX)) {
+      return Status::ResourceExhausted(
+          "hash-join build side exceeds 2^31-1 rows");
+    }
+    const int ri = static_cast<int>(rows_.size());
+    rows_.push_back(std::move(row));
+    next_.push_back(kNone);
+    if ((hashes_.size() + 1) * 2 > buckets_.size()) Grow();
+    const size_t hash = HashRow(key);
+    const size_t b = Bucket(key, hash);
+    if (buckets_[b] != kNone) {
+      const size_t k = static_cast<size_t>(buckets_[b]);
+      next_[static_cast<size_t>(tail_[k])] = ri;
+      tail_[k] = ri;
+      return Status::OK();
+    }
+    width_ = key.size();
+    buckets_[b] = static_cast<int>(hashes_.size());
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    hashes_.push_back(hash);
+    head_.push_back(ri);
+    tail_.push_back(ri);
+    return Status::OK();
+  }
+
+  /// The first build row under `key`, or kNone; Next() walks the rest.
+  int Find(const Row& key) const {
+    if (hashes_.empty()) return kNone;
+    const int k = buckets_[Bucket(key, HashRow(key))];
+    return k == kNone ? kNone : head_[static_cast<size_t>(k)];
+  }
+  int Next(int ri) const { return next_[static_cast<size_t>(ri)]; }
+  const Row& row(int ri) const { return rows_[static_cast<size_t>(ri)]; }
+
+  /// Calls fn(key hash, row) for every build row: keys in first-seen
+  /// order, each key's rows in build-input order.
+  template <typename Fn>
+  Status ForEachRow(Fn&& fn) const {
+    for (size_t k = 0; k < head_.size(); ++k) {
+      for (int ri = head_[k]; ri != kNone; ri = Next(ri)) {
+        CBQT_RETURN_IF_ERROR(fn(hashes_[k], row(ri)));
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  // Fibonacci hashing: the top bits of hash * 2^64/phi pick the bucket.
+  size_t Home(size_t hash) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  // The bucket holding `key`'s id, or the empty bucket where it belongs.
+  size_t Bucket(const Row& key, size_t hash) const {
+    const size_t mask = buckets_.size() - 1;
+    for (size_t b = Home(hash);; b = (b + 1) & mask) {
+      const int k = buckets_[b];
+      if (k == kNone) return b;
+      if (hashes_[static_cast<size_t>(k)] == hash && KeyEquals(k, key)) {
+        return b;
+      }
+    }
+  }
+
+  bool KeyEquals(int k, const Row& key) const {
+    const Value* stored = keys_.data() + static_cast<size_t>(k) * width_;
+    for (size_t i = 0; i < width_; ++i) {
+      if (!ValuesEqualStructural(stored[i], key[i])) return false;
+    }
+    return true;
+  }
+
+  // Doubles the bucket array (16 at first) and re-places every key id from
+  // its stored hash; the load factor stays at most 1/2.
+  void Grow() {
+    const size_t n = buckets_.empty() ? 16 : buckets_.size() * 2;
+    buckets_.assign(n, kNone);
+    shift_ = 64;
+    for (size_t i = n; i > 1; i >>= 1) --shift_;
+    const size_t mask = n - 1;
+    for (size_t k = 0; k < hashes_.size(); ++k) {
+      size_t b = Home(hashes_[k]);
+      while (buckets_[b] != kNone) b = (b + 1) & mask;
+      buckets_[b] = static_cast<int>(k);
+    }
+  }
+
+  size_t width_ = 0;
+  std::vector<Value> keys_;    // width_ values per distinct key
+  std::vector<size_t> hashes_;  // HashRow per distinct key
+  std::vector<int> head_;       // first build row per distinct key
+  std::vector<int> tail_;       // last build row per distinct key
+  std::vector<int> buckets_;    // distinct key id, or kNone
+  int shift_ = 64;              // 64 - log2(buckets_.size())
+  std::vector<Row> rows_;       // build rows in input order
+  std::vector<int> next_;       // next build row under the same key
+};
 
 // Mirrors the planner's subquery traversal order (pre-order, not descending
 // into nested subquery blocks).
@@ -297,12 +427,67 @@ Row MaterializeScanRow(const Row& src, const std::vector<int>& src_slots,
   return r;
 }
 
+/// A scan's pushed filter, shared by the table and index scans. When every
+/// predicate is fast and reads no rowid, the compiled filter is re-targeted
+/// at the stored row layout, so a row is tested in place and rows that fail
+/// never leave the table. Otherwise each row is materialized first and
+/// tested against the scan's output schema, with the fallback evaluator.
+class ScanFilter {
+ public:
+  explicit ScanFilter(const PlanNode* node)
+      : node_(node),
+        filter_(CompileExprList(node->filter, &node->output)),
+        filter_needs_frame_(AnySlow(filter_)) {}
+
+  /// Moves the filter onto the stored layout when it can; `src_slots` maps
+  /// each output slot to its table column. Once: a rescan re-Opens.
+  void Bind(const std::vector<int>& src_slots) {
+    if (bound_) return;
+    bound_ = true;
+    if (filter_.empty() || filter_needs_frame_) return;
+    std::vector<CompiledExpr> on_source = filter_;
+    for (auto& p : on_source) {
+      if (!p.RemapSlots(src_slots)) return;
+    }
+    filter_ = std::move(on_source);
+    on_source_ = true;
+  }
+
+  /// Appends the scan row of stored row `src` to `out` when it passes.
+  Status Emit(EvalContext& ev, const Row& src,
+              const std::vector<int>& src_slots, int64_t rowid,
+              RowBatch* out) const {
+    if (on_source_) {
+      auto pass = EvalPredsOnRow(ev, filter_, src, nullptr, false);
+      if (!pass.ok()) return pass.status();
+      if (IsTruthy(pass.value())) {
+        out->Add(MaterializeScanRow(src, src_slots, rowid));
+      }
+      return Status::OK();
+    }
+    Row r = MaterializeScanRow(src, src_slots, rowid);
+    if (!filter_.empty()) {
+      auto pass = EvalPredsOnRow(ev, filter_, r, &node_->output,
+                                 filter_needs_frame_);
+      if (!pass.ok()) return pass.status();
+      if (!IsTruthy(pass.value())) return Status::OK();
+    }
+    out->Add(std::move(r));
+    return Status::OK();
+  }
+
+ private:
+  const PlanNode* node_;
+  std::vector<CompiledExpr> filter_;
+  bool filter_needs_frame_;
+  bool bound_ = false;
+  bool on_source_ = false;
+};
+
 class TableScanOperator final : public Operator {
  public:
   TableScanOperator(ExecContext* ctx, const PlanNode* node)
-      : Operator(ctx, node),
-        filter_(CompileExprList(node->filter, &node->output)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+      : Operator(ctx, node), filter_(node) {}
 
   Status Open() override {
     table_ = ctx_->db->FindTable(node_->table_name);
@@ -312,18 +497,7 @@ class TableScanOperator final : public Operator {
     }
     CBQT_RETURN_IF_ERROR(
         MapScanSlots(node_->output, table_->def(), &src_slots_));
-    // Try to bind the pushed filter directly to the stored row layout: when
-    // every predicate compiles fast against the table's columns (no rowid,
-    // no outer frames), rows that fail the filter are never materialized.
-    if (!node_->filter.empty() && src_filter_.empty()) {
-      src_schema_.clear();
-      for (const auto& col : table_->def().columns) {
-        src_schema_.push_back(
-            ColumnSlot{node_->table_alias, col.name, col.type});
-      }
-      src_filter_ = CompileExprList(node_->filter, &src_schema_);
-      filter_on_source_ = !AnySlow(src_filter_);
-    }
+    filter_.Bind(src_slots_);
     pos_ = 0;
     return Status::OK();
   }
@@ -334,37 +508,15 @@ class TableScanOperator final : public Operator {
     if (pos_ >= rows.size()) return false;
     size_t end = std::min(rows.size(), pos_ + ctx_->batch_size);
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
-    if (filter_on_source_) {
-      for (; pos_ < end; ++pos_) {
-        auto pass = EvalPredsOnRow(ctx_->eval, src_filter_, rows[pos_],
-                                   &src_schema_, false);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
-        out->Add(MaterializeScanRow(rows[pos_], src_slots_,
-                                    static_cast<int64_t>(pos_)));
-      }
-      return true;
-    }
     for (; pos_ < end; ++pos_) {
-      Row r = MaterializeScanRow(rows[pos_], src_slots_,
-                                 static_cast<int64_t>(pos_));
-      if (!filter_.empty()) {
-        auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
-                                   filter_needs_frame_);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
-      }
-      out->Add(std::move(r));
+      CBQT_RETURN_IF_ERROR(filter_.Emit(ctx_->eval, rows[pos_], src_slots_,
+                                        static_cast<int64_t>(pos_), out));
     }
     return true;
   }
 
  private:
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
-  std::vector<CompiledExpr> src_filter_;
-  Schema src_schema_;
-  bool filter_on_source_ = false;
+  ScanFilter filter_;
   const Table* table_ = nullptr;
   std::vector<int> src_slots_;
   size_t pos_ = 0;
@@ -373,9 +525,7 @@ class TableScanOperator final : public Operator {
 class IndexScanOperator final : public Operator {
  public:
   IndexScanOperator(ExecContext* ctx, const PlanNode* node)
-      : Operator(ctx, node),
-        filter_(CompileExprList(node->filter, &node->output)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+      : Operator(ctx, node), filter_(node) {}
 
   Status Open() override {
     table_ = ctx_->db->FindTable(node_->table_name);
@@ -387,6 +537,7 @@ class IndexScanOperator final : public Operator {
     }
     CBQT_RETURN_IF_ERROR(
         MapScanSlots(node_->output, table_->def(), &src_slots_));
+    filter_.Bind(src_slots_);
     // Probe values resolve through the *enclosing* frames (a rescanning
     // nested-loop join re-Opens this operator once per outer row with the
     // outer frame pushed), so they go through the tree evaluator.
@@ -406,25 +557,19 @@ class IndexScanOperator final : public Operator {
     out->Clear();
     if (pos_ >= rowids_.size()) return false;
     size_t end = std::min(rowids_.size(), pos_ + ctx_->batch_size);
+    // Candidates are counted before the filter, as the table scan counts.
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
     for (; pos_ < end; ++pos_) {
       int64_t rowid = rowids_[pos_];
-      Row r = MaterializeScanRow(table_->rows()[static_cast<size_t>(rowid)],
-                                 src_slots_, rowid);
-      if (!filter_.empty()) {
-        auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
-                                   filter_needs_frame_);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
-      }
-      out->Add(std::move(r));
+      CBQT_RETURN_IF_ERROR(
+          filter_.Emit(ctx_->eval, table_->rows()[static_cast<size_t>(rowid)],
+                       src_slots_, rowid, out));
     }
     return true;
   }
 
  private:
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
+  ScanFilter filter_;
   const Table* table_ = nullptr;
   std::vector<int64_t> rowids_;
   std::vector<int> src_slots_;
@@ -717,8 +862,7 @@ class HashJoinOperator final : public Operator {
   }
 
   Status Open() override {
-    table_.clear();
-    build_rows_.clear();
+    table_.Clear();
     build_has_null_key_ = false;
     build_input_rows_ = 0;
     spilled_ = false;
@@ -745,11 +889,10 @@ class HashJoinOperator final : public Operator {
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
       for (auto& row : b.rows()) {
         ++build_input_rows_;
-        Row key;
         bool has_null = false;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, row,
                                            right_schema_, rkeys_need_frame_,
-                                           &key, &has_null));
+                                           &build_key_, &has_null));
         if (has_null) {
           // NULL keys never equal anything; they only matter for the
           // null-aware antijoin's three-valued verdict.
@@ -758,7 +901,8 @@ class HashJoinOperator final : public Operator {
         }
         if (!spilled_ && ctx_->charge_memory()) {
           Status st = ctx_->ChargeBuffered(
-              *build_mem_, EstimateRowBytes(key) + EstimateRowBytes(row) +
+              *build_mem_, EstimateRowBytes(build_key_) +
+                               EstimateRowBytes(row) +
                                static_cast<int64_t>(sizeof(size_t)));
           if (!st.ok()) {
             if (!ctx_->ShouldSpill(st)) return st;
@@ -767,10 +911,9 @@ class HashJoinOperator final : public Operator {
         }
         if (spilled_) {
           CBQT_RETURN_IF_ERROR(
-              parts_[PartitionOfKey(key, 0)].build->Append(row));
+              parts_[PartitionOfKey(build_key_, 0)].build->Append(row));
         } else {
-          table_[std::move(key)].push_back(build_rows_.size());
-          build_rows_.push_back(std::move(row));
+          CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(row)));
         }
       }
     }
@@ -800,8 +943,7 @@ class HashJoinOperator final : public Operator {
         continue;
       }
       Row& lrow = probe_batch_[probe_pos_++];
-      CBQT_RETURN_IF_ERROR(
-          ProbeOne(table_, build_rows_, std::move(lrow), &out->rows()));
+      CBQT_RETURN_IF_ERROR(ProbeOne(std::move(lrow), &out->rows()));
     }
     if (probe_done_ && out->empty()) return false;
     return true;
@@ -809,8 +951,7 @@ class HashJoinOperator final : public Operator {
 
   void Close() override {
     left_->Close();
-    table_.clear();
-    build_rows_.clear();
+    table_.Clear();
     pending_.clear();
     if (build_mem_) build_mem_->Release();
   }
@@ -822,12 +963,11 @@ class HashJoinOperator final : public Operator {
     int64_t probe_rows = 0;
   };
 
-  /// Probes one outer row against a (table, rows) build image and applies
-  /// the join kind's emission rule. Shared by the in-memory path and the
+  /// Probes one outer row against the build table and applies the join
+  /// kind's emission rule. Shared by the in-memory path and the
   /// per-partition spill path; candidate rows examined are counted exactly
   /// as the row-at-a-time executor counted them.
-  Status ProbeOne(const RowMap& table, const std::vector<Row>& brows,
-                  Row&& lrow, std::vector<Row>* sink) {
+  Status ProbeOne(Row&& lrow, std::vector<Row>* sink) {
     // probe_key_ is a reused scratch row: key evaluation allocates nothing
     // per probe row in steady state.
     bool has_null = false;
@@ -837,28 +977,26 @@ class HashJoinOperator final : public Operator {
     bool matched = false;
     int64_t examined = 0;
     if (!has_null) {
-      auto it = table.find(probe_key_);
-      if (it != table.end()) {
-        for (size_t ri : it->second) {
-          ++examined;
-          const Row& rrow = brows[ri];
-          Row comb;
-          comb.reserve(lrow.size() + rrow.size());
-          comb.insert(comb.end(), lrow.begin(), lrow.end());
-          comb.insert(comb.end(), rrow.begin(), rrow.end());
-          if (!conds_.empty()) {
-            auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                       conds_need_frame_);
-            if (!pass.ok()) return pass.status();
-            if (!IsTruthy(pass.value())) continue;
-          }
-          matched = true;
-          if (node_->join_kind == JoinKind::kInner ||
-              node_->join_kind == JoinKind::kLeftOuter) {
-            sink->push_back(std::move(comb));
-          } else {
-            break;  // semi/anti: first match decides
-          }
+      for (int ri = table_.Find(probe_key_); ri != JoinTable::kNone;
+           ri = table_.Next(ri)) {
+        ++examined;
+        const Row& rrow = table_.row(ri);
+        Row comb;
+        comb.reserve(lrow.size() + rrow.size());
+        comb.insert(comb.end(), lrow.begin(), lrow.end());
+        comb.insert(comb.end(), rrow.begin(), rrow.end());
+        if (!conds_.empty()) {
+          auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
+                                     conds_need_frame_);
+          if (!pass.ok()) return pass.status();
+          if (!IsTruthy(pass.value())) continue;
+        }
+        matched = true;
+        if (node_->join_kind == JoinKind::kInner ||
+            node_->join_kind == JoinKind::kLeftOuter) {
+          sink->push_back(std::move(comb));
+        } else {
+          break;  // semi/anti: first match decides
         }
       }
     }
@@ -907,14 +1045,10 @@ class HashJoinOperator final : public Operator {
       p.probe = pf.value();
     }
     // Flush what was already built in memory into its partitions.
-    for (const auto& [key, idxs] : table_) {
-      size_t p = PartitionOfKey(key, 0);
-      for (size_t i : idxs) {
-        CBQT_RETURN_IF_ERROR(parts_[p].build->Append(build_rows_[i]));
-      }
-    }
-    table_.clear();
-    build_rows_.clear();
+    CBQT_RETURN_IF_ERROR(table_.ForEachRow([&](size_t hash, const Row& row) {
+      return parts_[PartitionOfHash(hash, 0)].build->Append(row);
+    }));
+    table_.Clear();
     build_mem_->Release();
     spilled_ = true;
     ++ctx_->stats.spilled_operators;
@@ -933,11 +1067,10 @@ class HashJoinOperator final : public Operator {
       if (b.empty()) continue;
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
       for (auto& lrow : b.rows()) {
-        Row key;
         bool has_null = false;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
                                            left_schema_, lkeys_need_frame_,
-                                           &key, &has_null));
+                                           &probe_key_, &has_null));
         if (has_null) {
           switch (node_->join_kind) {
             case JoinKind::kAnti:
@@ -958,7 +1091,7 @@ class HashJoinOperator final : public Operator {
           }
           continue;
         }
-        Part& p = parts_[PartitionOfKey(key, 0)];
+        Part& p = parts_[PartitionOfKey(probe_key_, 0)];
         CBQT_RETURN_IF_ERROR(p.probe->Append(lrow));
         ++p.probe_rows;
       }
@@ -991,14 +1124,12 @@ class HashJoinOperator final : public Operator {
     return !out->empty();
   }
 
-  /// Joins one partition: reload its build rows into a hash table (charged
+  /// Joins one partition: reload its build rows into the table (charged
   /// against the budget again — one partition is ~1/8 of the input) and
   /// stream its probe rows through ProbeOne. Falls back to chunked
   /// multi-pass probing when even a single partition does not fit.
   Status ProcessPartition(Part& p) {
     if (p.probe_rows == 0) return Status::OK();  // nothing can be emitted
-    RowMap table;
-    std::vector<Row> brows;
     {
       ScopedReservation res = ctx_->BufferReservation();
       CBQT_RETURN_IF_ERROR(p.build->Rewind());
@@ -1012,13 +1143,12 @@ class HashJoinOperator final : public Operator {
         if (((++seen) & kSpillPollMask) == 0) {
           CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
         }
-        Row key;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, r,
                                            right_schema_, rkeys_need_frame_,
-                                           &key, nullptr));
+                                           &build_key_, nullptr));
         if (ctx_->charge_memory()) {
           Status st = ctx_->ChargeBuffered(
-              res, EstimateRowBytes(key) + EstimateRowBytes(r) +
+              res, EstimateRowBytes(build_key_) + EstimateRowBytes(r) +
                        static_cast<int64_t>(sizeof(size_t)));
           if (!st.ok()) {
             if (!ctx_->ShouldSpill(st)) return st;
@@ -1026,10 +1156,14 @@ class HashJoinOperator final : public Operator {
             break;
           }
         }
-        table[std::move(key)].push_back(brows.size());
-        brows.push_back(std::move(r));
+        CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(r)));
       }
-      if (!fits) return ProcessPartitionChunked(p);
+      if (!fits) {
+        // The chunks get the whole budget, not what the abandoned load
+        // left of it.
+        res.Release();
+        return ProcessPartitionChunked(p);
+      }
       // Probe this partition.
       CBQT_RETURN_IF_ERROR(p.probe->Rewind());
       Row lrow;
@@ -1041,10 +1175,10 @@ class HashJoinOperator final : public Operator {
         if (((++probed) & kSpillPollMask) == 0) {
           CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
         }
-        CBQT_RETURN_IF_ERROR(
-            ProbeOne(table, brows, std::move(lrow), &pending_));
+        CBQT_RETURN_IF_ERROR(ProbeOne(std::move(lrow), &pending_));
       }
     }
+    table_.Clear();
     return Status::OK();
   }
 
@@ -1057,8 +1191,7 @@ class HashJoinOperator final : public Operator {
     const int64_t build_total = p.build->row_count();
     int64_t start = 0;
     while (start < build_total) {
-      RowMap table;
-      std::vector<Row> brows;
+      table_.Clear();
       ScopedReservation res = ctx_->BufferReservation();
       CBQT_RETURN_IF_ERROR(p.build->Rewind());
       Row r;
@@ -1071,25 +1204,23 @@ class HashJoinOperator final : public Operator {
           CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
         }
         if (idx < start) continue;  // before this chunk
-        Row key;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, r,
                                            right_schema_, rkeys_need_frame_,
-                                           &key, nullptr));
-        if (ctx_->charge_memory() && !brows.empty()) {
+                                           &build_key_, nullptr));
+        if (ctx_->charge_memory() && !table_.empty()) {
           // The first row of a chunk is always admitted (progress
           // guarantee); later rows stop the chunk when the budget is hit.
           Status st = ctx_->ChargeBuffered(
-              res, EstimateRowBytes(key) + EstimateRowBytes(r) +
+              res, EstimateRowBytes(build_key_) + EstimateRowBytes(r) +
                        static_cast<int64_t>(sizeof(size_t)));
           if (!st.ok()) {
             if (!ctx_->ShouldSpill(st)) return st;
             break;
           }
         }
-        table[std::move(key)].push_back(brows.size());
-        brows.push_back(std::move(r));
+        CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(r)));
       }
-      int64_t chunk_end = start + static_cast<int64_t>(brows.size());
+      int64_t chunk_end = start + static_cast<int64_t>(table_.size());
       // Probe every partition row against this chunk.
       CBQT_RETURN_IF_ERROR(p.probe->Rewind());
       Row lrow;
@@ -1105,17 +1236,15 @@ class HashJoinOperator final : public Operator {
                         kind == JoinKind::kAntiNA)) {
           continue;  // verdict decided by an earlier chunk
         }
-        Row key;
         CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
                                            left_schema_, lkeys_need_frame_,
-                                           &key, nullptr));
-        auto it = table.find(key);
-        if (it == table.end()) continue;
+                                           &probe_key_, nullptr));
         int64_t examined = 0;
-        for (size_t ri : it->second) {
+        for (int ri = table_.Find(probe_key_); ri != JoinTable::kNone;
+             ri = table_.Next(ri)) {
           ++examined;
           Row comb = lrow;
-          const Row& rrow = brows[ri];
+          const Row& rrow = table_.row(ri);
           comb.insert(comb.end(), rrow.begin(), rrow.end());
           if (!conds_.empty()) {
             auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
@@ -1137,6 +1266,7 @@ class HashJoinOperator final : public Operator {
       }
       start = chunk_end;
     }
+    table_.Clear();
     // Final pass for kinds that emit unmatched probe rows.
     if (kind == JoinKind::kAnti || kind == JoinKind::kAntiNA ||
         kind == JoinKind::kLeftOuter) {
@@ -1180,10 +1310,13 @@ class HashJoinOperator final : public Operator {
   bool lkeys_need_frame_ = false;
   bool rkeys_need_frame_ = false;
   bool conds_need_frame_ = false;
+  // Reused scratch rows for build and probe key evaluation.
+  Row build_key_;
   Row probe_key_;
 
-  RowMap table_;
-  std::vector<Row> build_rows_;
+  // The one build table of every path: the in-memory build, a reloaded
+  // spill partition, or one chunk of a partition that does not fit.
+  JoinTable table_;
   std::optional<ScopedReservation> build_mem_;
   bool build_has_null_key_ = false;
   int64_t build_input_rows_ = 0;

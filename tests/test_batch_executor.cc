@@ -2,7 +2,11 @@
 // batch size, Execute() returns exactly the rows of the ReferenceExecutor
 // (the naive interpreter of the bound tree), with or without spill-to-disk
 // — and a query that exceeds its memory budget on a pipeline breaker
-// completes via spill instead of failing kResourceExhausted.
+// completes via spill instead of failing kResourceExhausted. The hash
+// join's build table is also checked directly: exact output order with
+// duplicate keys, every join kind's verdict, Int/Real and NULL keys, and a
+// build side large enough to grow the table many times, in memory and
+// spilled.
 
 #include "exec/executor.h"
 
@@ -10,6 +14,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -335,6 +340,264 @@ TEST_F(BatchExecutorTest, SubqueryCachingSurvivesBatching) {
     if (result.value().stats.subquery_executions > 0) {
       EXPECT_GT(result.value().stats.subquery_cache_hits,
                 result.value().stats.subquery_executions);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hash-join build table
+// ---------------------------------------------------------------------------
+
+// Build tables hold (v, k); probe tables hold (id, k). v and id number the
+// rows in input order, so an ordered compare pins which build rows matched
+// each probe row and in what order.
+class JoinTableTest : public ::testing::Test {
+ protected:
+  static constexpr int kBigBuildRows = 120000;
+  static constexpr int kBigDistinctKeys = 110000;
+  static constexpr int kBigProbeRows = 24;
+
+  static void SetUpTestSuite() {
+    db_ = new Database();
+    const Value null = Value::Null();
+    AddTable("jb", "v", DataType::kInt64,
+             {{I(0), I(1)}, {I(1), I(2)}, {I(2), I(1)}, {I(3), null},
+              {I(4), I(3)}, {I(5), I(1)}, {I(6), I(2)}});
+    AddTable("jbn", "v", DataType::kInt64,
+             {{I(0), I(1)}, {I(1), I(2)}, {I(2), I(1)}, {I(4), I(3)},
+              {I(5), I(1)}, {I(6), I(2)}});
+    AddTable("jp", "id", DataType::kInt64,
+             {{I(0), I(1)}, {I(1), I(4)}, {I(2), null}, {I(3), I(2)},
+              {I(4), I(1)}, {I(5), I(3)}});
+    AddTable("jr", "v", DataType::kDouble,
+             {{I(0), Value::Real(2.0)}, {I(1), Value::Real(2.5)},
+              {I(2), Value::Real(3.0)}, {I(3), Value::Real(2.0)}});
+
+    // kBigDistinctKeys distinct keys, then duplicates of keys 0..4999.
+    std::vector<Row> big_build;
+    for (int i = 0; i < kBigBuildRows; ++i) {
+      int k = i < kBigDistinctKeys ? i : (i - kBigDistinctKeys) * 11 % 5000;
+      big_build.push_back({I(i), I(k)});
+    }
+    AddTable("big_b", "v", DataType::kInt64, std::move(big_build));
+    // Hits on unique and duplicated keys, misses past the key range, and
+    // NULL keys.
+    std::vector<Row> big_probe;
+    for (int i = 0; i < kBigProbeRows; ++i) {
+      Value k = i % 9 == 4 ? null : I(i * 17389 % 125000);
+      big_probe.push_back({I(i), k});
+    }
+    AddTable("big_p", "id", DataType::kInt64, std::move(big_probe));
+  }
+
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  static Value I(int64_t v) { return Value::Int(v); }
+
+  static void AddTable(const std::string& name, const std::string& first,
+                       DataType key_type, std::vector<Row> rows) {
+    TableDef def;
+    def.name = name;
+    def.columns = {ColumnDef{first, DataType::kInt64, false},
+                   ColumnDef{"k", key_type, true}};
+    ASSERT_TRUE(db_->CreateTable(std::move(def)).ok()) << name;
+    ASSERT_TRUE(db_->InsertBulk(name, std::move(rows)).ok()) << name;
+  }
+
+  static std::unique_ptr<PlanNode> Scan(const std::string& table) {
+    auto n = std::make_unique<PlanNode>(PlanOp::kTableScan);
+    n->table_name = table;
+    n->table_alias = table;
+    for (const auto& c : db_->FindTable(table)->def().columns) {
+      n->output.push_back(ColumnSlot{table, c.name, c.type});
+    }
+    return n;
+  }
+
+  /// probe JOIN build ON probe.k = build.k, built on `build`.
+  static std::unique_ptr<PlanNode> HashJoin(JoinKind kind,
+                                            const std::string& probe,
+                                            const std::string& build) {
+    auto n = std::make_unique<PlanNode>(PlanOp::kHashJoin);
+    n->join_kind = kind;
+    n->null_aware = kind == JoinKind::kAntiNA;
+    n->children.push_back(Scan(probe));
+    n->children.push_back(Scan(build));
+    n->output = n->children[0]->output;
+    if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+      const Schema& right = n->children[1]->output;
+      n->output.insert(n->output.end(), right.begin(), right.end());
+    }
+    n->hash_left_keys.push_back(MakeColumnRef(probe, "k"));
+    n->hash_right_keys.push_back(MakeColumnRef(build, "k"));
+    return n;
+  }
+
+  static std::vector<Row> Execute(const PlanNode& plan, ExecOptions opts) {
+    Executor exec(*db_, std::move(opts));
+    auto result = exec.Execute(plan);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return {};
+    return std::move(result.value().rows);
+  }
+
+  /// Runs `plan` in memory at batch sizes 1, 3 and 1024 and requires
+  /// exactly `expected`, in order.
+  static void ExpectOrderedRows(const PlanNode& plan,
+                                const std::vector<Row>& expected,
+                                const std::string& label) {
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+      ExecOptions opts;
+      opts.batch_size = batch;
+      std::vector<Row> got = Execute(plan, std::move(opts));
+      EXPECT_EQ(Render(got), Render(expected))
+          << label << " batch=" << batch;
+      EXPECT_TRUE(got == expected) << label << " batch=" << batch;
+    }
+  }
+
+  static std::string Render(const std::vector<Row>& rows) {
+    std::ostringstream out;
+    for (const Row& r : rows) {
+      for (const Value& v : r) out << v.ToString() << " ";
+      out << "\n";
+    }
+    return out.str();
+  }
+
+  /// The reference interpreter's rows for `sql`.
+  static std::vector<Row> Reference(const std::string& sql) {
+    auto qb = ParseAndBind(*db_, sql);
+    if (qb == nullptr) return {};
+    ReferenceExecutor reference(*db_);
+    auto rows = reference.Execute(*qb);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString() << "\n" << sql;
+    if (!rows.ok()) return {};
+    return std::move(rows.value());
+  }
+
+  static Database* db_;
+};
+
+Database* JoinTableTest::db_ = nullptr;
+
+TEST_F(JoinTableTest, InnerJoinEmitsMatchesInBuildOrder) {
+  const Value n = Value::Null();
+  // Per probe row (probe order), its build matches in build-input order;
+  // the NULL build key and the NULL probe key match nothing.
+  ExpectOrderedRows(*HashJoin(JoinKind::kInner, "jp", "jb"),
+                    {{I(0), I(1), I(0), I(1)},
+                     {I(0), I(1), I(2), I(1)},
+                     {I(0), I(1), I(5), I(1)},
+                     {I(3), I(2), I(1), I(2)},
+                     {I(3), I(2), I(6), I(2)},
+                     {I(4), I(1), I(0), I(1)},
+                     {I(4), I(1), I(2), I(1)},
+                     {I(4), I(1), I(5), I(1)},
+                     {I(5), I(3), I(4), I(3)}},
+                    "inner");
+  ExpectOrderedRows(*HashJoin(JoinKind::kLeftOuter, "jp", "jb"),
+                    {{I(0), I(1), I(0), I(1)},
+                     {I(0), I(1), I(2), I(1)},
+                     {I(0), I(1), I(5), I(1)},
+                     {I(1), I(4), n, n},
+                     {I(2), n, n, n},
+                     {I(3), I(2), I(1), I(2)},
+                     {I(3), I(2), I(6), I(2)},
+                     {I(4), I(1), I(0), I(1)},
+                     {I(4), I(1), I(2), I(1)},
+                     {I(4), I(1), I(5), I(1)},
+                     {I(5), I(3), I(4), I(3)}},
+                    "left outer");
+}
+
+TEST_F(JoinTableTest, SemiAntiAndNullAwareAntiVerdicts) {
+  const Value n = Value::Null();
+  ExpectOrderedRows(*HashJoin(JoinKind::kSemi, "jp", "jb"),
+                    {{I(0), I(1)}, {I(3), I(2)}, {I(4), I(1)}, {I(5), I(3)}},
+                    "semi");
+  // NOT EXISTS: the unmatched key and the NULL key both qualify.
+  ExpectOrderedRows(*HashJoin(JoinKind::kAnti, "jp", "jb"),
+                    {{I(1), I(4)}, {I(2), n}}, "anti");
+  // NOT IN with a NULL build key: every verdict is unknown.
+  ExpectOrderedRows(*HashJoin(JoinKind::kAntiNA, "jp", "jb"), {},
+                    "anti-NA, NULL build key");
+  // NOT IN without one: the NULL probe key is still unknown.
+  ExpectOrderedRows(*HashJoin(JoinKind::kAntiNA, "jp", "jbn"), {{I(1), I(4)}},
+                    "anti-NA");
+}
+
+TEST_F(JoinTableTest, IntProbeKeysFindRealBuildKeys) {
+  // Int(2) joins Real(2.0) (both build rows, in order); 2.5 matches no
+  // Int; Int(3) joins Real(3.0).
+  ExpectOrderedRows(*HashJoin(JoinKind::kInner, "jp", "jr"),
+                    {{I(3), I(2), I(0), Value::Real(2.0)},
+                     {I(3), I(2), I(3), Value::Real(2.0)},
+                     {I(5), I(3), I(2), Value::Real(3.0)}},
+                    "int probe, real build");
+}
+
+TEST_F(JoinTableTest, ManyDistinctKeysMatchReferenceInMemoryAndSpilled) {
+  // The reference runs the left join as a nested loop over the probe rows
+  // and, per probe row, the build rows in table order, so its rows come in
+  // exactly the hash join's order. The other kinds' rows follow from it:
+  // a probe row with a match is a semi-join row, one without is an anti-join
+  // row, and a NOT IN row too unless its key is NULL (big_b has no NULL
+  // key).
+  const std::vector<Row> left = Reference(
+      "SELECT big_p.id, big_p.k, big_b.v, big_b.k FROM big_p LEFT JOIN "
+      "big_b ON big_p.k = big_b.k");
+  std::vector<Row> inner, semi, anti, anti_na;
+  for (const Row& r : left) {
+    const Row probe{r[0], r[1]};
+    if (!r[2].is_null()) {
+      inner.push_back(r);
+      if (semi.empty() || !(semi.back() == probe)) semi.push_back(probe);
+      continue;
+    }
+    anti.push_back(probe);
+    if (!r[1].is_null()) anti_na.push_back(probe);
+  }
+  // The probe set has hits on unique and duplicated keys, misses and NULL
+  // keys.
+  ASSERT_GT(inner.size(), semi.size());
+  ASSERT_FALSE(semi.empty());
+  ASSERT_FALSE(anti_na.empty());
+  ASSERT_LT(anti_na.size(), anti.size());
+
+  const struct {
+    JoinKind kind;
+    const std::vector<Row>* expected;
+    const char* name;
+  } cases[] = {
+      {JoinKind::kInner, &inner, "inner"},
+      {JoinKind::kLeftOuter, &left, "left outer"},
+      {JoinKind::kSemi, &semi, "semi"},
+      {JoinKind::kAnti, &anti, "anti"},
+      {JoinKind::kAntiNA, &anti_na, "anti-NA"},
+  };
+  for (const auto& c : cases) {
+    auto plan = HashJoin(c.kind, "big_p", "big_b");
+    const std::vector<Row> in_memory = Execute(*plan, ExecOptions{});
+    EXPECT_TRUE(in_memory == *c.expected) << c.name;
+    // A budget every partition fits in, then one so small that each
+    // partition is joined in chunks: the build spills at the same rows
+    // either way, and the rows match the in-memory run as a multiset.
+    for (int64_t budget : {int64_t{4} << 20, int64_t{1} << 20}) {
+      MemoryTracker tracker("query", budget);
+      ExecOptions opts;
+      opts.guards.memory = &tracker;
+      Executor exec(*db_, std::move(opts));
+      auto spilled = exec.Execute(*plan);
+      ASSERT_TRUE(spilled.ok()) << c.name << ": "
+                                << spilled.status().ToString();
+      EXPECT_EQ(spilled.value().stats.spilled_operators, 1) << c.name;
+      ExpectSameRows(std::move(spilled.value().rows), in_memory,
+                     std::string(c.name) + " budget=" +
+                         std::to_string(budget));
     }
   }
 }

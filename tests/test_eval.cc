@@ -1,13 +1,17 @@
 // Systematic tests of the expression evaluator: three-valued logic truth
 // tables (parameterized sweeps), arithmetic/NULL propagation, scalar
-// functions, and subquery predicate semantics over a stub resolver.
+// functions, subquery predicate semantics over a stub resolver, and the
+// compiled fast path (CompiledExpr) agreeing with the tree evaluator.
 
 #include "exec/eval.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "exec/compiled_expr.h"
 #include "parser/parser.h"
 
 namespace cbqt {
@@ -343,6 +347,208 @@ TEST(EvalSubquery, MissingResolverIsError) {
   ASSERT_TRUE(qb.ok());
   EvalContext ctx;
   EXPECT_FALSE(EvalExpr(*qb.value()->where[0], ctx).ok());
+}
+
+// ---- compiled fast path vs the tree evaluator ----
+
+// Operand values: NULL, Int/Real pairs with equal values, strings past the
+// 15-byte small-string buffer (two equal, one different), and bools.
+std::vector<Value> OperandGrid() {
+  return {Value::Null(),
+          Value::Int(2),
+          Value::Real(2.0),
+          Value::Int(-7),
+          Value::Real(-7.0),
+          Value::Real(3.5),
+          Value::Str("a string well past sixteen bytes"),
+          Value::Str("a string well past sixteen bytes"),
+          Value::Str("another string past sixteen bytes"),
+          Value::Boolean(true),
+          Value::Boolean(false)};
+}
+
+bool IsLogical(const Value& v) {
+  return v.is_null() || v.kind() == ValueKind::kBool;
+}
+
+// How an operand reaches its operator: a slot of the row, a constant, or a
+// non-leaf child (CASE WHEN TRUE THEN <slot> END) that the compiled path
+// evaluates into a scratch value.
+enum class Shape { kSlot, kConst, kNonLeaf };
+
+const char* ShapeName(Shape s) {
+  switch (s) {
+    case Shape::kSlot:
+      return "slot";
+    case Shape::kConst:
+      return "const";
+    case Shape::kNonLeaf:
+      return "non-leaf";
+  }
+  return "";
+}
+
+ExprPtr MakeCase(std::vector<ExprPtr> legs) {
+  auto e = std::make_unique<Expr>();
+  e->kind = ExprKind::kCase;
+  e->children = std::move(legs);
+  return e;
+}
+
+// An operand of shape `s` that evaluates to `v`, held in row slot `col`.
+ExprPtr MakeOperand(Shape s, const std::string& col, const Value& v) {
+  switch (s) {
+    case Shape::kSlot:
+      return MakeColumnRef("t", col);
+    case Shape::kConst:
+      return MakeLiteral(v);
+    case Shape::kNonLeaf: {
+      std::vector<ExprPtr> legs;
+      legs.push_back(MakeLiteral(Value::Boolean(true)));
+      legs.push_back(MakeColumnRef("t", col));
+      return MakeCase(std::move(legs));
+    }
+  }
+  return nullptr;
+}
+
+const Schema kCompiledSchema = {{"t", "a", DataType::kUnknown},
+                                {"t", "b", DataType::kUnknown}};
+
+// Evaluates `e` over `row` both ways and requires the same kind and value.
+void ExpectFastMatchesTree(const Expr& e, const Row& row,
+                           const std::string& label) {
+  CompiledExpr c = CompiledExpr::Compile(&e, &kCompiledSchema);
+  ASSERT_TRUE(c.fast()) << label;
+  EvalContext ctx;
+  ctx.rownum = 5;
+  ctx.frames.push_back(Frame{&kCompiledSchema, &row});
+  auto want = EvalExpr(e, ctx);
+  ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+  Value got = c.EvalFast(row, ctx.rownum);
+  EXPECT_EQ(got.kind(), want->kind()) << label;
+  EXPECT_TRUE(got == want.value())
+      << label << ": fast " << got.ToString() << " tree "
+      << want->ToString();
+}
+
+TEST(CompiledExpr, BinaryOpsMatchTreeEvaluator) {
+  const BinaryOp ops[] = {
+      BinaryOp::kEq,  BinaryOp::kNe,  BinaryOp::kLt,  BinaryOp::kLe,
+      BinaryOp::kGt,  BinaryOp::kGe,  BinaryOp::kAdd, BinaryOp::kSub,
+      BinaryOp::kMul, BinaryOp::kDiv, BinaryOp::kAnd, BinaryOp::kOr,
+      BinaryOp::kNullSafeEq,
+  };
+  const Shape shapes[] = {Shape::kSlot, Shape::kConst, Shape::kNonLeaf};
+  const std::vector<Value> grid = OperandGrid();
+  int checked = 0;
+  for (BinaryOp op : ops) {
+    const bool logical = op == BinaryOp::kAnd || op == BinaryOp::kOr;
+    for (const Value& x : grid) {
+      for (const Value& y : grid) {
+        // AND/OR take only truth values (the binder types them so).
+        if (logical && !(IsLogical(x) && IsLogical(y))) continue;
+        const Row row{x, y};
+        for (Shape ls : shapes) {
+          for (Shape rs : shapes) {
+            ExprPtr e = MakeBinary(op, MakeOperand(ls, "a", x),
+                                   MakeOperand(rs, "b", y));
+            ExpectFastMatchesTree(
+                *e, row,
+                "op " + std::to_string(static_cast<int>(op)) + " " +
+                    x.ToString() + " (" + ShapeName(ls) + "), " +
+                    y.ToString() + " (" + ShapeName(rs) + ")");
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
+}
+
+TEST(CompiledExpr, UnaryOpsMatchTreeEvaluator) {
+  const UnaryOp ops[] = {UnaryOp::kNot, UnaryOp::kNeg, UnaryOp::kIsNull,
+                         UnaryOp::kIsNotNull, UnaryOp::kLnnvl};
+  const Shape shapes[] = {Shape::kSlot, Shape::kConst, Shape::kNonLeaf};
+  for (UnaryOp op : ops) {
+    for (const Value& x : OperandGrid()) {
+      // NOT takes only truth values (the binder types it so).
+      if (op == UnaryOp::kNot && !IsLogical(x)) continue;
+      const Row row{x, Value::Null()};
+      for (Shape s : shapes) {
+        ExprPtr e = MakeUnary(op, MakeOperand(s, "a", x));
+        ExpectFastMatchesTree(*e, row,
+                              "unary " + std::to_string(static_cast<int>(op)) +
+                                  " " + x.ToString() + " (" + ShapeName(s) +
+                                  ")");
+      }
+    }
+  }
+}
+
+TEST(CompiledExpr, CaseAndNestedLogicMatchTreeEvaluator) {
+  const std::vector<Value> grid = OperandGrid();
+  for (const Value& x : grid) {
+    for (const Value& y : grid) {
+      const Row row{x, y};
+      const std::string pair = x.ToString() + ", " + y.ToString();
+      // CASE WHEN a = b THEN a WHEN a < b THEN b ELSE 'neither' END, and the
+      // same without ELSE (NULL when no leg matches).
+      for (bool with_else : {true, false}) {
+        std::vector<ExprPtr> legs;
+        legs.push_back(MakeBinary(BinaryOp::kEq, MakeColumnRef("t", "a"),
+                                  MakeColumnRef("t", "b")));
+        legs.push_back(MakeColumnRef("t", "a"));
+        legs.push_back(MakeBinary(BinaryOp::kLt, MakeColumnRef("t", "a"),
+                                  MakeColumnRef("t", "b")));
+        legs.push_back(MakeColumnRef("t", "b"));
+        if (with_else) legs.push_back(MakeLiteral(Value::Str("neither")));
+        ExpectFastMatchesTree(*MakeCase(std::move(legs)), row,
+                              "case else=" + std::to_string(with_else) + " " +
+                                  pair);
+      }
+      // (a = b OR a IS NULL) AND NOT (a > b AND b IS NOT NULL) OR
+      // LNNVL(a <= b): comparison leaves under two levels of AND/OR.
+      ExprPtr nested = MakeBinary(
+          BinaryOp::kOr,
+          MakeBinary(
+              BinaryOp::kAnd,
+              MakeBinary(BinaryOp::kOr,
+                         MakeBinary(BinaryOp::kEq, MakeColumnRef("t", "a"),
+                                    MakeColumnRef("t", "b")),
+                         MakeUnary(UnaryOp::kIsNull, MakeColumnRef("t", "a"))),
+              MakeUnary(UnaryOp::kNot,
+                        MakeBinary(BinaryOp::kAnd,
+                                   MakeBinary(BinaryOp::kGt,
+                                              MakeColumnRef("t", "a"),
+                                              MakeColumnRef("t", "b")),
+                                   MakeUnary(UnaryOp::kIsNotNull,
+                                             MakeColumnRef("t", "b"))))),
+          MakeUnary(UnaryOp::kLnnvl,
+                    MakeBinary(BinaryOp::kLe, MakeColumnRef("t", "a"),
+                               MakeColumnRef("t", "b"))));
+      ExpectFastMatchesTree(*nested, row, "nested and/or " + pair);
+    }
+  }
+}
+
+TEST(CompiledExpr, RemapSlotsRetargetsTheProgram) {
+  // a + 1 > b compiled against (a, b), then re-targeted at (x, b, a).
+  ExprPtr e = MakeBinary(
+      BinaryOp::kGt,
+      MakeBinary(BinaryOp::kAdd, MakeColumnRef("t", "a"),
+                 MakeLiteral(Value::Int(1))),
+      MakeColumnRef("t", "b"));
+  CompiledExpr c = CompiledExpr::Compile(e.get(), &kCompiledSchema);
+  ASSERT_TRUE(c.fast());
+  EXPECT_FALSE(c.RemapSlots({2, -1}));  // b has no image: unchanged
+  EXPECT_TRUE(c.EvalFast({Value::Int(5), Value::Int(3)}, 0).AsBool());
+  ASSERT_TRUE(c.RemapSlots({2, 1}));
+  EXPECT_TRUE(c.EvalFast({Value::Null(), Value::Int(3), Value::Int(5)}, 0)
+                  .AsBool());
+  EXPECT_FALSE(c.EvalFast({Value::Null(), Value::Int(9), Value::Int(5)}, 0)
+                   .AsBool());
 }
 
 }  // namespace

@@ -47,19 +47,6 @@ namespace {
 const std::filesystem::path kGoldenPath =
     std::filesystem::path(CBQT_SOURCE_DIR) / "tests" / "golden" / "plans.txt";
 
-// The schema sizes MakeSmallHrDb builds (the test_equivalence schema).
-SchemaConfig SmallSchema() {
-  SchemaConfig schema;
-  schema.locations = 10;
-  schema.departments = 20;
-  schema.employees = 500;
-  schema.customers = 100;
-  schema.orders = 600;
-  schema.products = 50;
-  schema.accounts = 10;
-  return schema;
-}
-
 // One golden entry: a label line, the exact root estimates, then the plan.
 void AppendEntry(const QueryEngine& engine, const std::string& label,
                  const std::string& sql, std::string* out) {
@@ -74,20 +61,6 @@ void AppendEntry(const QueryEngine& engine, const std::string& label,
   *out += PlanToString(*prepared->plan);
 }
 
-std::string ReadCorpusSql(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::string line, sql;
-  while (std::getline(in, line)) {
-    if (StartsWith(line, "--")) continue;
-    if (!sql.empty()) sql += " ";
-    sql += line;
-  }
-  while (!sql.empty() && (sql.back() == ' ' || sql.back() == '\n')) {
-    sql.pop_back();
-  }
-  return sql;
-}
-
 std::string RenderAllPlans() {
   std::string out;
   auto db = MakeSmallHrDb();
@@ -95,7 +68,7 @@ std::string RenderAllPlans() {
     ADD_FAILURE() << "small HR database failed to build";
     return out;
   }
-  const SchemaConfig schema = SmallSchema();
+  const SchemaConfig schema = SmallHrSchema();
 
   CbqtConfig no_cow = ConfigForMode(OptimizerMode::kCostBased);
   no_cow.cow_clone = false;
@@ -220,19 +193,6 @@ std::string RenderAllPlans() {
   return out;
 }
 
-// Splits a rendering into its "## label" entries.
-std::vector<std::string> SplitEntries(const std::string& text) {
-  std::vector<std::string> entries;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t next = text.find("\n## ", pos);
-    size_t end = next == std::string::npos ? text.size() : next + 1;
-    entries.push_back(text.substr(pos, end - pos));
-    pos = end;
-  }
-  return entries;
-}
-
 TEST(PlanGoldenTest, PlansMatchCommittedGolden) {
   const std::string actual = RenderAllPlans();
   std::ifstream in(kGoldenPath, std::ios::binary);
@@ -243,8 +203,8 @@ TEST(PlanGoldenTest, PlansMatchCommittedGolden) {
   if (actual == expected) return;
 
   std::ofstream("plans.actual.txt", std::ios::binary) << actual;
-  std::vector<std::string> want = SplitEntries(expected);
-  std::vector<std::string> got = SplitEntries(actual);
+  std::vector<std::string> want = SplitGoldenEntries(expected);
+  std::vector<std::string> got = SplitGoldenEntries(actual);
   size_t i = 0;
   while (i < want.size() && i < got.size() && want[i] == got[i]) ++i;
   ADD_FAILURE() << "plans differ from " << kGoldenPath << " at entry " << i

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "binder/binder.h"
+#include "common/str_util.h"
 #include "parser/parser.h"
 #include "sql/unparser.h"
 #include "storage/database.h"
@@ -52,6 +56,49 @@ inline std::unique_ptr<QueryBlock> ParseAndBind(const Database& db,
     return nullptr;
   }
   return std::move(parsed.value());
+}
+
+/// The schema sizes MakeSmallHrDb builds, as the query generators read them
+/// (the test_equivalence schema).
+inline SchemaConfig SmallHrSchema() {
+  SchemaConfig schema;
+  schema.locations = 10;
+  schema.departments = 20;
+  schema.employees = 500;
+  schema.customers = 100;
+  schema.orders = 600;
+  schema.products = 50;
+  schema.accounts = 10;
+  return schema;
+}
+
+/// The statement of a tests/fuzz_corpus file: its non-comment lines joined
+/// by spaces.
+inline std::string ReadCorpusSql(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::string line, sql;
+  while (std::getline(in, line)) {
+    if (StartsWith(line, "--")) continue;
+    if (!sql.empty()) sql += " ";
+    sql += line;
+  }
+  while (!sql.empty() && (sql.back() == ' ' || sql.back() == '\n')) {
+    sql.pop_back();
+  }
+  return sql;
+}
+
+/// Splits a golden-file rendering into its "## label" entries.
+inline std::vector<std::string> SplitGoldenEntries(const std::string& text) {
+  std::vector<std::string> entries;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t next = text.find("\n## ", pos);
+    size_t end = next == std::string::npos ? text.size() : next + 1;
+    entries.push_back(text.substr(pos, end - pos));
+    pos = end;
+  }
+  return entries;
 }
 
 }  // namespace cbqt
