@@ -5,13 +5,16 @@
 # AnnotationCache), the fault-injection tests (test_fault_injection,
 # injected faults + budget under num_threads >= 4), the tenant scheduler's
 # concurrent admission/dispatch legs (test_scheduler, multi-tenant threads
-# hammering one TenantScheduler), and the COW + join-order
-# memo equivalence sweeps (CowMemoMatchesFullClones in test_equivalence and
+# hammering one TenantScheduler), the COW + join-order memo equivalence
+# sweeps (CowMemoMatchesFullClones in test_equivalence and
 # CowMemoEscapeHatchBitIdentical in test_paper_queries, both at
-# num_threads = 4) are exercised in every config. ASan/UBSan additionally
-# covers the robustness corpus (test_parser_robustness, test_governor), plans
-# borrowed from annotation-cache entries that are evicted or cleared while
-# held (test_annotation_cache), and the spill-to-disk pipeline
+# num_threads = 4), and the shared-plan leg
+# (ConcurrentExecutionsShareOneCachedPlan in test_batch_executor: four
+# threads preparing and executing one immutable cached plan) are exercised
+# in every config. ASan/UBSan additionally covers the robustness corpus
+# (test_parser_robustness, test_governor), shared plans that outlive their
+# evicted or cleared annotation-cache entry (test_annotation_cache), and the
+# spill-to-disk pipeline
 # (test_batch_executor forces sort / hash-join / aggregation / distinct
 # state through SpillManager temp files under a tiny memory budget, so the
 # serialize/partition/merge paths run under ASan), the hash-join build table

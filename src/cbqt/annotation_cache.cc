@@ -60,8 +60,8 @@ std::shared_ptr<const CostAnnotation> AnnotationCache::Find(
   return it->second.annotation;
 }
 
-std::shared_ptr<const CostAnnotation> AnnotationCache::Put(
-    std::string_view signature, CostAnnotation annotation) {
+void AnnotationCache::Put(std::string_view signature,
+                          CostAnnotation annotation) {
   int64_t entry_bytes =
       tracker_ != nullptr ? EstimateEntryBytes(signature, annotation) : 0;
   auto entry =
@@ -103,7 +103,6 @@ std::shared_ptr<const CostAnnotation> AnnotationCache::Put(
     }
     memory_bytes_.fetch_add(delta, std::memory_order_relaxed);
   }
-  return entry;
 }
 
 void AnnotationCache::Clear() {

@@ -24,7 +24,7 @@ struct CostAnnotation {
   double cost = 0;
   double rows = 0;
   RelStats out_stats;
-  std::unique_ptr<PlanNode> plan;
+  PlanPtr plan;
   /// Exact (non-canonicalized) unparsing of the annotated block. The cache
   /// key canonicalizes orderings SQL leaves free (sql/signature.h), so one
   /// key covers a whole equivalence class; consumers that require
@@ -79,11 +79,8 @@ class AnnotationCache {
   /// nullptr if not cached. A hit refreshes the entry's LRU position.
   std::shared_ptr<const CostAnnotation> Find(std::string_view signature) const;
 
-  /// Publishes `annotation` (replacing any entry under `signature`) and
-  /// returns the published entry, so the caller can keep reading the plan
-  /// it just moved in without copying it first.
-  std::shared_ptr<const CostAnnotation> Put(std::string_view signature,
-                                            CostAnnotation annotation);
+  /// Publishes `annotation`, replacing any entry under `signature`.
+  void Put(std::string_view signature, CostAnnotation annotation);
 
   void Clear();
 

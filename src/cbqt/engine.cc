@@ -425,7 +425,7 @@ void QueryEngine::RunUpgrade(std::shared_ptr<const CachedPlanEntry> entry,
     // Keep serving the degraded plan, but burn the attempt so a statement
     // that cannot be re-optimized stops retrying.
     fresh->tree = entry->tree->Clone();
-    fresh->plan = entry->plan->Clone();
+    fresh->plan = entry->plan;
     fresh->cost = entry->cost;
     fresh->stats = entry->stats;
     fresh->degraded = true;
@@ -474,8 +474,13 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
     PreparedQuery out;
     out.tree = e->tree->Clone();
     BindTreeParams(out.tree.get(), ps.params);
-    out.plan = e->plan->Clone();
-    RebindPlanParams(out.plan.get(), ps.params);
+    if (ps.params.empty()) {
+      out.plan = e->plan;
+    } else {
+      std::unique_ptr<PlanNode> plan = e->plan->Clone();
+      RebindPlanParams(plan.get(), ps.params);
+      out.plan = std::move(plan);
+    }
     out.cost = e->cost;
     out.stats = e->stats;
     out.from_plan_cache = true;
@@ -519,11 +524,13 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   // successful plans are published, so guardrail unwinds can never leak a
   // partial result into the cache.
 
+  // The cache entry and the caller share one plan.
+  PlanPtr plan = std::move(optimized->plan);
   auto fresh = std::make_shared<CachedPlanEntry>();
   fresh->key = std::move(ps.key);
   fresh->stats_epoch = epoch;
   fresh->tree = optimized->tree->Clone();
-  fresh->plan = optimized->plan->Clone();
+  fresh->plan = plan;
   fresh->source_tree = parsed.value()->Clone();
   fresh->cost = optimized->cost;
   fresh->stats = optimized->stats;
@@ -541,7 +548,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
 
   PreparedQuery out;
   out.tree = std::move(optimized->tree);
-  out.plan = std::move(optimized->plan);
+  out.plan = std::move(plan);
   out.cost = optimized->cost;
   out.stats = std::move(optimized->stats);
   out.degraded = IsDegraded(out.stats);

@@ -33,7 +33,7 @@ namespace cbqt {
 /// physical planning and is ready to execute.
 struct PreparedQuery {
   std::unique_ptr<QueryBlock> tree;  ///< the chosen (transformed) query tree
-  std::unique_ptr<PlanNode> plan;    ///< its physical plan
+  PlanPtr plan;                      ///< its physical plan
   double cost = 0;                   ///< estimated cost of `plan`
   CbqtStats stats;                   ///< CBQT telemetry
   double optimize_ms = 0;            ///< wall time of parse + CBQT + planning
@@ -105,7 +105,8 @@ struct QueryOptions {
 ///
 /// With the plan cache enabled, Prepare parameterizes the statement's
 /// literals (sql/parameterize.h) and serves repeats of the same shape from
-/// the cache, re-binding the literal values into a clone of the cached plan.
+/// the cache: a statement without literals gets the cached plan itself, any
+/// other a copy of just the nodes holding its re-bound literals.
 /// Entries are pinned to the Database stats epoch and invalidated lazily
 /// after a stats refresh; entries planned under a tripped OptimizerBudget
 /// are re-optimized with an enlarged budget once hot (budget upgrade).

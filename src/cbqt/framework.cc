@@ -123,13 +123,11 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
   std::atomic<int> interleaved_states{0};
 
   // ---- Heuristic (imperative) phase, paper §2.1. ----
-  if (config_.enable_heuristic_phase) {
-    TransformContext hctx{tree.get(), &db_};
-    HeuristicOptions hopts;
-    hopts.subquery_unnest = config_.transforms.enabled(Transform::kUnnest);
-    CBQT_RETURN_IF_ERROR(ApplyHeuristicTransformations(hctx, hopts));
-    CBQT_RETURN_IF_ERROR(BindQuery(db_, tree.get()));
-  }
+  TransformContext hctx{tree.get(), &db_};
+  HeuristicOptions hopts;
+  hopts.subquery_unnest = config_.transforms.enabled(Transform::kUnnest);
+  CBQT_RETURN_IF_ERROR(ApplyHeuristicTransformations(hctx, hopts));
+  CBQT_RETURN_IF_ERROR(BindQuery(db_, tree.get()));
 
   // ---- Cost-based phase, paper §2.2 + §3, in the §3.1 sequential order.
   SubqueryUnnestViewTransformation unnest;

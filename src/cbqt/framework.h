@@ -128,8 +128,6 @@ struct CbqtConfig {
   /// §4.3 ablations). Default: all of them.
   TransformMask transforms = TransformMask::All();
 
-  bool enable_heuristic_phase = true;  ///< §2.1 imperative battery
-
   // Search-space management (paper §3.2 last paragraph).
   int exhaustive_threshold = 4;      ///< N <= this: exhaustive, else linear
   int two_pass_total_threshold = 10; ///< total objects > this: two-pass
@@ -266,6 +264,7 @@ struct CbqtStats {
 /// physical plan, and cost.
 struct CbqtResult {
   std::unique_ptr<QueryBlock> tree;
+  /// The root is the caller's own copy; everything below it is shared.
   std::unique_ptr<PlanNode> plan;
   double cost = 0;
   CbqtStats stats;

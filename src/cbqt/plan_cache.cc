@@ -392,36 +392,81 @@ Result<size_t> PlanCache::LoadSnapshot(const std::string& path,
 
 namespace {
 
-void RebindExprVec(std::vector<ExprPtr>& exprs,
-                   const std::vector<Value>& params) {
-  for (auto& e : exprs) {
-    if (e == nullptr) continue;
-    VisitExprDeep(e.get(), [&params](Expr* node) {
-      if (node->kind == ExprKind::kLiteral && node->param_index >= 0 &&
-          static_cast<size_t>(node->param_index) < params.size()) {
-        node->literal = params[static_cast<size_t>(node->param_index)];
+bool IsBoundParam(const Expr* e, const std::vector<Value>& params) {
+  return e->kind == ExprKind::kLiteral && e->param_index >= 0 &&
+         static_cast<size_t>(e->param_index) < params.size();
+}
+
+// Calls `fn` on every expression of `node` itself (not of its children).
+template <typename Node, typename Fn>
+void ForEachOwnExpr(Node& node, Fn fn) {
+  for (auto* exprs : {&node.probes, &node.filter, &node.join_conds,
+                      &node.hash_left_keys, &node.hash_right_keys,
+                      &node.group_keys, &node.agg_exprs, &node.projections,
+                      &node.sort_keys, &node.window_exprs}) {
+    for (auto& e : *exprs) fn(e);
+  }
+  for (auto& keys : node.subplan_corr_keys) {
+    for (auto& e : keys) fn(e);
+  }
+}
+
+bool HasOwnParams(const PlanNode& node, const std::vector<Value>& params) {
+  bool found = false;
+  ForEachOwnExpr(node, [&](const ExprPtr& e) {
+    if (e == nullptr) return;
+    VisitExprDeepConst(e.get(), [&](const Expr* x) {
+      found = found || IsBoundParam(x, params);
+    });
+  });
+  return found;
+}
+
+void RebindOwnParams(PlanNode* node, const std::vector<Value>& params) {
+  ForEachOwnExpr(*node, [&](ExprPtr& e) {
+    if (e == nullptr) return;
+    VisitExprDeep(e.get(), [&](Expr* x) {
+      if (IsBoundParam(x, params)) {
+        x->literal = params[static_cast<size_t>(x->param_index)];
       }
     });
+  });
+}
+
+constexpr std::vector<PlanPtr> PlanNode::*kChildLists[] = {
+    &PlanNode::children, &PlanNode::subplans};
+
+// A rebound copy of `node` over rebound children, or null when no parameter
+// lies in its subtree (the node stays shared).
+std::unique_ptr<PlanNode> Rebound(const PlanNode& node,
+                                  const std::vector<Value>& params) {
+  std::unique_ptr<PlanNode> copy;  // made at the first change
+  for (auto list : kChildLists) {
+    for (size_t i = 0; i < (node.*list).size(); ++i) {
+      std::unique_ptr<PlanNode> child = Rebound(*(node.*list)[i], params);
+      if (child == nullptr) continue;
+      if (copy == nullptr) copy = node.Clone();
+      ((*copy).*list)[i] = std::move(child);
+    }
   }
+  if (copy == nullptr) {
+    if (!HasOwnParams(node, params)) return nullptr;
+    copy = node.Clone();
+  }
+  RebindOwnParams(copy.get(), params);
+  return copy;
 }
 
 }  // namespace
 
 void RebindPlanParams(PlanNode* plan, const std::vector<Value>& params) {
   if (plan == nullptr || params.empty()) return;
-  RebindExprVec(plan->probes, params);
-  RebindExprVec(plan->filter, params);
-  RebindExprVec(plan->join_conds, params);
-  RebindExprVec(plan->hash_left_keys, params);
-  RebindExprVec(plan->hash_right_keys, params);
-  RebindExprVec(plan->group_keys, params);
-  RebindExprVec(plan->agg_exprs, params);
-  RebindExprVec(plan->projections, params);
-  RebindExprVec(plan->sort_keys, params);
-  RebindExprVec(plan->window_exprs, params);
-  for (auto& keys : plan->subplan_corr_keys) RebindExprVec(keys, params);
-  for (auto& sub : plan->subplans) RebindPlanParams(sub.get(), params);
-  for (auto& child : plan->children) RebindPlanParams(child.get(), params);
+  RebindOwnParams(plan, params);
+  for (auto list : kChildLists) {
+    for (auto& child : plan->*list) {
+      if (auto rebound = Rebound(*child, params)) child = std::move(rebound);
+    }
+  }
 }
 
 }  // namespace cbqt

@@ -24,10 +24,11 @@ namespace cbqt {
 
 /// One cached optimization result, keyed by a parameterized statement key
 /// (sql/parameterize.h) and pinned to the catalog stats epoch it was planned
-/// under. Immutable once published — a hit clones the tree/plan and re-binds
-/// the caller's literal values into the clones; upgrades replace the whole
-/// entry rather than mutating it. The only mutable members are the atomics
-/// driving the budget-upgrade ladder.
+/// under. Immutable once published — a hit clones the tree and re-binds the
+/// caller's literal values into the clone and into copies of just the plan
+/// nodes that hold them; upgrades replace the whole entry rather than
+/// mutating it. The only mutable members are the atomics driving the
+/// budget-upgrade ladder.
 struct CachedPlanEntry {
   std::string key;
   uint64_t stats_epoch = 0;
@@ -35,7 +36,7 @@ struct CachedPlanEntry {
   /// The chosen (transformed, bound) query tree and physical plan, with
   /// parameterized literals carrying their Expr::param_index slots.
   std::unique_ptr<const QueryBlock> tree;
-  std::unique_ptr<const PlanNode> plan;
+  PlanPtr plan;
   /// The *original* parsed (parameterized, untransformed) statement: the
   /// budget-upgrade path re-optimizes from here, because a degraded
   /// optimization may have applied heuristic transformations that a
@@ -259,12 +260,12 @@ void SerializeCachedPlanEntry(const CachedPlanEntry& entry, ByteWriter* w);
 Result<std::shared_ptr<CachedPlanEntry>> DeserializeCachedPlanEntry(
     ByteReader* r);
 
-/// Overwrites, in place, the value of every parameterized literal
-/// (Expr::param_index >= 0) anywhere in `plan` — probes, filters, join
-/// conditions, keys, projections, subplans, TIS cache keys, recursively —
-/// with the value of its slot in `params`. The complement of BindTreeParams
-/// for physical plans: together they turn a cloned cache entry into the
-/// caller's statement.
+/// Sets every parameterized literal (Expr::param_index >= 0) anywhere in
+/// `plan` — probes, filters, join conditions, keys, projections, subplans,
+/// TIS cache keys, recursively — to the value of its slot in `params`. `plan`
+/// (a Clone() of a cached root) is rebound in place; below it, each shared
+/// node on a path to a parameter is replaced by a rebound copy. The
+/// complement of BindTreeParams for physical plans.
 void RebindPlanParams(PlanNode* plan, const std::vector<Value>& params);
 
 }  // namespace cbqt

@@ -26,19 +26,18 @@ Result<ExecResult> Executor::Execute(const PlanNode& plan) {
   ctx.spill_dir = options_.spill_dir;
   ctx.shared_scans = options_.shared_scans;
 
-  // Column pruning mutates scan schemas, so it runs on a private clone; the
-  // clone must outlive the operator tree, which holds pointers into it.
-  std::unique_ptr<PlanNode> pruned = plan.Clone();
-  PruneScanColumns(pruned.get());
+  // Column pruning copies only the nodes it narrows (and their ancestors);
+  // the copy must outlive the operator tree, which holds pointers into it.
+  PlanPtr pruned = PruneScanColumns(plan);
 
-  auto root = OperatorFactory::Build(*pruned, &ctx);
+  auto root = OperatorFactory::Build(pruned != nullptr ? *pruned : plan, &ctx);
   if (!root.ok()) return root.status();
   auto rows = DrainOperator(root.value().get());
   if (!rows.ok()) return rows.status();
 
   ExecResult out;
   out.rows = std::move(rows.value());
-  if (options_.collect_stats) out.stats = ctx.stats;
+  out.stats = ctx.stats;
   return out;
 }
 

@@ -57,9 +57,6 @@ struct ExecOptions {
   /// memory budget spills partitions to disk and the query completes;
   /// when false the charge failure surfaces as kResourceExhausted.
   bool enable_spill = true;
-  /// When false, Execute returns default-initialized stats (counters are
-  /// still maintained internally for budget enforcement).
-  bool collect_stats = true;
   /// Multi-query shared-scan registry (exec/shared_scan.h). Borrowed from
   /// the engine's MQO layer; null (the default) executes every scan
   /// privately.
@@ -87,7 +84,8 @@ class Executor {
       : db_(db), options_(std::move(options)) {}
 
   /// Runs the plan to completion and returns the result rows (matching
-  /// `plan.output`) together with the execution stats.
+  /// `plan.output`) together with the execution stats. `plan` is only read,
+  /// so any number of executions may share one plan concurrently.
   Result<ExecResult> Execute(const PlanNode& plan);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "sql/expr_util.h"
@@ -11,10 +12,6 @@ namespace {
 
 void MarkAll(std::vector<bool>* req) {
   std::fill(req->begin(), req->end(), true);
-}
-
-bool AllMarked(const std::vector<bool>& req) {
-  return std::all_of(req.begin(), req.end(), [](bool b) { return b; });
 }
 
 std::vector<size_t> IdentityKept(size_t n) {
@@ -56,29 +53,62 @@ Schema Select(const Schema& schema, const std::vector<size_t>& kept) {
   return out;
 }
 
+std::vector<size_t> PruneNode(const PlanNode& node, std::vector<bool> required,
+                              std::unique_ptr<PlanNode>* copy);
+
+/// The node's own copy, made on the first change under or at it.
+PlanNode* CopyOf(const PlanNode& node, std::unique_ptr<PlanNode>* copy) {
+  if (*copy == nullptr) *copy = node.Clone();
+  return copy->get();
+}
+
+std::vector<bool> AllSlots(const PlanNode& node) {
+  return std::vector<bool>(node.output.size(), true);
+}
+
+std::vector<size_t> PruneChild(const PlanNode& node, size_t i,
+                               std::vector<bool> required,
+                               std::unique_ptr<PlanNode>* copy) {
+  std::unique_ptr<PlanNode> pruned;
+  std::vector<size_t> kept =
+      PruneNode(*node.children[i], std::move(required), &pruned);
+  if (pruned != nullptr) CopyOf(node, copy)->children[i] = std::move(pruned);
+  return kept;
+}
+
+/// Narrows the node's output to the slots at `kept` when that drops any.
+std::vector<size_t> Narrow(const PlanNode& node, std::vector<size_t> kept,
+                           std::unique_ptr<PlanNode>* copy) {
+  if (kept.size() != node.output.size()) {
+    CopyOf(node, copy)->output = Select(node.output, kept);
+  }
+  return kept;
+}
+
 /// Prunes under `node` given `required[i]` = some ancestor needs slot i of
-/// node->output (indices into the schema as it stands *before* this call).
-/// Returns the original positions the node still produces, in order. Each
-/// node rebuilds its output from its *own* original slots at the kept
-/// positions — never from the child's — because pass-through nodes at
-/// derived-table boundaries rename slots (same positions, different
-/// (alias, name)) and ancestors bind against the renamed schema.
-std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
-  switch (node->op) {
+/// node.output. Returns the original positions the node still produces, in
+/// order. The plan is shared and never modified: when the node or anything
+/// under it changes, `*copy` receives a copy of the node pointing at the
+/// pruned children, and every unchanged child stays shared. Each node
+/// rebuilds its output from its *own* original slots at the kept positions —
+/// never from the child's — because pass-through nodes at derived-table
+/// boundaries rename slots (same positions, different (alias, name)) and
+/// ancestors bind against the renamed schema.
+std::vector<size_t> PruneNode(const PlanNode& node, std::vector<bool> required,
+                              std::unique_ptr<PlanNode>* copy) {
+  switch (node.op) {
     case PlanOp::kTableScan:
     case PlanOp::kIndexScan: {
       // The pushed filter evaluates against the scan's own output; probes
       // resolve through enclosing frames before any row exists, so they
       // impose nothing on the output (a name collision just over-marks).
-      if (!MarkList(node->filter, node->output, &required)) MarkAll(&required);
-      MarkList(node->probes, node->output, &required);
-      if (AllMarked(required)) return IdentityKept(node->output.size());
+      if (!MarkList(node.filter, node.output, &required)) MarkAll(&required);
+      MarkList(node.probes, node.output, &required);
       std::vector<size_t> kept;
-      for (size_t i = 0; i < node->output.size(); ++i) {
+      for (size_t i = 0; i < node.output.size(); ++i) {
         if (required[i]) kept.push_back(i);
       }
-      node->output = Select(node->output, kept);
-      return kept;
+      return Narrow(node, std::move(kept), copy);
     }
 
     case PlanOp::kFilter:
@@ -87,89 +117,82 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
       // Pass-through: output slot i is child slot i, possibly renamed.
       // Expressions on these nodes compile against the node's own schema
       // (filters) or the child's (sort keys); mark against both namings.
-      PlanNode* child = node->children[0].get();
+      const Schema& child_output = node.children[0]->output;
       std::vector<bool> creq = required;
-      bool ok = MarkList(node->filter, node->output, &creq);
-      ok = MarkList(node->filter, child->output, &creq) && ok;
-      ok = MarkList(node->sort_keys, node->output, &creq) && ok;
-      ok = MarkList(node->sort_keys, child->output, &creq) && ok;
+      bool ok = MarkList(node.filter, node.output, &creq);
+      ok = MarkList(node.filter, child_output, &creq) && ok;
+      ok = MarkList(node.sort_keys, node.output, &creq) && ok;
+      ok = MarkList(node.sort_keys, child_output, &creq) && ok;
       if (!ok) MarkAll(&creq);
-      std::vector<size_t> kept = PruneNode(child, std::move(creq));
-      node->output = Select(node->output, kept);
-      return kept;
+      return Narrow(node, PruneChild(node, 0, std::move(creq), copy), copy);
     }
 
-    case PlanOp::kDistinct: {
+    case PlanOp::kDistinct:
       // Deduplicates on the whole row — every column is semantic.
-      PlanNode* child = node->children[0].get();
-      PruneNode(child, std::vector<bool>(child->output.size(), true));
-      return IdentityKept(node->output.size());
-    }
+      PruneChild(node, 0, AllSlots(*node.children[0]), copy);
+      return IdentityKept(node.output.size());
 
-    case PlanOp::kSetOp: {
+    case PlanOp::kSetOp:
       // Branch outputs align by position and row equality drives the set
       // semantics; pruning any branch would misalign or change results.
-      for (auto& child : node->children) {
-        PruneNode(child.get(),
-                  std::vector<bool>(child->output.size(), true));
+      for (size_t i = 0; i < node.children.size(); ++i) {
+        PruneChild(node, i, AllSlots(*node.children[i]), copy);
       }
-      return IdentityKept(node->output.size());
-    }
+      return IdentityKept(node.output.size());
 
     case PlanOp::kWindow: {
-      PlanNode* child = node->children[0].get();
-      size_t cn = child->output.size();
+      const Schema& child_output = node.children[0]->output;
+      size_t cn = child_output.size();
       std::vector<bool> creq(cn, false);
       for (size_t i = 0; i < cn && i < required.size(); ++i) {
         creq[i] = required[i];
       }
-      bool ok = MarkList(node->window_exprs, child->output, &creq);
-      std::vector<bool> own(node->output.size(), false);
-      ok = MarkList(node->window_exprs, node->output, &own) && ok;
+      bool ok = MarkList(node.window_exprs, child_output, &creq);
+      std::vector<bool> own(node.output.size(), false);
+      ok = MarkList(node.window_exprs, node.output, &own) && ok;
       for (size_t i = 0; i < cn; ++i) creq[i] = creq[i] || own[i];
       if (!ok) MarkAll(&creq);
-      std::vector<size_t> kept = PruneNode(child, std::move(creq));
+      std::vector<size_t> kept = PruneChild(node, 0, std::move(creq), copy);
       // Appended window slots stay at the tail of the output.
-      for (size_t i = cn; i < node->output.size(); ++i) kept.push_back(i);
-      node->output = Select(node->output, kept);
-      return kept;
+      for (size_t i = cn; i < node.output.size(); ++i) kept.push_back(i);
+      return Narrow(node, std::move(kept), copy);
     }
 
     case PlanOp::kProject: {
       // Output is defined by the projections, not the child.
-      if (!node->children.empty()) {
-        PlanNode* child = node->children[0].get();
-        std::vector<bool> creq(child->output.size(), false);
-        bool ok = MarkList(node->projections, child->output, &creq);
-        ok = MarkList(node->filter, child->output, &creq) && ok;
+      if (!node.children.empty()) {
+        const Schema& child_output = node.children[0]->output;
+        std::vector<bool> creq(child_output.size(), false);
+        bool ok = MarkList(node.projections, child_output, &creq);
+        ok = MarkList(node.filter, child_output, &creq) && ok;
         if (!ok) MarkAll(&creq);
-        PruneNode(child, std::move(creq));
+        PruneChild(node, 0, std::move(creq), copy);
       }
-      return IdentityKept(node->output.size());
+      return IdentityKept(node.output.size());
     }
 
     case PlanOp::kAggregate: {
       // Output is keys + aggregates, independent of the input width.
-      PlanNode* child = node->children[0].get();
-      std::vector<bool> creq(child->output.size(), false);
-      bool ok = MarkList(node->group_keys, child->output, &creq);
-      ok = MarkList(node->agg_exprs, child->output, &creq) && ok;
-      ok = MarkList(node->filter, child->output, &creq) && ok;
+      const Schema& child_output = node.children[0]->output;
+      std::vector<bool> creq(child_output.size(), false);
+      bool ok = MarkList(node.group_keys, child_output, &creq);
+      ok = MarkList(node.agg_exprs, child_output, &creq) && ok;
+      ok = MarkList(node.filter, child_output, &creq) && ok;
       if (!ok) MarkAll(&creq);
-      PruneNode(child, std::move(creq));
-      return IdentityKept(node->output.size());
+      PruneChild(node, 0, std::move(creq), copy);
+      return IdentityKept(node.output.size());
     }
 
     case PlanOp::kNestedLoopJoin:
     case PlanOp::kHashJoin:
     case PlanOp::kMergeJoin: {
-      PlanNode* left = node->children[0].get();
-      PlanNode* right = node->children[1].get();
-      size_t ln = left->output.size();
-      size_t rn = right->output.size();
-      bool left_only = node->join_kind == JoinKind::kSemi ||
-                       node->join_kind == JoinKind::kAnti ||
-                       node->join_kind == JoinKind::kAntiNA;
+      const Schema& left_output = node.children[0]->output;
+      const Schema& right_output = node.children[1]->output;
+      size_t ln = left_output.size();
+      size_t rn = right_output.size();
+      bool left_only = node.join_kind == JoinKind::kSemi ||
+                       node.join_kind == JoinKind::kAnti ||
+                       node.join_kind == JoinKind::kAntiNA;
       std::vector<bool> lreq(ln, false);
       std::vector<bool> rreq(rn, false);
       for (size_t i = 0; i < required.size(); ++i) {
@@ -180,15 +203,15 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
           rreq[i - ln] = true;
         }
       }
-      bool ok = MarkList(node->hash_left_keys, left->output, &lreq);
-      ok = MarkList(node->hash_right_keys, right->output, &rreq) && ok;
+      bool ok = MarkList(node.hash_left_keys, left_output, &lreq);
+      ok = MarkList(node.hash_right_keys, right_output, &rreq) && ok;
       // Generic conditions and residual filters see the combined row.
-      Schema combined = left->output;
-      combined.insert(combined.end(), right->output.begin(),
-                      right->output.end());
+      Schema combined = left_output;
+      combined.insert(combined.end(), right_output.begin(),
+                      right_output.end());
       std::vector<bool> creq(ln + rn, false);
-      ok = MarkList(node->join_conds, combined, &creq) && ok;
-      ok = MarkList(node->filter, combined, &creq) && ok;
+      ok = MarkList(node.join_conds, combined, &creq) && ok;
+      ok = MarkList(node.filter, combined, &creq) && ok;
       for (size_t i = 0; i < ln; ++i) lreq[i] = lreq[i] || creq[i];
       for (size_t i = 0; i < rn; ++i) rreq[i] = rreq[i] || creq[ln + i];
       if (!ok) {
@@ -197,39 +220,37 @@ std::vector<size_t> PruneNode(PlanNode* node, std::vector<bool> required) {
       }
       // A rescanning right subtree resolves outer references into the left
       // row's frame by name; keep the left side whole.
-      if (node->op == PlanOp::kNestedLoopJoin && node->rescan_right) {
+      if (node.op == PlanOp::kNestedLoopJoin && node.rescan_right) {
         MarkAll(&lreq);
       }
-      std::vector<size_t> lkept = PruneNode(left, std::move(lreq));
-      std::vector<size_t> rkept = PruneNode(right, std::move(rreq));
-      std::vector<size_t> kept = std::move(lkept);
+      std::vector<size_t> kept = PruneChild(node, 0, std::move(lreq), copy);
+      std::vector<size_t> rkept = PruneChild(node, 1, std::move(rreq), copy);
       if (!left_only) {
         for (size_t i : rkept) kept.push_back(ln + i);
       }
-      node->output = Select(node->output, kept);
-      return kept;
+      return Narrow(node, std::move(kept), copy);
     }
 
-    case PlanOp::kSubqueryFilter: {
+    case PlanOp::kSubqueryFilter:
       // Subplans resolve correlated references into the outer row's frame by
       // name; keep the child whole, and prune inside each subplan on its own.
-      PlanNode* child = node->children[0].get();
-      PruneNode(child, std::vector<bool>(child->output.size(), true));
-      for (auto& sp : node->subplans) {
-        PruneNode(sp.get(), std::vector<bool>(sp->output.size(), true));
+      PruneChild(node, 0, AllSlots(*node.children[0]), copy);
+      for (size_t i = 0; i < node.subplans.size(); ++i) {
+        PlanPtr sub = PruneScanColumns(*node.subplans[i]);
+        if (sub != nullptr) CopyOf(node, copy)->subplans[i] = std::move(sub);
       }
-      return IdentityKept(node->output.size());
-    }
+      return IdentityKept(node.output.size());
   }
-  return IdentityKept(node->output.size());
+  return IdentityKept(node.output.size());
 }
 
 }  // namespace
 
-void PruneScanColumns(PlanNode* root) {
-  if (root == nullptr) return;
+PlanPtr PruneScanColumns(const PlanNode& root) {
   // The caller consumes the root schema as-is.
-  PruneNode(root, std::vector<bool>(root->output.size(), true));
+  std::unique_ptr<PlanNode> copy;
+  PruneNode(root, AllSlots(root), &copy);
+  return copy;
 }
 
 }  // namespace cbqt

@@ -23,8 +23,10 @@ namespace cbqt {
 /// loop left sides (correlated references resolve into their frames by name),
 /// and any expression containing a subquery.
 ///
-/// Call on a plan the executor owns (a clone) — the tree is mutated.
-void PruneScanColumns(PlanNode* root);
+/// The plan is never modified: the result is a copy of just the nodes whose
+/// schemas narrow and their ancestors, sharing every unchanged subtree with
+/// `root`. Returns null when nothing narrows (execute `root` itself).
+PlanPtr PruneScanColumns(const PlanNode& root);
 
 }  // namespace cbqt
 

@@ -102,7 +102,7 @@ Result<JoinStepPlan> JoinOrderEnumerator::EnumerateDp() {
         e.step = std::move(built.value());
       }
     }
-    if (e.valid && memo_ != nullptr) memo_->Store(mask, &e.step);
+    if (e.valid && memo_ != nullptr) memo_->Store(mask, e.step);
   }
 
   if (!dp[full].valid) return Status::CostCutoff();
@@ -178,7 +178,7 @@ Result<JoinStepPlan> JoinOrderEnumerator::EnumerateGreedy() {
     mask |= 1ULL << best;
   }
   if (current.cost > cutoff_) return Status::CostCutoff();
-  if (memo_ != nullptr) memo_->Store(full, &current);
+  if (memo_ != nullptr) memo_->Store(full, current);
   return current;
 }
 

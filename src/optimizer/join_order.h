@@ -10,15 +10,9 @@
 
 namespace cbqt {
 
-/// One step of a join order being built: a plan fragment plus its estimates.
-///
-/// The fragment is owned when a coster has just built it, and borrowed once
-/// it is published in a memo or cache (or when it is a block's shared view
-/// plan). Join inputs are only read; BuildJoin deep-copies the inputs of the
-/// one candidate it materializes, and the completed enumeration result is
-/// taken with `plan.Take()`.
+/// One step of a join order being built: a plan plus its estimates.
 struct JoinStepPlan {
-  PlanFragment plan;
+  PlanPtr plan;
   double rows = 0;
   double cost = 0;
 };
@@ -59,8 +53,8 @@ class JoinCoster {
                                             uint64_t left_mask, int rel) = 0;
 
   /// Builds the join `chosen` = EstimateJoin(left, left_mask, rel) priced.
-  /// The returned step owns its fragment and carries exactly
-  /// `chosen.rows` and `chosen.cost`.
+  /// The join node points at its inputs' plans; the returned step carries
+  /// exactly `chosen.rows` and `chosen.cost`.
   virtual Result<JoinStepPlan> BuildJoin(const JoinStepPlan& left,
                                          uint64_t left_mask, int rel,
                                          const JoinEstimate& chosen) = 0;
@@ -75,8 +69,7 @@ class JoinCoster {
 /// Contract (relies on join-cost monotonicity, joined.cost >= left.cost,
 /// which every coster here satisfies): a stored entry is the
 /// cutoff-independent best plan for its subset. Lookup must fill `out` only
-/// when returning kHit, and may fill it with a borrowed plan — the
-/// enumerator never mutates join inputs.
+/// when returning kHit; the plan it fills in is the memoized one itself.
 class JoinOrderMemo {
  public:
   virtual ~JoinOrderMemo() = default;
@@ -89,10 +82,8 @@ class JoinOrderMemo {
 
   virtual Probe Lookup(uint64_t mask, double cutoff, JoinStepPlan* out) = 0;
 
-  /// Publishes the settled best plan of `mask`. Takes the fragment `step`
-  /// owns (the enumerator passes the winner it just built, not a copy) and
-  /// leaves `step` borrowing the published entry.
-  virtual void Store(uint64_t mask, JoinStepPlan* step) = 0;
+  /// Publishes the settled best plan of `mask`.
+  virtual void Store(uint64_t mask, const JoinStepPlan& step) = 0;
 };
 
 /// Join-order search with non-commutative-join partial orders (paper

@@ -23,7 +23,7 @@ Result<PhysicalOptimization> PhysicalOptimizer::Optimize(
   out.cost = block->plan->est_cost;
   out.rows = block->plan->est_rows;
   out.blocks_planned = planner.blocks_planned();
-  out.plan = block->plan.Take();
+  out.plan = block->plan->Clone();
   return out;
 }
 

@@ -19,6 +19,7 @@ namespace cbqt {
 
 /// Result of physically optimizing a query tree.
 struct PhysicalOptimization {
+  /// The root is the caller's own copy; everything below it is shared.
   std::unique_ptr<PlanNode> plan;
   double cost = 0;
   double rows = 0;
@@ -66,16 +67,6 @@ class PhysicalOptimizer {
 
   Result<PhysicalOptimization> Optimize(
       const QueryBlock& qb, const PhysicalOptimizeOptions& options = {}) const;
-
-  /// Convenience overload predating PhysicalOptimizeOptions.
-  Result<PhysicalOptimization> Optimize(
-      const QueryBlock& qb, AnnotationCache* cache,
-      double cost_cutoff = std::numeric_limits<double>::infinity()) const {
-    PhysicalOptimizeOptions options;
-    options.cache = cache;
-    options.cost_cutoff = cost_cutoff;
-    return Optimize(qb, options);
-  }
 
   const CostParams& params() const { return params_; }
 

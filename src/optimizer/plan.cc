@@ -16,7 +16,7 @@ int FindSlot(const Schema& schema, const std::string& alias,
 
 std::unique_ptr<PlanNode> PlanNode::Clone() const {
   auto out = std::make_unique<PlanNode>(op);
-  for (const auto& c : children) out->children.push_back(c->Clone());
+  out->children = children;
   out->output = output;
   out->table_name = table_name;
   out->table_alias = table_alias;
@@ -40,7 +40,7 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   out->set_op = set_op;
   out->limit = limit;
   for (const auto& e : window_exprs) out->window_exprs.push_back(e->Clone());
-  for (const auto& s : subplans) out->subplans.push_back(s->Clone());
+  out->subplans = subplans;
   for (const auto& keys : subplan_corr_keys) {
     std::vector<ExprPtr> copy;
     for (const auto& k : keys) copy.push_back(k->Clone());

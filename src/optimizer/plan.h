@@ -42,12 +42,21 @@ enum class PlanOp {
   kSubqueryFilter,  ///< TIS evaluation of subquery predicates, with caching
 };
 
+struct PlanNode;
+
+/// A built, immutable plan subtree, shared by every parent, cache and
+/// execution that holds it.
+using PlanPtr = std::shared_ptr<const PlanNode>;
+
 /// A node of the physical plan tree. Expressions inside a node reference
 /// the node's *input* schema (its children's concatenated output for joins)
 /// at corr_depth 0, and enclosing TIS/lateral frames at higher depths.
+///
+/// A node is mutable only until it is handed to a parent or a cache as a
+/// PlanPtr; reusing a subtree is a pointer copy.
 struct PlanNode {
   PlanOp op;
-  std::vector<std::unique_ptr<PlanNode>> children;
+  std::vector<PlanPtr> children;
   Schema output;
 
   // kTableScan / kIndexScan
@@ -102,7 +111,7 @@ struct PlanNode {
   // kSubqueryFilter: `filter` holds the predicates; `subplans[i]` is the
   // plan of the i-th kSubquery node in pre-order over `filter` (and
   // `projections` for scalar subqueries in the select list).
-  std::vector<std::unique_ptr<PlanNode>> subplans;
+  std::vector<PlanPtr> subplans;
   /// Per subplan: expressions over the outer row forming the TIS cache key
   /// (the correlated outer columns, paper §3.4.4 caching / §2.2.1 TIS).
   std::vector<std::vector<ExprPtr>> subplan_corr_keys;
@@ -116,46 +125,15 @@ struct PlanNode {
   PlanNode(const PlanNode&) = delete;
   PlanNode& operator=(const PlanNode&) = delete;
 
+  /// A mutable copy of this node alone: its own fields and expressions are
+  /// copied, its children and subplans are shared.
   std::unique_ptr<PlanNode> Clone() const;
 
   /// Approximate in-memory footprint of this plan tree (node structs,
   /// strings, expressions, subplans), for the memory accounting layer —
-  /// plan-cache entries are charged by this estimate.
+  /// plan-cache entries are charged by this estimate. A shared subtree is
+  /// charged to each holder.
   int64_t EstimateBytes() const;
-};
-
-/// A plan fragment that is either owned or borrowed read-only from an
-/// immutable shared tree (an annotation-cache or join-memo entry, a block's
-/// re-tagged view) that the shared_ptr keeps alive. Readers use it like a
-/// const pointer. Only splicing a fragment into a parent node needs a
-/// mutable tree, and Take() deep-copies a borrowed fragment exactly there.
-class PlanFragment {
- public:
-  PlanFragment() = default;
-  PlanFragment(std::unique_ptr<PlanNode> owned)  // NOLINT(runtime/explicit)
-      : owned_(std::move(owned)) {}
-  PlanFragment(std::shared_ptr<const PlanNode> borrowed)  // NOLINT
-      : borrowed_(std::move(borrowed)) {}
-
-  const PlanNode* get() const {
-    return owned_ != nullptr ? owned_.get() : borrowed_.get();
-  }
-  const PlanNode& operator*() const { return *get(); }
-  const PlanNode* operator->() const { return get(); }
-  bool owned() const { return owned_ != nullptr; }
-
-  /// A mutable tree the caller owns: moves an owned fragment out, or
-  /// deep-copies a borrowed one. Leaves this handle empty.
-  std::unique_ptr<PlanNode> Take() {
-    if (owned_ != nullptr) return std::move(owned_);
-    std::unique_ptr<PlanNode> copy = borrowed_->Clone();
-    borrowed_.reset();
-    return copy;
-  }
-
- private:
-  std::unique_ptr<PlanNode> owned_;
-  std::shared_ptr<const PlanNode> borrowed_;
 };
 
 /// One-line-per-node rendering of a plan tree with cost annotations, for

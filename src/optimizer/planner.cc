@@ -126,14 +126,6 @@ std::vector<std::pair<std::string, std::string>> CollectOuterRefs(
   return out;
 }
 
-// Borrows the plan of a published annotation: the aliasing shared_ptr pins
-// the entry, so the plan stays valid even if the entry is evicted or the
-// cache cleared while the borrower holds it.
-PlanFragment BorrowPlan(std::shared_ptr<const CostAnnotation> entry) {
-  const PlanNode* plan = entry->plan.get();
-  return std::shared_ptr<const PlanNode>(std::move(entry), plan);
-}
-
 double GroupOutputRows(const std::vector<ExprPtr>& keys,
                        const std::vector<int>* set, const StatsContext& ctx,
                        double input_rows) {
@@ -307,8 +299,8 @@ struct RelEntry {
   const TableRef* tr = nullptr;
   std::vector<const Expr*> filters;  // single-alias predicates
   // Derived table: the planned view, re-tagged with the view alias and
-  // topped with `filters`. Built once per block; every use borrows it.
-  std::shared_ptr<const PlanNode> view;
+  // topped with `filters`. Built once per block; every use shares it.
+  PlanPtr view;
   double derived_cost = 0;  // the view before `filters`
   double derived_rows = 0;
   bool lateral = false;
@@ -319,24 +311,26 @@ struct WherePred {
   uint64_t mask;  // relations referenced
 };
 
-// Re-tags a planned view with its alias and applies its single-alias
-// filters once, so every join that reads the view borrows one fragment.
-void FinishView(std::unique_ptr<PlanNode> plan, const StatsContext& ctx,
+// Re-tags a planned view with its alias, on a copy of its (shared) top node,
+// and applies its single-alias filters once, so every join that reads the
+// view shares one plan.
+void FinishView(const PlanNode& plan, const StatsContext& ctx,
                 const CostParams& P, RelEntry* r) {
-  for (auto& slot : plan->output) slot.alias = r->tr->alias;
-  r->derived_rows = plan->est_rows;
-  r->derived_cost = plan->est_cost;
+  std::unique_ptr<PlanNode> top = plan.Clone();
+  for (auto& slot : top->output) slot.alias = r->tr->alias;
+  r->derived_rows = top->est_rows;
+  r->derived_cost = top->est_cost;
   if (!r->filters.empty()) {
     auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
-    filter->output = plan->output;
+    filter->output = top->output;
     for (const Expr* f : r->filters) filter->filter.push_back(f->Clone());
     filter->est_rows = r->derived_rows * ConjSelectivity(r->filters, ctx);
     filter->est_cost =
         r->derived_cost + r->derived_rows * PredEvalCost(r->filters, P);
-    filter->children.push_back(std::move(plan));
-    plan = std::move(filter);
+    filter->children.push_back(std::move(top));
+    top = std::move(filter);
   }
-  r->view = std::move(plan);
+  r->view = std::move(top);
 }
 
 }  // namespace
@@ -391,10 +385,10 @@ class BlockJoinCoster : public JoinCoster {
                                          : PlanOp::kNestedLoopJoin);
     node->join_kind = r.tr->join;
     node->null_aware = r.tr->join == JoinKind::kAntiNA;
-    node->children.push_back(left.plan->Clone());
+    node->children.push_back(left.plan);
 
     if (p.method == JoinMethod::kHash || p.method == JoinMethod::kMerge) {
-      node->children.push_back(p.right->plan->Clone());
+      node->children.push_back(p.right->plan);
       for (const auto& eq : equis_) {
         node->hash_left_keys.push_back(eq.left_side->Clone());
         node->hash_right_keys.push_back(eq.right_side->Clone());
@@ -404,16 +398,16 @@ class BlockJoinCoster : public JoinCoster {
       }
     } else if (r.lateral) {
       // Single-alias WHERE predicates on the lateral view are part of the
-      // shared view fragment and apply to its output on every rescan.
+      // shared view plan and apply to its output on every rescan.
       node->rescan_right = true;
-      node->children.push_back(r.view->Clone());
+      node->children.push_back(r.view);
       for (const Expr* c : conds_) node->join_conds.push_back(c->Clone());
     } else if (p.method == JoinMethod::kIndexNestedLoop) {
       node->rescan_right = true;
       std::set<const Expr*> used_values;
       JoinStepPlan probe_scan = planner_->BuildScan(
           *r.tr, r.filters, extra_, ctx_, p.probe_scan, &used_values);
-      node->children.push_back(probe_scan.plan.Take());
+      node->children.push_back(std::move(probe_scan.plan));
       // Only conditions whose probe the chosen index actually consumed are
       // guaranteed by the scan; everything else — including equis on columns
       // the index does not cover — must still be evaluated at the join.
@@ -427,7 +421,7 @@ class BlockJoinCoster : public JoinCoster {
         if (!probed) node->join_conds.push_back(c->Clone());
       }
     } else {
-      node->children.push_back(p.right->plan->Clone());
+      node->children.push_back(p.right->plan);
       for (const Expr* c : conds_) node->join_conds.push_back(c->Clone());
     }
 
@@ -753,22 +747,20 @@ class SubsetJoinMemo : public JoinOrderMemo {
     // join_order.h): a best above the cutoff means the subset is pruned
     // under it, exactly as a from-scratch DP would conclude.
     if (hit->cost > cutoff) return Probe::kPruned;
-    // Borrow the memoized plan: no per-hit deep copy.
-    out->plan = BorrowPlan(hit);
+    out->plan = hit->plan;
     out->rows = hit->rows;
     out->cost = hit->cost;
     return Probe::kHit;
   }
 
-  void Store(uint64_t mask, JoinStepPlan* step) override {
+  void Store(uint64_t mask, const JoinStepPlan& step) override {
     CostAnnotation ann;
-    ann.cost = step->cost;
-    ann.rows = step->rows;
-    ann.plan = step->plan.Take();
+    ann.cost = step.cost;
+    ann.rows = step.rows;
+    ann.plan = step.plan;
     char key[kKeyLen];
     KeyFor(mask, key);
-    step->plan =
-        BorrowPlan(cache_->Put(std::string_view(key, kKeyLen), std::move(ann)));
+    cache_->Put(std::string_view(key, kKeyLen), std::move(ann));
   }
 
  private:
@@ -848,7 +840,7 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
     // plan text (tie-breaks followed the cached member's orderings).
     if (hit != nullptr && (relaxed_reuse_ || hit->exact_sql == exact)) {
       BlockPlan out;
-      out.plan = BorrowPlan(hit);
+      out.plan = hit->plan;
       out.out_stats = hit->out_stats;
       return out;
     }
@@ -858,14 +850,13 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
   if (!result.ok()) return result;
   ++blocks_planned_;
   if (cache_ != nullptr) {
-    // Publish the fresh plan itself and continue with a borrowed handle.
     CostAnnotation ann;
     ann.cost = result->plan->est_cost;
     ann.rows = result->plan->est_rows;
     ann.out_stats = result->out_stats;
-    ann.plan = result->plan.Take();
+    ann.plan = result->plan;
     ann.exact_sql = std::move(exact);
-    result->plan = BorrowPlan(cache_->Put(sig, std::move(ann)));
+    cache_->Put(sig, std::move(ann));
   }
   return result;
 }
@@ -898,7 +889,7 @@ Result<BlockPlan> Planner::PlanSetOp(const QueryBlock& qb) {
     }
     cost += bcost;
     if (qb.set_op != SetOpKind::kUnionAll) cost += brows * params_.agg_row;
-    node->children.push_back(branch->plan.Take());
+    node->children.push_back(std::move(branch->plan));
   }
   if (qb.set_op == SetOpKind::kUnion) rows *= 0.8;
   node->output = node->children[0]->output;
@@ -906,7 +897,7 @@ Result<BlockPlan> Planner::PlanSetOp(const QueryBlock& qb) {
   node->est_cost = cost;
   if (node->est_cost > cutoff_) return Status::CostCutoff();
 
-  std::unique_ptr<PlanNode> top = std::move(node);
+  PlanPtr top = std::move(node);
   if (qb.rownum_limit >= 0) {
     auto limit = std::make_unique<PlanNode>(PlanOp::kLimit);
     limit->limit = qb.rownum_limit;
@@ -1002,7 +993,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
   StatsContext ctx;
   std::vector<RelEntry> rels;
   rels.reserve(qb.from.size());
-  std::vector<std::unique_ptr<PlanNode>> views(qb.from.size());
+  std::vector<PlanPtr> views(qb.from.size());
   for (size_t i = 0; i < qb.from.size(); ++i) {
     const TableRef& tr = qb.from[i];
     RelEntry entry;
@@ -1025,13 +1016,13 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
       RelStats vstats = sub->out_stats;
       vstats.rows = sub->plan->est_rows;
       ctx.AddRelation(tr.alias, std::move(vstats));
-      views[i] = sub->plan.Take();
+      views[i] = std::move(sub->plan);
     }
     rels.push_back(std::move(entry));
   }
   // View filters are priced against the complete stats context.
   for (size_t i = 0; i < rels.size(); ++i) {
-    if (views[i] != nullptr) FinishView(std::move(views[i]), ctx, P, &rels[i]);
+    if (views[i] != nullptr) FinishView(*views[i], ctx, P, &rels[i]);
   }
 
   // Dependencies (partial join orders).
@@ -1106,7 +1097,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
                                  /*dp_threshold=*/10, memo.get());
   auto joined = enumerator.Enumerate();
   if (!joined.ok()) return joined.status();
-  std::unique_ptr<PlanNode> top = joined->plan.Take();
+  PlanPtr top = std::move(joined->plan);
   double rows = joined->rows;
   double cost = joined->cost;
 
@@ -1138,7 +1129,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
                            ? 1.0
                            : std::min(rows, std::max(1.0, distinct_keys));
         cost += nexec * subplan->plan->est_cost + rows * P.cpu_pred;
-        node->subplans.push_back(subplan->plan.Take());
+        node->subplans.push_back(std::move(subplan->plan));
         node->subplan_corr_keys.push_back(std::move(keys));
       }
       cost += rows * PredEvalCost({p}, P);
@@ -1285,7 +1276,7 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
             keys.push_back(MakeColumnRef(alias, col));
           }
           cost += std::max(1.0, rows) * subplan->plan->est_cost * 0.5;
-          node->subplans.push_back(subplan->plan.Take());
+          node->subplans.push_back(std::move(subplan->plan));
           node->subplan_corr_keys.push_back(std::move(keys));
         }
         rows = std::max(rows * Selectivity(*p, ctx), 0.0);
@@ -1335,7 +1326,12 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     }
   }
 
-  // ---- 9. Projection. ----
+  // ---- 9. Projection. ORDER BY keys are resolved here, before anything is
+  // built on top: a key matching a projected expression (a select item or
+  // an earlier hidden key) sorts on that slot; any other key is projected as
+  // a hidden slot "$ord<i>", trimmed again in step 13. ----
+  std::vector<ExprPtr> sort_keys;
+  bool added_hidden = false;
   {
     auto node = std::make_unique<PlanNode>(PlanOp::kProject);
     double proj_cost = rows * P.cpu_tuple;
@@ -1344,6 +1340,29 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
       node->output.push_back(
           ColumnSlot{"", qb.select[i].alias, sel_exprs[i]->type});
       node->projections.push_back(std::move(sel_exprs[i]));
+    }
+    for (size_t i = 0; i < order_exprs.size(); ++i) {
+      ExprPtr key = std::move(order_exprs[i]);
+      int match = -1;
+      for (size_t j = 0; j < node->projections.size(); ++j) {
+        if (ExprEquals(*node->projections[j], *key)) {
+          match = static_cast<int>(j);
+          break;
+        }
+      }
+      if (match >= 0) {
+        auto ref =
+            MakeColumnRef("", node->output[static_cast<size_t>(match)].name);
+        ref->type = key->type;
+        key = std::move(ref);
+      } else {
+        std::string name = "$ord" + std::to_string(i);
+        node->output.push_back(ColumnSlot{"", name, key->type});
+        node->projections.push_back(std::move(key));
+        key = MakeColumnRef("", name);
+        added_hidden = true;
+      }
+      sort_keys.push_back(std::move(key));
     }
     cost += proj_cost;
     node->est_rows = rows;
@@ -1369,61 +1388,13 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
     top = std::move(node);
   }
 
-  // ---- 11. ORDER BY (above the projection; keys referencing select items
-  // are substituted, others are appended as hidden projection slots). ----
-  bool added_hidden = false;
+  // ---- 11. ORDER BY, on the keys resolved in step 9. ----
   if (!qb.order_by.empty()) {
-    std::vector<const Expr*> patterns;
-    std::vector<std::string> names;
-    for (size_t i = 0; i < qb.select.size(); ++i) {
-      patterns.push_back(qb.select[i].expr.get());
-      names.push_back(qb.select[i].alias);
-    }
-    // NOTE: sel_exprs were consumed by the projection; match against the
-    // original select expressions (identical pre-substitution structure
-    // only when no aggregation happened; after aggregation order_exprs were
-    // substituted the same way the select exprs were, so matching against
-    // the *projected* expressions is done via the projection node).
-    PlanNode* proj = top.get();
-    while (proj != nullptr && proj->op != PlanOp::kProject) {
-      proj = proj->children.empty() ? nullptr : proj->children[0].get();
-    }
     auto node = std::make_unique<PlanNode>(PlanOp::kSort);
     node->output = top->output;
-    for (size_t i = 0; i < qb.order_by.size(); ++i) {
-      ExprPtr key = std::move(order_exprs[i]);
-      // Try to match a projected expression.
-      int match = -1;
-      if (proj != nullptr) {
-        for (size_t j = 0; j < proj->projections.size(); ++j) {
-          if (ExprEquals(*proj->projections[j], *key)) {
-            match = static_cast<int>(j);
-            break;
-          }
-        }
-      }
-      if (match >= 0) {
-        auto ref = MakeColumnRef("", proj->output[static_cast<size_t>(match)].name);
-        ref->type = key->type;
-        key = std::move(ref);
-      } else if (proj != nullptr) {
-        // Hidden sort column.
-        std::string name = "$ord" + std::to_string(i);
-        proj->output.push_back(ColumnSlot{"", name, key->type});
-        proj->projections.push_back(std::move(key));
-        auto ref = MakeColumnRef("", name);
-        key = std::move(ref);
-        added_hidden = true;
-        // Propagate the widened schema up to `top`.
-        PlanNode* n = top.get();
-        while (n != nullptr && n != proj) {
-          n->output = proj->output;
-          n = n->children.empty() ? nullptr : n->children[0].get();
-        }
-        node->output = top->output;
-      }
-      node->sort_keys.push_back(std::move(key));
-      node->sort_ascending.push_back(qb.order_by[i].ascending);
+    node->sort_keys = std::move(sort_keys);
+    for (const auto& item : qb.order_by) {
+      node->sort_ascending.push_back(item.ascending);
     }
     cost += P.SortCost(rows);
     node->est_rows = rows;

@@ -23,11 +23,9 @@
 namespace cbqt {
 
 /// A planned query block: physical plan plus output statistics (used when
-/// the block is a derived table of some outer block). With an annotation
-/// cache the plan is borrowed from the published cache entry; callers that
-/// splice it into a parent take it with `plan.Take()`.
+/// the block is a derived table of some outer block).
 struct BlockPlan {
-  PlanFragment plan;
+  PlanPtr plan;
   RelStats out_stats;
 };
 

@@ -127,7 +127,7 @@ TEST_F(AnnotationReuseTest, DifferentBlocksDifferentSignatures) {
   EXPECT_NE(BlockSignature(*a), BlockSignature(*b));
 }
 
-TEST_F(AnnotationReuseTest, HitsBorrowThePublishedPlan) {
+TEST_F(AnnotationReuseTest, HitsShareThePublishedPlan) {
   auto qb = ParseAndBind(*db_, "SELECT e.salary FROM employees e");
   ASSERT_NE(qb, nullptr);
   AnnotationCache cache;
@@ -136,14 +136,12 @@ TEST_F(AnnotationReuseTest, HitsBorrowThePublishedPlan) {
   ASSERT_TRUE(r1.ok());
   auto r2 = p.PlanBlock(*qb);
   ASSERT_TRUE(r2.ok());
-  // The fresh plan was moved into the cache, and the hit reads that same
-  // tree: neither is a private copy.
-  EXPECT_FALSE(r1->plan.owned());
-  EXPECT_FALSE(r2->plan.owned());
+  // The fresh plan was published as it is, and the hit is that same tree:
+  // neither is a private copy.
   EXPECT_EQ(r1->plan.get(), r2->plan.get());
 }
 
-TEST_F(AnnotationReuseTest, TakenPlanMutationDoesNotReachTheCache) {
+TEST_F(AnnotationReuseTest, ClonedPlanMutationDoesNotReachTheCache) {
   auto qb = ParseAndBind(*db_, "SELECT e.salary FROM employees e");
   ASSERT_NE(qb, nullptr);
   AnnotationCache cache;
@@ -151,7 +149,7 @@ TEST_F(AnnotationReuseTest, TakenPlanMutationDoesNotReachTheCache) {
   auto r1 = p.PlanBlock(*qb);
   ASSERT_TRUE(r1.ok());
   const std::string before = PlanToString(*r1->plan);
-  std::unique_ptr<PlanNode> owned = r1->plan.Take();
+  std::unique_ptr<PlanNode> owned = r1->plan->Clone();
   owned->table_name = "corrupted";
   owned->est_cost = -1;
   auto r2 = p.PlanBlock(*qb);
@@ -159,8 +157,8 @@ TEST_F(AnnotationReuseTest, TakenPlanMutationDoesNotReachTheCache) {
   EXPECT_EQ(p.blocks_planned(), 1);  // r2 is a hit
   EXPECT_NE(r2->plan.get(), owned.get());
   EXPECT_EQ(PlanToString(*r2->plan), before);
-  // The same holds for a plan taken from a hit.
-  std::unique_ptr<PlanNode> owned_hit = r2->plan.Take();
+  // The same holds for a copy of a hit.
+  std::unique_ptr<PlanNode> owned_hit = r2->plan->Clone();
   owned_hit->children.clear();
   owned_hit->est_rows = -1;
   auto r3 = p.PlanBlock(*qb);
@@ -168,7 +166,7 @@ TEST_F(AnnotationReuseTest, TakenPlanMutationDoesNotReachTheCache) {
   EXPECT_EQ(PlanToString(*r3->plan), before);
 }
 
-TEST_F(AnnotationReuseTest, BorrowedPlanOutlivesEvictionAndClear) {
+TEST_F(AnnotationReuseTest, SharedPlanOutlivesEvictionAndClear) {
   auto qa = ParseAndBind(*db_,
                          "SELECT e.salary FROM employees e WHERE e.salary > 5");
   auto qb = ParseAndBind(*db_, "SELECT d.dept_name FROM departments d");
@@ -176,14 +174,14 @@ TEST_F(AnnotationReuseTest, BorrowedPlanOutlivesEvictionAndClear) {
   ASSERT_NE(qb, nullptr);
   AnnotationCache cache(/*num_shards=*/1, /*capacity=*/1);
   Planner p(*db_, CostParams{}, &cache);
-  auto fresh = p.PlanBlock(*qa);  // published, then borrowed
+  auto fresh = p.PlanBlock(*qa);  // published, and shared with the cache
   ASSERT_TRUE(fresh.ok());
   auto hit = p.PlanBlock(*qa);  // a hit on that entry
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(cache.hits(), 1);
   const std::string want = PlanToString(*hit->plan);
 
-  // Planning another block evicts qa's entry; the borrowers still hold it.
+  // Planning another block evicts qa's entry; its holders keep the plan.
   auto other = p.PlanBlock(*qb);
   ASSERT_TRUE(other.ok());
   EXPECT_EQ(cache.evictions(), 1);

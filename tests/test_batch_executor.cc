@@ -16,14 +16,18 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cbqt/engine.h"
 #include "cbqt/framework.h"
 #include "common/fault_injector.h"
 #include "common/guardrails.h"
 #include "common/memory_tracker.h"
 #include "common/result_compare.h"
+#include "exec/prune.h"
 #include "exec/reference.h"
+#include "sql/parameterize.h"
 #include "tests/test_util.h"
 #include "workload/runner.h"
 
@@ -314,18 +318,6 @@ TEST_F(BatchExecutorTest, RowsProcessedIsBatchSizeInvariant) {
   EXPECT_GT(baseline, 0);
 }
 
-TEST_F(BatchExecutorTest, CollectStatsOffReturnsDefaultStats) {
-  auto plan = Plan(kOperatorQueries[0]);
-  ASSERT_NE(plan, nullptr);
-  ExecOptions opts;
-  opts.collect_stats = false;
-  auto result = Run(*plan, std::move(opts));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().stats.rows_processed, 0);
-  EXPECT_EQ(result.value().stats.batches, 0);
-  EXPECT_FALSE(result.value().rows.empty());
-}
-
 TEST_F(BatchExecutorTest, SubqueryCachingSurvivesBatching) {
   // The TIS resolver caches per correlation key; with few distinct keys the
   // cache hit counter must dominate regardless of batch size.
@@ -340,6 +332,90 @@ TEST_F(BatchExecutorTest, SubqueryCachingSurvivesBatching) {
     if (result.value().stats.subquery_executions > 0) {
       EXPECT_GT(result.value().stats.subquery_cache_hits,
                 result.value().stats.subquery_executions);
+    }
+  }
+}
+
+// Every node's output schema, in pre-order over children and subplans.
+void CollectOutputs(const PlanNode& node, std::vector<Schema>* out) {
+  out->push_back(node.output);
+  for (const auto& c : node.children) CollectOutputs(*c, out);
+  for (const auto& s : node.subplans) CollectOutputs(*s, out);
+}
+
+bool SameSchemas(const std::vector<Schema>& a, const std::vector<Schema>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t j = 0; j < a[i].size(); ++j) {
+      if (a[i][j].alias != b[i][j].alias || a[i][j].name != b[i][j].name) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST_F(BatchExecutorTest, ExecuteLeavesItsPlanUnchanged) {
+  // Plans are shared (plan-cache entries, annotation caches), so column
+  // pruning must narrow a copy, never the plan it was handed.
+  int narrowed = 0;
+  for (const char* sql : kOperatorQueries) {
+    auto plan = Plan(sql);
+    ASSERT_NE(plan, nullptr) << sql;
+    std::vector<Schema> before;
+    CollectOutputs(*plan, &before);
+    if (PruneScanColumns(*plan) != nullptr) ++narrowed;
+    auto result = Run(*plan, ExecOptions{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n" << sql;
+    std::vector<Schema> after;
+    CollectOutputs(*plan, &after);
+    EXPECT_TRUE(SameSchemas(before, after)) << sql;
+  }
+  // The check means something only where pruning narrows a scan.
+  EXPECT_GT(narrowed, 0);
+}
+
+TEST_F(BatchExecutorTest, ConcurrentExecutionsShareOneCachedPlan) {
+  CbqtConfig config;
+  config.plan_cache.capacity = 64;
+  QueryEngine engine(*db_, config);
+  for (const char* sql : kOperatorQueries) {
+    auto first = engine.Prepare(sql);
+    ASSERT_TRUE(first.ok()) << first.status().ToString() << "\n" << sql;
+    const PlanPtr cached = first->plan;
+    auto expected = engine.Execute(std::move(first.value()));
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<Row>> rows(kThreads);
+    std::vector<int> shared(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int rep = 0; rep < 3; ++rep) {
+          auto prepared = engine.Prepare(sql);
+          if (!prepared.ok()) return;
+          shared[static_cast<size_t>(t)] = prepared->plan == cached ? 1 : 0;
+          auto result = engine.Execute(std::move(prepared.value()));
+          if (!result.ok()) return;
+          rows[static_cast<size_t>(t)] = std::move(result->rows);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      // Exact order: the same plan over the same data.
+      EXPECT_EQ(rows[static_cast<size_t>(t)], expected->rows)
+          << "thread " << t << ": " << sql;
+    }
+    // A statement without literals is served the cached plan itself.
+    auto parsed = ParseSql(sql);
+    ASSERT_TRUE(parsed.ok());
+    if (ParameterizeQuery(parsed.value().get()).params.empty()) {
+      for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(shared[static_cast<size_t>(t)], 1) << sql;
+      }
     }
   }
 }

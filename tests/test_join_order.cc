@@ -66,7 +66,7 @@ class FakeCoster : public JoinCoster {
 };
 
 // A memo that counts traffic, keeps what it is given, and checks that Store
-// receives the fragment the coster built (owned), not a copy of it.
+// receives the plan the coster built, not a copy of it.
 class CountingMemo : public JoinOrderMemo {
  public:
   explicit CountingMemo(const FakeCoster* coster) : coster_(coster) {}
@@ -83,15 +83,13 @@ class CountingMemo : public JoinOrderMemo {
     return Probe::kHit;
   }
 
-  void Store(uint64_t mask, JoinStepPlan* step) override {
+  void Store(uint64_t mask, const JoinStepPlan& step) override {
     ++stores_;
-    EXPECT_TRUE(step->plan.owned()) << "mask " << mask;
-    EXPECT_EQ(coster_->built_.count(step->plan.get()), 1u) << "mask " << mask;
+    EXPECT_EQ(coster_->built_.count(step.plan.get()), 1u) << "mask " << mask;
     Entry& e = entries_[mask];
-    e.plan = std::shared_ptr<const PlanNode>(step->plan.Take());
-    e.rows = step->rows;
-    e.cost = step->cost;
-    step->plan = e.plan;
+    e.plan = step.plan;
+    e.rows = step.rows;
+    e.cost = step.cost;
   }
 
   int lookups_ = 0;
@@ -100,7 +98,7 @@ class CountingMemo : public JoinOrderMemo {
 
  private:
   struct Entry {
-    std::shared_ptr<const PlanNode> plan;
+    PlanPtr plan;
     double rows = 0;
     double cost = 0;
   };
@@ -195,7 +193,7 @@ TEST(JoinOrder, DpBuildsOneFragmentPerSettledSubset) {
   // Every (subset, last relation) pair was priced: sum over subsets of
   // their size, 4 * 2^3 = 32, minus the 4 singletons.
   EXPECT_EQ(coster.join_calls_, 28);
-  EXPECT_TRUE(r->plan.owned());
+  EXPECT_EQ(coster.built_.count(r->plan.get()), 1u);
 }
 
 TEST(JoinOrder, GreedyBuildsOneJoinPerStep) {
@@ -234,8 +232,7 @@ TEST(JoinOrder, MemoStoresTheBuiltWinner) {
   EXPECT_EQ(memo.lookups_, 15);
   EXPECT_EQ(memo.stores_, 15);
   EXPECT_EQ(coster.build_calls_, 11);
-  // The result borrows the stored full-set entry.
-  EXPECT_FALSE(r->plan.owned());
+  EXPECT_EQ(coster.built_.count(r->plan.get()), 1u);
 
   // A second enumeration over the same memo settles every subset from it.
   FakeCoster again({40, 10, 30, 20});
@@ -244,6 +241,8 @@ TEST(JoinOrder, MemoStoresTheBuiltWinner) {
   auto r2 = e2.Enumerate();
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(again.join_calls_ + again.build_calls_ + again.base_calls_, 0);
+  // The hit is the stored full-set plan itself.
+  EXPECT_EQ(r2->plan, r->plan);
   EXPECT_EQ(r2->plan->table_alias, r->plan->table_alias);
   EXPECT_EQ(r2->cost, r->cost);
 }

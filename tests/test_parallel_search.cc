@@ -284,8 +284,9 @@ CostAnnotation MakeAnnotation(double cost) {
   CostAnnotation ann;
   ann.cost = cost;
   ann.rows = cost * 2;
-  ann.plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
-  ann.plan->est_cost = cost;
+  auto plan = std::make_unique<PlanNode>(PlanOp::kTableScan);
+  plan->est_cost = cost;
+  ann.plan = std::move(plan);
   return ann;
 }
 

@@ -45,8 +45,9 @@ TEST(PlanNode, CloneIsDeep) {
 
 TEST(PlanNode, CloneCopiesSubplansAndKeys) {
   PlanNode filt(PlanOp::kSubqueryFilter);
-  filt.subplans.push_back(std::make_unique<PlanNode>(PlanOp::kTableScan));
-  filt.subplans[0]->table_name = "inner_t";
+  auto sub = std::make_unique<PlanNode>(PlanOp::kTableScan);
+  sub->table_name = "inner_t";
+  filt.subplans.push_back(std::move(sub));
   std::vector<ExprPtr> keys;
   keys.push_back(MakeColumnRef("o", "k"));
   filt.subplan_corr_keys.push_back(std::move(keys));
@@ -54,7 +55,8 @@ TEST(PlanNode, CloneCopiesSubplansAndKeys) {
   ASSERT_EQ(copy->subplans.size(), 1u);
   EXPECT_EQ(copy->subplans[0]->table_name, "inner_t");
   ASSERT_EQ(copy->subplan_corr_keys.size(), 1u);
-  EXPECT_NE(copy->subplans[0].get(), filt.subplans[0].get());
+  // Subplans are immutable and shared, not copied.
+  EXPECT_EQ(copy->subplans[0].get(), filt.subplans[0].get());
 }
 
 class PlanShapeTest : public ::testing::Test {
@@ -63,7 +65,7 @@ class PlanShapeTest : public ::testing::Test {
     db_ = MakeSmallHrDb();
     ASSERT_NE(db_, nullptr);
   }
-  std::unique_ptr<PlanNode> Plan(const std::string& sql) {
+  PlanPtr Plan(const std::string& sql) {
     auto qb = ParseAndBind(*db_, sql);
     if (qb == nullptr) return nullptr;
     Planner planner(*db_, CostParams{});
@@ -72,7 +74,7 @@ class PlanShapeTest : public ::testing::Test {
       ADD_FAILURE() << bp.status().ToString();
       return nullptr;
     }
-    return bp->plan.Take();
+    return bp->plan;
   }
   std::unique_ptr<Database> db_;
 };

@@ -12,6 +12,7 @@
 #include "cbqt/engine.h"
 #include "cbqt/plan_store.h"
 #include "common/cancellation.h"
+#include "sql/expr_util.h"
 #include "sql/parameterize.h"
 #include "tests/test_util.h"
 #include "workload/runner.h"
@@ -147,6 +148,113 @@ TEST_F(PlanCacheTest, CachedResultsMatchUncachedAcrossLiterals) {
         << sql;
   }
   EXPECT_GE(cached.plan_cache_stats().hits, 3);
+}
+
+// True when some expression in the plan under `node` holds a parameter slot.
+bool SubtreeHasParam(const PlanNode& node) {
+  bool found = false;
+  auto scan = [&found](const std::vector<ExprPtr>& exprs) {
+    for (const auto& e : exprs) {
+      VisitExprDeepConst(e.get(), [&found](const Expr* x) {
+        found = found || (x->kind == ExprKind::kLiteral && x->param_index >= 0);
+      });
+    }
+  };
+  for (const auto* exprs :
+       {&node.probes, &node.filter, &node.join_conds, &node.hash_left_keys,
+        &node.hash_right_keys, &node.group_keys, &node.agg_exprs,
+        &node.projections, &node.sort_keys, &node.window_exprs}) {
+    scan(*exprs);
+  }
+  for (const auto& keys : node.subplan_corr_keys) scan(keys);
+  for (const auto& c : node.children) found = found || SubtreeHasParam(*c);
+  for (const auto& s : node.subplans) found = found || SubtreeHasParam(*s);
+  return found;
+}
+
+// Walks a served plan against the cache entry's: every subtree without a
+// parameter must be the entry's own node, every subtree with one a copy.
+// Counts the shared subtrees in `*shared`.
+void ExpectParamPathsCopied(const PlanNode& served, const PlanNode& entry,
+                            int* shared) {
+  ASSERT_EQ(served.children.size(), entry.children.size());
+  ASSERT_EQ(served.subplans.size(), entry.subplans.size());
+  auto check = [&](const PlanPtr& s, const PlanPtr& e) {
+    if (SubtreeHasParam(*e)) {
+      EXPECT_NE(s, e);
+      ExpectParamPathsCopied(*s, *e, shared);
+    } else {
+      EXPECT_EQ(s, e);
+      ++*shared;
+    }
+  };
+  for (size_t i = 0; i < entry.children.size(); ++i) {
+    check(served.children[i], entry.children[i]);
+  }
+  for (size_t i = 0; i < entry.subplans.size(); ++i) {
+    check(served.subplans[i], entry.subplans[i]);
+  }
+}
+
+TEST_F(PlanCacheTest, HitsShareTheEntryPlanAndCopyOnlyParameterPaths) {
+  QueryEngine cached(*db_, CachedConfig());
+  QueryEngine uncached(*db_, CbqtConfig{});
+  const std::string a =
+      "SELECT e.employee_name, d.dept_name FROM employees e, departments d "
+      "WHERE e.dept_id = d.dept_id AND e.salary > 5000";
+  const std::string b =
+      "SELECT e.employee_name, d.dept_name FROM employees e, departments d "
+      "WHERE e.dept_id = d.dept_id AND e.salary > 9000";
+
+  // A misses: the caller and the new entry share one plan.
+  auto first = cached.Prepare(a);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->from_plan_cache);
+  const PlanPtr entry = first->plan;
+  const std::string entry_text = PlanToString(*entry);
+
+  auto expect_rows = [&](const std::string& sql, PreparedQuery prepared) {
+    auto got = cached.Execute(std::move(prepared));
+    auto want = uncached.Run(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(SortedRows(std::move(got.value())),
+              SortedRows(std::move(want.value())))
+        << sql;
+  };
+  expect_rows(a, std::move(first.value()));
+
+  // B hits with its own literal: only nodes on a path to the parameter are
+  // copies, and the entry itself is untouched.
+  auto second = cached.Prepare(b);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->from_plan_cache);
+  EXPECT_NE(second->plan, entry);
+  int shared = 0;
+  ExpectParamPathsCopied(*second->plan, *entry, &shared);
+  EXPECT_GT(shared, 0);
+  EXPECT_NE(PlanToString(*second->plan).find("9000"), std::string::npos);
+  expect_rows(b, std::move(second.value()));
+  EXPECT_EQ(PlanToString(*entry), entry_text);
+
+  // A again: its own literal, not B's.
+  auto third = cached.Prepare(a);
+  ASSERT_TRUE(third.ok());
+  ASSERT_TRUE(third->from_plan_cache);
+  EXPECT_EQ(PlanToString(*third->plan), entry_text);
+  expect_rows(a, std::move(third.value()));
+  EXPECT_EQ(PlanToString(*entry), entry_text);
+
+  // A statement without parameters is served the entry's plan itself.
+  const std::string c =
+      "SELECT d.dept_name FROM departments d, employees e "
+      "WHERE e.dept_id = d.dept_id";
+  auto c_miss = cached.Prepare(c);
+  ASSERT_TRUE(c_miss.ok());
+  auto c_hit = cached.Prepare(c);
+  ASSERT_TRUE(c_hit.ok());
+  ASSERT_TRUE(c_hit->from_plan_cache);
+  EXPECT_EQ(c_hit->plan, c_miss->plan);
 }
 
 TEST_F(PlanCacheTest, RownumLimitsAreNeverParameterized) {

@@ -215,7 +215,7 @@ class PlanSerdeTest : public ::testing::Test {
   }
 
   // Optimizes `sql` and returns its physical plan.
-  static std::unique_ptr<PlanNode> PlanFor(const std::string& sql) {
+  static PlanPtr PlanFor(const std::string& sql) {
     auto prepared = engine_->Prepare(sql);
     EXPECT_TRUE(prepared.ok()) << sql << "\n" << prepared.status().ToString();
     if (!prepared.ok()) return nullptr;
@@ -285,7 +285,7 @@ TEST_F(PlanSerdeTest, SyntheticTreeCoversEveryPlanOpBitIdentical) {
 
 TEST_F(PlanSerdeTest, OptimizedPlansRoundTripAndExecuteIdentically) {
   for (const char* sql : kQueries) {
-    std::unique_ptr<PlanNode> plan = PlanFor(sql);
+    PlanPtr plan = PlanFor(sql);
     ASSERT_NE(plan, nullptr) << sql;
 
     std::string bytes = SerializePlan(*plan);
@@ -316,7 +316,7 @@ TEST_F(PlanSerdeTest, FuzzCorpusPlansRoundTripAndExecuteIdentically) {
       if (!sql.empty()) sql += " ";
       sql += line;
     }
-    std::unique_ptr<PlanNode> plan = PlanFor(sql);
+    PlanPtr plan = PlanFor(sql);
     ASSERT_NE(plan, nullptr) << entry.path();
 
     std::string bytes = SerializePlan(*plan);

@@ -14,7 +14,7 @@ class PlannerTest : public ::testing::Test {
     ASSERT_NE(db_, nullptr);
   }
 
-  std::unique_ptr<PlanNode> Plan(const std::string& sql) {
+  PlanPtr Plan(const std::string& sql) {
     auto qb = ParseAndBind(*db_, sql);
     if (qb == nullptr) return nullptr;
     Planner planner(*db_, CostParams{});
@@ -23,7 +23,7 @@ class PlannerTest : public ::testing::Test {
       ADD_FAILURE() << "plan failed: " << bp.status().ToString();
       return nullptr;
     }
-    return bp->plan.Take();
+    return bp->plan;
   }
 
   static bool ShapeContains(const PlanNode& plan, const std::string& text) {
