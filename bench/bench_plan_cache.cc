@@ -138,10 +138,14 @@ int main(int argc, char** argv) {
   }
   double warm_ms = warm_total / warm_reps;
   double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
+  // The engine's own measure of a hit: Prepare entry to served plan, as
+  // PlanCacheStats records it (a cursor-table hit never parses).
+  double hit_prepare_ms = warm_engine.plan_cache_stats().avg_hit_prepare_ms();
   std::printf("\n  cold Prepare: %8.3f ms   (avg of %d, fresh cache)\n"
               "  warm Prepare: %8.3f ms   (avg of %d, re-bound literals)\n"
+              "  engine hit:   %8.4f ms   (PlanCacheStats avg_hit_prepare_ms)\n"
               "  speedup:      %8.1fx  %s\n",
-              cold_ms, reps, warm_ms, warm_reps, speedup,
+              cold_ms, reps, warm_ms, warm_reps, hit_prepare_ms, speedup,
               speedup >= 10 ? "(>= 10x target met)" : "(below 10x target)");
 
   // ---- Axis 2: hit rate vs cache capacity. ----
@@ -217,16 +221,18 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n";
-  char buf[512];
+  char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "  \"cold_prepare_ms\": %.4f,\n"
                 "  \"warm_prepare_ms\": %.4f,\n"
+                "  \"avg_hit_prepare_ms\": %.4f,\n"
                 "  \"warm_speedup\": %.2f,\n"
                 "  \"hit_rate_sweep\": [\n%s  ],\n"
                 "  \"upgrade\": {\"budget_ms\": %g, \"was_degraded\": %s, "
                 "\"degraded_cost\": %.1f, \"upgraded_cost\": %.1f, "
                 "\"reference_cost\": %.1f, \"upgrades\": %lld}\n}\n",
-                cold_ms, warm_ms, speedup, sweep_json.c_str(), budget_ms,
+                cold_ms, warm_ms, hit_prepare_ms, speedup,
+                sweep_json.c_str(), budget_ms,
                 was_degraded ? "true" : "false", degraded_cost, upgraded_cost,
                 full->cost, static_cast<long long>(up_stats.upgrades));
   json += buf;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "optimizer/card_est.h"
+#include "parser/lexer.h"
 #include "parser/parser.h"
 #include "sql/parameterize.h"
 
@@ -449,12 +450,31 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   if (plan_cache_ == nullptr) return PrepareUncached(sql, budget, guards);
 
   double t0 = MonotonicMs();
-  auto parsed = ParseSql(sql);
-  if (!parsed.ok()) return parsed.status();
-  ParameterizedStatement ps = ParameterizeQuery(parsed.value().get());
+  auto tokens = Tokenize(sql);
+  if (!tokens.ok()) return tokens.status();
   // Captured before optimization: if Analyze() runs concurrently the entry
   // is cached under the old epoch and lazily invalidated on its next lookup.
   uint64_t epoch = db_.stats_epoch();
+
+  // Cursor sharing: a statement of a known shape takes its key, parameters
+  // and bands from the shape's record, with no parse. Any other statement
+  // parses and parameterizes here, and registers its record.
+  std::string shape = StatementShape(*tokens);
+  std::unique_ptr<QueryBlock> parsed;
+  ParameterizedStatement ps;
+  auto cursor = plan_cache_->FindCursor(shape, *tokens, epoch);
+  if (cursor != nullptr) {
+    ps.params = cursor->Params(*tokens);
+    ps.key = cursor->Key(ps.params);
+  } else {
+    auto full = ParseTokens(*tokens);
+    if (!full.ok()) return full.status();
+    parsed = std::move(*full);
+    ps = ParameterizeQuery(parsed.get());
+    cursor = BuildCursorRecord(*tokens, std::move(shape), *parsed, ps, epoch,
+                               db_.catalog(), db_.stats());
+    if (cursor != nullptr) plan_cache_->PutCursor(cursor);
+  }
 
   // Selectivity bands of the statement's literal values (lazy: only needed
   // when a cached/imported candidate exists or a fresh entry is built).
@@ -462,8 +482,10 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   bool bands_computed = false;
   auto current_bands = [&]() -> const std::vector<int>& {
     if (!bands_computed) {
-      bands = ComputeParamBands(*parsed.value(), ps.params.size(),
-                                db_.catalog(), db_.stats());
+      bands = cursor != nullptr
+                  ? cursor->Bands(ps.params)
+                  : ComputeParamBands(*parsed, ps.params.size(),
+                                      db_.catalog(), db_.stats());
       bands_computed = true;
     }
     return bands;
@@ -518,7 +540,16 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
     }
   }
 
-  auto optimized = OptimizeTree(*parsed.value(), budget, guards);
+  if (parsed == nullptr) {
+    // Keyed from the cursor table, but the search must run: parse now. The
+    // shape already parsed once, so this cannot fail; ParameterizeQuery
+    // marks the slots the cached plan carries.
+    auto full = ParseTokens(*tokens);
+    if (!full.ok()) return full.status();
+    parsed = std::move(*full);
+    ParameterizeQuery(parsed.get());
+  }
+  auto optimized = OptimizeTree(*parsed, budget, guards);
   if (!optimized.ok()) return optimized.status();
   // A cancelled or memory-failed optimization returned above — only fully
   // successful plans are published, so guardrail unwinds can never leak a
@@ -531,7 +562,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   fresh->stats_epoch = epoch;
   fresh->tree = optimized->tree->Clone();
   fresh->plan = plan;
-  fresh->source_tree = parsed.value()->Clone();
+  fresh->source_tree = std::move(parsed);
   fresh->cost = optimized->cost;
   fresh->stats = optimized->stats;
   fresh->num_params = ps.params.size();

@@ -72,6 +72,87 @@ std::shared_ptr<const CachedPlanEntry> PlanCache::Find(std::string_view key,
   return it->second.entry;
 }
 
+int64_t PlanCache::EraseCursorShape(Shard* shard, CursorMap::iterator it) {
+  int64_t freed = 0;
+  for (const auto& r : it->second.records) freed += r->bytes;
+  shard->cursor_lru.erase(it->second.lru_it);
+  shard->cursors.erase(it);
+  return freed;
+}
+
+std::shared_ptr<const CursorRecord> PlanCache::FindCursor(
+    std::string_view shape, const std::vector<Token>& tokens,
+    uint64_t current_epoch) {
+  Shard& shard = ShardFor(shape);
+  std::shared_ptr<const CursorRecord> found;
+  int64_t freed = 0;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.cursors.find(shape);
+    if (it != shard.cursors.end()) {
+      if (it->second.records.front()->stats_epoch != current_epoch) {
+        // The band recipes hold stale statistics: re-register on the full
+        // path.
+        freed = EraseCursorShape(&shard, it);
+      } else {
+        for (const auto& r : it->second.records) {
+          if (r->Matches(tokens)) {
+            found = r;
+            break;
+          }
+        }
+        if (found != nullptr) {
+          shard.cursor_lru.splice(shard.cursor_lru.begin(), shard.cursor_lru,
+                                  it->second.lru_it);
+        }
+      }
+    }
+  }
+  AccountDelta(-freed);
+  (found != nullptr ? cursor_hits_ : cursor_misses_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return found;
+}
+
+void PlanCache::PutCursor(std::shared_ptr<const CursorRecord> record) {
+  Shard& shard = ShardFor(record->shape);
+  int64_t delta = record->bytes;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto [it, inserted] = shard.cursors.try_emplace(record->shape);
+    CursorSlot& slot = it->second;
+    if (inserted) {
+      shard.cursor_lru.push_front(&it->first);
+      slot.lru_it = shard.cursor_lru.begin();
+    } else {
+      shard.cursor_lru.splice(shard.cursor_lru.begin(), shard.cursor_lru,
+                              slot.lru_it);
+    }
+    // One epoch per shape, one record per set of constants.
+    auto& records = slot.records;
+    for (auto r = records.begin(); r != records.end();) {
+      if ((*r)->stats_epoch != record->stats_epoch ||
+          (*r)->constants == record->constants) {
+        delta -= (*r)->bytes;
+        r = records.erase(r);
+      } else {
+        ++r;
+      }
+    }
+    records.insert(records.begin(), std::move(record));
+    if (records.size() > kMaxCursorChildren) {
+      delta -= records.back()->bytes;
+      records.pop_back();
+    }
+    if (inserted && shard_capacity_ > 0 &&
+        shard.cursors.size() > shard_capacity_) {
+      const std::string* victim = shard.cursor_lru.back();
+      delta -= EraseCursorShape(&shard, shard.cursors.find(*victim));
+    }
+  }
+  AccountDelta(delta);
+}
+
 void PlanCache::Put(std::shared_ptr<const CachedPlanEntry> entry) {
   Shard& shard = ShardFor(entry->key);
   int64_t delta = entry->bytes;
@@ -107,6 +188,8 @@ void PlanCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->map.clear();
     shard->lru.clear();
+    shard->cursors.clear();
+    shard->cursor_lru.clear();
   }
   AccountDelta(-memory_bytes_.load(std::memory_order_relaxed));
 }
@@ -115,14 +198,21 @@ int64_t PlanCache::EvictBytes(int64_t target_bytes) {
   if (target_bytes <= 0) return 0;
   int64_t freed = 0;
   // Round-robin over the shards, dropping one LRU tail entry per visit, so
-  // shedding spreads across shards instead of emptying the first one.
+  // shedding spreads across shards instead of emptying the first one. Plans
+  // go first; a shard without plans sheds its LRU cursor shape instead.
   bool progressed = true;
   while (freed < target_bytes && progressed) {
     progressed = false;
     for (auto& shard : shards_) {
       if (freed >= target_bytes) break;
       std::lock_guard<std::mutex> lock(shard->mu);
-      if (shard->lru.empty()) continue;
+      if (shard->lru.empty()) {
+        if (shard->cursor_lru.empty()) continue;
+        const std::string* victim = shard->cursor_lru.back();
+        freed += EraseCursorShape(shard.get(), shard->cursors.find(*victim));
+        progressed = true;
+        continue;
+      }
       const std::string* victim = shard->lru.back();
       shard->lru.pop_back();
       auto vit = shard->map.find(*victim);
@@ -175,6 +265,14 @@ PlanCacheStats PlanCache::stats() const {
   out.store_publishes = store_publishes_.load(std::memory_order_relaxed);
   out.store_stale = store_stale_.load(std::memory_order_relaxed);
   out.rebind_recosts = rebind_recosts_.load(std::memory_order_relaxed);
+  out.cursor_hits = cursor_hits_.load(std::memory_order_relaxed);
+  out.cursor_misses = cursor_misses_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [shape, slot] : shard->cursors) {
+      out.cursors += slot.records.size();
+    }
+  }
   return out;
 }
 
@@ -209,6 +307,180 @@ void PlanCache::RecordStoreStale() {
 
 void PlanCache::RecordRebindRecost() {
   rebind_recosts_.fetch_add(1, std::memory_order_relaxed);
+}
+
+namespace {
+
+bool IsLiteralToken(const Token& t) {
+  return t.kind == TokenKind::kInt || t.kind == TokenKind::kReal ||
+         t.kind == TokenKind::kString;
+}
+
+/// True when literal token `t` spells `v` (same kind, same value).
+bool TokenSpells(const Token& t, const Value& v) {
+  switch (t.kind) {
+    case TokenKind::kInt:
+      return v.kind() == ValueKind::kInt64 && v.AsInt() == t.int_val;
+    case TokenKind::kReal:
+      return v.kind() == ValueKind::kDouble && v.AsDouble() == t.real_val;
+    case TokenKind::kString:
+      return v.kind() == ValueKind::kString && v.AsString() == t.text;
+    default:
+      return false;
+  }
+}
+
+/// Heap bytes a Value owns beyond its own size.
+int64_t HeapBytes(const Value& v) {
+  return v.kind() == ValueKind::kString
+             ? static_cast<int64_t>(v.AsString().capacity())
+             : 0;
+}
+
+int64_t EstimateCursorBytes(const CursorRecord& r) {
+  int64_t bytes = static_cast<int64_t>(sizeof(CursorRecord)) +
+                  static_cast<int64_t>(r.shape.capacity()) +
+                  static_cast<int64_t>(r.key_prefix.capacity()) +
+                  static_cast<int64_t>(r.slot_tokens.capacity() * sizeof(int));
+  for (const Value& v : r.fixed_params) {
+    bytes += static_cast<int64_t>(sizeof(Value)) + HeapBytes(v);
+  }
+  for (const auto& c : r.constants) {
+    bytes += static_cast<int64_t>(sizeof(c)) + HeapBytes(c.second);
+  }
+  for (const ParamBandRecipe& recipe : r.band_recipes) {
+    bytes += static_cast<int64_t>(sizeof(ParamBandRecipe));
+    if (recipe.column) {
+      bytes += HeapBytes(recipe.column->min) + HeapBytes(recipe.column->max);
+    }
+  }
+  return bytes;
+}
+
+}  // namespace
+
+std::string StatementShape(const std::vector<Token>& tokens) {
+  std::string shape;
+  shape.reserve(tokens.size() * 8);
+  for (const Token& t : tokens) {
+    shape.push_back(static_cast<char>('0' + static_cast<int>(t.kind)));
+    if (IsLiteralToken(t)) continue;  // a literal contributes its kind only
+    // Length-prefixed text keeps the encoding injective whatever a hint
+    // comment contains.
+    size_t n = t.text.size();
+    if (n < 0xff) {
+      shape.push_back(static_cast<char>(n));
+    } else {
+      shape.push_back(static_cast<char>(0xff));
+      for (int b = 0; b < 4; ++b) {
+        shape.push_back(static_cast<char>((n >> (8 * b)) & 0xff));
+      }
+    }
+    shape += t.text;
+  }
+  return shape;
+}
+
+bool CursorRecord::Matches(const std::vector<Token>& tokens) const {
+  for (const auto& [pos, value] : constants) {
+    if (static_cast<size_t>(pos) >= tokens.size() ||
+        !TokenSpells(tokens[static_cast<size_t>(pos)], value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<Value> CursorRecord::Params(
+    const std::vector<Token>& tokens) const {
+  std::vector<Value> params;
+  params.reserve(slot_tokens.size());
+  for (size_t s = 0; s < slot_tokens.size(); ++s) {
+    int pos = slot_tokens[s];
+    params.push_back(pos >= 0
+                         ? LiteralTokenValue(tokens[static_cast<size_t>(pos)])
+                         : fixed_params[s]);
+  }
+  return params;
+}
+
+std::string CursorRecord::Key(const std::vector<Value>& params) const {
+  std::string key;
+  key.reserve(key_prefix.size() + 8 + 4 * params.size());
+  key = key_prefix;
+  AppendParamKeySuffix(params, &key);
+  return key;
+}
+
+std::vector<int> CursorRecord::Bands(const std::vector<Value>& params) const {
+  return EvaluateParamBands(band_recipes, params);
+}
+
+std::shared_ptr<const CursorRecord> BuildCursorRecord(
+    const std::vector<Token>& tokens, std::string shape,
+    const QueryBlock& tree, const ParameterizedStatement& ps,
+    uint64_t stats_epoch, const Catalog& catalog, const StatsRegistry& stats) {
+  auto record = std::make_shared<CursorRecord>();
+  record->shape = std::move(shape);
+  record->stats_epoch = stats_epoch;
+  const size_t num_params = ps.params.size();
+  record->slot_tokens.assign(num_params, -1);
+  record->fixed_params.resize(num_params);
+
+  // Role of each literal token in the parameterized tree: it feeds a slot,
+  // and/or it is spelled by a literal that stays a constant.
+  constexpr char kFeedsSlot = 1;
+  constexpr char kConstant = 2;
+  std::vector<char> role(tokens.size(), 0);
+  std::vector<bool> slot_seen(num_params, false);
+  auto note = [&](const Expr* e, char how) {
+    if (e->token_ordinal >= 0 &&
+        static_cast<size_t>(e->token_ordinal) < tokens.size()) {
+      role[static_cast<size_t>(e->token_ordinal)] |= how;
+    }
+  };
+  VisitAllExprsConst(&tree, [&](const Expr* e) {
+    if (e->kind != ExprKind::kLiteral) return;
+    if (e->param_index < 0 ||
+        static_cast<size_t>(e->param_index) >= num_params) {
+      note(e, kConstant);
+      return;
+    }
+    size_t slot = static_cast<size_t>(e->param_index);
+    slot_seen[slot] = true;
+    record->slot_tokens[slot] = e->token_ordinal;
+    if (e->token_ordinal < 0) record->fixed_params[slot] = e->literal;
+    note(e, kFeedsSlot);
+  });
+  // The one place the parser looks at literal values: GROUPING SETS keys
+  // are deduplicated by ExprEquals, so how many keys survive depends on
+  // their literals. Pin every literal there.
+  VisitAllBlocksConst(&tree, [&](const QueryBlock* qb) {
+    if (qb->grouping_sets.empty()) return;
+    for (const auto& key : qb->group_by) {
+      VisitExprDeepConst(key.get(), [&](const Expr* e) {
+        if (e->kind == ExprKind::kLiteral) note(e, kConstant);
+      });
+    }
+  });
+  for (bool seen : slot_seen) {
+    if (!seen) return nullptr;  // a slot the walk cannot place: no record
+  }
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (!IsLiteralToken(tokens[i]) || role[i] == kFeedsSlot) continue;
+    // Not a slot, or also spelled as a constant, or dropped by the parse:
+    // a statement of this shape matches only with the same value here.
+    record->constants.emplace_back(static_cast<int>(i),
+                                   LiteralTokenValue(tokens[i]));
+  }
+
+  std::string suffix;
+  AppendParamKeySuffix(ps.params, &suffix);
+  record->key_prefix = ps.key.substr(0, ps.key.size() - suffix.size());
+  record->band_recipes =
+      BuildParamBandRecipes(tree, num_params, catalog, stats);
+  record->bytes = EstimateCursorBytes(*record);
+  return record;
 }
 
 int64_t EstimateEntryBytes(const CachedPlanEntry& entry) {

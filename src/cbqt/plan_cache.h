@@ -16,8 +16,11 @@
 #include "common/budget.h"
 #include "common/memory_tracker.h"
 #include "common/value.h"
+#include "optimizer/card_est.h"
 #include "optimizer/plan.h"
 #include "optimizer/plan_serde.h"
+#include "parser/lexer.h"
+#include "sql/parameterize.h"
 #include "sql/query_block.h"
 
 namespace cbqt {
@@ -67,6 +70,61 @@ struct CachedPlanEntry {
   mutable std::atomic<bool> upgrade_in_flight{false};
 };
 
+/// A statement's shape for cursor sharing: its token stream with every
+/// literal token (kInt / kReal / kString) replaced by a marker of its kind.
+/// Whitespace, comments and identifier case never reach the tokens, so two
+/// statements differing only in those and in literal values share a shape.
+/// The encoding is injective: equal shapes mean equal token streams up to
+/// the literal values.
+std::string StatementShape(const std::vector<Token>& tokens);
+
+/// One cursor-sharing record (Oracle's CURSOR_SHARING done at the token
+/// level): what one full parse + ParameterizeQuery of a statement found,
+/// kept so that a later statement of the same shape gets its plan-cache key,
+/// parameters and selectivity bands from its tokens alone, with no parse.
+/// Every field is a replay of ParameterizeQuery's result, never a second
+/// implementation of its sharing rule. Immutable once published.
+struct CursorRecord {
+  std::string shape;  ///< exact shape: a hash collision can never match
+  /// The band recipes embed this epoch's statistics; a record of another
+  /// epoch is dropped on lookup.
+  uint64_t stats_epoch = 0;
+  /// Per parameter slot: the token position of the literal it stands for,
+  /// or -1 when a keyword (NULL/TRUE/FALSE) spelled it and its value is
+  /// fixed_params[slot].
+  std::vector<int> slot_tokens;
+  std::vector<Value> fixed_params;
+  /// Every literal token that is not a slot (ROWNUM limits, select-list and
+  /// arithmetic literals, ...), with the value it must equal for this
+  /// record to apply. A statement that differs there is a different
+  /// statement: it gets its own record through the full path.
+  std::vector<std::pair<int, Value>> constants;
+  /// The key ParameterizeQuery rendered, minus AppendParamKeySuffix's part.
+  std::string key_prefix;
+  std::vector<ParamBandRecipe> band_recipes;  ///< one per slot
+  int64_t bytes = 0;  ///< estimated footprint, charged like a plan entry
+
+  /// True when the constant literal tokens of `tokens` (a statement of this
+  /// shape) hold the recorded values.
+  bool Matches(const std::vector<Token>& tokens) const;
+  /// The statement's parameters, in slot order: the values ParameterizeQuery
+  /// would extract from its parse.
+  std::vector<Value> Params(const std::vector<Token>& tokens) const;
+  /// The plan-cache key of the statement with parameters `params`.
+  std::string Key(const std::vector<Value>& params) const;
+  /// The selectivity band of each slot at `params` (ComputeParamBands).
+  std::vector<int> Bands(const std::vector<Value>& params) const;
+};
+
+/// The cursor record of a statement that took the full path: `tokens` are
+/// its tokens, `tree` is ParseTokens(tokens) after ParameterizeQuery(tree)
+/// returned `ps`, and the band recipes resolve against `catalog`/`stats` as
+/// of `stats_epoch`.
+std::shared_ptr<const CursorRecord> BuildCursorRecord(
+    const std::vector<Token>& tokens, std::string shape,
+    const QueryBlock& tree, const ParameterizedStatement& ps,
+    uint64_t stats_epoch, const Catalog& catalog, const StatsRegistry& stats);
+
 /// Telemetry snapshot of a PlanCache (QueryEngine::plan_cache_stats()).
 struct PlanCacheStats {
   int64_t hits = 0;
@@ -93,6 +151,11 @@ struct PlanCacheStats {
   int64_t store_stale = 0;       ///< store entries rejected (epoch/bands)
   int64_t rebind_recosts = 0;    ///< hits re-costed on a selectivity-band move
 
+  // Cursor table (FindCursor / PutCursor).
+  int64_t cursor_hits = 0;     ///< statements keyed from a record, no parse
+  int64_t cursor_misses = 0;   ///< statements that had to parse (incl. stale)
+  size_t cursors = 0;          ///< records held (memory_bytes includes them)
+
   double hit_rate() const {
     int64_t total = hits + misses;
     return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
@@ -115,6 +178,13 @@ struct PlanCacheStats {
 /// stats epoch it was planned under, and Find() drops entries whose epoch no
 /// longer matches — a stats refresh (Database::Analyze) silently invalidates
 /// the whole cache without touching it.
+///
+/// Beside the plans, the cache keeps the cursor table: statement shape ->
+/// CursorRecord, so a repeat of a known shape is keyed from one lexer pass
+/// (FindCursor). The table holds at most as many shapes as the cache holds
+/// plans, evicts them LRU, drops records of a stale stats epoch on lookup,
+/// and charges them to memory_bytes like plans. A shape keeps a few child
+/// records that differ in their constant literals.
 ///
 /// Same locking structure as AnnotationCache: mutex-guarded shards, keys
 /// living in map nodes with the LRU list pointing back at them, entries
@@ -140,6 +210,19 @@ class PlanCache {
   /// Inserts or replaces the entry under entry->key, evicting the LRU tail
   /// beyond the per-shard capacity.
   void Put(std::shared_ptr<const CachedPlanEntry> entry);
+
+  /// The record of `shape` whose constants `tokens` match, registered under
+  /// `current_epoch`, or nullptr. A shape whose records carry a stale epoch
+  /// is dropped. A hit refreshes the shape's LRU position.
+  std::shared_ptr<const CursorRecord> FindCursor(
+      std::string_view shape, const std::vector<Token>& tokens,
+      uint64_t current_epoch);
+
+  /// Registers `record` under its shape: it replaces a record with the same
+  /// constants, joins the shape's other children (the oldest beyond
+  /// kMaxCursorChildren leaves), and evicts the LRU shape beyond the
+  /// per-shard capacity.
+  void PutCursor(std::shared_ptr<const CursorRecord> record);
 
   void Clear();
 
@@ -198,14 +281,31 @@ class PlanCache {
     std::list<const std::string*>::iterator lru_it;
   };
 
+  /// Child records one shape keeps (statements of one shape that differ in
+  /// a constant literal, such as a ROWNUM limit).
+  static constexpr size_t kMaxCursorChildren = 8;
+
+  /// The records of one shape, newest first, all of one stats epoch.
+  struct CursorSlot {
+    std::vector<std::shared_ptr<const CursorRecord>> records;
+    std::list<const std::string*>::iterator lru_it;
+  };
+  using CursorMap = std::unordered_map<std::string, CursorSlot,
+                                       TransparentHash, std::equal_to<>>;
+
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::string, Slot, TransparentHash, std::equal_to<>>
         map;
     std::list<const std::string*> lru;  ///< front = most recently used
+    CursorMap cursors;
+    std::list<const std::string*> cursor_lru;  ///< front = most recent
   };
 
   Shard& ShardFor(std::string_view key) const;
+
+  /// Erases one shape from `shard` (lock held); returns the bytes freed.
+  static int64_t EraseCursorShape(Shard* shard, CursorMap::iterator it);
 
   /// Applies a byte delta to memory_bytes_ and the tracker (ForceReserve on
   /// growth — publishing a plan never fails — Release on shrink).
@@ -237,6 +337,8 @@ class PlanCache {
   std::atomic<int64_t> store_publishes_{0};
   std::atomic<int64_t> store_stale_{0};
   std::atomic<int64_t> rebind_recosts_{0};
+  std::atomic<int64_t> cursor_hits_{0};
+  std::atomic<int64_t> cursor_misses_{0};
 };
 
 /// Estimated footprint of one plan-cache entry (trees + plan + key), charged

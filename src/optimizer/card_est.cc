@@ -82,6 +82,34 @@ const ColumnStats* StatsContext::FindColumn(const std::string& alias,
   return &it->second;
 }
 
+double ColumnComparisonSelectivity(BinaryOp op, const ColumnStats* cs,
+                                   const Value* value) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNullSafeEq:
+      if (cs != nullptr && cs->ndv > 0) {
+        return Clamp01((1.0 - cs->null_frac) / cs->ndv);
+      }
+      return kDefaultEqSel;
+    case BinaryOp::kNe: {
+      // sel(<>) = 1 - sel(=), ignoring NULLs.
+      double s_eq = cs != nullptr && cs->ndv > 0 ? 1.0 / cs->ndv
+                                                 : kDefaultEqSel;
+      return Clamp01(1.0 - s_eq);
+    }
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      if (cs != nullptr && value != nullptr) {
+        return RangeFraction(*cs, op, *value);
+      }
+      return kDefaultRangeSel;
+    default:
+      return kDefaultSel;
+  }
+}
+
 double Selectivity(const Expr& e, const StatsContext& ctx) {
   switch (e.kind) {
     case ExprKind::kLiteral:
@@ -113,12 +141,10 @@ double Selectivity(const Expr& e, const StatsContext& ctx) {
             other = &l;
           }
           if (col != nullptr && IsBoundValue(*other)) {
-            const ColumnStats* cs =
-                ctx.FindColumn(col->table_alias, col->column_name);
-            if (cs != nullptr && cs->ndv > 0) {
-              return Clamp01((1.0 - cs->null_frac) / cs->ndv);
-            }
-            return kDefaultEqSel;
+            return ColumnComparisonSelectivity(
+                e.bop, ctx.FindColumn(col->table_alias, col->column_name),
+                other->kind == ExprKind::kLiteral ? &other->literal
+                                                  : nullptr);
           }
           // col = col (join-style equality evaluated as a filter)
           if (l.kind == ExprKind::kColumnRef && r.kind == ExprKind::kColumnRef) {
@@ -135,18 +161,14 @@ double Selectivity(const Expr& e, const StatsContext& ctx) {
           return kDefaultEqSel;
         }
         case BinaryOp::kNe: {
-          Expr eq;  // cheap structural reuse: sel(<>) = 1 - sel(=)
-          double s_eq = kDefaultEqSel;
           const Expr* col = nullptr;
           if (l.kind == ExprKind::kColumnRef && l.corr_depth == 0) col = &l;
           if (r.kind == ExprKind::kColumnRef && r.corr_depth == 0) col = &r;
-          if (col != nullptr) {
-            const ColumnStats* cs =
-                ctx.FindColumn(col->table_alias, col->column_name);
-            if (cs != nullptr && cs->ndv > 0) s_eq = 1.0 / cs->ndv;
-          }
-          (void)eq;
-          return Clamp01(1.0 - s_eq);
+          const ColumnStats* cs =
+              col != nullptr
+                  ? ctx.FindColumn(col->table_alias, col->column_name)
+                  : nullptr;
+          return ColumnComparisonSelectivity(BinaryOp::kNe, cs, nullptr);
         }
         case BinaryOp::kLt:
         case BinaryOp::kLe:
@@ -163,11 +185,10 @@ double Selectivity(const Expr& e, const StatsContext& ctx) {
             other = &l;
             op = SwapComparison(op);
           }
-          if (col != nullptr && other != nullptr &&
-              other->kind == ExprKind::kLiteral) {
-            const ColumnStats* cs =
-                ctx.FindColumn(col->table_alias, col->column_name);
-            if (cs != nullptr) return RangeFraction(*cs, op, other->literal);
+          if (col != nullptr && other->kind == ExprKind::kLiteral) {
+            return ColumnComparisonSelectivity(
+                op, ctx.FindColumn(col->table_alias, col->column_name),
+                &other->literal);
           }
           return kDefaultRangeSel;
         }
@@ -252,21 +273,56 @@ int SelectivityBand(double sel) {
 
 namespace {
 
-/// Shared walk state for ComputeParamBands.
+/// Shared walk state of BuildParamBandRecipes.
 struct BandWalk {
   const Catalog* catalog;
   const StatsRegistry* stats;
-  std::vector<int>* bands;
+  std::vector<ParamBandRecipe>* recipes;
+  std::vector<Value>* values;  ///< optional: each slot's literal value
 };
 
-RelStats TableRelStats(const TableDef& def, const TableStats* ts) {
-  RelStats rel;
-  if (ts == nullptr) return rel;
-  rel.rows = ts->rows;
-  for (size_t i = 0; i < def.columns.size() && i < ts->columns.size(); ++i) {
-    rel.columns[def.columns[i].name] = ts->columns[i];
+/// Statistics of `column` in the base table of `ref`, or nullptr.
+const ColumnStats* TableColumnStats(const TableRef& ref,
+                                    const std::string& column,
+                                    const BandWalk& walk) {
+  const TableDef* def = walk.catalog->FindTable(ref.table_name);
+  if (def == nullptr) return nullptr;
+  const TableStats* ts = walk.stats->Find(def->name);
+  if (ts == nullptr) return nullptr;
+  // Last match, as in a name-keyed map filled in column order.
+  for (size_t i = std::min(def->columns.size(), ts->columns.size()); i > 0;
+       --i) {
+    if (def->columns[i - 1].name == column) return &ts->columns[i - 1];
   }
-  return rel;
+  return nullptr;
+}
+
+/// The column statistics a StatsContext over `qb`'s base tables would
+/// resolve `alias`.`column` to, without building one. The tree may be
+/// unbound (bands are computed straight off the parse, before the optimizer
+/// re-binds), so an unqualified column resolves to the first FROM table that
+/// has statistics for it: the binder's answer for unambiguous names, and
+/// merely a heuristic band for ambiguous ones. A qualified one resolves
+/// through the last base-table entry of that alias.
+const ColumnStats* ResolveColumnStats(const QueryBlock& qb,
+                                      const std::string& alias,
+                                      const std::string& column,
+                                      const BandWalk& walk) {
+  const TableRef* match = nullptr;
+  for (const auto& ref : qb.from) {
+    if (ref.table_name.empty()) continue;
+    if (alias.empty()) {
+      if (const ColumnStats* cs = TableColumnStats(ref, column, walk)) {
+        return cs;
+      }
+      continue;
+    }
+    if (walk.catalog->FindTable(ref.table_name) == nullptr) continue;
+    if ((ref.alias.empty() ? ref.table_name : ref.alias) == alias) {
+      match = &ref;
+    }
+  }
+  return match != nullptr ? TableColumnStats(*match, column, walk) : nullptr;
 }
 
 /// True if `e` is `colref <cmp> literal` (either order) where the literal is
@@ -304,24 +360,34 @@ bool ParamComparison(const Expr& e, const Expr** col, const Expr** lit) {
 
 void WalkBlockForBands(const QueryBlock& qb, const BandWalk& walk);
 
-void WalkExprForBands(const Expr& e, const StatsContext& ctx,
+/// Walks `e`, an expression owned by block `qb`.
+void WalkExprForBands(const Expr& e, const QueryBlock& qb,
                       const BandWalk& walk) {
   const Expr* col = nullptr;
   const Expr* lit = nullptr;
   if (ParamComparison(e, &col, &lit)) {
     size_t slot = static_cast<size_t>(lit->param_index);
-    if (slot < walk.bands->size()) {
-      (*walk.bands)[slot] = SelectivityBand(Selectivity(e, ctx));
+    if (slot < walk.recipes->size()) {
+      // Exactly what Selectivity(e, ctx) would resolve: the operator with
+      // the column on the left, and the column's statistics.
+      ParamBandRecipe& recipe = (*walk.recipes)[slot];
+      recipe.band_sensitive = true;
+      recipe.op = col == e.children[0].get() ? e.bop : SwapComparison(e.bop);
+      const ColumnStats* cs =
+          ResolveColumnStats(qb, col->table_alias, col->column_name, walk);
+      recipe.column.reset();
+      if (cs != nullptr) recipe.column = *cs;
+      if (walk.values != nullptr) (*walk.values)[slot] = lit->literal;
     }
   }
   for (const auto& c : e.children) {
-    if (c != nullptr) WalkExprForBands(*c, ctx, walk);
+    if (c != nullptr) WalkExprForBands(*c, qb, walk);
   }
   for (const auto& c : e.partition_by) {
-    if (c != nullptr) WalkExprForBands(*c, ctx, walk);
+    if (c != nullptr) WalkExprForBands(*c, qb, walk);
   }
   for (const auto& c : e.win_order_by) {
-    if (c != nullptr) WalkExprForBands(*c, ctx, walk);
+    if (c != nullptr) WalkExprForBands(*c, qb, walk);
   }
   if (e.subquery != nullptr) WalkBlockForBands(*e.subquery, walk);
 }
@@ -330,34 +396,13 @@ void WalkBlockForBands(const QueryBlock& qb, const BandWalk& walk) {
   for (const auto& b : qb.branches) {
     if (b != nullptr) WalkBlockForBands(*b, walk);
   }
-  // Per-block context over its base tables. The tree may be unbound (bands
-  // are computed straight off the parse, before the optimizer re-binds), so
-  // unqualified column refs are resolved through a merged empty-alias
-  // relation: first table wins, which matches binder behavior for
-  // unambiguous names and is merely a heuristic band for ambiguous ones.
-  StatsContext ctx;
-  RelStats merged;
-  for (const auto& ref : qb.from) {
-    if (ref.table_name.empty()) continue;
-    const TableDef* def = walk.catalog->FindTable(ref.table_name);
-    if (def == nullptr) continue;
-    RelStats rel = TableRelStats(*def, walk.stats->Find(def->name));
-    for (const auto& [name, cs] : rel.columns) {
-      merged.columns.emplace(name, cs);  // keeps the first occurrence
-    }
-    merged.rows = std::max(merged.rows, rel.rows);
-    ctx.AddRelation(ref.alias.empty() ? ref.table_name : ref.alias,
-                    std::move(rel));
-  }
-  ctx.AddRelation("", std::move(merged));
-
   auto walk_vec = [&](const std::vector<ExprPtr>& exprs) {
     for (const auto& e : exprs) {
-      if (e != nullptr) WalkExprForBands(*e, ctx, walk);
+      if (e != nullptr) WalkExprForBands(*e, qb, walk);
     }
   };
   for (const auto& item : qb.select) {
-    if (item.expr != nullptr) WalkExprForBands(*item.expr, ctx, walk);
+    if (item.expr != nullptr) WalkExprForBands(*item.expr, qb, walk);
   }
   for (const auto& ref : qb.from) {
     walk_vec(ref.join_conds);
@@ -367,20 +412,51 @@ void WalkBlockForBands(const QueryBlock& qb, const BandWalk& walk) {
   walk_vec(qb.group_by);
   walk_vec(qb.having);
   for (const auto& item : qb.order_by) {
-    if (item.expr != nullptr) WalkExprForBands(*item.expr, ctx, walk);
+    if (item.expr != nullptr) WalkExprForBands(*item.expr, qb, walk);
   }
+}
+
+std::vector<ParamBandRecipe> BuildRecipes(const QueryBlock& qb,
+                                          size_t num_params,
+                                          const Catalog& catalog,
+                                          const StatsRegistry& stats,
+                                          std::vector<Value>* values) {
+  std::vector<ParamBandRecipe> recipes(num_params);
+  if (num_params == 0) return recipes;
+  BandWalk walk{&catalog, &stats, &recipes, values};
+  WalkBlockForBands(qb, walk);
+  return recipes;
 }
 
 }  // namespace
 
+std::vector<ParamBandRecipe> BuildParamBandRecipes(const QueryBlock& qb,
+                                                   size_t num_params,
+                                                   const Catalog& catalog,
+                                                   const StatsRegistry& stats) {
+  return BuildRecipes(qb, num_params, catalog, stats, nullptr);
+}
+
+std::vector<int> EvaluateParamBands(
+    const std::vector<ParamBandRecipe>& recipes,
+    const std::vector<Value>& params) {
+  std::vector<int> bands(recipes.size(), -1);
+  for (size_t i = 0; i < recipes.size() && i < params.size(); ++i) {
+    const ParamBandRecipe& r = recipes[i];
+    if (!r.band_sensitive) continue;
+    bands[i] = SelectivityBand(ColumnComparisonSelectivity(
+        r.op, r.column ? &*r.column : nullptr, &params[i]));
+  }
+  return bands;
+}
+
 std::vector<int> ComputeParamBands(const QueryBlock& qb, size_t num_params,
                                    const Catalog& catalog,
                                    const StatsRegistry& stats) {
-  std::vector<int> bands(num_params, -1);
-  if (num_params == 0) return bands;
-  BandWalk walk{&catalog, &stats, &bands};
-  WalkBlockForBands(qb, walk);
-  return bands;
+  std::vector<Value> values(num_params);
+  std::vector<ParamBandRecipe> recipes =
+      BuildRecipes(qb, num_params, catalog, stats, &values);
+  return EvaluateParamBands(recipes, values);
 }
 
 }  // namespace cbqt

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/value.h"
 
 namespace cbqt {
 
@@ -26,6 +27,10 @@ struct Token {
   double real_val = 0;
   size_t offset = 0;  ///< byte offset in the input, for error messages
 };
+
+/// The value of a kInt / kReal / kString token, exactly as the parser builds
+/// its literal.
+Value LiteralTokenValue(const Token& t);
 
 /// Tokenizes `sql`. Identifiers are lower-cased (SQL case-insensitivity);
 /// `--` line comments and `/* */` block comments are skipped, except `/*+ */`

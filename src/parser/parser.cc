@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <string_view>
 #include <vector>
 
 #include "common/str_util.h"
@@ -14,7 +15,7 @@ namespace {
 /// return null on failure; the top level converts that into a Status.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   Result<std::unique_ptr<QueryBlock>> ParseStatement() {
     auto qb = ParseSelect();
@@ -60,31 +61,33 @@ class Parser {
   }
   void LeaveNesting() { --depth_; }
 
-  bool AtKeyword(const std::string& kw) const {
+  bool AtKeyword(std::string_view kw) const {
     return Cur().kind == TokenKind::kIdent && Cur().text == kw;
   }
-  bool AtSymbol(const std::string& sym) const {
+  bool AtSymbol(std::string_view sym) const {
     return Cur().kind == TokenKind::kSymbol && Cur().text == sym;
   }
-  bool AcceptKeyword(const std::string& kw) {
+  bool AcceptKeyword(std::string_view kw) {
     if (AtKeyword(kw)) {
       Advance();
       return true;
     }
     return false;
   }
-  bool AcceptSymbol(const std::string& sym) {
+  bool AcceptSymbol(std::string_view sym) {
     if (AtSymbol(sym)) {
       Advance();
       return true;
     }
     return false;
   }
-  void ExpectKeyword(const std::string& kw) {
-    if (!AcceptKeyword(kw)) Fail("expected '" + ToUpper(kw) + "'");
+  void ExpectKeyword(std::string_view kw) {
+    if (!AcceptKeyword(kw)) {
+      Fail("expected '" + ToUpper(std::string(kw)) + "'");
+    }
   }
-  void ExpectSymbol(const std::string& sym) {
-    if (!AcceptSymbol(sym)) Fail("expected '" + sym + "'");
+  void ExpectSymbol(std::string_view sym) {
+    if (!AcceptSymbol(sym)) Fail("expected '" + std::string(sym) + "'");
   }
   std::string ExpectIdent() {
     if (Cur().kind != TokenKind::kIdent) {
@@ -604,20 +607,13 @@ class Parser {
   ExprPtr ParsePrimary() {
     const Token& t = Cur();
     switch (t.kind) {
-      case TokenKind::kInt: {
-        int64_t v = t.int_val;
-        Advance();
-        return MakeLiteral(Value::Int(v));
-      }
-      case TokenKind::kReal: {
-        double v = t.real_val;
-        Advance();
-        return MakeLiteral(Value::Real(v));
-      }
+      case TokenKind::kInt:
+      case TokenKind::kReal:
       case TokenKind::kString: {
-        std::string v = t.text;
+        ExprPtr e = MakeLiteral(LiteralTokenValue(t));
+        e->token_ordinal = static_cast<int>(pos_);
         Advance();
-        return MakeLiteral(Value::Str(std::move(v)));
+        return e;
       }
       case TokenKind::kSymbol: {
         if (t.text == "(") {
@@ -790,7 +786,7 @@ class Parser {
     return MakeColumnRef("", name);
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   Status error_;
   int depth_ = 0;
@@ -798,11 +794,19 @@ class Parser {
 
 }  // namespace
 
+Result<std::unique_ptr<QueryBlock>> ParseTokens(
+    const std::vector<Token>& tokens) {
+  if (tokens.empty() || tokens.back().kind != TokenKind::kEof) {
+    return Status::ParseError("token stream does not end in EOF");
+  }
+  Parser parser(tokens);
+  return parser.ParseStatement();
+}
+
 Result<std::unique_ptr<QueryBlock>> ParseSql(const std::string& sql) {
   auto tokens = Tokenize(sql);
   if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens.value()));
-  return parser.ParseStatement();
+  return ParseTokens(*tokens);
 }
 
 }  // namespace cbqt

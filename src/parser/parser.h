@@ -3,8 +3,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "parser/lexer.h"
 #include "sql/query_block.h"
 
 namespace cbqt {
@@ -23,6 +25,13 @@ namespace cbqt {
 ///   ..)` (frame clauses accepted, fixed to RANGE UNBOUNDED PRECEDING ..
 ///   CURRENT ROW), and `/*+ no_merge(alias) */` hints after SELECT.
 Result<std::unique_ptr<QueryBlock>> ParseSql(const std::string& sql);
+
+/// ParseSql over an already tokenized statement (ParseSql is Tokenize +
+/// ParseTokens), so a caller that needed the tokens first lexes only once.
+/// Every literal parsed from a literal token records the token's position
+/// in `tokens` (Expr::token_ordinal).
+Result<std::unique_ptr<QueryBlock>> ParseTokens(
+    const std::vector<Token>& tokens);
 
 }  // namespace cbqt
 

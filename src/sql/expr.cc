@@ -15,6 +15,7 @@ ExprPtr Expr::Clone() const {
   out->corr_depth = corr_depth;
   out->literal = literal;
   out->param_index = param_index;
+  out->token_ordinal = token_ordinal;
   out->bop = bop;
   out->uop = uop;
   out->agg = agg;
@@ -39,6 +40,7 @@ ExprPtr Expr::CloneCow() const {
   out->corr_depth = corr_depth;
   out->literal = literal;
   out->param_index = param_index;
+  out->token_ordinal = token_ordinal;
   out->bop = bop;
   out->uop = uop;
   out->agg = agg;

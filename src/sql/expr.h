@@ -91,6 +91,12 @@ struct Expr {
   /// constant — but a cached plan can be re-bound to new parameter values by
   /// rewriting all literals that share a slot. -1 = not parameterized.
   int param_index = -1;
+  /// Position, in the statement's token stream (parser/lexer.h), of the
+  /// literal token this literal was parsed from; -1 when no literal token
+  /// spelled it (the NULL/TRUE/FALSE keywords, literals built by rewrites).
+  /// The plan cache's cursor table reads it to map each literal token of a
+  /// statement to its parameter slot (cbqt/plan_cache.h).
+  int token_ordinal = -1;
 
   // -- kBinary / kUnary --
   BinaryOp bop = BinaryOp::kEq;

@@ -66,23 +66,27 @@ ParameterizedStatement ParameterizeQuery(QueryBlock* qb) {
     slots[i]->literal = out.params[i];
   }
 
-  key += "|t=";
-  for (const Value& v : out.params) key += TypeCode(v.kind());
+  AppendParamKeySuffix(out.params, &key);
+  out.key = std::move(key);
+  return out;
+}
+
+void AppendParamKeySuffix(const std::vector<Value>& params, std::string* key) {
+  *key += "|t=";
+  for (const Value& v : params) *key += TypeCode(v.kind());
   // Value-equality fingerprint: slot i -> first slot with an equal value.
-  key += "|eq=";
-  for (size_t i = 0; i < out.params.size(); ++i) {
+  *key += "|eq=";
+  for (size_t i = 0; i < params.size(); ++i) {
     size_t first = i;
     for (size_t j = 0; j < i; ++j) {
-      if (out.params[j] == out.params[i]) {
+      if (params[j] == params[i]) {
         first = j;
         break;
       }
     }
-    key += std::to_string(first);
-    key += '.';
+    *key += std::to_string(first);
+    *key += '.';
   }
-  out.key = std::move(key);
-  return out;
 }
 
 void BindTreeParams(QueryBlock* qb, const std::vector<Value>& params) {

@@ -49,7 +49,19 @@ struct ParameterizedStatement {
 ///    values positionally (join factorization's BlockEquals matching,
 ///    predicate move-around's conjunct dedup) therefore make identical
 ///    decisions for every statement mapping to the key.
+///
+/// The key is the rendered tree followed by AppendParamKeySuffix(params).
+/// The slot assignment and the rendered part depend only on the tree's
+/// structure and its unparameterized literals, so the plan cache's cursor
+/// table (cbqt/plan_cache.h) records both once per statement shape and
+/// rebuilds the key of a later statement of that shape from its tokens
+/// alone: it never re-derives the sharing rule, it replays this function's
+/// result.
 ParameterizedStatement ParameterizeQuery(QueryBlock* qb);
+
+/// Appends the per-slot part of a ParameterizedStatement key to `key`: the
+/// type code of each parameter and the value-equality fingerprint.
+void AppendParamKeySuffix(const std::vector<Value>& params, std::string* key);
 
 /// Overwrites the value of every parameterized literal in `qb` with the
 /// value of its slot. Slots outside `params` are left untouched.

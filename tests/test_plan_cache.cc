@@ -12,9 +12,11 @@
 #include "cbqt/engine.h"
 #include "cbqt/plan_store.h"
 #include "common/cancellation.h"
+#include "optimizer/card_est.h"
 #include "sql/expr_util.h"
 #include "sql/parameterize.h"
 #include "tests/test_util.h"
+#include "workload/query_gen.h"
 #include "workload/runner.h"
 
 namespace cbqt {
@@ -911,6 +913,232 @@ TEST_F(PlanCacheTest, WorkloadReportSurfacesPersistenceCounters) {
   EXPECT_GE(report.plan_cache.store_imports + report.plan_cache.store_publishes,
             1);
   EXPECT_GE(report.plan_cache.hits + report.plan_cache.misses, 2);
+}
+
+// ---- cursor sharing (stateful) --------------------------------------------
+
+TEST_F(PlanCacheTest, RepeatShapesAreKeyedFromTheCursorTable) {
+  QueryEngine engine(*db_, CachedConfig());
+  const std::string shape =
+      "SELECT e.employee_name FROM employees e WHERE e.salary > ";
+  ASSERT_TRUE(engine.Prepare(shape + "5000").ok());
+  auto hit = engine.Prepare("select E.EMPLOYEE_NAME from employees e\n"
+                            "where e.salary > 5050 -- respelled");
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->from_plan_cache);
+  EXPECT_NE(PlanShape(*hit->plan).find("5050"), std::string::npos);
+  PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_misses, 1);
+  EXPECT_EQ(stats.cursor_hits, 1);
+  EXPECT_EQ(stats.cursors, 1u);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 1);
+}
+
+TEST_F(PlanCacheTest, AnalyzeBetweenHitsDropsTheCursorRecordAndRebands) {
+  QueryEngine engine(*db_, CachedConfig());
+  const std::string shape =
+      "SELECT e.employee_name FROM employees e WHERE e.salary < ";
+  auto bands_of = [&](const std::string& sql) {
+    auto parsed = ParseSql(sql);
+    EXPECT_TRUE(parsed.ok());
+    ParameterizedStatement ps = ParameterizeQuery(parsed->get());
+    return ComputeParamBands(**parsed, ps.params.size(), db_->catalog(),
+                             db_->stats());
+  };
+  ASSERT_TRUE(engine.Prepare(shape + "100000").ok());
+  auto hit = engine.Prepare(shape + "100001");
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->from_plan_cache);
+  EXPECT_EQ(engine.plan_cache_stats().cursor_hits, 1);
+  std::vector<int> bands_before = bands_of(shape + "100002");
+
+  // One outlier salary stretches the column's range: under the new stats
+  // `salary < 100002` is far more selective.
+  const Table* employees = db_->FindTable("employees");
+  ASSERT_NE(employees, nullptr);
+  Row outlier = employees->rows().front();
+  outlier[static_cast<size_t>(employees->def().FindColumn("emp_id"))] =
+      Value::Int(999999);
+  outlier[static_cast<size_t>(employees->def().FindColumn("salary"))] =
+      Value::Int(1000000000);
+  ASSERT_TRUE(db_->Insert("employees", outlier).ok());
+  ASSERT_TRUE(db_->Analyze().ok());
+  std::vector<int> bands_after = bands_of(shape + "100002");
+  ASSERT_NE(bands_before, bands_after);
+
+  // The stale record is dropped with the stale plan: the statement parses
+  // and re-plans.
+  auto after = engine.Prepare(shape + "100002");
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after->from_plan_cache);
+  PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_hits, 1);
+  EXPECT_EQ(stats.cursor_misses, 2);
+  EXPECT_EQ(stats.invalidations, 1);
+  EXPECT_EQ(stats.cursors, 1u);
+
+  // The new record evaluates its bands under the new statistics, so they
+  // agree with the re-planned entry's: a plain hit, no re-cost.
+  auto again = engine.Prepare(shape + "100003");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->from_plan_cache);
+  stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_hits, 2);
+  EXPECT_EQ(stats.rebind_recosts, 0);
+}
+
+TEST_F(PlanCacheTest, EvictedPlanWithLiveCursorRecordTakesTheFullPath) {
+  // One shape, two keys: the value-equality fingerprint tells `salary > 1
+  // AND dept_id = 2` from `salary > 1 AND dept_id = 1`. So the shape's
+  // record outlives the first key's plan under LRU.
+  QueryEngine engine(*db_, CachedConfig(/*capacity=*/2, /*num_shards=*/1));
+  QueryEngine uncached(*db_, CbqtConfig{});
+  const std::string shape =
+      "SELECT e.employee_name FROM employees e WHERE e.salary > ";
+  auto stmt = [&](int salary, int dept) {
+    return shape + std::to_string(salary) +
+           " AND e.dept_id = " + std::to_string(dept);
+  };
+  ASSERT_TRUE(engine.Prepare(stmt(1, 2)).ok());  // plans: K1
+  ASSERT_TRUE(engine.Prepare(stmt(1, 1)).ok());  // plans: K2 K1
+  ASSERT_TRUE(
+      engine.Prepare("SELECT d.dept_name FROM departments d WHERE d.loc_id > 1")
+          .ok());  // plans: KB K2 — K1 evicted; records: SB S
+  PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.cursor_hits, 1);
+
+  auto fallback = engine.Run(stmt(3, 4));  // record hit, key K1 missing
+  auto ref = uncached.Run(stmt(3, 4));
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  ASSERT_TRUE(ref.ok());
+  EXPECT_FALSE(fallback->prepared.from_plan_cache);
+  EXPECT_EQ(SortedRows(std::move(fallback.value())),
+            SortedRows(std::move(ref.value())));
+  stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_hits, 2);
+  EXPECT_EQ(stats.cursor_misses, 2);
+
+  // The full path re-cached K1: the next statement of that key is a hit.
+  auto settled = engine.Prepare(stmt(5, 6));
+  ASSERT_TRUE(settled.ok());
+  EXPECT_TRUE(settled->from_plan_cache);
+}
+
+TEST_F(PlanCacheTest, WarmStartAndStoreImportHitOnFirstPrepareThenUseCursor) {
+  const std::string snapshot = FreshTempPath("cbqt_cursor_warm.cbqs");
+  const std::string store = FreshTempPath("cbqt_cursor_store.cbqh");
+  const std::string shape =
+      "SELECT e.employee_name FROM employees e WHERE e.salary > ";
+
+  CbqtConfig cfg = CachedConfig();
+  cfg.plan_cache.snapshot_path = snapshot;
+  cfg.plan_cache.shared_store_path = store;
+  {
+    QueryEngine cold(*db_, cfg);
+    ASSERT_TRUE(cold.Prepare(shape + "5000").ok());
+    ASSERT_TRUE(cold.SavePlanSnapshot().ok());
+  }
+
+  // Snapshot warm start: the snapshot carries plans, not cursor records.
+  // The first Prepare parses (a cursor miss) and is still a plan hit; the
+  // next one is keyed from the record it registered.
+  CbqtConfig warm_cfg = CachedConfig();
+  warm_cfg.plan_cache.snapshot_path = snapshot;
+  QueryEngine warm(*db_, warm_cfg);
+  auto first = warm.Prepare(shape + "5100");
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first->from_plan_cache);
+  auto second = warm.Prepare(shape + "5200");
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->from_plan_cache);
+  PlanCacheStats stats = warm.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_misses, 1);
+  EXPECT_EQ(stats.cursor_hits, 1);
+  EXPECT_EQ(stats.hits, 2);
+
+  // Shared-store import: same story on a peer with an empty local cache.
+  CbqtConfig peer_cfg = CachedConfig();
+  peer_cfg.plan_cache.shared_store_path = store;
+  QueryEngine peer(*db_, peer_cfg);
+  auto imported = peer.Prepare(shape + "5300");
+  ASSERT_TRUE(imported.ok());
+  EXPECT_TRUE(imported->from_plan_cache);
+  EXPECT_TRUE(imported->from_plan_store);
+  auto repeat = peer.Prepare(shape + "5400");
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->from_plan_cache);
+  EXPECT_FALSE(repeat->from_plan_store);
+  stats = peer.plan_cache_stats();
+  EXPECT_EQ(stats.store_imports, 1);
+  EXPECT_EQ(stats.cursor_misses, 1);
+  EXPECT_EQ(stats.cursor_hits, 1);
+}
+
+TEST_F(PlanCacheTest, BandMoveThroughTheCursorPathRecosts) {
+  QueryEngine engine(*db_, CachedConfig());
+  const std::string shape =
+      "SELECT e.employee_name FROM employees e WHERE e.salary > ";
+  ASSERT_TRUE(engine.Prepare(shape + "1").ok());
+  // Keyed from the record, but the literal moved bands: re-cost.
+  auto moved = engine.Prepare(shape + "100000000");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_FALSE(moved->from_plan_cache);
+  PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_hits, 1);
+  EXPECT_EQ(stats.rebind_recosts, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 1);
+
+  auto settled = engine.Prepare(shape + "200000000");
+  ASSERT_TRUE(settled.ok());
+  EXPECT_TRUE(settled->from_plan_cache);
+  stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.cursor_hits, 2);
+  EXPECT_EQ(stats.rebind_recosts, 1);
+}
+
+TEST_F(PlanCacheTest, ConcurrentOltpStreamMatchesCacheOffReference) {
+  // Four sessions share one cached engine over the OLTP stream (cursor hits,
+  // cursor registrations racing on one shape, plan hits and misses). Run
+  // under TSan in CI.
+  std::vector<std::string> stream;
+  for (const auto& q : GenerateOltpWorkload(160, SmallHrSchema(), 1)) {
+    stream.push_back(q.sql);
+  }
+  QueryEngine uncached(*db_, CbqtConfig{});
+  std::vector<std::vector<Row>> expected;
+  for (const auto& sql : stream) {
+    auto ref = uncached.Run(sql);
+    ASSERT_TRUE(ref.ok()) << sql;
+    expected.push_back(SortedRows(std::move(ref.value())));
+  }
+
+  QueryEngine engine(*db_, CachedConfig(/*capacity=*/64, /*num_shards=*/4));
+  constexpr int kThreads = 4;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      // Every session walks the whole stream from its own offset.
+      for (size_t k = 0; k < stream.size(); ++k) {
+        size_t i = (k + static_cast<size_t>(t) * 40) % stream.size();
+        auto result = engine.Run(stream[i]);
+        if (!result.ok() ||
+            SortedRows(std::move(result.value())) != expected[i]) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<int64_t>(kThreads * stream.size()));
+  EXPECT_GT(stats.cursor_hits, stats.cursor_misses);
 }
 
 }  // namespace
