@@ -2,7 +2,12 @@
 # CI entry point: builds the Release, ThreadSanitizer, and Address/UB
 # sanitizer configurations and runs the test suite on each. TSan must
 # report zero races — the parallel CBQT search (ThreadPool + sharded
-# AnnotationCache), the fault-injection tests (test_fault_injection,
+# AnnotationCache), the one sharded LRU map behind the annotation cache,
+# the plan cache and the cursor table (common/sharded_lru.h: the tracked
+# Put/Find/Clear/EvictBytes stress ParallelPutFindClearStress in
+# test_parallel_search, and the 4-session OLTP plan-cache leg
+# ConcurrentOltpStreamMatchesCacheOffReference in test_plan_cache), the
+# fault-injection tests (test_fault_injection,
 # injected faults + budget under num_threads >= 4), the tenant scheduler's
 # concurrent admission/dispatch legs (test_scheduler, multi-tenant threads
 # hammering one TenantScheduler), the COW + join-order memo equivalence

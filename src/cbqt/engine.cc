@@ -597,9 +597,7 @@ Result<QueryResult> QueryEngine::ExecuteAdmitted(PreparedQuery prepared,
   ExecOptions opts = config_.exec;
   opts.budget = config_.budget.max_exec_rows > 0 ? &exec_budget : nullptr;
   opts.guards = guards;
-  if (mqo_ != nullptr && config_.mqo.share_scans) {
-    opts.shared_scans = mqo_->hub();
-  }
+  if (mqo_ != nullptr) opts.shared_scans = mqo_->hub();
   Executor executor(db_, std::move(opts));
   double t0 = MonotonicMs();
   auto result = executor.Execute(*prepared.plan);

@@ -74,21 +74,20 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
   stats.threads_used = pool_ != nullptr ? pool_->num_threads() : 1;
   // Both per-optimization caches charge their entries against the query's
   // memory tracker (no-op when guardrails are off). Batch-shared caches
-  // (the MQO path) replace them when supplied; the relaxed reuse flag rides
-  // along — cross-query reuse accepts any member of a signature's
-  // equivalence class, not just the exact block text.
+  // (the MQO path) replace them when supplied.
   AnnotationCache cache(AnnotationCache::kDefaultShards,
-                        config_.annotation_cache_capacity, guards.memory);
+                        AnnotationCache::kDefaultCapacity, guards.memory);
   AnnotationCache* cache_ptr = nullptr;
   if (config_.reuse_annotations) {
     cache_ptr = shared.annotations != nullptr ? shared.annotations : &cache;
   }
-  const bool relaxed_reuse =
-      cache_ptr != nullptr && cache_ptr == shared.annotations;
   // Cross-state join-order memo (subset-granularity DP reuse); same sharded
   // store as the block annotations, different key space ("jo:" prefixed).
+  // Subset-granularity entries outnumber block annotations, hence the
+  // larger capacity.
+  constexpr size_t kJoinMemoCapacity = 8192;
   AnnotationCache join_memo(AnnotationCache::kDefaultShards,
-                            config_.join_memo_capacity, guards.memory);
+                            kJoinMemoCapacity, guards.memory);
   AnnotationCache* join_memo_ptr = nullptr;
   if (config_.reuse_join_orders) {
     join_memo_ptr = shared.join_memo != nullptr ? shared.join_memo : &join_memo;
@@ -266,7 +265,6 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
       PhysicalOptimizeOptions popts;
       popts.cache = cache_ptr;
       popts.join_memo = join_memo_ptr;
-      popts.relaxed_annotation_reuse = relaxed_reuse;
       popts.cost_cutoff = config_.cost_cutoff
                               ? search_cutoff
                               : std::numeric_limits<double>::infinity();
@@ -364,7 +362,6 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
   PhysicalOptimizeOptions final_popts;
   final_popts.cache = cache_ptr;
   final_popts.join_memo = join_memo_ptr;
-  final_popts.relaxed_annotation_reuse = relaxed_reuse;
   final_popts.faults = injector;
   final_popts.guards = guards;
   auto final_opt = physical_.Optimize(*tree, final_popts);

@@ -61,37 +61,21 @@ struct PlanCacheConfig {
 /// Configuration of the multi-query optimization layer (cbqt/mqo.h): shared
 /// sub-plan annotations and shared scans across the batch of concurrently
 /// admitted queries. Off by default — single-query behavior is untouched.
+/// Queries optimize against one batch-wide AnnotationCache / join-order memo
+/// instead of private per-optimization caches; both are keyed by exact text,
+/// so sharing never changes a plan. Base-table scans and single-table
+/// materialized intermediates are shared across concurrently executing
+/// batch members (exec/shared_scan.h).
 struct MqoConfig {
   bool enabled = false;
-
-  /// Share optimization results across the batch: queries optimize against
-  /// one batch-wide AnnotationCache / join-order memo instead of private
-  /// per-optimization caches, with relaxed (equivalence-class) annotation
-  /// reuse — row-identical results, plan text may differ from a solo run.
-  bool share_plans = true;
-
-  /// Share base-table scans and single-table materialized intermediates
-  /// across concurrently executing batch members (exec/shared_scan.h).
-  bool share_scans = true;
 
   /// Byte budget of the shared-scan row buffers; streams degrade gracefully
   /// to private execution beyond it. <= 0 means unlimited.
   int64_t buffer_memory_bytes = 64 << 20;
-
-  /// Total milliseconds a shared-scan consumer waits for its producer
-  /// before falling back to a private scan.
-  int64_t consumer_wait_ms = 250;
-
-  /// Capacities of the batch-shared caches (entries; 0 = unbounded). Larger
-  /// than the per-optimization defaults — they serve the whole batch.
-  size_t annotation_cache_capacity = 16384;
-  size_t join_memo_capacity = 32768;
 };
 
 /// Batch-shared optimization caches handed into Optimize() by the MQO layer
-/// (null members fall back to the private per-optimization caches). When
-/// the annotation cache is shared, reuse is relaxed to the signature's
-/// whole equivalence class — see MqoConfig::share_plans.
+/// (null members fall back to the private per-optimization caches).
 struct SharedOptimizeCaches {
   AnnotationCache* annotations = nullptr;
   AnnotationCache* join_memo = nullptr;
@@ -110,9 +94,8 @@ struct OptimizeOptions {
   /// exhaustion there is no best-so-far degradation.
   QueryGuards guards;
   /// Batch-shared caches (the MQO layer's path): non-null members replace
-  /// the private per-optimization annotation cache / join-order memo, and
-  /// annotation reuse is relaxed to whole signature equivalence classes.
-  /// The reported cache telemetry becomes before/after deltas of the shared
+  /// the private per-optimization annotation cache / join-order memo. The
+  /// reported cache telemetry becomes before/after deltas of the shared
   /// counters (concurrent batch members may inflate each other's numbers —
   /// diagnostics, not decisions).
   SharedOptimizeCaches shared;
@@ -163,18 +146,6 @@ struct CbqtConfig {
   /// JoinStepPlans instead of re-running the DP. Bit-identical results;
   /// false disables the memo.
   bool reuse_join_orders = true;
-
-  /// Capacity of the per-optimization join-order memo (total entries, LRU
-  /// beyond it; 0 = unbounded). Subset-granularity entries are more numerous
-  /// than block annotations, hence the larger default.
-  size_t join_memo_capacity = 8192;
-
-  /// Capacity of the per-optimization annotation cache (total entries, LRU
-  /// beyond it; 0 = unbounded). The default is far above the signature
-  /// population of any paper workload, so Table 1 reuse is unaffected; it
-  /// exists so a pathological state space cannot grow the cache without
-  /// limit.
-  size_t annotation_cache_capacity = 4096;
 
   /// Engine-level plan cache (QueryEngine). Off by default.
   PlanCacheConfig plan_cache;

@@ -23,7 +23,6 @@ void MqoRegistry::LeaveBatch(uint64_t query_id) {
 }
 
 SharedOptimizeCaches MqoRegistry::PrepareCaches(uint64_t stats_epoch) {
-  if (!config_.share_plans) return {};
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stats_epoch != caches_epoch_) {

@@ -43,8 +43,9 @@ struct MqoStats {
 /// Batching model: the *batch* is the set of concurrently admitted engine
 /// operations. Admit joins the batch, EndQuery leaves it; while at least
 /// one member is in flight, later admissions land in the same batch and
-/// probe the work its members already registered — matching sub-blocks
-/// share AnnotationCache / join-order-memo entries (PrepareCaches), and
+/// probe the work its members already registered — sub-blocks with the
+/// same exact text share AnnotationCache / join-order-memo entries
+/// (PrepareCaches; a shared hit is the plan the block would get anyway), and
 /// matching scans share one producer's row stream (hub). When the last
 /// member leaves, the batch dissolves: incomplete scan streams are retired.
 /// The optimization caches persist across batches (they are keyed content
@@ -59,13 +60,12 @@ class MqoRegistry {
   /// `parent` (optional) chains the registry's memory accounting into the
   /// engine's root tracker.
   MqoRegistry(const MqoConfig& config, MemoryTracker* parent = nullptr)
-      : config_(config),
-        memory_("mqo", 0, parent),
-        hub_(config.buffer_memory_bytes, config.consumer_wait_ms, &memory_),
+      : memory_("mqo", 0, parent),
+        hub_(config.buffer_memory_bytes, &memory_),
         annotations_(AnnotationCache::kDefaultShards,
-                     config.annotation_cache_capacity, &memory_),
-        join_memo_(AnnotationCache::kDefaultShards,
-                   config.join_memo_capacity, &memory_) {}
+                     kAnnotationCacheCapacity, &memory_),
+        join_memo_(AnnotationCache::kDefaultShards, kJoinMemoCapacity,
+                   &memory_) {}
 
   MqoRegistry(const MqoRegistry&) = delete;
   MqoRegistry& operator=(const MqoRegistry&) = delete;
@@ -89,7 +89,11 @@ class MqoRegistry {
   MqoStats stats() const;
 
  private:
-  const MqoConfig config_;
+  /// Capacities of the batch-shared caches (entries): larger than the
+  /// per-optimization ones, since they serve the whole batch.
+  static constexpr size_t kAnnotationCacheCapacity = 16384;
+  static constexpr size_t kJoinMemoCapacity = 32768;
+
   MemoryTracker memory_;
   SharedScanHub hub_;
   AnnotationCache annotations_;

@@ -1,6 +1,5 @@
 #include "cbqt/plan_cache.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -10,240 +9,85 @@
 namespace cbqt {
 
 PlanCache::PlanCache(PlanCacheConfig config, MemoryTracker* tracker)
-    : config_(config), tracker_(tracker) {
-  int n = std::max(1, config_.num_shards);
-  shards_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (config_.capacity > 0) {
-    shard_capacity_ =
-        std::max<size_t>(1, config_.capacity / static_cast<size_t>(n));
-  }
-}
-
-PlanCache::~PlanCache() {
-  if (tracker_ != nullptr) {
-    int64_t held = memory_bytes_.load(std::memory_order_relaxed);
-    if (held > 0) tracker_->Release(held);
-  }
-}
-
-void PlanCache::AccountDelta(int64_t delta) {
-  if (delta == 0) return;
-  memory_bytes_.fetch_add(delta, std::memory_order_relaxed);
-  if (tracker_ == nullptr) return;
-  // ForceReserve: publishing a finished plan must not fail; enforcement
-  // happens at the next TryReserve against the shared tracker (whose
-  // pressure callback sheds this very cache first).
-  if (delta > 0) {
-    tracker_->ForceReserve(delta);
-  } else {
-    tracker_->Release(-delta);
-  }
-}
-
-PlanCache::Shard& PlanCache::ShardFor(std::string_view key) const {
-  size_t h = std::hash<std::string_view>{}(key);
-  return *shards_[h % shards_.size()];
-}
+    : config_(config),
+      plans_(config_.num_shards, config_.capacity, tracker),
+      cursors_(config_.num_shards, config_.capacity, tracker) {}
 
 std::shared_ptr<const CachedPlanEntry> PlanCache::Find(std::string_view key,
                                                        uint64_t current_epoch) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  if (it->second.entry->stats_epoch != current_epoch) {
-    // Planned against stale statistics: drop lazily and re-optimize.
-    int64_t freed = it->second.entry->bytes;
-    shard.lru.erase(it->second.lru_it);
-    shard.map.erase(it);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    AccountDelta(-freed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  return it->second.entry;
+  // Planned against stale statistics: dropped lazily, then re-optimized.
+  return plans_.Find(key, [current_epoch](const CachedPlanEntry& entry) {
+    return entry.stats_epoch != current_epoch;
+  });
 }
 
-int64_t PlanCache::EraseCursorShape(Shard* shard, CursorMap::iterator it) {
-  int64_t freed = 0;
-  for (const auto& r : it->second.records) freed += r->bytes;
-  shard->cursor_lru.erase(it->second.lru_it);
-  shard->cursors.erase(it);
-  return freed;
+void PlanCache::Put(std::shared_ptr<const CachedPlanEntry> entry) {
+  const CachedPlanEntry& e = *entry;
+  plans_.Put(e.key, std::move(entry), e.bytes);
+  insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const CursorRecord> PlanCache::FindCursor(
     std::string_view shape, const std::vector<Token>& tokens,
     uint64_t current_epoch) {
-  Shard& shard = ShardFor(shape);
+  // A shape of another epoch holds stale band recipes: it is dropped and
+  // re-registered on the full path.
+  auto records = cursors_.Find(shape, [current_epoch](const CursorShape& r) {
+    return r.front()->stats_epoch != current_epoch;
+  });
   std::shared_ptr<const CursorRecord> found;
-  int64_t freed = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.cursors.find(shape);
-    if (it != shard.cursors.end()) {
-      if (it->second.records.front()->stats_epoch != current_epoch) {
-        // The band recipes hold stale statistics: re-register on the full
-        // path.
-        freed = EraseCursorShape(&shard, it);
-      } else {
-        for (const auto& r : it->second.records) {
-          if (r->Matches(tokens)) {
-            found = r;
-            break;
-          }
-        }
-        if (found != nullptr) {
-          shard.cursor_lru.splice(shard.cursor_lru.begin(), shard.cursor_lru,
-                                  it->second.lru_it);
-        }
+  if (records != nullptr) {
+    for (const auto& r : *records) {
+      if (r->Matches(tokens)) {
+        found = r;
+        break;
       }
     }
   }
-  AccountDelta(-freed);
   (found != nullptr ? cursor_hits_ : cursor_misses_)
       .fetch_add(1, std::memory_order_relaxed);
   return found;
 }
 
 void PlanCache::PutCursor(std::shared_ptr<const CursorRecord> record) {
-  Shard& shard = ShardFor(record->shape);
-  int64_t delta = record->bytes;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.cursors.try_emplace(record->shape);
-    CursorSlot& slot = it->second;
-    if (inserted) {
-      shard.cursor_lru.push_front(&it->first);
-      slot.lru_it = shard.cursor_lru.begin();
-    } else {
-      shard.cursor_lru.splice(shard.cursor_lru.begin(), shard.cursor_lru,
-                              slot.lru_it);
-    }
+  cursors_.Upsert(record->shape, [&record](const CursorShape* old) {
+    auto records = std::make_shared<CursorShape>();
+    records->push_back(record);
+    int64_t bytes = record->bytes;
     // One epoch per shape, one record per set of constants.
-    auto& records = slot.records;
-    for (auto r = records.begin(); r != records.end();) {
-      if ((*r)->stats_epoch != record->stats_epoch ||
-          (*r)->constants == record->constants) {
-        delta -= (*r)->bytes;
-        r = records.erase(r);
-      } else {
-        ++r;
+    for (size_t i = 0; old != nullptr && i < old->size(); ++i) {
+      const auto& r = (*old)[i];
+      if (records->size() == kMaxCursorChildren) break;
+      if (r->stats_epoch == record->stats_epoch &&
+          r->constants != record->constants) {
+        records->push_back(r);
+        bytes += r->bytes;
       }
     }
-    records.insert(records.begin(), std::move(record));
-    if (records.size() > kMaxCursorChildren) {
-      delta -= records.back()->bytes;
-      records.pop_back();
-    }
-    if (inserted && shard_capacity_ > 0 &&
-        shard.cursors.size() > shard_capacity_) {
-      const std::string* victim = shard.cursor_lru.back();
-      delta -= EraseCursorShape(&shard, shard.cursors.find(*victim));
-    }
-  }
-  AccountDelta(delta);
-}
-
-void PlanCache::Put(std::shared_ptr<const CachedPlanEntry> entry) {
-  Shard& shard = ShardFor(entry->key);
-  int64_t delta = entry->bytes;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(entry->key);
-    if (it != shard.map.end()) {
-      delta -= it->second.entry->bytes;
-      it->second.entry = std::move(entry);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      insertions_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      auto pos = shard.map.try_emplace(entry->key).first;
-      pos->second.entry = std::move(entry);
-      shard.lru.push_front(&pos->first);
-      pos->second.lru_it = shard.lru.begin();
-      insertions_.fetch_add(1, std::memory_order_relaxed);
-      if (shard_capacity_ > 0 && shard.map.size() > shard_capacity_) {
-        const std::string* victim = shard.lru.back();
-        shard.lru.pop_back();
-        auto vit = shard.map.find(*victim);
-        delta -= vit->second.entry->bytes;
-        shard.map.erase(vit);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  AccountDelta(delta);
+    return std::make_pair(std::move(records), bytes);
+  });
 }
 
 void PlanCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    shard->lru.clear();
-    shard->cursors.clear();
-    shard->cursor_lru.clear();
-  }
-  AccountDelta(-memory_bytes_.load(std::memory_order_relaxed));
+  plans_.Clear();
+  cursors_.Clear();
 }
 
 int64_t PlanCache::EvictBytes(int64_t target_bytes) {
-  if (target_bytes <= 0) return 0;
-  int64_t freed = 0;
-  // Round-robin over the shards, dropping one LRU tail entry per visit, so
-  // shedding spreads across shards instead of emptying the first one. Plans
-  // go first; a shard without plans sheds its LRU cursor shape instead.
-  bool progressed = true;
-  while (freed < target_bytes && progressed) {
-    progressed = false;
-    for (auto& shard : shards_) {
-      if (freed >= target_bytes) break;
-      std::lock_guard<std::mutex> lock(shard->mu);
-      if (shard->lru.empty()) {
-        if (shard->cursor_lru.empty()) continue;
-        const std::string* victim = shard->cursor_lru.back();
-        freed += EraseCursorShape(shard.get(), shard->cursors.find(*victim));
-        progressed = true;
-        continue;
-      }
-      const std::string* victim = shard->lru.back();
-      shard->lru.pop_back();
-      auto vit = shard->map.find(*victim);
-      freed += vit->second.entry->bytes;
-      shard->map.erase(vit);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      progressed = true;
-    }
-  }
-  if (freed > 0) {
-    shed_bytes_.fetch_add(freed, std::memory_order_relaxed);
-    AccountDelta(-freed);
-  }
+  int64_t freed = plans_.EvictBytes(target_bytes);
+  if (freed < target_bytes) freed += cursors_.EvictBytes(target_bytes - freed);
+  shed_bytes_.fetch_add(freed, std::memory_order_relaxed);
   return freed;
 }
 
-size_t PlanCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->map.size();
-  }
-  return total;
-}
+size_t PlanCache::size() const { return plans_.size(); }
 
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.invalidations = invalidations_.load(std::memory_order_relaxed);
+  out.hits = plans_.hits();
+  out.misses = plans_.misses();
+  out.evictions = plans_.evictions();
+  out.invalidations = plans_.invalidations();
   out.insertions = insertions_.load(std::memory_order_relaxed);
   out.upgrade_attempts = upgrade_attempts_.load(std::memory_order_relaxed);
   out.upgrades = upgrades_.load(std::memory_order_relaxed);
@@ -256,7 +100,7 @@ PlanCacheStats PlanCache::stats() const {
       static_cast<double>(miss_prepare_ns_.load(std::memory_order_relaxed)) /
       1e6;
   out.entries = size();
-  out.memory_bytes = memory_bytes_.load(std::memory_order_relaxed);
+  out.memory_bytes = memory_bytes();
   out.shed_bytes = shed_bytes_.load(std::memory_order_relaxed);
   out.snapshot_loaded = snapshot_loaded_.load(std::memory_order_relaxed);
   out.snapshot_stale = snapshot_stale_.load(std::memory_order_relaxed);
@@ -267,12 +111,8 @@ PlanCacheStats PlanCache::stats() const {
   out.rebind_recosts = rebind_recosts_.load(std::memory_order_relaxed);
   out.cursor_hits = cursor_hits_.load(std::memory_order_relaxed);
   out.cursor_misses = cursor_misses_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [shape, slot] : shard->cursors) {
-      out.cursors += slot.records.size();
-    }
-  }
+  cursors_.ForEach(
+      [&out](const CursorShape& records) { out.cursors += records.size(); });
   return out;
 }
 
@@ -586,16 +426,11 @@ Status PlanCache::SaveSnapshot(const std::string& path,
   payload.U64(schema_fingerprint);
   uint32_t count = 0;
   ByteWriter entries;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // LRU order, most recent first, so a capacity-truncated reload keeps the
-    // hottest statements.
-    for (const std::string* key : shard->lru) {
-      auto it = shard->map.find(*key);
-      SerializeCachedPlanEntry(*it->second.entry, &entries);
-      ++count;
-    }
-  }
+  // Each shard most recent first; LoadSnapshot inserts in reverse.
+  plans_.ForEach([&](const CachedPlanEntry& entry) {
+    SerializeCachedPlanEntry(entry, &entries);
+    ++count;
+  });
   payload.U32(count);
   std::string body = payload.Take() + entries.Take();
   std::string framed = FramePayload(kPlanSnapshotMagic, std::move(body));
@@ -642,20 +477,27 @@ Result<size_t> PlanCache::LoadSnapshot(const std::string& path,
     snapshot_stale_.fetch_add(count, std::memory_order_relaxed);
     return size_t{0};
   }
-  size_t loaded = 0;
+  // Decode and check everything before the first Put: a malformed entry
+  // or trailing bytes load nothing.
+  std::vector<std::shared_ptr<CachedPlanEntry>> decoded;
   for (uint32_t i = 0; i < count; ++i) {
     auto entry = DeserializeCachedPlanEntry(&r);
     if (!entry.ok()) return entry.status();
-    if ((*entry)->stats_epoch != current_epoch) {
-      snapshot_stale_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Put(std::move(*entry));
-    ++loaded;
+    decoded.push_back(std::move(*entry));
   }
   if (!r.exhausted()) {
     return r.Fail(std::to_string(r.remaining()) +
                   " trailing bytes after snapshot entries");
+  }
+  // Coldest first: each Put makes its entry the most recent of its shard.
+  size_t loaded = 0;
+  for (auto it = decoded.rbegin(); it != decoded.rend(); ++it) {
+    if ((*it)->stats_epoch != current_epoch) {
+      snapshot_stale_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    Put(std::move(*it));
+    ++loaded;
   }
   snapshot_loaded_.fetch_add(static_cast<int64_t>(loaded),
                              std::memory_order_relaxed);

@@ -3,18 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cbqt/framework.h"
 #include "common/budget.h"
 #include "common/memory_tracker.h"
+#include "common/sharded_lru.h"
 #include "common/value.h"
 #include "optimizer/card_est.h"
 #include "optimizer/plan.h"
@@ -186,10 +183,9 @@ struct PlanCacheStats {
 /// and charges them to memory_bytes like plans. A shape keeps a few child
 /// records that differ in their constant literals.
 ///
-/// Same locking structure as AnnotationCache: mutex-guarded shards, keys
-/// living in map nodes with the LRU list pointing back at them, entries
-/// handed out as shared_ptr so a hit survives concurrent replacement or
-/// eviction.
+/// Plans and shapes are two ShardedLruMaps (common/sharded_lru.h), which
+/// own the locking: mutex-guarded shards, entries handed out as shared_ptr
+/// so a hit survives concurrent replacement or eviction.
 class PlanCache {
  public:
   /// `tracker` (optional) charges every cached entry's CachedPlanEntry::bytes
@@ -199,11 +195,9 @@ class PlanCache {
   /// invalidation, Clear(), and destruction.
   explicit PlanCache(PlanCacheConfig config, MemoryTracker* tracker = nullptr);
 
-  ~PlanCache();
-
   /// The cached entry for `key` planned under `current_epoch`, or nullptr.
   /// An entry with a stale epoch is erased (counted as invalidation + miss).
-  /// A hit refreshes LRU position and bumps the entry's hit counter.
+  /// A hit refreshes LRU position.
   std::shared_ptr<const CachedPlanEntry> Find(std::string_view key,
                                               uint64_t current_epoch);
 
@@ -213,7 +207,7 @@ class PlanCache {
 
   /// The record of `shape` whose constants `tokens` match, registered under
   /// `current_epoch`, or nullptr. A shape whose records carry a stale epoch
-  /// is dropped. A hit refreshes the shape's LRU position.
+  /// is dropped. Finding the shape refreshes its LRU position.
   std::shared_ptr<const CursorRecord> FindCursor(
       std::string_view shape, const std::vector<Token>& tokens,
       uint64_t current_epoch);
@@ -226,16 +220,17 @@ class PlanCache {
 
   void Clear();
 
-  /// Memory-pressure shedding: evicts LRU entries (round-robin across
-  /// shards) until at least `target_bytes` of estimated entry bytes are
-  /// freed or the cache is empty. Returns the bytes actually freed. Wired
-  /// as the engine root tracker's pressure callback, so a reservation that
-  /// would exceed the engine budget sheds cached plans before failing.
+  /// Memory-pressure shedding: evicts LRU plans (round-robin across shards),
+  /// then LRU cursor shapes — a record without its plan saves only a parse —
+  /// until at least `target_bytes` of estimated entry bytes are freed or
+  /// the cache is empty. Returns the bytes actually freed. Wired as the
+  /// engine root tracker's pressure callback, so a reservation that would
+  /// exceed the engine budget sheds cached plans before failing.
   int64_t EvictBytes(int64_t target_bytes);
 
   /// Estimated bytes currently held by cached entries.
   int64_t memory_bytes() const {
-    return memory_bytes_.load(std::memory_order_relaxed);
+    return plans_.memory_bytes() + cursors_.memory_bytes();
   }
 
   size_t size() const;
@@ -261,67 +256,27 @@ class PlanCache {
                       uint64_t schema_fingerprint) const;
 
   /// Warm-starts the cache from `path`: validates the frame (magic, version,
-  /// checksum) and the schema fingerprint, then Put()s every entry whose
-  /// stats epoch equals `current_epoch` (others count as snapshot_stale).
+  /// checksum), the schema fingerprint and every entry, then Put()s the
+  /// entries whose stats epoch equals `current_epoch` (others count as
+  /// snapshot_stale), coldest first, so the reload reproduces each shard's
+  /// recency and a capacity-truncated reload keeps the hottest entries.
   /// A missing file is not an error (returns 0); malformed bytes yield a
   /// typed DataCorruption and load nothing.
   Result<size_t> LoadSnapshot(const std::string& path, uint64_t current_epoch,
                               uint64_t schema_fingerprint);
 
  private:
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  struct Slot {
-    std::shared_ptr<const CachedPlanEntry> entry;
-    std::list<const std::string*>::iterator lru_it;
-  };
-
   /// Child records one shape keeps (statements of one shape that differ in
   /// a constant literal, such as a ROWNUM limit).
   static constexpr size_t kMaxCursorChildren = 8;
 
   /// The records of one shape, newest first, all of one stats epoch.
-  struct CursorSlot {
-    std::vector<std::shared_ptr<const CursorRecord>> records;
-    std::list<const std::string*>::iterator lru_it;
-  };
-  using CursorMap = std::unordered_map<std::string, CursorSlot,
-                                       TransparentHash, std::equal_to<>>;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Slot, TransparentHash, std::equal_to<>>
-        map;
-    std::list<const std::string*> lru;  ///< front = most recently used
-    CursorMap cursors;
-    std::list<const std::string*> cursor_lru;  ///< front = most recent
-  };
-
-  Shard& ShardFor(std::string_view key) const;
-
-  /// Erases one shape from `shard` (lock held); returns the bytes freed.
-  static int64_t EraseCursorShape(Shard* shard, CursorMap::iterator it);
-
-  /// Applies a byte delta to memory_bytes_ and the tracker (ForceReserve on
-  /// growth — publishing a plan never fails — Release on shrink).
-  void AccountDelta(int64_t delta);
+  using CursorShape = std::vector<std::shared_ptr<const CursorRecord>>;
 
   PlanCacheConfig config_;
-  size_t shard_capacity_ = 0;
-  MemoryTracker* tracker_ = nullptr;  ///< optional byte accounting
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int64_t> memory_bytes_{0};
+  ShardedLruMap<CachedPlanEntry> plans_;
+  ShardedLruMap<CursorShape> cursors_;
   std::atomic<int64_t> shed_bytes_{0};
-
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> invalidations_{0};
   std::atomic<int64_t> insertions_{0};
   std::atomic<int64_t> upgrade_attempts_{0};
   std::atomic<int64_t> upgrades_{0};

@@ -282,7 +282,7 @@ Result<bool> SharedScanOperator::ConsumerNext(RowBatch* out) {
       break;
     }
     CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-    if (waited_ms >= hub_->consumer_wait_ms()) {
+    if (waited_ms >= SharedScanHub::kConsumerWaitMs) {
       hub_->stats().wait_fallbacks.fetch_add(1, std::memory_order_relaxed);
       CBQT_RETURN_IF_ERROR(GoPrivate(cursor_));
       break;

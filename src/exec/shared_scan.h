@@ -132,10 +132,12 @@ class SharedScanHub {
   /// `buffer_limit_bytes <= 0` means unlimited buffering; `parent` chains
   /// the hub into the engine's tracker hierarchy.
   explicit SharedScanHub(int64_t buffer_limit_bytes,
-                         int64_t consumer_wait_ms = 250,
                          MemoryTracker* parent = nullptr)
-      : buffers_("mqo-shared-scans", buffer_limit_bytes, parent),
-        consumer_wait_ms_(consumer_wait_ms) {}
+      : buffers_("mqo-shared-scans", buffer_limit_bytes, parent) {}
+
+  /// Total milliseconds a consumer waits for its producer before falling
+  /// back to a private scan.
+  static constexpr int64_t kConsumerWaitMs = 250;
 
   struct Acquired {
     std::shared_ptr<SharedStream> stream;  ///< null: run privately
@@ -171,12 +173,10 @@ class SharedScanHub {
   SharedScanStats& stats() { return stats_; }
   const SharedScanStats& stats() const { return stats_; }
   MemoryTracker* tracker() { return &buffers_; }
-  int64_t consumer_wait_ms() const { return consumer_wait_ms_; }
   size_t live_streams() const;
 
  private:
   MemoryTracker buffers_;
-  const int64_t consumer_wait_ms_;
   SharedScanStats stats_;
 
   mutable std::mutex mu_;

@@ -66,9 +66,10 @@ std::vector<DifferentialOracle::Entry> DifferentialOracle::DefaultDeck() {
   });
   add("mqo", [](CbqtConfig& c) {
     // Multi-query optimization on: queries run one-at-a-time here, so each
-    // forms its own batch, but the shared-scan interception and relaxed
-    // annotation reuse paths are fully exercised — including replay of
-    // streams registered by earlier operators inside the same plan.
+    // forms its own batch, but the shared-scan interception and the
+    // engine-wide annotation cache and join memo are fully exercised —
+    // including replay of streams registered by earlier operators inside
+    // the same plan, and cache entries published by earlier queries.
     c.mqo.enabled = true;
     c.mqo.buffer_memory_bytes = 1 << 20;
   });

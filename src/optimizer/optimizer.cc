@@ -15,8 +15,7 @@ Result<PhysicalOptimization> PhysicalOptimizer::Optimize(
     CBQT_RETURN_IF_ERROR(options.guards.Poll());
   }
   Planner planner(db_, params_, options.cache, options.cost_cutoff,
-                  options.budget, options.join_memo, options.guards,
-                  options.relaxed_annotation_reuse);
+                  options.budget, options.join_memo, options.guards);
   auto block = planner.PlanBlock(qb);
   if (!block.ok()) return block.status();
   PhysicalOptimization out;

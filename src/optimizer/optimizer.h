@@ -49,11 +49,6 @@ struct PhysicalOptimizeOptions {
   /// Runtime guardrails (cancellation token, per-query memory tracker,
   /// guardrail fault sites), polled at the per-block budget quantum.
   QueryGuards guards;
-  /// MQO batch sharing: accept annotation-cache hits from any member of the
-  /// signature's canonical equivalence class instead of requiring an exact
-  /// unparsing match. Row-identical results; plan text may follow the
-  /// cached member's free orderings. See Planner::relaxed_reuse_.
-  bool relaxed_annotation_reuse = false;
 };
 
 /// Facade over the Planner: the "physical optimizer" box of the paper's

@@ -8,7 +8,6 @@
 
 #include "common/str_util.h"
 #include "sql/expr_util.h"
-#include "sql/signature.h"
 #include "sql/unparser.h"
 
 namespace cbqt {
@@ -706,12 +705,12 @@ namespace {
 // Keys one block's join-order DP subproblems so their results transfer
 // across transformation states. A subset mask is fingerprinted by its member
 // relations in FROM order — alias, content (table name or the derived
-// block's structural signature), join kind, laterality, ON conditions,
+// block's exact text), join kind, laterality, ON conditions,
 // single-relation filters (including the constant predicates attached to
 // relation 0), dependency aliases — plus every WHERE join predicate falling
 // entirely within the subset, in WHERE order. Everything the DP value of a
 // subset depends on is covered: selectivities resolve through the member
-// aliases only, derived-table stats are functions of the block signature,
+// aliases only, derived-table stats are functions of the block text,
 // and correlated references degrade to defaults deterministically.
 //
 // Serialization keeps relative FROM / WHERE order (rather than sorting) so
@@ -824,21 +823,13 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
   // Same quantum, harder stop: a tripped cancellation token fails the
   // query outright instead of degrading it.
   if (guards_.any()) CBQT_RETURN_IF_ERROR(guards_.Poll());
-  std::string sig;
-  std::string exact;
+  // The annotation key is the block's exact text: a hit is what planning
+  // this block would produce, so reuse never changes a plan, whichever
+  // state or query published the entry first.
+  std::string key;
   if (cache_ != nullptr) {
-    sig = BlockSignature(qb);
-    exact = BlockToSql(qb);
-    std::shared_ptr<const CostAnnotation> hit = cache_->Find(sig);
-    // The canonical signature keys a whole equivalence class of blocks
-    // (conjunct order, commuted operands, inner FROM order). Default reuse
-    // additionally requires the exact unparsing to match, so a hit is
-    // guaranteed bit-identical to what planning this block would produce —
-    // parallel state evaluation stays deterministic no matter which class
-    // member reached the cache first. Relaxed reuse (MQO batch sharing)
-    // accepts any class member: row-identical results, possibly different
-    // plan text (tie-breaks followed the cached member's orderings).
-    if (hit != nullptr && (relaxed_reuse_ || hit->exact_sql == exact)) {
+    key = BlockToSql(qb);
+    if (std::shared_ptr<const CostAnnotation> hit = cache_->Find(key)) {
       BlockPlan out;
       out.plan = hit->plan;
       out.out_stats = hit->out_stats;
@@ -855,8 +846,7 @@ Result<BlockPlan> Planner::PlanBlock(const QueryBlock& qb) {
     ann.rows = result->plan->est_rows;
     ann.out_stats = result->out_stats;
     ann.plan = result->plan;
-    ann.exact_sql = std::move(exact);
-    cache_->Put(sig, std::move(ann));
+    cache_->Put(key, std::move(ann));
   }
   return result;
 }
@@ -1055,10 +1045,9 @@ Result<BlockPlan> Planner::PlanRegular(const QueryBlock& qb) {
         fp += tr.table_name;
       } else {
         fp += "V:";
-        // Exact unparsing, not the canonical BlockSignature: the memo's
-        // contract is that a key collision implies the DP would re-run with
-        // the same inputs in the same order (tie-break identity), which
-        // canonicalized view signatures would weaken.
+        // Exact unparsing, as for the annotation key: a key collision
+        // implies the DP would re-run with the same inputs in the same
+        // order (tie-break identity).
         fp += BlockToSql(*tr.derived);
       }
       fp += ";k";

@@ -49,16 +49,14 @@ class Planner {
           AnnotationCache* cache = nullptr,
           double cost_cutoff = std::numeric_limits<double>::infinity(),
           BudgetTracker* budget = nullptr,
-          AnnotationCache* join_memo = nullptr, QueryGuards guards = {},
-          bool relaxed_reuse = false)
+          AnnotationCache* join_memo = nullptr, QueryGuards guards = {})
       : db_(db),
         params_(params),
         cache_(cache),
         cutoff_(cost_cutoff),
         budget_(budget),
         join_memo_(join_memo),
-        guards_(guards),
-        relaxed_reuse_(relaxed_reuse) {}
+        guards_(guards) {}
 
   /// Plans a bound query block (and, recursively, all nested blocks).
   Result<BlockPlan> PlanBlock(const QueryBlock& qb);
@@ -135,10 +133,6 @@ class Planner {
   /// Runtime guardrails, polled at the same per-block quantum as the
   /// budget: a tripped CancellationToken aborts planning with kCancelled.
   QueryGuards guards_;
-  /// Accept annotation hits from any member of the signature's canonical
-  /// equivalence class (MQO cross-query sharing); default false requires an
-  /// exact unparsing match (bit-identical plan determinism).
-  bool relaxed_reuse_;
   int64_t blocks_planned_ = 0;
   /// Scratch for ChooseScan/BuildScan, reused across calls.
   std::vector<ScanProbe> scan_probes_;

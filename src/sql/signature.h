@@ -8,10 +8,11 @@
 
 namespace cbqt {
 
-/// Canonical structural signature of a query block, used as the key of the
-/// cost-annotation cache (paper §3.4.2) and of the MQO shared-work registry
-/// (cbqt/mqo.h): two blocks with equal signatures are semantically
-/// identical and may reuse each other's optimization results.
+/// Canonical structural signature of a query block: two blocks with equal
+/// signatures are semantically identical. The fuzz harness's round-trip
+/// leg compares it across an unparse + re-parse. It is not a cache key: the
+/// annotation cache keys blocks by their exact text (BlockToSql), because a
+/// reused plan must be the one planning that exact block would produce.
 ///
 /// Unlike the raw unparsing (BlockToSql), the signature canonicalizes the
 /// orderings SQL leaves free, so semantically identical blocks written

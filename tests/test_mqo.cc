@@ -1,13 +1,17 @@
 // Multi-query optimization tests: canonical sharing signatures, the
 // SharedStream/SharedScanHub buffer machinery, and the engine-level
-// invariants — shared execution is bit-identical to private execution,
-// consumers degrade gracefully under memory pressure, a cancelled consumer
-// never stalls the rest of the batch, and two sequential batches over one
-// engine stay correct under concurrency (the TSan leg).
+// invariants — shared optimization never changes a plan, shared execution
+// is bit-identical to private execution, consumers degrade gracefully under
+// memory pressure, a cancelled consumer never stalls the rest of the batch,
+// and two sequential batches over one engine stay correct under concurrency
+// (the TSan leg).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,8 +23,13 @@
 #include "common/memory_tracker.h"
 #include "common/result_compare.h"
 #include "exec/shared_scan.h"
+#include "fuzz/harness.h"
+#include "parser/parser.h"
+#include "sql/expr_util.h"
 #include "sql/signature.h"
+#include "sql/unparser.h"
 #include "tests/test_util.h"
+#include "workload/query_gen.h"
 #include "workload/runner.h"
 
 namespace cbqt {
@@ -376,6 +385,110 @@ TEST(Mqo, TwoConcurrentBatchesStayCorrect) {
   }
   EXPECT_FALSE(mismatch);
   EXPECT_GE(on.mqo_stats().batches_formed, 2);
+}
+
+// ---------------------------------------------------------------------------
+// MQO never changes a plan
+// ---------------------------------------------------------------------------
+
+/// Spellings of `sql` that differ only in orderings SQL leaves free: every
+/// block's WHERE/HAVING conjuncts reversed, every comparison's operands
+/// swapped, and every all-inner comma-join FROM list reversed.
+std::vector<std::string> OrderVariants(const std::string& sql) {
+  std::vector<std::string> out;
+  auto add = [&](const std::function<void(QueryBlock*)>& mutate) {
+    auto parsed = ParseSql(sql);
+    if (!parsed.ok()) return;
+    mutate(parsed->get());
+    std::string text = BlockToSql(**parsed);
+    if (text != sql) out.push_back(std::move(text));
+  };
+  add([](QueryBlock* root) {
+    VisitAllBlocks(root, [](QueryBlock* qb) {
+      std::reverse(qb->where.begin(), qb->where.end());
+      std::reverse(qb->having.begin(), qb->having.end());
+    });
+  });
+  add([](QueryBlock* root) {
+    VisitAllExprs(root, [](Expr* e) {
+      if (e->kind == ExprKind::kBinary && IsComparisonOp(e->bop) &&
+          e->children.size() == 2) {
+        e->bop = SwapComparison(e->bop);
+        std::swap(e->children[0], e->children[1]);
+      }
+    });
+  });
+  add([](QueryBlock* root) {
+    VisitAllBlocks(root, [](QueryBlock* qb) {
+      for (const auto& tr : qb->from) {
+        if (tr.join != JoinKind::kInner || !tr.join_conds.empty() ||
+            tr.lateral) {
+          return;
+        }
+      }
+      std::reverse(qb->from.begin(), qb->from.end());
+    });
+  });
+  return out;
+}
+
+/// Prepares every statement of `sqls`, in order, on an MQO-on engine (its
+/// engine-wide annotation cache and join memo warm across the statements)
+/// and on an MQO-off engine, and expects the same plan for each. Returns
+/// how many statements prepared.
+int ExpectSamePlans(const Database& db, const std::vector<std::string>& sqls) {
+  QueryEngine on(db, MqoOn());
+  QueryEngine off(db, CbqtConfig{});
+  int prepared = 0;
+  for (const std::string& sql : sqls) {
+    auto shared = on.Prepare(sql);
+    auto solo = off.Prepare(sql);
+    EXPECT_EQ(shared.ok(), solo.ok()) << sql;
+    if (!shared.ok() || !solo.ok()) continue;
+    EXPECT_EQ(PlanToString(*shared->plan), PlanToString(*solo->plan)) << sql;
+    ++prepared;
+  }
+  EXPECT_GT(on.mqo_stats().shared_subplan_hits, 0);
+  return prepared;
+}
+
+std::vector<std::string> WithOrderVariants(
+    const std::vector<std::string>& bases) {
+  std::vector<std::string> out;
+  for (const std::string& base : bases) {
+    out.push_back(base);
+    for (std::string& v : OrderVariants(base)) out.push_back(std::move(v));
+  }
+  return out;
+}
+
+TEST(Mqo, SharedCachesNeverChangeAPlanOnTheMixedWorkload) {
+  auto db = MakeSmallHrDb();
+  ASSERT_NE(db, nullptr);
+  std::vector<std::string> bases;
+  for (const auto& q : GenerateMixedWorkload(200, 0.3, SmallHrSchema(), 1)) {
+    bases.push_back(q.sql);
+  }
+  std::vector<std::string> sqls = WithOrderVariants(bases);
+  ASSERT_GT(sqls.size(), bases.size());
+  EXPECT_GE(ExpectSamePlans(*db, sqls), static_cast<int>(bases.size()));
+}
+
+TEST(Mqo, SharedCachesNeverChangeAPlanOnTheFuzzCorpus) {
+  Database db;
+  ASSERT_TRUE(BuildFuzzDatabase(&db).ok());
+  std::filesystem::path dir =
+      std::filesystem::path(CBQT_SOURCE_DIR) / "tests" / "fuzz_corpus";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".sql") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> bases;
+  for (const auto& f : files) bases.push_back(ReadCorpusSql(f));
+  ASSERT_FALSE(bases.empty());
+  EXPECT_GE(ExpectSamePlans(db, WithOrderVariants(bases)),
+            static_cast<int>(bases.size()));
 }
 
 // ---------------------------------------------------------------------------

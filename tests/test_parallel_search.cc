@@ -1,8 +1,9 @@
 // Concurrency coverage for the parallel CBQT state evaluation: determinism
 // of the chosen state/cost/plan across thread counts, search-level
 // equivalence of the parallel exhaustive/linear strategies, a multi-thread
-// stress of the sharded AnnotationCache (meant to run under TSan — see
-// ci.sh), and ThreadPool basics.
+// stress of the sharded AnnotationCache with a memory tracker and
+// concurrent shedding (meant to run under TSan — see ci.sh), and ThreadPool
+// basics.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "cbqt/engine.h"
 #include "cbqt/framework.h"
 #include "cbqt/search.h"
+#include "common/memory_tracker.h"
 #include "common/thread_pool.h"
 #include "tests/test_util.h"
 #include "workload/runner.h"
@@ -291,12 +293,24 @@ CostAnnotation MakeAnnotation(double cost) {
 }
 
 TEST(AnnotationCacheConcurrency, ParallelPutFindClearStress) {
-  AnnotationCache cache;
+  // Tracked, so every Put, replacement, eviction, EvictBytes and Clear
+  // moves bytes in the tracker while the others run.
+  MemoryTracker tracker("stress", 0);
+  AnnotationCache cache(AnnotationCache::kDefaultShards,
+                        AnnotationCache::kDefaultCapacity, &tracker);
   const int kThreads = 8;
   const int kOpsPerThread = 2000;
   const int kKeySpace = 64;
   std::vector<std::thread> workers;
   std::atomic<int64_t> found{0};
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> shed{0};
+  std::thread evictor([&] {
+    // Runs until the workers are done and it has shed something.
+    while (!done.load() || shed.load() == 0) {
+      shed.fetch_add(cache.EvictBytes(512));
+    }
+  });
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
@@ -319,8 +333,15 @@ TEST(AnnotationCacheConcurrency, ParallelPutFindClearStress) {
     });
   }
   for (auto& w : workers) w.join();
+  done.store(true);
+  evictor.join();
   EXPECT_GT(found.load(), 0);
+  EXPECT_GT(shed.load(), 0);
   EXPECT_LE(cache.size(), static_cast<size_t>(kKeySpace));
+  EXPECT_EQ(cache.memory_bytes(), tracker.used_bytes());
+  cache.Clear();
+  EXPECT_EQ(cache.memory_bytes(), 0);
+  EXPECT_EQ(tracker.used_bytes(), 0);
 }
 
 TEST(AnnotationCacheConcurrency, HitsAndMissesAreCounted) {

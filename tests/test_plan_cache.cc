@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -654,6 +655,65 @@ TEST_F(PlanCacheTest, CorruptSnapshotIsIgnoredNotFatal) {
   QueryEngine warm(*db_, cfg);  // best-effort load: construction survives
   EXPECT_EQ(warm.plan_cache_stats().snapshot_loaded, 0);
   EXPECT_TRUE(warm.Prepare("SELECT d.dept_name FROM departments d").ok());
+
+  // A checksum-valid frame whose payload carries bytes after its last
+  // entry: every entry decodes, and still nothing is loaded.
+  ASSERT_TRUE(engine.SavePlanSnapshot().ok());
+  std::string framed;
+  {
+    std::ifstream in(path, std::ios::binary);
+    framed.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  auto payload = UnframePayload(kPlanSnapshotMagic, framed);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::string trailing =
+        FramePayload(kPlanSnapshotMagic, std::string(*payload) + "xyz");
+    out.write(trailing.data(), static_cast<std::streamsize>(trailing.size()));
+  }
+  PlanCache trailing_direct(cfg.plan_cache);
+  auto trailing_load = trailing_direct.LoadSnapshot(path, db_->stats_epoch(),
+                                                    fp);
+  ASSERT_FALSE(trailing_load.ok());
+  EXPECT_EQ(trailing_load.status().code(), StatusCode::kDataCorruption);
+  EXPECT_EQ(trailing_direct.size(), 0u);
+}
+
+TEST_F(PlanCacheTest, SnapshotReloadKeepsLruOrder) {
+  const std::string path = FreshTempPath("cbqt_snap_lru.cbqs");
+  const std::string a = "SELECT e.salary FROM employees e WHERE e.salary > 1";
+  const std::string b =
+      "SELECT d.dept_name FROM departments d WHERE d.loc_id > 1";
+  const std::string c = "SELECT l.city FROM locations l WHERE l.loc_id > 1";
+  const std::string d =
+      "SELECT e.employee_name FROM employees e WHERE e.dept_id > 1";
+  CbqtConfig cfg = CachedConfig(/*capacity=*/3, /*num_shards=*/1);
+  cfg.plan_cache.snapshot_path = path;
+  cfg.plan_cache.snapshot_on_shutdown = false;
+  {
+    QueryEngine cold(*db_, cfg);
+    for (const std::string& sql : {a, b, c}) {
+      ASSERT_TRUE(cold.Prepare(sql).ok()) << sql;
+    }
+    ASSERT_TRUE(cold.SavePlanSnapshot().ok());
+  }
+
+  QueryEngine warm(*db_, cfg);
+  ASSERT_EQ(warm.plan_cache_stats().snapshot_loaded, 3);
+  // The reload reproduces recency: a is the least recent entry, so d
+  // evicts it, and c, the most recent, survives.
+  ASSERT_TRUE(warm.Prepare(d).ok());
+  EXPECT_EQ(warm.plan_cache_stats().evictions, 1);
+  for (const std::string& sql : {c, b}) {
+    auto hit = warm.Prepare(sql);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit->from_plan_cache) << sql;
+  }
+  auto evicted = warm.Prepare(a);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_FALSE(evicted->from_plan_cache);
 }
 
 TEST_F(PlanCacheTest, SecondInstanceImportsPublishedPlansFromSharedStore) {
