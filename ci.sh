@@ -25,16 +25,22 @@
 # serialize/partition/merge paths run under ASan), the hash-join build table
 # (JoinTableTest in test_batch_executor: duplicate, Int/Real and NULL keys,
 # and a 110k-distinct-key build that grows the table many times, joined in
-# memory, from reloaded spill partitions and in chunks), and the compiled
-# expression fast path against the tree evaluator (CompiledExpr tests in
-# test_eval, including by-reference leaf operands).
+# memory, from reloaded spill partitions and in chunks; the one-slot probe
+# that reads the key in place, with two-column, expression and NULL keys),
+# the compiled expression fast path against the tree evaluator (CompiledExpr
+# tests in test_eval, including by-reference leaf operands), and the typed
+# scan filter kernels (ScanKernelTest in test_batch_executor: kernels index
+# stored rows by remapped slot over a selection vector of rowids, checked
+# against the tree evaluator over every value kind, NaN and int64 beyond
+# 2^53, in table and index scans at batch sizes 1, 3 and 1024).
 #
 #   $ ./ci.sh              # release + tsan + asan + bench-smoke + fuzz-smoke
 #                          #   + perfbench-smoke
 #   $ ./ci.sh release      # just the release config
 #   $ ./ci.sh tsan         # just the thread-sanitizer config
 #   $ ./ci.sh asan         # just the address/UB-sanitizer config
-#   $ ./ci.sh bench-smoke  # quick Release run of the perf benches
+#   $ ./ci.sh bench-smoke  # quick Release run of the perf benches; runs
+#                          #   every bench, then fails if any gate failed
 #   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
 #   $ ./ci.sh perfbench-smoke  # builds the end-to-end benchmark, checks
 #                              # its deterministic counts (seeds 1, 20061)
@@ -77,50 +83,57 @@ if [[ "${want}" == "all" || "${want}" == "bench-smoke" ]]; then
   cmake --build "${dir}" -j "${jobs}" \
     --target bench_table1_reuse bench_plan_cache bench_plan_warmstart \
     bench_state_eval bench_guardrails bench_executor bench_mqo bench_tenants
-  echo "=== [bench-smoke] bench_table1_reuse ==="
-  (cd "${dir}" && ./bench/bench_table1_reuse)
-  echo "=== [bench-smoke] bench_plan_cache ==="
-  (cd "${dir}" && ./bench/bench_plan_cache --reps 3)
+  # Every bench runs even when an earlier one fails its gate; the failed
+  # benches are listed at the end and fail the leg.
+  bench_failed=()
+  run_bench() {
+    local name="$1"; shift
+    echo "=== [bench-smoke] ${name} ==="
+    if ! (cd "${dir}" && "$@"); then
+      bench_failed+=("${name}")
+    fi
+  }
+  run_bench bench_table1_reuse ./bench/bench_table1_reuse
+  run_bench bench_plan_cache ./bench/bench_plan_cache --reps 3
   # bench_plan_warmstart asserts the persistence gates: snapshot warm-start
   # >= 10x faster than a cold optimize at bit-identical plans, instance B
   # importing every shape from the shared store on first touch, and
   # fuzz-corpus plans executing row-identically after a serde round-trip.
-  echo "=== [bench-smoke] bench_plan_warmstart ==="
-  (cd "${dir}" && ./bench/bench_plan_warmstart --reps 3)
+  run_bench bench_plan_warmstart ./bench/bench_plan_warmstart --reps 3
   # bench_state_eval asserts its own gates: bit-identical plans between
   # COW+memo and forced full clones, and >= 2x states/sec.
-  echo "=== [bench-smoke] bench_state_eval ==="
-  (cd "${dir}" && ./bench/bench_state_eval --reps 3)
+  run_bench bench_state_eval ./bench/bench_state_eval --reps 3
   # bench_guardrails asserts the runtime-guardrail gates: < 5% end-to-end
   # overhead with every polling/charging site active, p99 cancel latency
   # < 2x the polling quantum, and an 8-seed probabilistic fault-injection
   # sweep over a mixed workload that must complete process-level (counts
   # reconcile; injected failures stay per-query).
-  echo "=== [bench-smoke] bench_guardrails ==="
   # 5 reps (not 3): the overhead gate is a best-of comparison of two ~100 ms
   # runs, and on a loaded single-core box 3 reps leaves enough noise to brush
   # the 5% gate.
-  (cd "${dir}" && ./bench/bench_guardrails --reps 5 --cancel-samples 15)
+  run_bench bench_guardrails ./bench/bench_guardrails --reps 5 \
+    --cancel-samples 15
   # bench_executor asserts the vectorized-executor gate: >= 2x rows/sec over
   # a faithful row-at-a-time baseline on scan / filter / hash-join /
   # hash-aggregate, with bit-identical result rows. 5 reps for the same
   # noise reason as bench_guardrails (best-of comparison on a loaded box).
-  echo "=== [bench-smoke] bench_executor ==="
-  (cd "${dir}" && ./bench/bench_executor --reps 5)
+  run_bench bench_executor ./bench/bench_executor --reps 5
   # bench_mqo asserts the multi-query-optimization gate: 8 concurrent
   # sessions over repeated scan-dominated templates must reach >= 1.5x
   # aggregate throughput with MQO on vs off, with every execution's rows
   # verified bit-identical (canonically sorted) against an MQO-off
   # reference.
-  echo "=== [bench-smoke] bench_mqo ==="
-  (cd "${dir}" && ./bench/bench_mqo)
+  run_bench bench_mqo ./bench/bench_mqo
   # bench_tenants asserts the noisy-neighbor isolation gates: a well-behaved
   # tenant's p99 under a low-priority analytic flood stays <= 2x its
   # isolated baseline, every query completes or fails typed (zero
   # starvation, no untyped failures), and victim rows produced mid-flood are
   # bit-identical to a serial reference.
-  echo "=== [bench-smoke] bench_tenants ==="
-  (cd "${dir}" && CBQT_BENCH_QUERIES=60 ./bench/bench_tenants)
+  run_bench bench_tenants env CBQT_BENCH_QUERIES=60 ./bench/bench_tenants
+  if (( ${#bench_failed[@]} > 0 )); then
+    echo "FAIL: bench-smoke gates failed: ${bench_failed[*]}" >&2
+    exit 1
+  fi
 fi
 
 if [[ "${want}" == "all" || "${want}" == "fuzz-smoke" ]]; then

@@ -126,12 +126,13 @@ bool RowsEqualStructural(const Row& a, const Row& b) {
   return true;
 }
 
+size_t HashStep(size_t h, const Value& v) {
+  return (h ^ v.Hash()) * 1099511628211ULL;
+}
+
 size_t HashRow(const Row& row) {
-  size_t h = 14695981039346656037ULL;
-  for (const Value& v : row) {
-    h ^= v.Hash();
-    h *= 1099511628211ULL;
-  }
+  size_t h = kHashRowSeed;
+  for (const Value& v : row) h = HashStep(h, v);
   return h;
 }
 

@@ -82,8 +82,15 @@ bool TotalLess(const Value& a, const Value& b);
 /// A row of values. Rows are plain data; operators copy or move them freely.
 using Row = std::vector<Value>;
 
-/// Hash of a key row (for hash joins / aggregation).
+/// Hash of a key row (for hash joins / aggregation): HashStep over its
+/// values, in order, from kHashRowSeed.
 size_t HashRow(const Row& row);
+
+/// One step of HashRow: folds `v` into the running hash `h`. A one-value key
+/// hashes as HashStep(kHashRowSeed, v), bit-identical to HashRow of the row
+/// holding just `v`, without building that row.
+inline constexpr size_t kHashRowSeed = 14695981039346656037ULL;
+size_t HashStep(size_t h, const Value& v);
 
 /// Approximate in-memory footprint of a value / row, used by the memory
 /// accounting layer (MemoryTracker) when pipeline-breaking operators buffer

@@ -29,6 +29,47 @@ bool CompiledExpr::RemapSlots(const std::vector<int>& map) {
   return true;
 }
 
+bool CompiledExpr::AsSlotCompare(int* slot, BinaryOp* op,
+                                 const Value** constant) const {
+  if (!fast_) return false;
+  const Node& n = nodes_[root_];
+  if (n.op != Op::kCmp) return false;
+  const Node& l = nodes_[children_[n.child_begin]];
+  const Node& r = nodes_[children_[n.child_begin + 1]];
+  BinaryOp bop = n.bop;
+  const Node* s = &l;
+  const Node* c = &r;
+  if (l.op == Op::kConst && r.op == Op::kSlot) {
+    // const <cmp> slot reads as slot <mirrored cmp> const: CompareValues is
+    // antisymmetric, so the verdict is the same for every pair.
+    s = &r;
+    c = &l;
+    switch (bop) {
+      case BinaryOp::kLt:
+        bop = BinaryOp::kGt;
+        break;
+      case BinaryOp::kGt:
+        bop = BinaryOp::kLt;
+        break;
+      case BinaryOp::kLe:
+        bop = BinaryOp::kGe;
+        break;
+      case BinaryOp::kGe:
+        bop = BinaryOp::kLe;
+        break;
+      default:
+        break;  // = and <> are symmetric
+    }
+  }
+  if (s->op != Op::kSlot || c->op != Op::kConst || c->constant.is_null()) {
+    return false;
+  }
+  *slot = s->slot;
+  *op = bop;
+  *constant = &c->constant;
+  return true;
+}
+
 int CompiledExpr::CompileNode(const Expr& e, const Schema& schema) {
   switch (e.kind) {
     case ExprKind::kLiteral: {
@@ -231,6 +272,115 @@ Value CompiledExpr::EvalNode(int idx, const Row& row, int64_t rownum) const {
     }
   }
   return Value::Null();
+}
+
+namespace {
+
+// The verdict of comparison `kOp` on a known three-way order (c < 0 less,
+// 0 equal, > 0 greater), as Tribool derives it from CompareValues.
+template <BinaryOp kOp>
+bool Holds(int c) {
+  if constexpr (kOp == BinaryOp::kEq) return c == 0;
+  if constexpr (kOp == BinaryOp::kNe) return c != 0;
+  if constexpr (kOp == BinaryOp::kLt) return c < 0;
+  if constexpr (kOp == BinaryOp::kLe) return c <= 0;
+  if constexpr (kOp == BinaryOp::kGt) return c > 0;
+  return c >= 0;  // kGe
+}
+
+// Keeps, in order, the rowids of sel[0, n) whose column `slot` passes
+// `test`, and returns how many remain.
+template <typename Test>
+size_t SelectWhere(const std::vector<Row>& rows, size_t slot, int64_t* sel,
+                   size_t n, Test test) {
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t rowid = sel[i];
+    sel[kept] = rowid;
+    kept += test(rows[static_cast<size_t>(rowid)][slot]) ? 1 : 0;
+  }
+  return kept;
+}
+
+}  // namespace
+
+bool FilterKernel::Make(const CompiledExpr& p, FilterKernel* out) {
+  int slot = -1;
+  BinaryOp op = BinaryOp::kEq;
+  const Value* c = nullptr;
+  if (!p.AsSlotCompare(&slot, &op, &c)) return false;
+  switch (c->kind()) {
+    case ValueKind::kInt64:
+    case ValueKind::kDouble:
+      out->family_ = Family::kNumeric;
+      out->num_ = c->NumericValue();
+      break;
+    case ValueKind::kString:
+      out->family_ = Family::kString;
+      out->str_ = c->AsString();
+      break;
+    case ValueKind::kBool:
+      out->family_ = Family::kBool;
+      out->bool_ = c->AsBool();
+      break;
+    case ValueKind::kNull:
+      return false;
+  }
+  out->slot_ = static_cast<size_t>(slot);
+  out->op_ = op;
+  return true;
+}
+
+template <BinaryOp kOp>
+size_t FilterKernel::SelectOp(const std::vector<Row>& rows, int64_t* sel,
+                              size_t n) const {
+  switch (family_) {
+    case Family::kNumeric: {
+      const double y = num_;
+      return SelectWhere(rows, slot_, sel, n, [y](const Value& v) {
+        double x;
+        if (v.kind() == ValueKind::kInt64) {
+          x = static_cast<double>(v.AsInt());
+        } else if (v.kind() == ValueKind::kDouble) {
+          x = v.AsDouble();
+        } else {
+          return false;
+        }
+        return Holds<kOp>(x < y ? -1 : (x > y ? 1 : 0));
+      });
+    }
+    case Family::kString:
+      return SelectWhere(rows, slot_, sel, n, [this](const Value& v) {
+        return v.kind() == ValueKind::kString &&
+               Holds<kOp>(v.AsString().compare(str_));
+      });
+    case Family::kBool: {
+      const int y = bool_ ? 1 : 0;
+      return SelectWhere(rows, slot_, sel, n, [y](const Value& v) {
+        return v.kind() == ValueKind::kBool &&
+               Holds<kOp>((v.AsBool() ? 1 : 0) - y);
+      });
+    }
+  }
+  return n;
+}
+
+size_t FilterKernel::Select(const std::vector<Row>& rows, int64_t* sel,
+                            size_t n) const {
+  switch (op_) {
+    case BinaryOp::kEq:
+      return SelectOp<BinaryOp::kEq>(rows, sel, n);
+    case BinaryOp::kNe:
+      return SelectOp<BinaryOp::kNe>(rows, sel, n);
+    case BinaryOp::kLt:
+      return SelectOp<BinaryOp::kLt>(rows, sel, n);
+    case BinaryOp::kLe:
+      return SelectOp<BinaryOp::kLe>(rows, sel, n);
+    case BinaryOp::kGt:
+      return SelectOp<BinaryOp::kGt>(rows, sel, n);
+    default:
+      return SelectOp<BinaryOp::kGe>(rows, sel, n);
+  }
 }
 
 std::vector<CompiledExpr> CompileExprList(const std::vector<ExprPtr>& exprs,

@@ -2,6 +2,7 @@
 #define CBQT_EXEC_COMPILED_EXPR_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -52,6 +53,17 @@ class CompiledExpr {
   /// with no image (`map[s] < 0`).
   bool RemapSlots(const std::vector<int>& map);
 
+  /// The slot this program reads when it is one plain column read, or -1.
+  int AsSlot() const {
+    return fast_ && nodes_[root_].op == Op::kSlot ? nodes_[root_].slot : -1;
+  }
+
+  /// True when this program is `slot <cmp> constant` or `constant <cmp>
+  /// slot` with a non-NULL constant. Fills the slot, the comparison as seen
+  /// with the slot on the left (mirrored when the constant was written
+  /// first), and the constant, which points into this program.
+  bool AsSlotCompare(int* slot, BinaryOp* op, const Value** constant) const;
+
   /// Convenience dispatcher used by non-hot call sites.
   Result<Value> Eval(const Row& row, EvalContext& ctx) const {
     if (fast_) return EvalNode(root_, row, ctx.rownum);
@@ -101,6 +113,36 @@ class CompiledExpr {
   int root_ = -1;
   std::vector<Node> nodes_;
   std::vector<int> children_;
+};
+
+/// A typed filter kernel: one `slot <cmp> constant` conjunct, specialized
+/// once by the constant's kind (numeric, string or bool) and run a column at
+/// a time over stored rows. It keeps exactly the rows for which the compiled
+/// comparison is TRUE: numeric kinds compare as double, as CompareValues
+/// does (so Int meets Real, int64 beyond 2^53 rounds, and NaN compares
+/// equal); a stored value of another kind family, or NULL, is unknown and
+/// rejects the row.
+class FilterKernel {
+ public:
+  /// The kernel of conjunct `p`; false when `p` is not of the kernel form.
+  static bool Make(const CompiledExpr& p, FilterKernel* out);
+
+  /// Narrows the candidate rowids sel[0, n), in place and in order, to those
+  /// whose row `rows[rowid]` passes; returns how many remain.
+  size_t Select(const std::vector<Row>& rows, int64_t* sel, size_t n) const;
+
+ private:
+  enum class Family : uint8_t { kNumeric, kString, kBool };
+
+  template <BinaryOp kOp>
+  size_t SelectOp(const std::vector<Row>& rows, int64_t* sel, size_t n) const;
+
+  size_t slot_ = 0;
+  BinaryOp op_ = BinaryOp::kEq;
+  Family family_ = Family::kNumeric;
+  double num_ = 0;
+  std::string str_;
+  bool bool_ = false;
 };
 
 /// Compiles every expression of `exprs` against `schema`.

@@ -207,13 +207,20 @@ Value EvalArithOp(const Value& a, const Value& b, BinaryOp op) {
       a.kind() == ValueKind::kInt64 && b.kind() == ValueKind::kInt64;
   double x = a.NumericValue();
   double y = b.NumericValue();
+  // int64 results wrap on overflow (two's complement); the operation runs on
+  // uint64_t so that the wrap is defined behaviour.
+  const uint64_t i = both_int ? static_cast<uint64_t>(a.AsInt()) : 0;
+  const uint64_t j = both_int ? static_cast<uint64_t>(b.AsInt()) : 0;
   switch (op) {
     case BinaryOp::kAdd:
-      return both_int ? Value::Int(a.AsInt() + b.AsInt()) : Value::Real(x + y);
+      return both_int ? Value::Int(static_cast<int64_t>(i + j))
+                      : Value::Real(x + y);
     case BinaryOp::kSub:
-      return both_int ? Value::Int(a.AsInt() - b.AsInt()) : Value::Real(x - y);
+      return both_int ? Value::Int(static_cast<int64_t>(i - j))
+                      : Value::Real(x - y);
     case BinaryOp::kMul:
-      return both_int ? Value::Int(a.AsInt() * b.AsInt()) : Value::Real(x * y);
+      return both_int ? Value::Int(static_cast<int64_t>(i * j))
+                      : Value::Real(x * y);
     case BinaryOp::kDiv:
       if (y == 0) return Value::Null();
       return Value::Real(x / y);

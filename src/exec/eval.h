@@ -60,8 +60,8 @@ bool IsTruthy(const Value& v);
 Value EvalCompareOp(const Value& a, const Value& b, BinaryOp op);
 
 /// SQL arithmetic on already-evaluated operands: NULL-propagating, int64
-/// preserved while both sides are int64 (division always real; division by
-/// zero yields NULL).
+/// preserved while both sides are int64 and wrapping on overflow (division
+/// always real; division by zero yields NULL).
 Value EvalArithOp(const Value& a, const Value& b, BinaryOp op);
 
 /// Amount of spin work per expensive_* function call, to make wall-clock

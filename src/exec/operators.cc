@@ -92,7 +92,9 @@ size_t PartitionOfKey(const Row& key, int salt) {
 /// array maps a hash to a key id, and per-build-row next links chain each
 /// key's rows in build-input order. Keys hash with HashRow and compare with
 /// ValuesEqualStructural slot by slot (RowsEqualStructural), so Int(2)
-/// finds Real(2.0); callers never insert a key that holds a NULL.
+/// finds Real(2.0); callers never insert a key that holds a NULL. A
+/// one-column table is also probed by a bare value, hashed with one HashStep
+/// (the same hash as its one-value key row), so no key row is built.
 class JoinTable {
  public:
   static constexpr int kNone = -1;
@@ -122,7 +124,7 @@ class JoinTable {
     next_.push_back(kNone);
     if ((hashes_.size() + 1) * 2 > buckets_.size()) Grow();
     const size_t hash = HashRow(key);
-    const size_t b = Bucket(key, hash);
+    const size_t b = Bucket(key.data(), hash);
     if (buckets_[b] != kNone) {
       const size_t k = static_cast<size_t>(buckets_[b]);
       next_[static_cast<size_t>(tail_[k])] = ri;
@@ -141,8 +143,13 @@ class JoinTable {
   /// The first build row under `key`, or kNone; Next() walks the rest.
   int Find(const Row& key) const {
     if (hashes_.empty()) return kNone;
-    const int k = buckets_[Bucket(key, HashRow(key))];
-    return k == kNone ? kNone : head_[static_cast<size_t>(k)];
+    return Head(buckets_[Bucket(key.data(), HashRow(key))]);
+  }
+
+  /// Find() on a one-column table, by the key value itself.
+  int Find(const Value& key) const {
+    if (hashes_.empty()) return kNone;
+    return Head(buckets_[Bucket(&key, HashStep(kHashRowSeed, key))]);
   }
   int Next(int ri) const { return next_[static_cast<size_t>(ri)]; }
   const Row& row(int ri) const { return rows_[static_cast<size_t>(ri)]; }
@@ -166,8 +173,13 @@ class JoinTable {
         (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
-  // The bucket holding `key`'s id, or the empty bucket where it belongs.
-  size_t Bucket(const Row& key, size_t hash) const {
+  int Head(int k) const {
+    return k == kNone ? kNone : head_[static_cast<size_t>(k)];
+  }
+
+  // The bucket holding the id of the key at `key` (width_ values), or the
+  // empty bucket where it belongs.
+  size_t Bucket(const Value* key, size_t hash) const {
     const size_t mask = buckets_.size() - 1;
     for (size_t b = Home(hash);; b = (b + 1) & mask) {
       const int k = buckets_[b];
@@ -178,7 +190,7 @@ class JoinTable {
     }
   }
 
-  bool KeyEquals(int k, const Row& key) const {
+  bool KeyEquals(int k, const Value* key) const {
     const Value* stored = keys_.data() + static_cast<size_t>(k) * width_;
     for (size_t i = 0; i < width_; ++i) {
       if (!ValuesEqualStructural(stored[i], key[i])) return false;
@@ -427,11 +439,16 @@ Row MaterializeScanRow(const Row& src, const std::vector<int>& src_slots,
   return r;
 }
 
-/// A scan's pushed filter, shared by the table and index scans. When every
-/// predicate is fast and reads no rowid, the compiled filter is re-targeted
-/// at the stored row layout, so a row is tested in place and rows that fail
-/// never leave the table. Otherwise each row is materialized first and
-/// tested against the scan's output schema, with the fallback evaluator.
+/// A scan's stored-row access and pushed filter, shared by the table and
+/// index scans. When every predicate is fast and reads no rowid, the filter
+/// is re-targeted at the stored row layout and tested in place over a batch
+/// of candidate rowids: first each `slot <cmp> constant` conjunct as a typed
+/// FilterKernel, a column at a time, narrowing the selection vector; then
+/// the other conjuncts through the compiled path on the survivors only.
+/// Rows that fail never leave the table, and the survivors are materialized
+/// in candidate order. Otherwise (rowid or fallback predicates) each
+/// candidate is materialized first and tested against the scan's output
+/// schema, with the fallback evaluator.
 class ScanFilter {
  public:
   explicit ScanFilter(const PlanNode* node)
@@ -439,49 +456,81 @@ class ScanFilter {
         filter_(CompileExprList(node->filter, &node->output)),
         filter_needs_frame_(AnySlow(filter_)) {}
 
-  /// Moves the filter onto the stored layout when it can; `src_slots` maps
-  /// each output slot to its table column. Once: a rescan re-Opens.
-  void Bind(const std::vector<int>& src_slots) {
-    if (bound_) return;
-    bound_ = true;
-    if (filter_.empty() || filter_needs_frame_) return;
+  /// Maps the scan's output onto `table`'s columns and moves the filter onto
+  /// the stored layout when it can. Once: a rescan re-Opens.
+  Status Bind(const Table& table) {
+    if (table_ != nullptr) return Status::OK();
+    CBQT_RETURN_IF_ERROR(MapScanSlots(node_->output, table.def(), &src_slots_));
+    table_ = &table;
+    if (filter_needs_frame_) return Status::OK();
     std::vector<CompiledExpr> on_source = filter_;
     for (auto& p : on_source) {
-      if (!p.RemapSlots(src_slots)) return;
+      if (!p.RemapSlots(src_slots_)) return Status::OK();
     }
-    filter_ = std::move(on_source);
     on_source_ = true;
+    for (auto& p : on_source) {
+      FilterKernel k;
+      if (FilterKernel::Make(p, &k)) {
+        kernels_.push_back(std::move(k));
+      } else {
+        residual_.push_back(std::move(p));
+      }
+    }
+    return Status::OK();
   }
 
-  /// Appends the scan row of stored row `src` to `out` when it passes.
-  Status Emit(EvalContext& ev, const Row& src,
-              const std::vector<int>& src_slots, int64_t rowid,
-              RowBatch* out) const {
-    if (on_source_) {
-      auto pass = EvalPredsOnRow(ev, filter_, src, nullptr, false);
-      if (!pass.ok()) return pass.status();
-      if (IsTruthy(pass.value())) {
-        out->Add(MaterializeScanRow(src, src_slots, rowid));
+  /// Appends to `out`, in order, the scan row of each candidate stored row
+  /// (rowids sel[0, n)) that passes. The rowids are narrowed in place.
+  Status Emit(EvalContext& ev, int64_t* sel, size_t n, RowBatch* out) const {
+    const std::vector<Row>& rows = table_->rows();
+    if (!on_source_) {
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t rowid = sel[i];
+        Row r = MaterializeScanRow(rows[static_cast<size_t>(rowid)],
+                                   src_slots_, rowid);
+        if (!filter_.empty()) {
+          auto pass = EvalPredsOnRow(ev, filter_, r, &node_->output,
+                                     filter_needs_frame_);
+          if (!pass.ok()) return pass.status();
+          if (!IsTruthy(pass.value())) continue;
+        }
+        out->Add(std::move(r));
       }
       return Status::OK();
     }
-    Row r = MaterializeScanRow(src, src_slots, rowid);
-    if (!filter_.empty()) {
-      auto pass = EvalPredsOnRow(ev, filter_, r, &node_->output,
-                                 filter_needs_frame_);
-      if (!pass.ok()) return pass.status();
-      if (!IsTruthy(pass.value())) return Status::OK();
+    for (const FilterKernel& k : kernels_) {
+      if (n == 0) break;
+      n = k.Select(rows, sel, n);
     }
-    out->Add(std::move(r));
+    if (!residual_.empty()) {
+      size_t kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        auto pass = EvalPredsOnRow(ev, residual_,
+                                   rows[static_cast<size_t>(sel[i])], nullptr,
+                                   false);
+        if (!pass.ok()) return pass.status();
+        sel[kept] = sel[i];
+        kept += IsTruthy(pass.value()) ? 1 : 0;
+      }
+      n = kept;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      out->Add(MaterializeScanRow(rows[static_cast<size_t>(sel[i])],
+                                  src_slots_, sel[i]));
+    }
     return Status::OK();
   }
 
  private:
   const PlanNode* node_;
-  std::vector<CompiledExpr> filter_;
+  std::vector<CompiledExpr> filter_;  // on the scan's output schema
   bool filter_needs_frame_;
-  bool bound_ = false;
+  const Table* table_ = nullptr;      // set by Bind
+  std::vector<int> src_slots_;
   bool on_source_ = false;
+  // On the stored layout, when on_source_: the kernel conjuncts and the rest.
+  std::vector<FilterKernel> kernels_;
+  std::vector<CompiledExpr> residual_;
 };
 
 class TableScanOperator final : public Operator {
@@ -495,30 +544,31 @@ class TableScanOperator final : public Operator {
       return Status::Internal("missing table at execution: " +
                               node_->table_name);
     }
-    CBQT_RETURN_IF_ERROR(
-        MapScanSlots(node_->output, table_->def(), &src_slots_));
-    filter_.Bind(src_slots_);
+    CBQT_RETURN_IF_ERROR(filter_.Bind(*table_));
     pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* out) override {
     out->Clear();
-    const auto& rows = table_->rows();
-    if (pos_ >= rows.size()) return false;
-    size_t end = std::min(rows.size(), pos_ + ctx_->batch_size);
+    const size_t num_rows = table_->NumRows();
+    if (pos_ >= num_rows) return false;
+    size_t end = std::min(num_rows, pos_ + ctx_->batch_size);
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
-    for (; pos_ < end; ++pos_) {
-      CBQT_RETURN_IF_ERROR(filter_.Emit(ctx_->eval, rows[pos_], src_slots_,
-                                        static_cast<int64_t>(pos_), out));
+    sel_.resize(end - pos_);
+    for (size_t i = 0; i < sel_.size(); ++i) {
+      sel_[i] = static_cast<int64_t>(pos_ + i);
     }
+    pos_ = end;
+    CBQT_RETURN_IF_ERROR(
+        filter_.Emit(ctx_->eval, sel_.data(), sel_.size(), out));
     return true;
   }
 
  private:
   ScanFilter filter_;
   const Table* table_ = nullptr;
-  std::vector<int> src_slots_;
+  std::vector<int64_t> sel_;  // the batch's candidate rowids, reused
   size_t pos_ = 0;
 };
 
@@ -528,16 +578,14 @@ class IndexScanOperator final : public Operator {
       : Operator(ctx, node), filter_(node) {}
 
   Status Open() override {
-    table_ = ctx_->db->FindTable(node_->table_name);
+    const Table* table = ctx_->db->FindTable(node_->table_name);
     const Index* index = ctx_->db->FindIndex(node_->table_name,
                                              node_->index_name);
-    if (table_ == nullptr || index == nullptr) {
+    if (table == nullptr || index == nullptr) {
       return Status::Internal("missing table/index at execution: " +
                               node_->table_name + "/" + node_->index_name);
     }
-    CBQT_RETURN_IF_ERROR(
-        MapScanSlots(node_->output, table_->def(), &src_slots_));
-    filter_.Bind(src_slots_);
+    CBQT_RETURN_IF_ERROR(filter_.Bind(*table));
     // Probe values resolve through the *enclosing* frames (a rescanning
     // nested-loop join re-Opens this operator once per outer row with the
     // outer frame pushed), so they go through the tree evaluator.
@@ -559,20 +607,18 @@ class IndexScanOperator final : public Operator {
     size_t end = std::min(rowids_.size(), pos_ + ctx_->batch_size);
     // Candidates are counted before the filter, as the table scan counts.
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
-    for (; pos_ < end; ++pos_) {
-      int64_t rowid = rowids_[pos_];
-      CBQT_RETURN_IF_ERROR(
-          filter_.Emit(ctx_->eval, table_->rows()[static_cast<size_t>(rowid)],
-                       src_slots_, rowid, out));
-    }
+    // The batch's stretch of rowids_ is its selection vector; a rescan
+    // re-Opens and looks the rowids up again.
+    int64_t* sel = rowids_.data() + pos_;
+    const size_t n = end - pos_;
+    pos_ = end;
+    CBQT_RETURN_IF_ERROR(filter_.Emit(ctx_->eval, sel, n, out));
     return true;
   }
 
  private:
   ScanFilter filter_;
-  const Table* table_ = nullptr;
   std::vector<int64_t> rowids_;
-  std::vector<int> src_slots_;
   size_t pos_ = 0;
 };
 
@@ -858,6 +904,7 @@ class HashJoinOperator final : public Operator {
     conds_ = CompileExprList(node->join_conds, &combined_);
     lkeys_need_frame_ = AnySlow(lkeys_);
     rkeys_need_frame_ = AnySlow(rkeys_);
+    if (lkeys_.size() == 1) probe_slot_ = lkeys_[0].AsSlot();
     conds_need_frame_ = AnySlow(conds_);
   }
 
@@ -968,17 +1015,24 @@ class HashJoinOperator final : public Operator {
   /// per-partition spill path; candidate rows examined are counted exactly
   /// as the row-at-a-time executor counted them.
   Status ProbeOne(Row&& lrow, std::vector<Row>* sink) {
-    // probe_key_ is a reused scratch row: key evaluation allocates nothing
-    // per probe row in steady state.
+    // A one-slot key is read in place; any other key is evaluated into
+    // probe_key_, a reused scratch row.
     bool has_null = false;
-    CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow, left_schema_,
-                                       lkeys_need_frame_, &probe_key_,
-                                       &has_null));
+    const Value* slot_key = nullptr;
+    if (probe_slot_ >= 0) {
+      slot_key = &lrow[static_cast<size_t>(probe_slot_)];
+      has_null = slot_key->is_null();
+    } else {
+      CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
+                                         left_schema_, lkeys_need_frame_,
+                                         &probe_key_, &has_null));
+    }
     bool matched = false;
     int64_t examined = 0;
     if (!has_null) {
-      for (int ri = table_.Find(probe_key_); ri != JoinTable::kNone;
-           ri = table_.Next(ri)) {
+      int ri = slot_key != nullptr ? table_.Find(*slot_key)
+                                   : table_.Find(probe_key_);
+      for (; ri != JoinTable::kNone; ri = table_.Next(ri)) {
         ++examined;
         const Row& rrow = table_.row(ri);
         Row comb;
@@ -1310,6 +1364,9 @@ class HashJoinOperator final : public Operator {
   bool lkeys_need_frame_ = false;
   bool rkeys_need_frame_ = false;
   bool conds_need_frame_ = false;
+  // The probe key's slot when it is one plain column of the probe row, else
+  // -1.
+  int probe_slot_ = -1;
   // Reused scratch rows for build and probe key evaluation.
   Row build_key_;
   Row probe_key_;

@@ -62,28 +62,4 @@ std::vector<int64_t> Index::LookupEqual(const Row& key) const {
   return out;
 }
 
-std::vector<int64_t> Index::LookupRange(const Value& lo, bool lo_inclusive,
-                                        const Value& hi,
-                                        bool hi_inclusive) const {
-  std::vector<int64_t> out;
-  for (const Entry& e : entries_) {
-    const Value& k = e.key[0];
-    if (k.is_null()) continue;
-    if (!lo.is_null()) {
-      Ordering ord = CompareValues(k, lo);
-      if (ord == Ordering::kUnknown) continue;
-      if (ord == Ordering::kLess) continue;
-      if (ord == Ordering::kEqual && !lo_inclusive) continue;
-    }
-    if (!hi.is_null()) {
-      Ordering ord = CompareValues(k, hi);
-      if (ord == Ordering::kUnknown) continue;
-      if (ord == Ordering::kGreater) break;  // sorted: nothing further matches
-      if (ord == Ordering::kEqual && !hi_inclusive) continue;
-    }
-    out.push_back(e.rowid);
-  }
-  return out;
-}
-
 }  // namespace cbqt

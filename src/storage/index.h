@@ -11,9 +11,8 @@
 namespace cbqt {
 
 /// Secondary index: key column values -> row ids, stored as a sorted vector
-/// of (key, rowid). Supports equality probes on a key prefix and single-
-/// column range probes, which is what the planner's index access paths and
-/// index nested-loop joins need.
+/// of (key, rowid). Supports equality probes on a key prefix, which is what
+/// the planner's index access paths and index nested-loop joins need.
 class Index {
  public:
   /// Builds the index over `table` for `key_columns` (column indices into
@@ -26,11 +25,6 @@ class Index {
   /// Row ids whose first `key.size()` key columns equal `key`
   /// (NULL keys never match, per SQL index semantics).
   std::vector<int64_t> LookupEqual(const Row& key) const;
-
-  /// Row ids whose first key column lies in [lo, hi]; unbounded sides pass
-  /// NULL. Only meaningful for single-column leading ranges.
-  std::vector<int64_t> LookupRange(const Value& lo, bool lo_inclusive,
-                                   const Value& hi, bool hi_inclusive) const;
 
   size_t NumEntries() const { return entries_.size(); }
 

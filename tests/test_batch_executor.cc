@@ -6,13 +6,18 @@
 // join's build table is also checked directly: exact output order with
 // duplicate keys, every join kind's verdict, Int/Real and NULL keys, and a
 // build side large enough to grow the table many times, in memory and
-// spilled.
+// spilled. Typed scan filter kernels are checked against the tree evaluator
+// and the reference interpreter over every value kind.
 
 #include "exec/executor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +30,8 @@
 #include "common/guardrails.h"
 #include "common/memory_tracker.h"
 #include "common/result_compare.h"
+#include "exec/compiled_expr.h"
+#include "exec/eval.h"
 #include "exec/prune.h"
 #include "exec/reference.h"
 #include "sql/parameterize.h"
@@ -421,6 +428,291 @@ TEST_F(BatchExecutorTest, ConcurrentExecutionsShareOneCachedPlan) {
 }
 
 // ---------------------------------------------------------------------------
+// Scan filter kernels
+// ---------------------------------------------------------------------------
+
+// One table whose columns hold every value kind: i holds int64 values at and
+// beyond 2^53, r a NaN and -0.0, x (declared Int) values of every kind. Each
+// column cycles through its list at its own period, so the rows mix them.
+// The kernel path must keep exactly the rows the tree evaluator keeps, in
+// table (or index) order, count the same candidates, and agree with the
+// reference interpreter.
+class ScanKernelTest : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 90;
+
+  static void SetUpTestSuite() {
+    db_ = new Database();
+    TableDef def;
+    def.name = "kt";
+    def.columns = {ColumnDef{"id", DataType::kInt64, false},
+                   ColumnDef{"g", DataType::kInt64, false},
+                   ColumnDef{"i", DataType::kInt64, true},
+                   ColumnDef{"r", DataType::kDouble, true},
+                   ColumnDef{"s", DataType::kString, true},
+                   ColumnDef{"b", DataType::kBool, true},
+                   ColumnDef{"x", DataType::kInt64, true}};
+    def.indexes = {IndexDef{"kt_g", {"g"}, false}};
+    ASSERT_TRUE(db_->CreateTable(std::move(def)).ok());
+    const int64_t p53 = int64_t{1} << 53;
+    const Value null = Value::Null();
+    const std::vector<Value> ints = {
+        Value::Int(0),        Value::Int(3),
+        Value::Int(-7),       Value::Int(p53),
+        Value::Int(p53 + 1),  Value::Int(-(p53 + 1)),
+        Value::Int(std::numeric_limits<int64_t>::max()),
+        Value::Int(std::numeric_limits<int64_t>::min()),
+        Value::Int(2),        null};
+    const std::vector<Value> reals = {
+        Value::Real(2.0),  Value::Real(2.5),
+        Value::Real(std::nan("")), Value::Real(-0.0),
+        Value::Real(1e300), Value::Real(3.0),
+        Value::Real(-2.5), null,
+        Value::Real(9007199254740992.0)};
+    const std::vector<Value> strs = {Value::Str(""),  Value::Str("a"),
+                                     Value::Str("b"), Value::Str("ab"),
+                                     Value::Str("B"), null,
+                                     Value::Str("ba")};
+    const std::vector<Value> bools = {Value::Boolean(true),
+                                      Value::Boolean(false), null};
+    const std::vector<Value> mixed = {
+        Value::Int(2),     Value::Real(2.0),      Value::Str("2"),
+        Value::Boolean(true), null,               Value::Int(5),
+        Value::Real(std::nan("")), Value::Str("a")};
+    std::vector<Row> rows;
+    for (size_t k = 0; k < kRows; ++k) {
+      rows.push_back({Value::Int(static_cast<int64_t>(k)),
+                      Value::Int(static_cast<int64_t>(k % 3)),
+                      ints[k % ints.size()], reals[(k * 2) % reals.size()],
+                      strs[k % strs.size()], bools[(k / 2) % bools.size()],
+                      mixed[k % mixed.size()]});
+    }
+    ASSERT_TRUE(db_->InsertBulk("kt", std::move(rows)).ok());
+    ASSERT_TRUE(db_->BuildIndexes("kt").ok());
+  }
+
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  static std::string Select(const std::string& where) {
+    return "SELECT kt.id, kt.g, kt.i, kt.r, kt.s, kt.b, kt.x, kt.rowid FROM "
+           "kt WHERE " + where;
+  }
+
+  /// A table scan of kt (index scan on kt_g = `g` when `g` >= 0) whose
+  /// output is every column plus rowid, filtered by the bound conjuncts of
+  /// `where`. Also returns those conjuncts' candidate rowids, in scan order.
+  static std::unique_ptr<PlanNode> Scan(const std::string& where, int64_t g,
+                                        std::vector<int64_t>* candidates) {
+    auto qb = ParseAndBind(*db_, Select(where));
+    if (qb == nullptr) return nullptr;
+    auto n = std::make_unique<PlanNode>(g >= 0 ? PlanOp::kIndexScan
+                                               : PlanOp::kTableScan);
+    n->table_name = "kt";
+    n->table_alias = "kt";
+    for (const auto& c : db_->FindTable("kt")->def().columns) {
+      n->output.push_back(ColumnSlot{"kt", c.name, c.type});
+    }
+    n->output.push_back(ColumnSlot{"kt", "rowid", DataType::kInt64});
+    for (const auto& w : qb->where) n->filter.push_back(w->Clone());
+    candidates->clear();
+    if (g >= 0) {
+      n->index_name = "kt_g";
+      n->probes.push_back(MakeLiteral(Value::Int(g)));
+      *candidates = db_->FindIndex("kt", "kt_g")->LookupEqual({Value::Int(g)});
+    } else {
+      for (int64_t r = 0; r < kRows; ++r) candidates->push_back(r);
+    }
+    return n;
+  }
+
+  /// The rows the tree evaluator keeps: each candidate stored row plus its
+  /// rowid, tested conjunct by conjunct with EvalExpr.
+  static std::vector<Row> TreeRows(const PlanNode& scan,
+                                   const std::vector<int64_t>& candidates) {
+    std::vector<Row> out;
+    const auto& rows = db_->FindTable("kt")->rows();
+    for (int64_t rowid : candidates) {
+      Row r = rows[static_cast<size_t>(rowid)];
+      r.push_back(Value::Int(rowid));
+      EvalContext ctx;
+      ctx.frames.push_back(Frame{&scan.output, &r});
+      bool pass = true;
+      for (const auto& f : scan.filter) {
+        auto v = EvalExpr(*f, ctx);
+        EXPECT_TRUE(v.ok()) << v.status().ToString();
+        if (!v.ok() || !IsTruthy(v.value())) {
+          pass = false;
+          break;
+        }
+      }
+      if (pass) out.push_back(std::move(r));
+    }
+    return out;
+  }
+
+  /// Runs the scan for `where` at batch sizes 1, 3 and 1024 against the tree
+  /// evaluator (same rows in the same order, one count per candidate) and
+  /// the reference interpreter (same rows).
+  static void Check(const std::string& where, int64_t g = -1) {
+    std::vector<int64_t> candidates;
+    auto scan = Scan(where, g, &candidates);
+    ASSERT_NE(scan, nullptr) << where;
+    const std::vector<Row> tree = TreeRows(*scan, candidates);
+    std::string sql = g >= 0 ? Select("kt.g = " + std::to_string(g) +
+                                      " AND (" + where + ")")
+                             : Select(where);
+    auto qb = ParseAndBind(*db_, sql);
+    ASSERT_NE(qb, nullptr) << sql;
+    ReferenceExecutor reference(*db_);
+    auto ref = reference.Execute(*qb);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
+    EXPECT_TRUE(Identical(ById(ref.value()), ById(tree)))
+        << "reference vs tree: " << sql;
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+      ExecOptions opts;
+      opts.batch_size = batch;
+      Executor exec(*db_, std::move(opts));
+      auto got = exec.Execute(*scan);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << where;
+      const std::string label = where + " batch=" + std::to_string(batch);
+      EXPECT_TRUE(Identical(got.value().rows, tree)) << label;
+      EXPECT_EQ(got.value().stats.rows_processed,
+                static_cast<int64_t>(candidates.size()))
+          << label;
+    }
+  }
+
+  /// Row equality where a NaN equals a NaN (Value's operator== says it
+  /// does not), so rows holding one can be compared.
+  static bool Identical(const std::vector<Row>& a, const std::vector<Row>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size()) return false;
+      for (size_t j = 0; j < a[i].size(); ++j) {
+        const Value& x = a[i][j];
+        const Value& y = b[i][j];
+        const bool both_nan = x.kind() == ValueKind::kDouble &&
+                              y.kind() == ValueKind::kDouble &&
+                              std::isnan(x.AsDouble()) &&
+                              std::isnan(y.AsDouble());
+        if (!both_nan && !(x == y)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// `rows` ordered by their id column (unique).
+  static std::vector<Row> ById(std::vector<Row> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
+      return x[0].AsInt() < y[0].AsInt();
+    });
+    return rows;
+  }
+
+  static Database* db_;
+};
+
+Database* ScanKernelTest::db_ = nullptr;
+
+const char* const kCompareOps[] = {"=", "<>", "<", "<=", ">", ">="};
+
+// `$` stands for the comparison op.
+const char* const kKernelShapes[] = {
+    "kt.i $ 3",          "3 $ kt.i",
+    "kt.i $ 9007199254740993",  "9007199254740993 $ kt.i",
+    "kt.i $ 2.5",        "2.5 $ kt.i",
+    "kt.r $ 2",          "2 $ kt.r",
+    "kt.r $ 2.5",        "0 $ kt.r",
+    "kt.s $ 'ab'",       "'ab' $ kt.s",
+    "kt.s $ ''",         "kt.b $ TRUE",
+    "FALSE $ kt.b",      "kt.x $ 2",
+    "kt.x $ 'a'",        "kt.x $ TRUE",
+};
+
+std::string WithOp(const std::string& shape, const std::string& op) {
+  std::string out = shape;
+  out.replace(out.find('$'), 1, op);
+  return out;
+}
+
+TEST_F(ScanKernelTest, EveryOpConstantSideAndKindMatchesTreeEvaluator) {
+  for (const char* shape : kKernelShapes) {
+    for (const char* op : kCompareOps) Check(WithOp(shape, op));
+  }
+}
+
+// Kernels next to conjuncts that stay on the compiled path (arithmetic,
+// CASE, slot against slot, NULL constant) or keep the whole filter off the
+// stored layout (function call, rowid).
+const char* const kMixedFilters[] = {
+    "kt.i > 0 AND kt.i + 1 > 3",
+    "kt.s >= 'a' AND CASE WHEN kt.b THEN kt.i ELSE 0 END > 2",
+    "kt.r > 2 AND UPPER(kt.s) = 'B'",
+    "kt.i <> 0 AND kt.rowid < 30",
+    "kt.r <= 3 AND kt.i >= 0 AND kt.s <> 'a'",
+    "kt.i IS NOT NULL AND kt.x = 2 AND NOT (kt.r = 2)",
+    "kt.r = kt.i AND kt.g = 1",
+    "kt.i > NULL AND kt.r > 0",
+    "kt.b = TRUE AND (kt.s = 'a' OR kt.r < 0)",
+};
+
+TEST_F(ScanKernelTest, KernelsMixedWithResidualConjunctsMatchTreeEvaluator) {
+  for (const char* where : kMixedFilters) Check(where);
+}
+
+TEST_F(ScanKernelTest, IndexScanWithPushedFilterMatchesTreeEvaluator) {
+  for (int64_t g : {int64_t{0}, int64_t{1}, int64_t{2}}) {
+    for (const char* where : kMixedFilters) Check(where, g);
+    for (const char* op : kCompareOps) {
+      Check(WithOp("kt.r $ 2", op), g);
+      Check(WithOp("'ab' $ kt.s", op), g);
+    }
+  }
+}
+
+TEST(FilterKernelForm, SlotCompareConstantWithTheConstantOnEitherSide) {
+  Schema schema = {ColumnSlot{"t", "a", DataType::kInt64},
+                   ColumnSlot{"t", "b", DataType::kInt64}};
+  auto col = [] { return MakeColumnRef("t", "b"); };
+  auto lit = [] { return MakeLiteral(Value::Int(4)); };
+  int slot = -1;
+  BinaryOp op = BinaryOp::kEq;
+  const Value* c = nullptr;
+  auto e = MakeBinary(BinaryOp::kLt, col(), lit());
+  // `c` points into the compiled program, so the program must outlive it.
+  const CompiledExpr compiled = CompiledExpr::Compile(e.get(), &schema);
+  ASSERT_TRUE(compiled.AsSlotCompare(&slot, &op, &c));
+  EXPECT_EQ(slot, 1);
+  EXPECT_EQ(op, BinaryOp::kLt);
+  EXPECT_EQ(*c, Value::Int(4));
+  // 4 < t.b reads as t.b > 4.
+  e = MakeBinary(BinaryOp::kLt, lit(), col());
+  ASSERT_TRUE(CompiledExpr::Compile(e.get(), &schema)
+                  .AsSlotCompare(&slot, &op, &c));
+  EXPECT_EQ(op, BinaryOp::kGt);
+  e = MakeBinary(BinaryOp::kGe, lit(), col());
+  ASSERT_TRUE(CompiledExpr::Compile(e.get(), &schema)
+                  .AsSlotCompare(&slot, &op, &c));
+  EXPECT_EQ(op, BinaryOp::kLe);
+  // Not kernels: a NULL constant, slot against slot, arithmetic.
+  e = MakeBinary(BinaryOp::kEq, col(), MakeLiteral(Value::Null()));
+  EXPECT_FALSE(CompiledExpr::Compile(e.get(), &schema)
+                   .AsSlotCompare(&slot, &op, &c));
+  e = MakeBinary(BinaryOp::kEq, col(), MakeColumnRef("t", "a"));
+  EXPECT_FALSE(CompiledExpr::Compile(e.get(), &schema)
+                   .AsSlotCompare(&slot, &op, &c));
+  e = MakeBinary(BinaryOp::kAdd, col(), lit());
+  EXPECT_FALSE(CompiledExpr::Compile(e.get(), &schema)
+                   .AsSlotCompare(&slot, &op, &c));
+  // A plain column read is a one-slot key; anything else is not.
+  EXPECT_EQ(CompiledExpr::Compile(col().get(), &schema).AsSlot(), 1);
+  EXPECT_EQ(CompiledExpr::Compile(lit().get(), &schema).AsSlot(), -1);
+}
+
+// ---------------------------------------------------------------------------
 // Hash-join build table
 // ---------------------------------------------------------------------------
 
@@ -464,6 +756,20 @@ class JoinTableTest : public ::testing::Test {
       big_probe.push_back({I(i), k});
     }
     AddTable("big_p", "id", DataType::kInt64, std::move(big_probe));
+
+    // Enough build rows to spill under a few KB: keys 0..39 repeated, with
+    // and without NULL keys; probe keys 0..49 (some miss) and NULLs.
+    std::vector<Row> mid_build, mid_build_nn, mid_probe;
+    for (int i = 0; i < 300; ++i) {
+      mid_build.push_back({I(i), i % 13 == 5 ? null : I(i % 40)});
+      mid_build_nn.push_back({I(i), I(i % 40)});
+    }
+    for (int i = 0; i < 80; ++i) {
+      mid_probe.push_back({I(i), i % 9 == 2 ? null : I(i * 7 % 50)});
+    }
+    AddTable("mb", "v", DataType::kInt64, std::move(mid_build));
+    AddTable("mbn", "v", DataType::kInt64, std::move(mid_build_nn));
+    AddTable("mp", "id", DataType::kInt64, std::move(mid_probe));
   }
 
   static void TearDownTestSuite() {
@@ -614,6 +920,98 @@ TEST_F(JoinTableTest, IntProbeKeysFindRealBuildKeys) {
                      {I(3), I(2), I(3), Value::Real(2.0)},
                      {I(5), I(3), I(2), Value::Real(3.0)}},
                     "int probe, real build");
+}
+
+TEST_F(JoinTableTest, RealProbeKeysFindIntBuildKeys) {
+  // The one-slot probe reads the Real key in place: 2.0 finds Int(2), 3.0
+  // finds Int(3), 2.5 finds nothing.
+  ExpectOrderedRows(*HashJoin(JoinKind::kInner, "jr", "jb"),
+                    {{I(0), Value::Real(2.0), I(1), I(2)},
+                     {I(0), Value::Real(2.0), I(6), I(2)},
+                     {I(2), Value::Real(3.0), I(4), I(3)},
+                     {I(3), Value::Real(2.0), I(1), I(2)},
+                     {I(3), Value::Real(2.0), I(6), I(2)}},
+                    "real probe, int build");
+}
+
+TEST_F(JoinTableTest, TwoColumnKeyMatchesOneColumnKey) {
+  // ON (jp.k, jp.k) = (jb.k, jb.k) takes the generic key-row path and must
+  // give the one-slot path's rows, in the same order, for every kind.
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftOuter,
+                        JoinKind::kSemi, JoinKind::kAnti,
+                        JoinKind::kAntiNA}) {
+    for (const char* build : {"jb", "jbn", "jr"}) {
+      auto one = HashJoin(kind, "jp", build);
+      auto two = HashJoin(kind, "jp", build);
+      two->hash_left_keys.push_back(MakeColumnRef("jp", "k"));
+      two->hash_right_keys.push_back(MakeColumnRef(build, "k"));
+      const std::vector<Row> expected = Execute(*one, ExecOptions{});
+      ExpectOrderedRows(*two, expected,
+                        std::string("two-column key, build ") + build +
+                            " kind " +
+                            std::to_string(static_cast<int>(kind)));
+    }
+  }
+}
+
+TEST_F(JoinTableTest, ExpressionKeyTakesTheGenericPath) {
+  // ON jp.k + 1 = jb.k: the probe key is computed into a key row.
+  const Value n = Value::Null();
+  auto plan = [](JoinKind kind) {
+    auto p = HashJoin(kind, "jp", "jb");
+    p->hash_left_keys[0] = MakeBinary(BinaryOp::kAdd, MakeColumnRef("jp", "k"),
+                                      MakeLiteral(Value::Int(1)));
+    return p;
+  };
+  ExpectOrderedRows(*plan(JoinKind::kInner),
+                    {{I(0), I(1), I(1), I(2)},
+                     {I(0), I(1), I(6), I(2)},
+                     {I(3), I(2), I(4), I(3)},
+                     {I(4), I(1), I(1), I(2)},
+                     {I(4), I(1), I(6), I(2)}},
+                    "expression key, inner");
+  ExpectOrderedRows(*plan(JoinKind::kLeftOuter),
+                    {{I(0), I(1), I(1), I(2)},
+                     {I(0), I(1), I(6), I(2)},
+                     {I(1), I(4), n, n},
+                     {I(2), n, n, n},
+                     {I(3), I(2), I(4), I(3)},
+                     {I(4), I(1), I(1), I(2)},
+                     {I(4), I(1), I(6), I(2)},
+                     {I(5), I(3), n, n}},
+                    "expression key, left outer");
+  ExpectOrderedRows(*plan(JoinKind::kSemi),
+                    {{I(0), I(1)}, {I(3), I(2)}, {I(4), I(1)}},
+                    "expression key, semi");
+  ExpectOrderedRows(*plan(JoinKind::kAnti),
+                    {{I(1), I(4)}, {I(2), n}, {I(5), I(3)}},
+                    "expression key, anti");
+}
+
+TEST_F(JoinTableTest, NullProbeKeysSpilledMatchInMemory) {
+  // A build side that spills under an 8 KB budget: NULL probe keys are
+  // settled while the probe side is routed, the rest per partition through
+  // the one-slot probe, under every kind; the rows equal the in-memory
+  // run's as a multiset.
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftOuter,
+                        JoinKind::kSemi, JoinKind::kAnti,
+                        JoinKind::kAntiNA}) {
+    for (const char* build : {"mb", "mbn"}) {
+      auto plan = HashJoin(kind, "mp", build);
+      const std::vector<Row> in_memory = Execute(*plan, ExecOptions{});
+      MemoryTracker tracker("query", 8192);
+      ExecOptions opts;
+      opts.guards.memory = &tracker;
+      Executor exec(*db_, std::move(opts));
+      auto spilled = exec.Execute(*plan);
+      const std::string label = std::string("build ") + build + " kind " +
+                                std::to_string(static_cast<int>(kind));
+      ASSERT_TRUE(spilled.ok()) << label << ": "
+                                << spilled.status().ToString();
+      EXPECT_EQ(spilled.value().stats.spilled_operators, 1) << label;
+      ExpectSameRows(std::move(spilled.value().rows), in_memory, label);
+    }
+  }
 }
 
 TEST_F(JoinTableTest, ManyDistinctKeysMatchReferenceInMemoryAndSpilled) {

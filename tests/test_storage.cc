@@ -84,17 +84,6 @@ TEST_F(StorageTest, IndexPrefixLookupOnCompositeKey) {
   EXPECT_EQ(exact[0], 2);
 }
 
-TEST_F(StorageTest, IndexRangeLookup) {
-  const Index* idx = db_.FindIndex("points", "pts_x");
-  ASSERT_NE(idx, nullptr);
-  auto rows = idx->LookupRange(Value::Int(4), true, Value::Null(), true);
-  EXPECT_EQ(rows.size(), 2u);  // x = 5 twice; NULL x excluded
-  rows = idx->LookupRange(Value::Int(3), true, Value::Int(4), true);
-  EXPECT_EQ(rows.size(), 1u);
-  rows = idx->LookupRange(Value::Int(3), false, Value::Int(5), false);
-  EXPECT_EQ(rows.size(), 0u);
-}
-
 TEST_F(StorageTest, AnalyzeComputesStats) {
   const TableStats* ts = db_.stats().Find("points");
   ASSERT_NE(ts, nullptr);
