@@ -136,10 +136,9 @@ class RowAtATimeBaseline {
         const Table* table = db_.FindTable(node.table_name);
         if (table == nullptr) return Status::Internal("no such table");
         std::vector<Row> out;
-        const auto& rows = table->rows();
-        for (size_t i = 0; i < rows.size(); ++i) {
+        for (size_t i = 0; i < table->NumRows(); ++i) {
           ++rows_processed_;
-          Row r = rows[i];
+          Row r = table->RowAt(i);
           r.push_back(Value::Int(static_cast<int64_t>(i)));  // ROWID
           if (!node.filter.empty()) {
             ctx.frames.push_back(Frame{&node.output, &r});

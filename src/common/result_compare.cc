@@ -5,12 +5,33 @@
 
 namespace cbqt {
 
+namespace {
+
+bool IsNan(const Value& v) {
+  return v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble());
+}
+
+bool IsNumeric(const Value& v) {
+  return v.kind() == ValueKind::kInt64 || v.kind() == ValueKind::kDouble;
+}
+
+// TotalLess with NaN placed after every other number (TotalLess finds a NaN
+// equal to every number, which is no order to sort by).
+bool CanonicalLess(const Value& a, const Value& b) {
+  if ((IsNan(a) || IsNan(b)) && IsNumeric(a) && IsNumeric(b)) {
+    return !IsNan(a) && IsNan(b);
+  }
+  return TotalLess(a, b);
+}
+
+}  // namespace
+
 void SortRowsCanonical(std::vector<Row>* rows) {
   std::sort(rows->begin(), rows->end(), [](const Row& a, const Row& b) {
     size_t n = std::min(a.size(), b.size());
     for (size_t i = 0; i < n; ++i) {
-      if (TotalLess(a[i], b[i])) return true;
-      if (TotalLess(b[i], a[i])) return false;
+      if (CanonicalLess(a[i], b[i])) return true;
+      if (CanonicalLess(b[i], a[i])) return false;
     }
     return a.size() < b.size();
   });
@@ -29,6 +50,7 @@ std::string RowToString(const Row& row) {
 bool ResultValuesEqual(const Value& a, const Value& b, bool approx_doubles) {
   if (a.is_null() && b.is_null()) return true;
   if (a.is_null() || b.is_null()) return false;
+  if (IsNan(a) || IsNan(b)) return IsNan(a) && IsNan(b);
   if (approx_doubles && (a.kind() == ValueKind::kDouble ||
                          b.kind() == ValueKind::kDouble)) {
     if (a.kind() != ValueKind::kInt64 && a.kind() != ValueKind::kDouble) {
@@ -39,6 +61,9 @@ bool ResultValuesEqual(const Value& a, const Value& b, bool approx_doubles) {
     }
     double x = a.NumericValue();
     double y = b.NumericValue();
+    // An infinity equals only the same infinity (inf - inf is NaN, and the
+    // tolerance scales to inf).
+    if (std::isinf(x) || std::isinf(y)) return x == y;
     double scale = std::max({1.0, std::fabs(x), std::fabs(y)});
     return std::fabs(x - y) <= 1e-9 * scale;
   }

@@ -15,16 +15,18 @@ namespace cbqt {
 /// sorting, with NULL-aware structural value equality.
 
 /// Sorts rows into a canonical total order: lexicographic TotalLess
-/// (NULLs last), shorter rows first on a common prefix.
+/// (NULLs last, a Real NaN after every other number), shorter rows first on
+/// a common prefix.
 void SortRowsCanonical(std::vector<Row>* rows);
 
 /// Renders one row for diff messages: [v1, v2, ...] with SQL-ish values.
 std::string RowToString(const Row& row);
 
 /// Value equality for result comparison: structural (NULL == NULL,
-/// Int(2) == Real(2.0)); when `approx_doubles` is set, doubles compare with
-/// a 1e-9 relative tolerance because different plans (and different
-/// batch/spill splits) sum doubles in different orders.
+/// Int(2) == Real(2.0), -0.0 == 0.0); a NaN equals a NaN and nothing else;
+/// when `approx_doubles` is set, doubles compare with a 1e-9 relative
+/// tolerance because different plans (and different batch/spill splits) sum
+/// doubles in different orders, and an infinity equals the same infinity.
 bool ResultValuesEqual(const Value& a, const Value& b, bool approx_doubles);
 
 /// Row equality under ResultValuesEqual.

@@ -16,19 +16,6 @@ CompiledExpr CompiledExpr::Compile(const Expr* e, const Schema* schema) {
   return c;
 }
 
-bool CompiledExpr::RemapSlots(const std::vector<int>& map) {
-  if (!fast_) return false;
-  for (const Node& n : nodes_) {
-    if (n.op == Op::kSlot && map[static_cast<size_t>(n.slot)] < 0) {
-      return false;
-    }
-  }
-  for (Node& n : nodes_) {
-    if (n.op == Op::kSlot) n.slot = map[static_cast<size_t>(n.slot)];
-  }
-  return true;
-}
-
 bool CompiledExpr::AsSlotCompare(int* slot, BinaryOp* op,
                                  const Value** constant) const {
   if (!fast_) return false;
@@ -288,16 +275,15 @@ bool Holds(int c) {
   return c >= 0;  // kGe
 }
 
-// Keeps, in order, the rowids of sel[0, n) whose column `slot` passes
-// `test`, and returns how many remain.
-template <typename Test>
-size_t SelectWhere(const std::vector<Row>& rows, size_t slot, int64_t* sel,
-                   size_t n, Test test) {
+// Keeps, in order, the rowids of sel[0, n) that `pass` accepts, and returns
+// how many remain.
+template <typename Pass>
+size_t SelectWhere(int64_t* sel, size_t n, Pass pass) {
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
     const int64_t rowid = sel[i];
     sel[kept] = rowid;
-    kept += test(rows[static_cast<size_t>(rowid)][slot]) ? 1 : 0;
+    kept += pass(static_cast<size_t>(rowid)) ? 1 : 0;
   }
   return kept;
 }
@@ -326,60 +312,101 @@ bool FilterKernel::Make(const CompiledExpr& p, FilterKernel* out) {
     case ValueKind::kNull:
       return false;
   }
-  out->slot_ = static_cast<size_t>(slot);
+  out->slot_ = slot;
   out->op_ = op;
   return true;
 }
 
+void FilterKernel::Bind(const Column& column) {
+  column_ = &column;
+  code_ = family_ == Family::kString && column.kind() == ColumnKind::kString
+              ? column.FindCode(str_)
+              : -1;
+}
+
 template <BinaryOp kOp>
-size_t FilterKernel::SelectOp(const std::vector<Row>& rows, int64_t* sel,
-                              size_t n) const {
-  switch (family_) {
-    case Family::kNumeric: {
-      const double y = num_;
-      return SelectWhere(rows, slot_, sel, n, [y](const Value& v) {
-        double x;
-        if (v.kind() == ValueKind::kInt64) {
-          x = static_cast<double>(v.AsInt());
-        } else if (v.kind() == ValueKind::kDouble) {
-          x = v.AsDouble();
-        } else {
-          return false;
+size_t FilterKernel::SelectOp(int64_t* sel, size_t n) const {
+  const Column& col = *column_;
+  const uint8_t* valid = col.validity();
+  switch (col.kind()) {
+    case ColumnKind::kNull:
+      return 0;  // every value NULL: unknown
+    case ColumnKind::kGeneric:
+      // A column of mixed kinds: test each Value as CompareValues would.
+      return SelectWhere(sel, n, [this, &col](size_t r) {
+        const Value& v = col.values()[r];
+        switch (family_) {
+          case Family::kNumeric: {
+            if (v.kind() != ValueKind::kInt64 &&
+                v.kind() != ValueKind::kDouble) {
+              return false;
+            }
+            const double x = v.NumericValue();
+            return Holds<kOp>(x < num_ ? -1 : (x > num_ ? 1 : 0));
+          }
+          case Family::kString:
+            return v.kind() == ValueKind::kString &&
+                   Holds<kOp>(v.AsString().compare(str_));
+          case Family::kBool:
+            return v.kind() == ValueKind::kBool &&
+                   Holds<kOp>((v.AsBool() ? 1 : 0) - (bool_ ? 1 : 0));
         }
-        return Holds<kOp>(x < y ? -1 : (x > y ? 1 : 0));
+        return false;
       });
+    case ColumnKind::kInt64:
+      if (family_ != Family::kNumeric) return 0;
+      return SelectWhere(sel, n, [valid, xs = col.ints(), y = num_](size_t r) {
+        const double x = static_cast<double>(xs[r]);
+        return (valid[r] != 0) & Holds<kOp>(x < y ? -1 : (x > y ? 1 : 0));
+      });
+    case ColumnKind::kDouble:
+      if (family_ != Family::kNumeric) return 0;
+      return SelectWhere(sel, n, [valid, xs = col.doubles(), y = num_](size_t r) {
+        const double x = xs[r];
+        return (valid[r] != 0) & Holds<kOp>(x < y ? -1 : (x > y ? 1 : 0));
+      });
+    case ColumnKind::kString: {
+      if (family_ != Family::kString) return 0;
+      const uint32_t* codes = col.codes();
+      if constexpr (kOp == BinaryOp::kEq || kOp == BinaryOp::kNe) {
+        // Equal strings share one code; a constant no row holds has none.
+        const int64_t code = code_;
+        return SelectWhere(sel, n, [valid, codes, code](size_t r) {
+          return (valid[r] != 0) &
+                 Holds<kOp>(static_cast<int64_t>(codes[r]) == code ? 0 : 1);
+        });
+      } else {
+        return SelectWhere(sel, n, [this, valid, codes, &col](size_t r) {
+          return valid[r] != 0 &&
+                 Holds<kOp>(col.DictEntry(codes[r]).compare(str_));
+        });
+      }
     }
-    case Family::kString:
-      return SelectWhere(rows, slot_, sel, n, [this](const Value& v) {
-        return v.kind() == ValueKind::kString &&
-               Holds<kOp>(v.AsString().compare(str_));
-      });
-    case Family::kBool: {
+    case ColumnKind::kBool: {
+      if (family_ != Family::kBool) return 0;
       const int y = bool_ ? 1 : 0;
-      return SelectWhere(rows, slot_, sel, n, [y](const Value& v) {
-        return v.kind() == ValueKind::kBool &&
-               Holds<kOp>((v.AsBool() ? 1 : 0) - y);
+      return SelectWhere(sel, n, [valid, bs = col.bools(), y](size_t r) {
+        return (valid[r] != 0) & Holds<kOp>(static_cast<int>(bs[r]) - y);
       });
     }
   }
   return n;
 }
 
-size_t FilterKernel::Select(const std::vector<Row>& rows, int64_t* sel,
-                            size_t n) const {
+size_t FilterKernel::Select(int64_t* sel, size_t n) const {
   switch (op_) {
     case BinaryOp::kEq:
-      return SelectOp<BinaryOp::kEq>(rows, sel, n);
+      return SelectOp<BinaryOp::kEq>(sel, n);
     case BinaryOp::kNe:
-      return SelectOp<BinaryOp::kNe>(rows, sel, n);
+      return SelectOp<BinaryOp::kNe>(sel, n);
     case BinaryOp::kLt:
-      return SelectOp<BinaryOp::kLt>(rows, sel, n);
+      return SelectOp<BinaryOp::kLt>(sel, n);
     case BinaryOp::kLe:
-      return SelectOp<BinaryOp::kLe>(rows, sel, n);
+      return SelectOp<BinaryOp::kLe>(sel, n);
     case BinaryOp::kGt:
-      return SelectOp<BinaryOp::kGt>(rows, sel, n);
+      return SelectOp<BinaryOp::kGt>(sel, n);
     default:
-      return SelectOp<BinaryOp::kGe>(rows, sel, n);
+      return SelectOp<BinaryOp::kGe>(sel, n);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "common/value.h"
 #include "exec/eval.h"
 #include "optimizer/plan.h"
+#include "storage/column.h"
 
 namespace cbqt {
 
@@ -47,11 +48,12 @@ class CompiledExpr {
   /// innermost frame must hold the compiled schema and current row).
   Result<Value> EvalSlow(EvalContext& ctx) const { return EvalExpr(*expr_, ctx); }
 
-  /// Re-targets a fast program at another layout of the same columns: the
-  /// node that read slot s reads slot `map[s]` instead. Returns false,
-  /// leaving the program unchanged, when it is not fast or reads a slot
-  /// with no image (`map[s] < 0`).
-  bool RemapSlots(const std::vector<int>& map);
+  /// Appends the slots this fast program reads to `out`.
+  void CollectSlots(std::vector<int>* out) const {
+    for (const Node& n : nodes_) {
+      if (n.op == Op::kSlot) out->push_back(n.slot);
+    }
+  }
 
   /// The slot this program reads when it is one plain column read, or -1.
   int AsSlot() const {
@@ -116,33 +118,43 @@ class CompiledExpr {
 };
 
 /// A typed filter kernel: one `slot <cmp> constant` conjunct, specialized
-/// once by the constant's kind (numeric, string or bool) and run a column at
-/// a time over stored rows. It keeps exactly the rows for which the compiled
-/// comparison is TRUE: numeric kinds compare as double, as CompareValues
-/// does (so Int meets Real, int64 beyond 2^53 rounds, and NaN compares
-/// equal); a stored value of another kind family, or NULL, is unknown and
-/// rejects the row.
+/// once by the constant's kind (numeric, string or bool), bound to the
+/// stored column the slot reads, and run over that column's array. It keeps
+/// exactly the rows for which the compiled comparison is TRUE: numeric kinds
+/// compare as double, as CompareValues does (so Int meets Real, int64 beyond
+/// 2^53 rounds, and NaN compares equal); a stored value of another kind
+/// family, or NULL, is unknown and rejects the row.
 class FilterKernel {
  public:
   /// The kernel of conjunct `p`; false when `p` is not of the kernel form.
   static bool Make(const CompiledExpr& p, FilterKernel* out);
 
+  /// The slot of the conjunct's input schema the kernel tests.
+  int slot() const { return slot_; }
+
+  /// Points the kernel at the stored column its slot reads. A string
+  /// equality resolves its constant to the column's dictionary code here,
+  /// once.
+  void Bind(const Column& column);
+
   /// Narrows the candidate rowids sel[0, n), in place and in order, to those
-  /// whose row `rows[rowid]` passes; returns how many remain.
-  size_t Select(const std::vector<Row>& rows, int64_t* sel, size_t n) const;
+  /// whose value in the bound column passes; returns how many remain.
+  size_t Select(int64_t* sel, size_t n) const;
 
  private:
   enum class Family : uint8_t { kNumeric, kString, kBool };
 
   template <BinaryOp kOp>
-  size_t SelectOp(const std::vector<Row>& rows, int64_t* sel, size_t n) const;
+  size_t SelectOp(int64_t* sel, size_t n) const;
 
-  size_t slot_ = 0;
+  int slot_ = -1;
   BinaryOp op_ = BinaryOp::kEq;
   Family family_ = Family::kNumeric;
   double num_ = 0;
   std::string str_;
   bool bool_ = false;
+  const Column* column_ = nullptr;  // set by Bind
+  int64_t code_ = -1;               // str_'s code in column_, or -1
 };
 
 /// Compiles every expression of `exprs` against `schema`.

@@ -422,33 +422,18 @@ Status MapScanSlots(const Schema& output, const TableDef& def,
   return Status::OK();
 }
 
-/// Copies only the mapped slots out of a stored row — the batch executor's
-/// late materialization: unreferenced (typically wide string) columns never
-/// leave the table.
-Row MaterializeScanRow(const Row& src, const std::vector<int>& src_slots,
-                       int64_t rowid) {
-  Row r;
-  r.reserve(src_slots.size());
-  for (int s : src_slots) {
-    if (s == kRowIdSrc) {
-      r.push_back(Value::Int(rowid));
-    } else {
-      r.push_back(src[static_cast<size_t>(s)]);
-    }
-  }
-  return r;
-}
-
-/// A scan's stored-row access and pushed filter, shared by the table and
-/// index scans. When every predicate is fast and reads no rowid, the filter
-/// is re-targeted at the stored row layout and tested in place over a batch
-/// of candidate rowids: first each `slot <cmp> constant` conjunct as a typed
-/// FilterKernel, a column at a time, narrowing the selection vector; then
-/// the other conjuncts through the compiled path on the survivors only.
-/// Rows that fail never leave the table, and the survivors are materialized
-/// in candidate order. Otherwise (rowid or fallback predicates) each
-/// candidate is materialized first and tested against the scan's output
-/// schema, with the fallback evaluator.
+/// A scan's pushed filter and its materialization from the stored columns,
+/// shared by the table and index scans. Candidates arrive as a selection
+/// vector of rowids. When every conjunct is fast, each `slot <cmp> constant`
+/// conjunct on a stored column runs first as a typed FilterKernel straight
+/// over that column's array, narrowing the selection vector; the other
+/// conjuncts, compiled against the scan's output schema, then test each
+/// remaining candidate on a scratch scan row that holds only the slots they
+/// read. The survivors are materialized last, from the columns, a column at
+/// a time and only the scan's output slots (late materialization: rows that
+/// fail, and unreferenced columns, never leave the table). With a fallback
+/// conjunct there are no kernels: each candidate is materialized and the
+/// whole filter runs on it in conjunct order, with the fallback evaluator.
 class ScanFilter {
  public:
   explicit ScanFilter(const PlanNode* node)
@@ -456,81 +441,105 @@ class ScanFilter {
         filter_(CompileExprList(node->filter, &node->output)),
         filter_needs_frame_(AnySlow(filter_)) {}
 
-  /// Maps the scan's output onto `table`'s columns and moves the filter onto
-  /// the stored layout when it can. Once: a rescan re-Opens.
+  /// Maps the scan's output onto `table`'s columns and moves the kernel
+  /// conjuncts onto their columns. Once: a rescan re-Opens.
   Status Bind(const Table& table) {
     if (table_ != nullptr) return Status::OK();
     CBQT_RETURN_IF_ERROR(MapScanSlots(node_->output, table.def(), &src_slots_));
     table_ = &table;
+    scratch_.resize(src_slots_.size());
     if (filter_needs_frame_) return Status::OK();
-    std::vector<CompiledExpr> on_source = filter_;
-    for (auto& p : on_source) {
-      if (!p.RemapSlots(src_slots_)) return Status::OK();
-    }
-    on_source_ = true;
-    for (auto& p : on_source) {
+    std::vector<CompiledExpr> rest;
+    for (auto& p : filter_) {
       FilterKernel k;
-      if (FilterKernel::Make(p, &k)) {
-        kernels_.push_back(std::move(k));
-      } else {
-        residual_.push_back(std::move(p));
+      const int src = FilterKernel::Make(p, &k)
+                          ? src_slots_[static_cast<size_t>(k.slot())]
+                          : kRowIdSrc;
+      if (src == kRowIdSrc) {  // not a kernel, or a test of the rowid
+        p.CollectSlots(&rest_slots_);
+        rest.push_back(std::move(p));
+        continue;
       }
+      k.Bind(table.column(static_cast<size_t>(src)));
+      kernels_.push_back(std::move(k));
     }
+    filter_ = std::move(rest);
+    std::sort(rest_slots_.begin(), rest_slots_.end());
+    rest_slots_.erase(std::unique(rest_slots_.begin(), rest_slots_.end()),
+                      rest_slots_.end());
     return Status::OK();
   }
 
   /// Appends to `out`, in order, the scan row of each candidate stored row
   /// (rowids sel[0, n)) that passes. The rowids are narrowed in place.
-  Status Emit(EvalContext& ev, int64_t* sel, size_t n, RowBatch* out) const {
-    const std::vector<Row>& rows = table_->rows();
-    if (!on_source_) {
+  Status Emit(EvalContext& ev, int64_t* sel, size_t n, RowBatch* out) {
+    if (filter_needs_frame_) {
+      // Each candidate's whole scan row is built in the scratch row, which
+      // moves to the output only when the row passes.
       for (size_t i = 0; i < n; ++i) {
-        const int64_t rowid = sel[i];
-        Row r = MaterializeScanRow(rows[static_cast<size_t>(rowid)],
-                                   src_slots_, rowid);
-        if (!filter_.empty()) {
-          auto pass = EvalPredsOnRow(ev, filter_, r, &node_->output,
-                                     filter_needs_frame_);
-          if (!pass.ok()) return pass.status();
-          if (!IsTruthy(pass.value())) continue;
+        for (size_t k = 0; k < src_slots_.size(); ++k) {
+          scratch_[k] = ValueAt(src_slots_[k], sel[i]);
         }
-        out->Add(std::move(r));
+        auto pass = EvalPredsOnRow(ev, filter_, scratch_, &node_->output, true);
+        if (!pass.ok()) return pass.status();
+        if (!IsTruthy(pass.value())) continue;
+        out->Add(std::move(scratch_));
+        scratch_ = Row(src_slots_.size());
       }
       return Status::OK();
     }
     for (const FilterKernel& k : kernels_) {
-      if (n == 0) break;
-      n = k.Select(rows, sel, n);
+      if (n == 0) return Status::OK();
+      n = k.Select(sel, n);
     }
-    if (!residual_.empty()) {
+    if (!filter_.empty()) {
       size_t kept = 0;
       for (size_t i = 0; i < n; ++i) {
-        auto pass = EvalPredsOnRow(ev, residual_,
-                                   rows[static_cast<size_t>(sel[i])], nullptr,
-                                   false);
+        for (int s : rest_slots_) {
+          scratch_[static_cast<size_t>(s)] =
+              ValueAt(src_slots_[static_cast<size_t>(s)], sel[i]);
+        }
+        auto pass = EvalPredsOnRow(ev, filter_, scratch_, nullptr, false);
         if (!pass.ok()) return pass.status();
         sel[kept] = sel[i];
         kept += IsTruthy(pass.value()) ? 1 : 0;
       }
       n = kept;
     }
-    for (size_t i = 0; i < n; ++i) {
-      out->Add(MaterializeScanRow(rows[static_cast<size_t>(sel[i])],
-                                  src_slots_, sel[i]));
+    std::vector<Row>& rows = out->rows();
+    const size_t base = rows.size();
+    rows.resize(base + n);
+    Row* dst = rows.data() + base;
+    for (size_t i = 0; i < n; ++i) dst[i].reserve(src_slots_.size());
+    for (int s : src_slots_) {
+      if (s == kRowIdSrc) {
+        for (size_t i = 0; i < n; ++i) dst[i].push_back(Value::Int(sel[i]));
+      } else {
+        table_->column(static_cast<size_t>(s)).AppendTo(sel, n, dst);
+      }
     }
     return Status::OK();
   }
 
  private:
+  /// The value of stored column `src` (or the rowid) at `rowid`.
+  Value ValueAt(int src, int64_t rowid) const {
+    if (src == kRowIdSrc) return Value::Int(rowid);
+    return table_->column(static_cast<size_t>(src))
+        .Get(static_cast<size_t>(rowid));
+  }
+
   const PlanNode* node_;
-  std::vector<CompiledExpr> filter_;  // on the scan's output schema
+  // On the scan's output schema; after Bind, the conjuncts that are not
+  // kernels.
+  std::vector<CompiledExpr> filter_;
   bool filter_needs_frame_;
   const Table* table_ = nullptr;      // set by Bind
   std::vector<int> src_slots_;
-  bool on_source_ = false;
-  // On the stored layout, when on_source_: the kernel conjuncts and the rest.
-  std::vector<FilterKernel> kernels_;
-  std::vector<CompiledExpr> residual_;
+  std::vector<FilterKernel> kernels_;  // bound to their stored columns
+  std::vector<int> rest_slots_;        // the output slots filter_ reads
+  Row scratch_;  // the scan row of the candidate in test (rest_slots_ only
+                 // when the filter is all fast)
 };
 
 class TableScanOperator final : public Operator {
@@ -589,14 +598,13 @@ class IndexScanOperator final : public Operator {
     // Probe values resolve through the *enclosing* frames (a rescanning
     // nested-loop join re-Opens this operator once per outer row with the
     // outer frame pushed), so they go through the tree evaluator.
-    Row key;
-    key.reserve(node_->probes.size());
+    key_.clear();
     for (const auto& p : node_->probes) {
       auto v = EvalExpr(*p, ctx_->eval);
       if (!v.ok()) return v.status();
-      key.push_back(std::move(v.value()));
+      key_.push_back(std::move(v.value()));
     }
-    rowids_ = index->LookupEqual(key);
+    index->LookupEqual(key_, &rowids_);
     pos_ = 0;
     return Status::OK();
   }
@@ -618,7 +626,8 @@ class IndexScanOperator final : public Operator {
 
  private:
   ScanFilter filter_;
-  std::vector<int64_t> rowids_;
+  Row key_;                     // the probe key, reused across re-Opens
+  std::vector<int64_t> rowids_;  // its matches, capacity reused likewise
   size_t pos_ = 0;
 };
 

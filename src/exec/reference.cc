@@ -177,7 +177,7 @@ Result<std::vector<Row>> ReferenceExecutor::EntryRows(const TableRef& tr,
     std::vector<Row> out;
     out.reserve(table->NumRows());
     for (size_t i = 0; i < table->NumRows(); ++i) {
-      Row r = table->rows()[i];
+      Row r = table->RowAt(i);
       r.push_back(Value::Int(static_cast<int64_t>(i)));
       out.push_back(std::move(r));
     }

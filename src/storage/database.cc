@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <unordered_set>
 
 #include "common/str_util.h"
 
@@ -27,7 +26,7 @@ Status Database::Insert(const std::string& table, Row row) {
 Status Database::InsertBulk(const std::string& table, std::vector<Row> rows) {
   Table* t = FindMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
-  for (auto& row : rows) t->InsertUnchecked(std::move(row));
+  for (const Row& row : rows) t->InsertUnchecked(row);
   return Status::OK();
 }
 
@@ -63,34 +62,42 @@ Status Database::Analyze() {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
   for (auto& [name, table] : tables_) {
     CBQT_RETURN_IF_ERROR(BuildIndexesLocked(name));
-    const auto& rows = table->rows();
+    const size_t num_rows = table->NumRows();
     TableStats ts;
-    ts.rows = static_cast<double>(rows.size());
+    ts.rows = static_cast<double>(num_rows);
     ts.blocks = std::max(1.0, std::ceil(ts.rows / kRowsPerBlock));
     ts.columns.resize(table->def().columns.size());
     for (size_t c = 0; c < table->def().columns.size(); ++c) {
+      const Column& col = table->column(c);
       ColumnStats& cs = ts.columns[c];
-      std::unordered_set<size_t> hashes;
+      std::vector<size_t> hashes;  // ndv counts distinct Value::Hash values
+      hashes.reserve(num_rows);
       double nulls = 0;
-      bool have_minmax = false;
-      for (const Row& row : rows) {
-        const Value& v = row[c];
-        if (v.is_null()) {
+      // The rows holding the first-seen minimum and maximum, by TotalLess.
+      size_t min_row = num_rows;
+      size_t max_row = num_rows;
+      for (size_t r = 0; r < num_rows; ++r) {
+        if (col.IsNull(r)) {
           nulls += 1;
           continue;
         }
-        hashes.insert(v.Hash());
-        if (!have_minmax) {
-          cs.min = v;
-          cs.max = v;
-          have_minmax = true;
+        hashes.push_back(col.Hash(r));
+        if (min_row == num_rows) {
+          min_row = r;
+          max_row = r;
         } else {
-          if (TotalLess(v, cs.min)) cs.min = v;
-          if (TotalLess(cs.max, v)) cs.max = v;
+          if (col.TotalCompare(r, min_row) < 0) min_row = r;
+          if (col.TotalCompare(max_row, r) < 0) max_row = r;
         }
       }
-      cs.ndv = static_cast<double>(hashes.size());
-      cs.null_frac = rows.empty() ? 0.0 : nulls / static_cast<double>(rows.size());
+      if (min_row < num_rows) {
+        cs.min = col.Get(min_row);
+        cs.max = col.Get(max_row);
+      }
+      std::sort(hashes.begin(), hashes.end());
+      cs.ndv = static_cast<double>(
+          std::unique(hashes.begin(), hashes.end()) - hashes.begin());
+      cs.null_frac = num_rows == 0 ? 0.0 : nulls / static_cast<double>(num_rows);
     }
     stats_.Put(name, std::move(ts));
   }

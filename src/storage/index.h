@@ -10,9 +10,14 @@
 
 namespace cbqt {
 
-/// Secondary index: key column values -> row ids, stored as a sorted vector
-/// of (key, rowid). Supports equality probes on a key prefix, which is what
-/// the planner's index access paths and index nested-loop joins need.
+/// Secondary index: the table's rowids sorted by their key column values,
+/// compared column by column with TotalLess. The keys stay in the table's
+/// columns; the index holds only the permutation. Supports equality probes
+/// on a key prefix, which is what the planner's index access paths and index
+/// nested-loop joins need.
+///
+/// The index covers the rows the table held when it was built; the table
+/// must outlive it (Database rebuilds both together).
 class Index {
  public:
   /// Builds the index over `table` for `key_columns` (column indices into
@@ -22,21 +27,18 @@ class Index {
   const std::string& name() const { return name_; }
   const std::vector<int>& key_columns() const { return key_columns_; }
 
-  /// Row ids whose first `key.size()` key columns equal `key`
-  /// (NULL keys never match, per SQL index semantics).
-  std::vector<int64_t> LookupEqual(const Row& key) const;
+  /// Fills `out` (cleared first, capacity kept) with the rowids whose first
+  /// `key.size()` key columns equal `key`, in index order (NULL keys never
+  /// match, per SQL index semantics).
+  void LookupEqual(const Row& key, std::vector<int64_t>* out) const;
 
-  size_t NumEntries() const { return entries_.size(); }
+  size_t NumEntries() const { return order_.size(); }
 
  private:
-  struct Entry {
-    Row key;
-    int64_t rowid;
-  };
-
   std::string name_;
   std::vector<int> key_columns_;
-  std::vector<Entry> entries_;
+  std::vector<const Column*> keys_;  // the key columns, probe order
+  std::vector<int64_t> order_;       // rowids in key order
 };
 
 }  // namespace cbqt

@@ -22,7 +22,19 @@ bool KindMatches(DataType t, const Value& v) {
 
 }  // namespace
 
-Status Table::Insert(Row row) {
+Row Table::RowAt(size_t rowid) const {
+  Row row;
+  row.reserve(columns_.size());
+  for (const Column& c : columns_) row.push_back(c.Get(rowid));
+  return row;
+}
+
+void Table::InsertUnchecked(const Row& row) {
+  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Append(row[c]);
+  ++num_rows_;
+}
+
+Status Table::Insert(const Row& row) {
   if (row.size() != def_.columns.size()) {
     return Status::InvalidArgument("row arity mismatch for table " + def_.name);
   }
@@ -38,7 +50,7 @@ Status Table::Insert(Row row) {
       return Status::InvalidArgument("type mismatch in column " + col.name);
     }
   }
-  rows_.push_back(std::move(row));
+  InsertUnchecked(row);
   return Status::OK();
 }
 

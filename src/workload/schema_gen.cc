@@ -21,6 +21,41 @@ std::string DateString(int64_t day_index) {
                    static_cast<int>(month), static_cast<int>(day));
 }
 
+// Appends a table's generated rows in chunks of kChunkRows. Each chunk's
+// rows are freed as it is stored, and the next chunk reuses that memory, so
+// the load never holds, and then frees at once, a whole table of rows whose
+// scattered free blocks later allocations would inherit.
+class ChunkedLoad {
+ public:
+  ChunkedLoad(Database* db, std::string table)
+      : db_(db), table_(std::move(table)) {}
+
+  void Add(Row row) {
+    rows_.push_back(std::move(row));
+    if (rows_.size() == kChunkRows) Flush();
+  }
+
+  Status Finish() {
+    Flush();
+    return status_;
+  }
+
+ private:
+  static constexpr size_t kChunkRows = 1024;
+
+  void Flush() {
+    if (status_.ok() && !rows_.empty()) {
+      status_ = db_->InsertBulk(table_, std::move(rows_));
+    }
+    rows_.clear();
+  }
+
+  Database* db_;
+  std::string table_;
+  std::vector<Row> rows_;
+  Status status_;
+};
+
 }  // namespace
 
 Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
@@ -39,13 +74,13 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.primary_key = {"loc_id"};
     t.indexes = {{"loc_pk", {"loc_id"}, true}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "locations");
     for (int i = 0; i < cfg.locations; ++i) {
-      rows.push_back(Row{Value::Int(i),
+      rows.Add(Row{Value::Int(i),
                          Value::Str("city_" + std::to_string(i)),
                          Value::Str(kCountries[i % 8])});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("locations", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- departments ----
@@ -61,9 +96,9 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.indexes = {{"dept_pk", {"dept_id"}, true},
                  {"dept_loc_idx", {"loc_id"}, false}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "departments");
     for (int i = 0; i < cfg.departments; ++i) {
-      rows.push_back(Row{Value::Int(i),
+      rows.Add(Row{Value::Int(i),
                          Value::Str("dept_" + std::to_string(i)),
                          Value::Int(static_cast<int64_t>(rng.NextUint(
                              static_cast<uint64_t>(cfg.locations)))),
@@ -71,7 +106,7 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
                              ? Value::Null()
                              : Value::Real(1e5 + rng.NextDouble() * 9e5)});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("departments", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- jobs ----
@@ -84,13 +119,13 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.primary_key = {"job_id"};
     t.indexes = {{"jobs_pk", {"job_id"}, true}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "jobs");
     for (int i = 0; i < cfg.jobs; ++i) {
-      rows.push_back(Row{Value::Int(i),
+      rows.Add(Row{Value::Int(i),
                          Value::Str("title_" + std::to_string(i)),
                          Value::Real(30000 + 1000.0 * i)});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("jobs", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- employees ----
@@ -112,10 +147,10 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
       t.indexes.push_back({"emp_dept_idx", {"dept_id"}, false});
     }
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "employees");
     for (int i = 0; i < cfg.employees; ++i) {
       int64_t dept = dept_skew.Sample(rng);
-      rows.push_back(
+      rows.Add(
           Row{Value::Int(i), Value::Str("emp_" + std::to_string(i)),
               Value::Int(dept),
               Value::Real(30000 + rng.NextDouble() * 120000),
@@ -128,7 +163,7 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
               Value::Str(DateString(static_cast<int64_t>(
                   rng.NextUint(360 * 12))))});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("employees", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- job_history ----
@@ -143,19 +178,19 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.foreign_keys = {{{"emp_id"}, "employees", {"emp_id"}}};
     t.indexes = {{"jh_emp_idx", {"emp_id"}, false}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "job_history");
     for (int i = 0; i < cfg.job_history; ++i) {
       int64_t emp = static_cast<int64_t>(
           rng.NextUint(static_cast<uint64_t>(cfg.employees)));
       int64_t job = static_cast<int64_t>(
           rng.NextUint(static_cast<uint64_t>(cfg.jobs)));
-      rows.push_back(Row{Value::Int(emp), Value::Int(job),
+      rows.Add(Row{Value::Int(emp), Value::Int(job),
                          Value::Str("title_" + std::to_string(job)),
                          Value::Int(dept_skew.Sample(rng)),
                          Value::Str(DateString(static_cast<int64_t>(
                              rng.NextUint(360 * 12))))});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("job_history", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- customers ----
@@ -169,14 +204,14 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.primary_key = {"cust_id"};
     t.indexes = {{"cust_pk", {"cust_id"}, true}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "customers");
     for (int i = 0; i < cfg.customers; ++i) {
-      rows.push_back(Row{Value::Int(i),
+      rows.Add(Row{Value::Int(i),
                          Value::Str("cust_" + std::to_string(i)),
                          Value::Str(kCountries[rng.NextUint(8)]),
                          Value::Str(kSegments[rng.NextUint(4)])});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("customers", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- products ----
@@ -190,14 +225,14 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.primary_key = {"product_id"};
     t.indexes = {{"prod_pk", {"product_id"}, true}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "products");
     for (int i = 0; i < cfg.products; ++i) {
-      rows.push_back(Row{Value::Int(i),
+      rows.Add(Row{Value::Int(i),
                          Value::Str("prod_" + std::to_string(i)),
                          Value::Int(static_cast<int64_t>(rng.NextUint(40))),
                          Value::Real(5 + rng.NextDouble() * 995)});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("products", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- orders ----
@@ -220,9 +255,9 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
       t.indexes.push_back({"ord_emp_idx", {"emp_id"}, false});
     }
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "orders");
     for (int i = 0; i < cfg.orders; ++i) {
-      rows.push_back(
+      rows.Add(
           Row{Value::Int(i), Value::Int(cust_skew.Sample(rng)),
               rng.NextBool(0.05)
                   ? Value::Null()
@@ -233,7 +268,7 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
               Value::Str(kStatuses[rng.NextUint(4)]),
               Value::Real(10 + rng.NextDouble() * 4990)});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("orders", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- order_items ----
@@ -249,15 +284,15 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
     t.indexes = {{"oi_order_idx", {"order_id"}, false},
                  {"oi_prod_idx", {"product_id"}, false}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "order_items");
     for (int i = 0; i < cfg.order_items; ++i) {
-      rows.push_back(Row{Value::Int(static_cast<int64_t>(rng.NextUint(
+      rows.Add(Row{Value::Int(static_cast<int64_t>(rng.NextUint(
                              static_cast<uint64_t>(cfg.orders)))),
                          Value::Int(prod_skew.Sample(rng)),
                          Value::Int(1 + static_cast<int64_t>(rng.NextUint(9))),
                          Value::Real(5 + rng.NextDouble() * 495)});
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("order_items", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   // ---- accounts (time series for window-function queries, paper Q7) ----
@@ -269,15 +304,15 @@ Status BuildHrDatabase(const SchemaConfig& cfg, Database* db) {
                  {"balance", DataType::kDouble, false}};
     t.indexes = {{"acct_idx", {"acct_id"}, false}};
     CBQT_RETURN_IF_ERROR(db->CreateTable(t));
-    std::vector<Row> rows;
+    ChunkedLoad rows(db, "accounts");
     for (int a = 0; a < cfg.accounts; ++a) {
       double balance = 1000 + rng.NextDouble() * 9000;
       for (int m = 1; m <= cfg.months; ++m) {
         balance += rng.NextDouble() * 400 - 180;
-        rows.push_back(Row{Value::Int(a), Value::Int(m), Value::Real(balance)});
+        rows.Add(Row{Value::Int(a), Value::Int(m), Value::Real(balance)});
       }
     }
-    CBQT_RETURN_IF_ERROR(db->InsertBulk("accounts", std::move(rows)));
+    CBQT_RETURN_IF_ERROR(rows.Finish());
   }
 
   return db->Analyze();

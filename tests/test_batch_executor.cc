@@ -521,7 +521,7 @@ class ScanKernelTest : public ::testing::Test {
     if (g >= 0) {
       n->index_name = "kt_g";
       n->probes.push_back(MakeLiteral(Value::Int(g)));
-      *candidates = db_->FindIndex("kt", "kt_g")->LookupEqual({Value::Int(g)});
+      db_->FindIndex("kt", "kt_g")->LookupEqual({Value::Int(g)}, candidates);
     } else {
       for (int64_t r = 0; r < kRows; ++r) candidates->push_back(r);
     }
@@ -533,9 +533,9 @@ class ScanKernelTest : public ::testing::Test {
   static std::vector<Row> TreeRows(const PlanNode& scan,
                                    const std::vector<int64_t>& candidates) {
     std::vector<Row> out;
-    const auto& rows = db_->FindTable("kt")->rows();
+    const Table* table = db_->FindTable("kt");
     for (int64_t rowid : candidates) {
-      Row r = rows[static_cast<size_t>(rowid)];
+      Row r = table->RowAt(static_cast<size_t>(rowid));
       r.push_back(Value::Int(rowid));
       EvalContext ctx;
       ctx.frames.push_back(Frame{&scan.output, &r});
@@ -571,6 +571,7 @@ class ScanKernelTest : public ::testing::Test {
     ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
     EXPECT_TRUE(Identical(ById(ref.value()), ById(tree)))
         << "reference vs tree: " << sql;
+    ExpectSameRows(ref.value(), tree, "reference vs tree: " + sql);
     for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
       ExecOptions opts;
       opts.batch_size = batch;

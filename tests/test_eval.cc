@@ -533,23 +533,5 @@ TEST(CompiledExpr, CaseAndNestedLogicMatchTreeEvaluator) {
   }
 }
 
-TEST(CompiledExpr, RemapSlotsRetargetsTheProgram) {
-  // a + 1 > b compiled against (a, b), then re-targeted at (x, b, a).
-  ExprPtr e = MakeBinary(
-      BinaryOp::kGt,
-      MakeBinary(BinaryOp::kAdd, MakeColumnRef("t", "a"),
-                 MakeLiteral(Value::Int(1))),
-      MakeColumnRef("t", "b"));
-  CompiledExpr c = CompiledExpr::Compile(e.get(), &kCompiledSchema);
-  ASSERT_TRUE(c.fast());
-  EXPECT_FALSE(c.RemapSlots({2, -1}));  // b has no image: unchanged
-  EXPECT_TRUE(c.EvalFast({Value::Int(5), Value::Int(3)}, 0).AsBool());
-  ASSERT_TRUE(c.RemapSlots({2, 1}));
-  EXPECT_TRUE(c.EvalFast({Value::Null(), Value::Int(3), Value::Int(5)}, 0)
-                  .AsBool());
-  EXPECT_FALSE(c.EvalFast({Value::Null(), Value::Int(9), Value::Int(5)}, 0)
-                   .AsBool());
-}
-
 }  // namespace
 }  // namespace cbqt

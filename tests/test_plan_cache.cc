@@ -1017,7 +1017,7 @@ TEST_F(PlanCacheTest, AnalyzeBetweenHitsDropsTheCursorRecordAndRebands) {
   // `salary < 100002` is far more selective.
   const Table* employees = db_->FindTable("employees");
   ASSERT_NE(employees, nullptr);
-  Row outlier = employees->rows().front();
+  Row outlier = employees->RowAt(0);
   outlier[static_cast<size_t>(employees->def().FindColumn("emp_id"))] =
       Value::Int(999999);
   outlier[static_cast<size_t>(employees->def().FindColumn("salary"))] =

@@ -1,6 +1,11 @@
 #include "common/value.h"
 
+#include "common/result_compare.h"
+
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 namespace cbqt {
 namespace {
@@ -93,6 +98,67 @@ TEST(Value, ToString) {
   EXPECT_EQ(Value::Int(5).ToString(), "5");
   EXPECT_EQ(Value::Str("hi").ToString(), "'hi'");
   EXPECT_EQ(Value::Boolean(false).ToString(), "FALSE");
+}
+
+TEST(ResultCompare, NanEqualsNanAndInfinityItselfOnBothPaths) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Value nan = Value::Real(std::nan(""));
+  for (bool approx : {false, true}) {
+    EXPECT_TRUE(ResultValuesEqual(nan, nan, approx)) << approx;
+    EXPECT_TRUE(ResultValuesEqual(Value::Real(inf), Value::Real(inf), approx))
+        << approx;
+    EXPECT_TRUE(ResultValuesEqual(Value::Real(-inf), Value::Real(-inf), approx))
+        << approx;
+    EXPECT_TRUE(ResultValuesEqual(Value::Real(-0.0), Value::Real(0.0), approx))
+        << approx;
+    EXPECT_TRUE(ResultValuesEqual(Value::Real(-0.0), Value::Int(0), approx))
+        << approx;
+    EXPECT_FALSE(ResultValuesEqual(Value::Real(inf), Value::Real(-inf), approx))
+        << approx;
+    EXPECT_FALSE(ResultValuesEqual(Value::Real(inf), Value::Real(1e300), approx))
+        << approx;
+    EXPECT_FALSE(ResultValuesEqual(nan, Value::Real(5.0), approx)) << approx;
+    EXPECT_FALSE(ResultValuesEqual(Value::Int(5), nan, approx)) << approx;
+    EXPECT_FALSE(ResultValuesEqual(nan, Value::Real(inf), approx)) << approx;
+    EXPECT_FALSE(ResultValuesEqual(nan, Value::Null(), approx)) << approx;
+  }
+  // Value's own equality is left as it is: NaN != NaN structurally.
+  EXPECT_FALSE(nan == Value::Real(std::nan("")));
+}
+
+TEST(ResultCompare, MultisetsWithNanInfinityAndNegativeZeroCompareEqual) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Value nan = Value::Real(std::nan(""));
+  // The same multiset in two orders: canonical sorting must pair every NaN
+  // row with a NaN row although TotalLess finds NaN equal to every number.
+  std::vector<Row> a = {{nan, Value::Int(1)},
+                        {Value::Real(1.0), Value::Int(2)},
+                        {Value::Real(inf), Value::Int(3)},
+                        {Value::Real(-0.0), Value::Int(4)},
+                        {Value::Real(-inf), Value::Int(5)},
+                        {nan, Value::Int(6)},
+                        {Value::Real(0.5), Value::Int(7)}};
+  std::vector<Row> b = {{Value::Real(0.5), Value::Int(7)},
+                        {Value::Real(0.0), Value::Int(4)},
+                        {nan, Value::Int(6)},
+                        {Value::Real(-inf), Value::Int(5)},
+                        {Value::Real(1.0), Value::Int(2)},
+                        {nan, Value::Int(1)},
+                        {Value::Real(inf), Value::Int(3)}};
+  for (bool approx : {false, true}) {
+    RowSetDiff diff = CompareRowMultisets(a, b, approx);
+    EXPECT_TRUE(diff.equal) << diff.message;
+  }
+  // A NaN where a number was is a difference.
+  b[1][0] = nan;
+  EXPECT_FALSE(RowMultisetsEqual(a, b));
+  EXPECT_FALSE(RowMultisetsEqual(a, b, /*approx_doubles=*/false));
+  // So is a NaN that moves to another row.
+  std::vector<Row> c = {{nan}, {Value::Real(1.0)}, {Value::Real(0.0)}};
+  std::vector<Row> d = {{Value::Real(0.0)}, {nan}, {nan}};
+  EXPECT_FALSE(RowMultisetsEqual(c, d));
+  std::vector<Row> e = {{Value::Real(0.0)}, {nan}, {Value::Real(1.0)}};
+  EXPECT_TRUE(RowMultisetsEqual(c, e));
 }
 
 }  // namespace
