@@ -15,8 +15,11 @@
 # CowMemoEscapeHatchBitIdentical in test_paper_queries, both at
 # num_threads = 4), and the shared-plan leg
 # (ConcurrentExecutionsShareOneCachedPlan in test_batch_executor: four
-# threads preparing and executing one immutable cached plan) are exercised
-# in every config. ASan/UBSan additionally covers the robustness corpus
+# threads preparing and executing one immutable cached plan), and the
+# engine-wide MQO caches under concurrent sessions
+# (TwoConcurrentRoundsStayCorrect in test_mqo) are exercised in every
+# config; EngineMemoryPressureShedsTheMqoCaches in test_mqo checks that
+# engine memory pressure sheds those caches before it fails a query. ASan/UBSan additionally covers the robustness corpus
 # (test_parser_robustness, test_governor), shared plans that outlive their
 # evicted or cleared annotation-cache entry (test_annotation_cache), and the
 # spill-to-disk pipeline
@@ -87,7 +90,7 @@ if [[ "${want}" == "all" || "${want}" == "bench-smoke" ]]; then
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "${dir}" -j "${jobs}" \
     --target bench_table1_reuse bench_plan_cache bench_plan_warmstart \
-    bench_state_eval bench_guardrails bench_executor bench_mqo bench_tenants
+    bench_state_eval bench_guardrails bench_executor bench_tenants
   # Every bench runs even when an earlier one fails its gate; the failed
   # benches are listed at the end and fail the leg.
   bench_failed=()
@@ -123,12 +126,6 @@ if [[ "${want}" == "all" || "${want}" == "bench-smoke" ]]; then
   # hash-aggregate, with bit-identical result rows. 5 reps for the same
   # noise reason as bench_guardrails (best-of comparison on a loaded box).
   run_bench bench_executor ./bench/bench_executor --reps 5
-  # bench_mqo asserts the multi-query-optimization gate: 8 concurrent
-  # sessions over repeated scan-dominated templates must reach >= 1.5x
-  # aggregate throughput with MQO on vs off, with every execution's rows
-  # verified bit-identical (canonically sorted) against an MQO-off
-  # reference.
-  run_bench bench_mqo ./bench/bench_mqo
   # bench_tenants asserts the noisy-neighbor isolation gates: a well-behaved
   # tenant's p99 under a low-priority analytic flood stays <= 2x its
   # isolated baseline, every query completes or fails typed (zero

@@ -45,16 +45,10 @@ int RunMqoAxis(const WorkloadRunner& runner,
               report.attempted, wall_ms,
               wall_ms > 0 ? report.succeeded / wall_ms * 1000.0 : 0.0);
   if (mqo_on) {
-    std::printf(
-        "  batches=%lld subplan_hits=%lld streams=%lld consumers=%lld "
-        "rows_shared=%lld bytes_saved=%lld\n",
-        static_cast<long long>(report.mqo.batches_formed),
-        static_cast<long long>(report.mqo.shared_subplan_hits),
-        static_cast<long long>(report.mqo.scan_streams +
-                               report.mqo.materialize_streams),
-        static_cast<long long>(report.mqo.scan_consumers),
-        static_cast<long long>(report.mqo.rows_shared),
-        static_cast<long long>(report.mqo.bytes_saved));
+    std::printf("  subplan_hits=%lld join_memo_hits=%lld cache_bytes=%lld\n",
+                static_cast<long long>(report.mqo.shared_subplan_hits),
+                static_cast<long long>(report.mqo.shared_join_memo_hits),
+                static_cast<long long>(report.mqo.cache_memory_bytes));
   }
   if (report.failed > 0) {
     std::printf("%s\n", report.ErrorSummary().c_str());

@@ -53,11 +53,16 @@ QueryEngine::QueryEngine(const Database& db, CbqtConfig config,
       gr.any_tenant_memory_quota()) {
     root_memory_ = std::make_unique<MemoryTracker>("engine",
                                                    gr.engine_memory_bytes);
-    // Pressure ladder, engine level: shed cached plans before failing a
-    // reservation against the engine budget...
+    // Pressure ladder, engine level: shed cached plans, then the MQO
+    // layer's optimizer caches, before failing a reservation against the
+    // engine budget...
     root_memory_->set_pressure_callback([this](int64_t missing) -> int64_t {
-      if (plan_cache_ == nullptr) return 0;
-      return plan_cache_->EvictBytes(missing);
+      int64_t freed = 0;
+      if (plan_cache_ != nullptr) freed = plan_cache_->EvictBytes(missing);
+      if (mqo_ != nullptr && freed < missing) {
+        freed += mqo_->EvictBytes(missing - freed);
+      }
+      return freed;
     });
     // ...and as a last resort fail the largest admitted query. The victim
     // is cancelled with kResourceExhausted through the same token plumbing
@@ -96,7 +101,7 @@ QueryEngine::QueryEngine(const Database& db, CbqtConfig config,
         std::make_unique<TenantScheduler>(gr.scheduler, root_memory_.get());
   }
   if (config_.mqo.enabled) {
-    mqo_ = std::make_unique<MqoRegistry>(config_.mqo, root_memory_.get());
+    mqo_ = std::make_unique<MqoRegistry>(root_memory_.get());
   }
   if (config_.plan_cache.enabled()) {
     plan_cache_ =
@@ -275,9 +280,6 @@ Result<uint64_t> QueryEngine::Admit(CancellationToken* cancel,
   }
   active_.emplace(id, std::move(aq));
   admitted_.fetch_add(1, std::memory_order_relaxed);
-  // The admitted operation joins the in-flight MQO batch (lock order:
-  // admission → registry).
-  if (mqo_ != nullptr) mqo_->JoinBatch(id);
   return id;
 }
 
@@ -304,10 +306,8 @@ void QueryEngine::EndQuery(uint64_t id, const Status& final_status) const {
     }
   }
   // Outside admission_mu_: the slot release dispatches queued waiters
-  // under the scheduler's own lock, and the last member out retires the
-  // MQO batch's shared scan streams (stream locks, consumer wakeups).
+  // under the scheduler's own lock.
   if (release && scheduler_ != nullptr) scheduler_->Release(adm);
-  if (mqo_ != nullptr) mqo_->LeaveBatch(id);
 }
 
 QueryGuards QueryEngine::GuardsFor(uint64_t id) const {
@@ -597,7 +597,6 @@ Result<QueryResult> QueryEngine::ExecuteAdmitted(PreparedQuery prepared,
   ExecOptions opts = config_.exec;
   opts.budget = config_.budget.max_exec_rows > 0 ? &exec_budget : nullptr;
   opts.guards = guards;
-  if (mqo_ != nullptr) opts.shared_scans = mqo_->hub();
   Executor executor(db_, std::move(opts));
   double t0 = MonotonicMs();
   auto result = executor.Execute(*prepared.plan);

@@ -63,8 +63,8 @@ struct QueryResult {
 
 /// Telemetry of the engine runtime guardrails — the counters the engine
 /// itself keeps (all zero when disabled). Queueing and throttling live in
-/// scheduler_stats(), plan-cache shedding in plan_cache_stats(), and batch
-/// sharing in mqo_stats().
+/// scheduler_stats(), plan-cache shedding in plan_cache_stats(), and shared
+/// optimizer caches in mqo_stats().
 struct GuardrailStats {
   int64_t admitted = 0;            ///< engine operations admitted
   int64_t cancelled = 0;           ///< operations that unwound kCancelled
@@ -239,7 +239,7 @@ class QueryEngine {
                                         const QueryGuards& guards) const;
 
   /// One optimizer entry point for the foreground paths: routes through the
-  /// MQO layer's batch-shared caches when the registry is enabled.
+  /// MQO layer's engine-wide caches when the registry is enabled.
   Result<CbqtResult> OptimizeTree(const QueryBlock& query,
                                   const OptimizerBudget& budget,
                                   const QueryGuards& guards) const;
@@ -294,9 +294,9 @@ class QueryEngine {
   /// persisted plan artifact (snapshot, shared-store records).
   uint64_t schema_fingerprint_ = 0;
 
-  /// Multi-query optimization registry (batch tracking, batch-shared
-  /// optimization caches, shared-scan hub); null when CbqtConfig::mqo is
-  /// off. Internally synchronized — const engine operations share it.
+  /// Multi-query optimization registry (the engine-wide optimization
+  /// caches); null when CbqtConfig::mqo is off. Internally synchronized —
+  /// const engine operations share it.
   mutable std::unique_ptr<MqoRegistry> mqo_;
 
   /// Null when CbqtConfig::plan_cache is disabled. Mutable state lives in

@@ -73,7 +73,7 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
   CbqtStats stats;
   stats.threads_used = pool_ != nullptr ? pool_->num_threads() : 1;
   // Both per-optimization caches charge their entries against the query's
-  // memory tracker (no-op when guardrails are off). Batch-shared caches
+  // memory tracker (no-op when guardrails are off). Engine-wide caches
   // (the MQO path) replace them when supplied.
   AnnotationCache cache(AnnotationCache::kDefaultShards,
                         AnnotationCache::kDefaultCapacity, guards.memory);

@@ -58,23 +58,16 @@ struct PlanCacheConfig {
   bool enabled() const { return capacity > 0; }
 };
 
-/// Configuration of the multi-query optimization layer (cbqt/mqo.h): shared
-/// sub-plan annotations and shared scans across the batch of concurrently
-/// admitted queries. Off by default — single-query behavior is untouched.
-/// Queries optimize against one batch-wide AnnotationCache / join-order memo
-/// instead of private per-optimization caches; both are keyed by exact text,
-/// so sharing never changes a plan. Base-table scans and single-table
-/// materialized intermediates are shared across concurrently executing
-/// batch members (exec/shared_scan.h).
+/// Configuration of the multi-query optimization layer (cbqt/mqo.h). Off by
+/// default — single-query behavior is untouched. When on, queries optimize
+/// against one engine-wide AnnotationCache / join-order memo instead of
+/// private per-optimization caches; both are keyed by exact text, so
+/// sharing never changes a plan.
 struct MqoConfig {
   bool enabled = false;
-
-  /// Byte budget of the shared-scan row buffers; streams degrade gracefully
-  /// to private execution beyond it. <= 0 means unlimited.
-  int64_t buffer_memory_bytes = 64 << 20;
 };
 
-/// Batch-shared optimization caches handed into Optimize() by the MQO layer
+/// Engine-wide optimization caches handed into Optimize() by the MQO layer
 /// (null members fall back to the private per-optimization caches).
 struct SharedOptimizeCaches {
   AnnotationCache* annotations = nullptr;
@@ -93,10 +86,10 @@ struct OptimizeOptions {
   /// Cancellation and memory exhaustion are hard failures — unlike budget
   /// exhaustion there is no best-so-far degradation.
   QueryGuards guards;
-  /// Batch-shared caches (the MQO layer's path): non-null members replace
+  /// Engine-wide caches (the MQO layer's path): non-null members replace
   /// the private per-optimization annotation cache / join-order memo. The
   /// reported cache telemetry becomes before/after deltas of the shared
-  /// counters (concurrent batch members may inflate each other's numbers —
+  /// counters (concurrent queries may inflate each other's numbers —
   /// diagnostics, not decisions).
   SharedOptimizeCaches shared;
 };
@@ -258,7 +251,7 @@ class CbqtOptimizer {
 
   /// Optimizes a bound or unbound query tree (the input is cloned and
   /// re-bound internally). `opts` carries the per-call budget override,
-  /// runtime guardrails, and batch-shared caches (see OptimizeOptions);
+  /// runtime guardrails, and engine-wide MQO caches (see OptimizeOptions);
   /// the default runs under CbqtConfig::budget with no guardrails and
   /// private caches.
   Result<CbqtResult> Optimize(const QueryBlock& query,

@@ -24,7 +24,6 @@ Result<ExecResult> Executor::Execute(const PlanNode& plan) {
   ctx.batch_size = options_.batch_size == 0 ? 1 : options_.batch_size;
   ctx.enable_spill = options_.enable_spill;
   ctx.spill_dir = options_.spill_dir;
-  ctx.shared_scans = options_.shared_scans;
 
   // Column pruning copies only the nodes it narrows (and their ancestors);
   // the copy must outlive the operator tree, which holds pointers into it.

@@ -17,8 +17,6 @@
 
 namespace cbqt {
 
-class SharedScanHub;
-
 /// Execution counters. `rows_processed` is a deterministic work measure
 /// (rows flowing through operators) used by the benchmarks alongside wall
 /// time; the subquery counters expose the TIS caching behaviour
@@ -57,10 +55,6 @@ struct ExecOptions {
   /// memory budget spills partitions to disk and the query completes;
   /// when false the charge failure surfaces as kResourceExhausted.
   bool enable_spill = true;
-  /// Multi-query shared-scan registry (exec/shared_scan.h). Borrowed from
-  /// the engine's MQO layer; null (the default) executes every scan
-  /// privately.
-  SharedScanHub* shared_scans = nullptr;
 };
 
 /// What Execute returns: the result rows plus the execution counters. The

@@ -12,7 +12,6 @@
 
 #include "common/fault_injector.h"
 #include "exec/compiled_expr.h"
-#include "exec/shared_scan.h"
 
 namespace cbqt {
 
@@ -84,6 +83,28 @@ size_t PartitionOfHash(size_t row_hash, int salt) {
 
 size_t PartitionOfKey(const Row& key, int salt) {
   return PartitionOfHash(HashRow(key), salt);
+}
+
+/// Opens the kSpillPartitions files of a spilling pipeline breaker into
+/// `parts` and counts the operator as spilled.
+Status OpenSpillPartitions(ExecContext* ctx, const char* tag,
+                           std::vector<SpillFile*>* parts) {
+  auto mgr = ctx->GetSpill();
+  if (!mgr.ok()) return mgr.status();
+  parts->reserve(kSpillPartitions);
+  for (size_t i = 0; i < kSpillPartitions; ++i) {
+    auto f = mgr.value()->NewFile(tag);
+    if (!f.ok()) return f.status();
+    parts->push_back(f.value());
+  }
+  ++ctx->stats.spilled_operators;
+  return Status::OK();
+}
+
+/// LEFT OUTER null extension: `left` padded with one NULL per right column.
+Row NullExtend(Row left, size_t right_width) {
+  left.insert(left.end(), right_width, Value::Null());
+  return left;
 }
 
 /// The hash join's build image, flat: distinct keys sit back to back in one
@@ -865,11 +886,7 @@ class NestedLoopJoinOperator final : public Operator {
         break;
       case JoinKind::kLeftOuter:
         if (!matched) {
-          Row comb = std::move(lrow);
-          for (size_t i = 0; i < right_schema_->size(); ++i) {
-            comb.push_back(Value::Null());
-          }
-          out->Add(std::move(comb));
+          out->Add(NullExtend(std::move(lrow), right_schema_->size()));
         }
         break;
       case JoinKind::kInner:
@@ -1082,11 +1099,7 @@ class HashJoinOperator final : public Operator {
         break;
       case JoinKind::kLeftOuter:
         if (!matched) {
-          Row comb = std::move(lrow);
-          for (size_t i = 0; i < right_schema_->size(); ++i) {
-            comb.push_back(Value::Null());
-          }
-          sink->push_back(std::move(comb));
+          sink->push_back(NullExtend(std::move(lrow), right_schema_->size()));
         }
         break;
       case JoinKind::kInner:
@@ -1139,14 +1152,10 @@ class HashJoinOperator final : public Operator {
             case JoinKind::kAnti:
               pending_.push_back(std::move(lrow));
               break;
-            case JoinKind::kLeftOuter: {
-              Row comb = std::move(lrow);
-              for (size_t i = 0; i < right_schema_->size(); ++i) {
-                comb.push_back(Value::Null());
-              }
-              pending_.push_back(std::move(comb));
+            case JoinKind::kLeftOuter:
+              pending_.push_back(
+                  NullExtend(std::move(lrow), right_schema_->size()));
               break;
-            }
             case JoinKind::kInner:
             case JoinKind::kSemi:
             case JoinKind::kAntiNA:  // unknown verdict rejects
@@ -1344,11 +1353,8 @@ class HashJoinOperator final : public Operator {
         }
         if (matched[static_cast<size_t>(pi)] != 0) continue;
         if (kind == JoinKind::kLeftOuter) {
-          Row comb = std::move(lrow);
-          for (size_t i = 0; i < right_schema_->size(); ++i) {
-            comb.push_back(Value::Null());
-          }
-          pending_.push_back(std::move(comb));
+          pending_.push_back(
+              NullExtend(std::move(lrow), right_schema_->size()));
           lrow = Row{};
         } else {
           // kAnti always emits; kAntiNA reaches here only when no build row
@@ -1743,16 +1749,8 @@ class AggregateOperator final : public BufferedOperator {
           "aggregate spill recursion depth exceeded (adversarial key "
           "distribution)");
     }
-    auto mgr = ctx_->GetSpill();
-    if (!mgr.ok()) return mgr.status();
-    st.parts.reserve(kSpillPartitions);
-    for (size_t i = 0; i < kSpillPartitions; ++i) {
-      auto f = mgr.value()->NewFile("agg");
-      if (!f.ok()) return f.status();
-      st.parts.push_back(f.value());
-    }
+    CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "agg", &st.parts));
     st.spilled = true;
-    ++ctx_->stats.spilled_operators;
     return Status::OK();
   }
 
@@ -2061,16 +2059,8 @@ class DistinctOperator final : public Operator {
 
  private:
   Status BeginSpill() {
-    auto mgr = ctx_->GetSpill();
-    if (!mgr.ok()) return mgr.status();
-    parts_.reserve(kSpillPartitions);
-    for (size_t i = 0; i < kSpillPartitions; ++i) {
-      auto f = mgr.value()->NewFile("distinct");
-      if (!f.ok()) return f.status();
-      parts_.push_back(f.value());
-    }
+    CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", &parts_));
     spilled_ = true;
-    ++ctx_->stats.spilled_operators;
     return Status::OK();
   }
 
@@ -2109,16 +2099,8 @@ class DistinctOperator final : public Operator {
       if (!st.ok()) {
         if (!ctx_->ShouldSpill(st)) return st;
         local.erase(it);
-        auto mgr = ctx_->GetSpill();
-        if (!mgr.ok()) return mgr.status();
-        subparts.reserve(kSpillPartitions);
-        for (size_t i = 0; i < kSpillPartitions; ++i) {
-          auto sf = mgr.value()->NewFile("distinct");
-          if (!sf.ok()) return sf.status();
-          subparts.push_back(sf.value());
-        }
+        CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", &subparts));
         sub_spilled = true;
-        ++ctx_->stats.spilled_operators;
         CBQT_RETURN_IF_ERROR(
             subparts[PartitionOfKey(r, depth + 1)]->Append(r));
         continue;
@@ -2588,24 +2570,6 @@ class SubqueryFilterOperator final : public Operator {
 
 Result<std::unique_ptr<Operator>> OperatorFactory::Build(const PlanNode& node,
                                                          ExecContext* ctx) {
-  // MQO interception: inside a batch, wrap the topmost shareable subtree in
-  // a SharedScanOperator routing its stream through the hub. The latch
-  // suppresses wrapping inside the shared subtree itself — sharing happens
-  // once, at the widest eligible point.
-  if (ctx->shared_scans != nullptr && !ctx->building_shared) {
-    bool materialize = node.op != PlanOp::kTableScan;
-    std::string key =
-        materialize ? ShareableMaterializeKey(node) : ShareableScanKey(node);
-    if (!key.empty()) {
-      ctx->building_shared = true;
-      auto inner = Build(node, ctx);
-      ctx->building_shared = false;
-      if (!inner.ok()) return inner.status();
-      return std::unique_ptr<Operator>(std::make_unique<SharedScanOperator>(
-          ctx, &node, ctx->shared_scans, std::move(key),
-          std::move(inner.value()), materialize));
-    }
-  }
   std::vector<std::unique_ptr<Operator>> kids;
   kids.reserve(node.children.size());
   for (const auto& c : node.children) {

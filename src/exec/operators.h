@@ -21,8 +21,6 @@
 
 namespace cbqt {
 
-class SharedScanHub;
-
 /// Shared execution state for one query: the database, the evaluation
 /// context (frame stack / ROWNUM / subquery resolver), the stats block the
 /// executor owns (never a caller pointer), the budget/guardrail handles,
@@ -40,15 +38,6 @@ struct ExecContext {
   size_t batch_size = kDefaultBatchSize;
   bool enable_spill = true;
   std::string spill_dir;
-
-  /// Multi-query shared-scan registry (exec/shared_scan.h); null outside an
-  /// MQO batch. When set, OperatorFactory::Build wraps shareable scans and
-  /// single-table intermediates in SharedScanOperator. `building_shared` is
-  /// the factory's re-entrancy latch: inside a shared subtree's build,
-  /// nested nodes are not wrapped again (sharing happens at the topmost
-  /// eligible node only).
-  SharedScanHub* shared_scans = nullptr;
-  bool building_shared = false;
 
   /// Counts `n` rows of operator work — one batch, one poll. The per-batch
   /// cost is one add, one predictable compare, and one branch on the

@@ -65,13 +65,10 @@ std::vector<DifferentialOracle::Entry> DifferentialOracle::DefaultDeck() {
     c.exec.batch_size = 16;
   });
   add("mqo", [](CbqtConfig& c) {
-    // Multi-query optimization on: queries run one-at-a-time here, so each
-    // forms its own batch, but the shared-scan interception and the
-    // engine-wide annotation cache and join memo are fully exercised —
-    // including replay of streams registered by earlier operators inside
-    // the same plan, and cache entries published by earlier queries.
+    // Multi-query optimization on: queries run one-at-a-time here, but
+    // every optimization plans against the engine-wide annotation cache and
+    // join memo, so later queries hit entries published by earlier ones.
     c.mqo.enabled = true;
-    c.mqo.buffer_memory_bytes = 1 << 20;
   });
   return deck;
 }

@@ -10,11 +10,6 @@ namespace cbqt {
 
 namespace {
 
-/// The alias placeholder used when a signature normalizes one alias away
-/// (shared-scan keys). "$" cannot appear in a parsed identifier, so the
-/// placeholder can never collide with a real alias.
-constexpr const char* kAliasPlaceholder = "$T";
-
 const char* SigBopSymbol(BinaryOp op) {
   switch (op) {
     case BinaryOp::kEq:
@@ -109,17 +104,15 @@ bool IsCommutative(BinaryOp op) {
   }
 }
 
-/// Renders one canonicalized expression. `normalize` (nullable) is the
-/// alias to replace with the placeholder.
-std::string CanonExpr(const Expr& e, const std::string* normalize);
+/// Renders one canonicalized expression.
+std::string CanonExpr(const Expr& e);
 
 std::string CanonBlock(const QueryBlock& qb);
 
-std::string CanonExprList(const std::vector<ExprPtr>& list,
-                          const std::string* normalize) {
+std::string CanonExprList(const std::vector<ExprPtr>& list) {
   std::vector<std::string> parts;
   parts.reserve(list.size());
-  for (const auto& x : list) parts.push_back(CanonExpr(*x, normalize));
+  for (const auto& x : list) parts.push_back(CanonExpr(*x));
   return JoinStrings(parts, ", ");
 }
 
@@ -134,18 +127,11 @@ void FlattenChain(const Expr& e, BinaryOp op,
   leaves->push_back(&e);
 }
 
-std::string CanonExpr(const Expr& e, const std::string* normalize) {
+std::string CanonExpr(const Expr& e) {
   switch (e.kind) {
     case ExprKind::kColumnRef: {
       std::string out;
-      if (!e.table_alias.empty()) {
-        if (normalize != nullptr && e.corr_depth == 0 &&
-            e.table_alias == *normalize) {
-          out = std::string(kAliasPlaceholder) + ".";
-        } else {
-          out = e.table_alias + ".";
-        }
-      }
+      if (!e.table_alias.empty()) out = e.table_alias + ".";
       out += e.column_name;
       // Correlation depth distinguishes a local a.x from an outer-block a.x
       // of the same spelling (the unparsed text relies on context for it).
@@ -162,17 +148,15 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
         FlattenChain(e, e.bop, &leaves);
         std::vector<std::string> parts;
         parts.reserve(leaves.size());
-        for (const Expr* leaf : leaves) {
-          parts.push_back(CanonExpr(*leaf, normalize));
-        }
+        for (const Expr* leaf : leaves) parts.push_back(CanonExpr(*leaf));
         std::sort(parts.begin(), parts.end());
         return "(" +
                JoinStrings(parts,
                            std::string(" ") + SigBopSymbol(e.bop) + " ") +
                ")";
       }
-      std::string l = CanonExpr(*e.children[0], normalize);
-      std::string r = CanonExpr(*e.children[1], normalize);
+      std::string l = CanonExpr(*e.children[0]);
+      std::string r = CanonExpr(*e.children[1]);
       BinaryOp op = e.bop;
       // Commutative operands sort; mirrored comparisons normalize so
       // (a > b) and (b < a) render identically.
@@ -187,7 +171,7 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
       return "(" + l + " " + SigBopSymbol(op) + " " + r + ")";
     }
     case ExprKind::kUnary: {
-      std::string x = CanonExpr(*e.children[0], normalize);
+      std::string x = CanonExpr(*e.children[0]);
       switch (e.uop) {
         case UnaryOp::kNot:
           return "(NOT " + x + ")";
@@ -204,13 +188,12 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
     }
     case ExprKind::kAggregate: {
       if (e.agg == AggFunc::kCountStar) return "COUNT(*)";
-      std::string arg = CanonExpr(*e.children[0], normalize);
+      std::string arg = CanonExpr(*e.children[0]);
       std::string d = e.agg_distinct ? "DISTINCT " : "";
       return std::string(SigAggName(e.agg)) + "(" + d + arg + ")";
     }
     case ExprKind::kFuncCall:
-      return ToUpper(e.func_name) + "(" +
-             CanonExprList(e.children, normalize) + ")";
+      return ToUpper(e.func_name) + "(" + CanonExprList(e.children) + ")";
     case ExprKind::kSubquery: {
       std::string sub = "(" + CanonBlock(*e.subquery) + ")";
       switch (e.subkind) {
@@ -219,15 +202,14 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
         case SubqueryKind::kNotExists:
           return "NOT EXISTS " + sub;
         case SubqueryKind::kIn:
-          return "(" + CanonExprList(e.children, normalize) + ") IN " + sub;
+          return "(" + CanonExprList(e.children) + ") IN " + sub;
         case SubqueryKind::kNotIn:
-          return "(" + CanonExprList(e.children, normalize) + ") NOT IN " +
-                 sub;
+          return "(" + CanonExprList(e.children) + ") NOT IN " + sub;
         case SubqueryKind::kAnyCmp:
-          return "(" + CanonExpr(*e.children[0], normalize) + " " +
+          return "(" + CanonExpr(*e.children[0]) + " " +
                  SigBopSymbol(e.sub_cmp) + " ANY " + sub + ")";
         case SubqueryKind::kAllCmp:
-          return "(" + CanonExpr(*e.children[0], normalize) + " " +
+          return "(" + CanonExpr(*e.children[0]) + " " +
                  SigBopSymbol(e.sub_cmp) + " ALL " + sub + ")";
         case SubqueryKind::kScalar:
           return sub;
@@ -236,22 +218,20 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
     }
     case ExprKind::kWindow: {
       std::string arg =
-          e.children.empty() ? "*" : CanonExpr(*e.children[0], normalize);
+          e.children.empty() ? "*" : CanonExpr(*e.children[0]);
       std::string out =
           std::string(SigAggName(e.win_func)) + "(" + arg + ") OVER (";
       if (!e.partition_by.empty()) {
         // PARTITION BY keys are a set: order does not affect the frames.
         std::vector<std::string> keys;
         keys.reserve(e.partition_by.size());
-        for (const auto& p : e.partition_by) {
-          keys.push_back(CanonExpr(*p, normalize));
-        }
+        for (const auto& p : e.partition_by) keys.push_back(CanonExpr(*p));
         std::sort(keys.begin(), keys.end());
         out += "PARTITION BY " + JoinStrings(keys, ", ");
       }
       if (!e.win_order_by.empty()) {
         if (!e.partition_by.empty()) out += " ";
-        out += "ORDER BY " + CanonExprList(e.win_order_by, normalize);
+        out += "ORDER BY " + CanonExprList(e.win_order_by);
       }
       out += ")";
       return out;
@@ -262,12 +242,12 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
       std::string out = "CASE";
       size_t i = 0;
       while (i + 1 < e.children.size()) {
-        out += " WHEN " + CanonExpr(*e.children[i], normalize) + " THEN " +
-               CanonExpr(*e.children[i + 1], normalize);
+        out += " WHEN " + CanonExpr(*e.children[i]) + " THEN " +
+               CanonExpr(*e.children[i + 1]);
         i += 2;
       }
       if (i < e.children.size()) {
-        out += " ELSE " + CanonExpr(*e.children[i], normalize);
+        out += " ELSE " + CanonExpr(*e.children[i]);
       }
       out += " END";
       return out;
@@ -276,11 +256,10 @@ std::string CanonExpr(const Expr& e, const std::string* normalize) {
   return "?";
 }
 
-std::string CanonConjuncts(const std::vector<ExprPtr>& conds,
-                           const std::string* normalize) {
+std::string CanonConjuncts(const std::vector<ExprPtr>& conds) {
   std::vector<std::string> parts;
   parts.reserve(conds.size());
-  for (const auto& c : conds) parts.push_back(CanonExpr(*c, normalize));
+  for (const auto& c : conds) parts.push_back(CanonExpr(*c));
   std::sort(parts.begin(), parts.end());
   return JoinStrings(parts, " & ");
 }
@@ -297,7 +276,7 @@ std::string CanonTableRef(const TableRef& tr) {
   if (tr.join != JoinKind::kInner || !tr.join_conds.empty()) {
     body = std::string(SigJoinKindName(tr.join)) + " " + body;
     if (!tr.join_conds.empty()) {
-      body += " ON (" + CanonConjuncts(tr.join_conds, nullptr) + ")";
+      body += " ON (" + CanonConjuncts(tr.join_conds) + ")";
     }
   }
   return body;
@@ -324,7 +303,7 @@ std::string CanonBlock(const QueryBlock& qb) {
     std::vector<std::string> items;
     items.reserve(qb.select.size());
     for (const auto& item : qb.select) {
-      std::string s = CanonExpr(*item.expr, nullptr);
+      std::string s = CanonExpr(*item.expr);
       if (!item.alias.empty()) s += " AS " + item.alias;
       items.push_back(std::move(s));
     }
@@ -356,7 +335,7 @@ std::string CanonBlock(const QueryBlock& qb) {
     out += " FROM " + JoinStrings(refs, ", ");
   }
   if (!qb.where.empty() || qb.rownum_limit >= 0) {
-    out += " WHERE " + CanonConjuncts(qb.where, nullptr);
+    out += " WHERE " + CanonConjuncts(qb.where);
     if (qb.rownum_limit >= 0) {
       out += " & (ROWNUM <= " + std::to_string(qb.rownum_limit) + ")";
     }
@@ -366,7 +345,7 @@ std::string CanonBlock(const QueryBlock& qb) {
     // key order shows through in the planner's aggregate output layout.
     std::vector<std::string> keys;
     keys.reserve(qb.group_by.size());
-    for (const auto& g : qb.group_by) keys.push_back(CanonExpr(*g, nullptr));
+    for (const auto& g : qb.group_by) keys.push_back(CanonExpr(*g));
     if (qb.grouping_sets.empty()) {
       out += " GROUP BY " + JoinStrings(keys, ", ");
     } else {
@@ -382,14 +361,13 @@ std::string CanonBlock(const QueryBlock& qb) {
     }
   }
   if (!qb.having.empty()) {
-    out += " HAVING " + CanonConjuncts(qb.having, nullptr);
+    out += " HAVING " + CanonConjuncts(qb.having);
   }
   if (!qb.order_by.empty()) {
     std::vector<std::string> keys;
     keys.reserve(qb.order_by.size());
     for (const auto& o : qb.order_by) {
-      keys.push_back(CanonExpr(*o.expr, nullptr) +
-                     (o.ascending ? "" : " DESC"));
+      keys.push_back(CanonExpr(*o.expr) + (o.ascending ? "" : " DESC"));
     }
     out += " ORDER BY " + JoinStrings(keys, ", ");
   }
@@ -399,37 +377,5 @@ std::string CanonBlock(const QueryBlock& qb) {
 }  // namespace
 
 std::string BlockSignature(const QueryBlock& qb) { return CanonBlock(qb); }
-
-std::string ExprSignature(const Expr& e, const std::string& normalize_alias) {
-  return CanonExpr(e, normalize_alias.empty() ? nullptr : &normalize_alias);
-}
-
-std::string ConjunctsSignature(const std::vector<ExprPtr>& conjuncts,
-                               const std::string& normalize_alias) {
-  return CanonConjuncts(conjuncts,
-                        normalize_alias.empty() ? nullptr : &normalize_alias);
-}
-
-bool ExprUsesOnlyAlias(const Expr& e, const std::string& alias) {
-  switch (e.kind) {
-    case ExprKind::kSubquery:
-    case ExprKind::kRownum:
-      return false;
-    case ExprKind::kColumnRef:
-      return e.corr_depth == 0 && e.table_alias == alias;
-    default:
-      break;
-  }
-  for (const auto& c : e.children) {
-    if (!ExprUsesOnlyAlias(*c, alias)) return false;
-  }
-  for (const auto& c : e.partition_by) {
-    if (!ExprUsesOnlyAlias(*c, alias)) return false;
-  }
-  for (const auto& c : e.win_order_by) {
-    if (!ExprUsesOnlyAlias(*c, alias)) return false;
-  }
-  return true;
-}
 
 }  // namespace cbqt

@@ -2,7 +2,6 @@
 #define CBQT_SQL_SIGNATURE_H_
 
 #include <string>
-#include <vector>
 
 #include "sql/query_block.h"
 
@@ -30,27 +29,6 @@ namespace cbqt {
 /// (grouping sets index into them), ORDER BY — is preserved verbatim, as
 /// are aliases, join kinds, laterality and NO_MERGE hints.
 std::string BlockSignature(const QueryBlock& qb);
-
-/// Canonical signature of one expression (the expression-level piece of
-/// BlockSignature). When `normalize_alias` is non-empty, column references
-/// qualified by that alias render with the placeholder "$T" instead — used
-/// by shared-scan keys so scans of the same table under different aliases
-/// but identical predicates produce equal keys.
-std::string ExprSignature(const Expr& e,
-                          const std::string& normalize_alias = "");
-
-/// Canonical signature of a conjunct list: each conjunct's ExprSignature,
-/// sorted, joined by " & ". An empty list renders as "".
-std::string ConjunctsSignature(const std::vector<ExprPtr>& conjuncts,
-                               const std::string& normalize_alias = "");
-
-/// True when `e` is self-contained relative to `alias`: every column
-/// reference is local (corr_depth == 0) and qualified by `alias`, and the
-/// expression contains no subqueries and no ROWNUM. Predicates passing this
-/// test depend only on the scanned table's own row, so a scan filtered by
-/// them produces the same stream for every query — the eligibility test of
-/// the shared-scan registry (exec/shared_scan.h).
-bool ExprUsesOnlyAlias(const Expr& e, const std::string& alias);
 
 }  // namespace cbqt
 

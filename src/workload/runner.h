@@ -141,10 +141,10 @@ class WorkloadRunner {
   /// threads share one engine, queries are dealt round-robin by input index
   /// (deterministic partition: session s runs queries s, s+sessions, ...),
   /// and the merged report keeps measurements in input order. With
-  /// `config.mqo.enabled` the concurrently admitted queries form MQO
-  /// batches and share sub-plans and scans; with it off this is a plain
-  /// concurrency baseline over the same engine. `sessions <= 1` degenerates
-  /// to RunAll.
+  /// `config.mqo.enabled` the concurrent sessions plan against the
+  /// engine-wide MQO caches and share sub-plan annotations; with it off
+  /// this is a plain concurrency baseline over the same engine.
+  /// `sessions <= 1` degenerates to RunAll.
   WorkloadRunReport RunAllConcurrent(const std::vector<WorkloadQuery>& queries,
                                      const CbqtConfig& config,
                                      int sessions) const;

@@ -1,10 +1,8 @@
-// Multi-query optimization tests: canonical sharing signatures, the
-// SharedStream/SharedScanHub buffer machinery, and the engine-level
-// invariants — shared optimization never changes a plan, shared execution
-// is bit-identical to private execution, consumers degrade gracefully under
-// memory pressure, a cancelled consumer never stalls the rest of the batch,
-// and two sequential batches over one engine stay correct under concurrency
-// (the TSan leg).
+// Multi-query optimization tests: canonical block signatures, and the
+// engine-level invariants of the engine-wide optimizer caches — they never
+// change a plan or a row, they persist across queries, engine memory
+// pressure sheds them before it fails a query, and concurrent sessions
+// over one engine stay correct (the TSan leg).
 
 #include <gtest/gtest.h>
 
@@ -19,10 +17,7 @@
 
 #include "cbqt/engine.h"
 #include "cbqt/framework.h"
-#include "common/cancellation.h"
-#include "common/memory_tracker.h"
 #include "common/result_compare.h"
-#include "exec/shared_scan.h"
 #include "fuzz/harness.h"
 #include "parser/parser.h"
 #include "sql/expr_util.h"
@@ -93,138 +88,7 @@ TEST(MqoSignature, InnerFromOrderIsCanonicalized) {
   EXPECT_EQ(a, b);
 }
 
-TEST(MqoSignature, AliasNormalizationInExprSignature) {
-  auto db = MakeSmallHrDb();
-  ASSERT_NE(db, nullptr);
-  auto qa = ParseAndBind(
-      *db, "SELECT a.emp_id FROM employees a WHERE a.salary > 100");
-  auto qb = ParseAndBind(
-      *db, "SELECT b.emp_id FROM employees b WHERE b.salary > 100");
-  ASSERT_NE(qa, nullptr);
-  ASSERT_NE(qb, nullptr);
-  ASSERT_EQ(qa->where.size(), 1u);
-  ASSERT_EQ(qb->where.size(), 1u);
-  // Raw signatures differ by alias; normalized ones collide.
-  EXPECT_NE(ExprSignature(*qa->where[0]), ExprSignature(*qb->where[0]));
-  EXPECT_EQ(ExprSignature(*qa->where[0], "a"),
-            ExprSignature(*qb->where[0], "b"));
-  EXPECT_TRUE(ExprUsesOnlyAlias(*qa->where[0], "a"));
-  EXPECT_FALSE(ExprUsesOnlyAlias(*qa->where[0], "b"));
-}
-
-// ---------------------------------------------------------------------------
-// SharedStream / SharedScanHub unit behavior
-// ---------------------------------------------------------------------------
-
-RowBatch MakeBatch(int64_t start, int64_t n) {
-  RowBatch b;
-  for (int64_t i = 0; i < n; ++i) {
-    b.Add(Row{Value::Int(start + i), Value::Str("row")});
-  }
-  return b;
-}
-
-TEST(SharedStream, BufferedRowsThenEnd) {
-  SharedStream s("k", nullptr, nullptr);
-  ASSERT_TRUE(s.Append(MakeBatch(0, 3)));
-  ASSERT_TRUE(s.Append(MakeBatch(3, 2)));
-  s.MarkComplete();
-  ASSERT_TRUE(s.IsCompleteIntact());
-
-  size_t cursor = 0;
-  RowBatch out;
-  int64_t bytes = 0;
-  ASSERT_EQ(s.Read(&cursor, 4, &out, &bytes),
-            SharedStream::ReadState::kRows);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0][0], Value::Int(0));
-  EXPECT_EQ(out[3][0], Value::Int(3));
-  EXPECT_GT(bytes, 0);
-  ASSERT_EQ(s.Read(&cursor, 4, &out, &bytes),
-            SharedStream::ReadState::kRows);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0][0], Value::Int(4));
-  EXPECT_EQ(s.Read(&cursor, 4, &out, &bytes), SharedStream::ReadState::kEnd);
-}
-
-TEST(SharedStream, PressureDegradesKeepingThePrefix) {
-  // A limit that admits the first batch but not the second: consumers must
-  // still be served the buffered prefix, then told to go private.
-  MemoryTracker tracker("test", 1);
-  SharedStream s("k", nullptr, &tracker);
-  RowBatch big = MakeBatch(0, 100);
-  EXPECT_FALSE(s.Append(big));
-  EXPECT_TRUE(s.IsDegraded());
-  EXPECT_FALSE(s.IsCompleteIntact());
-  EXPECT_EQ(tracker.used_bytes(), 0);
-
-  size_t cursor = 0;
-  RowBatch out;
-  int64_t bytes = 0;
-  EXPECT_EQ(s.Read(&cursor, 10, &out, &bytes),
-            SharedStream::ReadState::kDegraded);
-  EXPECT_EQ(cursor, 0u);  // private fallback replays from the start
-}
-
-TEST(SharedScanHub, ProducerConsumerReplayRetire) {
-  SharedScanHub hub(/*buffer_limit_bytes=*/0);
-  int owner_a = 0, owner_b = 0;
-
-  auto first = hub.Acquire("scan:t", &owner_a, /*materialize=*/false);
-  ASSERT_NE(first.stream, nullptr);
-  EXPECT_TRUE(first.is_producer);
-  EXPECT_TRUE(hub.OwnerHasOpenProducer(&owner_a));
-  EXPECT_EQ(hub.live_streams(), 1u);
-
-  auto second = hub.Acquire("scan:t", &owner_b, false);
-  ASSERT_EQ(second.stream, first.stream);
-  EXPECT_FALSE(second.is_producer);
-
-  ASSERT_TRUE(first.stream->Append(MakeBatch(0, 5)));
-  first.stream->MarkComplete();
-  hub.ProducerSettled(&owner_a);
-  EXPECT_FALSE(hub.OwnerHasOpenProducer(&owner_a));
-
-  // Both detach; the completed-intact stream stays registered so a later
-  // query of the batch can replay it.
-  hub.Detach(first.stream);
-  hub.Detach(second.stream);
-  EXPECT_EQ(hub.live_streams(), 1u);
-  auto replay = hub.Acquire("scan:t", &owner_b, false);
-  ASSERT_EQ(replay.stream, first.stream);
-  EXPECT_FALSE(replay.is_producer);
-  hub.Detach(replay.stream);
-
-  // Batch over: the registry empties and the key starts fresh.
-  hub.RetireAll();
-  EXPECT_EQ(hub.live_streams(), 0u);
-  auto fresh = hub.Acquire("scan:t", &owner_b, false);
-  EXPECT_TRUE(fresh.is_producer);
-  EXPECT_NE(fresh.stream, first.stream);
-}
-
-TEST(SharedScanHub, DegradedStreamIsNotJoinableAndErasesOnLastDetach) {
-  SharedScanHub hub(0);
-  int owner = 0;
-  auto prod = hub.Acquire("scan:t", &owner, false);
-  ASSERT_TRUE(prod.is_producer);
-  prod.stream->MarkDegraded();
-  hub.ProducerSettled(&owner);
-
-  auto joiner = hub.Acquire("scan:t", &owner, false);
-  EXPECT_EQ(joiner.stream, nullptr);  // run privately
-
-  hub.Detach(prod.stream);
-  EXPECT_EQ(hub.live_streams(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level: shared execution is bit-identical to private execution
-// ---------------------------------------------------------------------------
-
-// Two identical single-table branches: the second branch's scan replays the
-// first branch's stream within one plan, deterministically (no concurrency
-// needed to form the share).
+// Two identical single-table branches in one plan.
 const char* kUnionSql =
     "SELECT e.emp_id, e.salary FROM employees e WHERE e.salary > 30000 "
     "UNION ALL "
@@ -247,7 +111,7 @@ std::vector<Row> SortedRows(const QueryEngine& engine,
   return std::move(result->rows);
 }
 
-TEST(Mqo, InPlanShareIsRowIdenticalAndCounted) {
+TEST(Mqo, IdenticalUnionBranchesAreRowIdentical) {
   auto db = MakeSmallHrDb();
   ASSERT_NE(db, nullptr);
   QueryEngine off(*db, CbqtConfig{});
@@ -255,12 +119,6 @@ TEST(Mqo, InPlanShareIsRowIdenticalAndCounted) {
   ASSERT_TRUE(on.mqo_enabled());
 
   EXPECT_EQ(SortedRows(on, kUnionSql), SortedRows(off, kUnionSql));
-
-  MqoStats ms = on.mqo_stats();
-  EXPECT_GE(ms.batches_formed, 1);
-  EXPECT_GT(ms.scan_streams + ms.materialize_streams, 0);
-  EXPECT_GT(ms.rows_shared, 0) << "second UNION ALL branch did not share";
-  EXPECT_GT(ms.bytes_saved, 0);
 }
 
 TEST(Mqo, RowIdentityAcrossBatchSizes) {
@@ -278,85 +136,89 @@ TEST(Mqo, RowIdentityAcrossBatchSizes) {
   }
 }
 
-TEST(Mqo, SharedCachesSurviveAcrossBatchesAndStatsEpochs) {
+TEST(Mqo, SharedCachesSurviveAcrossQueries) {
   auto db = MakeSmallHrDb();
   ASSERT_NE(db, nullptr);
   QueryEngine on(*db, MqoOn());
-  // Serial queries are one-query batches; the batch-shared annotation cache
-  // persists across them, so the repeat optimizes against warm entries.
+  // The engine-wide annotation cache persists across serial queries, so
+  // the repeat optimizes against warm entries.
   EXPECT_FALSE(SortedRows(on, kJoinSql).empty());
+  int64_t first_hits = on.mqo_stats().shared_subplan_hits;
   EXPECT_FALSE(SortedRows(on, kJoinSql).empty());
-  MqoStats ms = on.mqo_stats();
-  EXPECT_GE(ms.batches_formed, 2);
-  EXPECT_GT(ms.shared_subplan_hits, 0);
+  EXPECT_GT(on.mqo_stats().shared_subplan_hits, first_hits);
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: degradation and cancellation
+// Engine memory pressure sheds the MQO caches
 // ---------------------------------------------------------------------------
 
-TEST(Mqo, MemoryPressureFallsBackToPrivateExecution) {
-  auto db = MakeSmallHrDb();
-  ASSERT_NE(db, nullptr);
-  CbqtConfig tiny = MqoOn();
-  tiny.mqo.buffer_memory_bytes = 128;  // no real batch fits
-  QueryEngine off(*db, CbqtConfig{});
-  QueryEngine on(*db, tiny);
-
-  EXPECT_EQ(SortedRows(on, kUnionSql), SortedRows(off, kUnionSql));
-  MqoStats ms = on.mqo_stats();
-  EXPECT_GT(ms.pressure_fallbacks, 0)
-      << "producer should have degraded its stream under the 128-byte cap";
-  EXPECT_EQ(ms.rows_shared, 0);
-}
-
-TEST(Mqo, CancelledConsumerDoesNotStallTheBatch) {
-  auto db = MakeSmallHrDb();
-  ASSERT_NE(db, nullptr);
-  QueryEngine on(*db, MqoOn());
-  QueryEngine off(*db, CbqtConfig{});
-  std::vector<Row> expected = SortedRows(off, kUnionSql);
-
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 8;
-  CancellationToken doomed;
-  std::atomic<int> ok_runs{0};
-  std::atomic<int> cancelled_runs{0};
-  std::atomic<bool> row_mismatch{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int r = 0; r < kRounds; ++r) {
-        CancellationToken* token = (t == 0) ? &doomed : nullptr;
-        auto result = on.Run(kUnionSql, {.cancel = token});
-        if (result.ok()) {
-          SortRowsCanonical(&result->rows);
-          if (result->rows != expected) row_mismatch = true;
-          ++ok_runs;
-        } else if (result.status().code() == StatusCode::kCancelled) {
-          ++cancelled_runs;
-        } else {
-          ADD_FAILURE() << result.status().ToString();
-        }
-      }
-    });
+/// Distinct statements whose optimizations fill the MQO caches.
+std::vector<std::string> WarmupStatements() {
+  std::vector<std::string> out;
+  for (const auto& q : GenerateMixedWorkload(60, 0.3, SmallHrSchema(), 7)) {
+    out.push_back(q.sql);
   }
-  // Trip thread 0 mid-run: its in-flight query unwinds typed, and — the
-  // invariant under test — the other threads keep completing with correct
-  // rows. The test finishing at all proves no consumer stalled.
-  doomed.Cancel();
-  for (auto& w : workers) w.join();
+  return out;
+}
 
-  EXPECT_FALSE(row_mismatch);
-  EXPECT_EQ(ok_runs + cancelled_runs, kThreads * kRounds);
-  EXPECT_GE(ok_runs, (kThreads - 1) * kRounds);
+/// A statement whose sort buffers every employee row in memory.
+const char* kSortSql =
+    "SELECT e.emp_id, e.employee_name, e.salary FROM employees e "
+    "ORDER BY e.salary, e.emp_id";
+
+CbqtConfig MqoWithEngineBudget(int64_t engine_memory_bytes) {
+  CbqtConfig cfg = MqoOn();
+  cfg.guardrails.engine_memory_bytes = engine_memory_bytes;
+  // A breaker that cannot reserve fails the query instead of spilling, so a
+  // reservation that does not fit shows as a failed statement.
+  cfg.exec.enable_spill = false;
+  return cfg;
+}
+
+TEST(Mqo, EngineMemoryPressureShedsTheMqoCaches) {
+  auto db = MakeSmallHrDb();
+  ASSERT_NE(db, nullptr);
+  std::vector<std::string> warmup = WarmupStatements();
+
+  // Calibration under an ample budget: how much the warm caches and the
+  // warm-up hold at their peak, and what the sort reserves on its own.
+  int64_t warm_cache_bytes = 0;
+  int64_t warm_engine_peak = 0;
+  int64_t sort_peak = 0;
+  {
+    QueryEngine probe(*db, MqoWithEngineBudget(int64_t{1} << 30));
+    for (const auto& sql : warmup) ASSERT_TRUE(probe.Run(sql).ok()) << sql;
+    warm_cache_bytes = probe.mqo_stats().cache_memory_bytes;
+    warm_engine_peak = probe.guardrail_stats().engine_peak_bytes;
+    auto sorted = probe.Run(kSortSql);
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    sort_peak = sorted->peak_memory_bytes;
+  }
+  // The budget admits every warm-up statement and the sort alone, but not
+  // the sort on top of the warm caches.
+  const int64_t budget = std::max(warm_engine_peak, sort_peak) + 4096;
+  ASSERT_GT(sort_peak, 0);
+  ASSERT_GT(warm_cache_bytes + sort_peak, budget)
+      << "the warm caches are too small to crowd out the sort";
+
+  QueryEngine engine(*db, MqoWithEngineBudget(budget));
+  for (const auto& sql : warmup) ASSERT_TRUE(engine.Run(sql).ok()) << sql;
+  const int64_t cache_before = engine.mqo_stats().cache_memory_bytes;
+  ASSERT_EQ(cache_before, warm_cache_bytes);
+
+  auto sorted = engine.Run(kSortSql);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  EXPECT_LT(engine.mqo_stats().cache_memory_bytes, cache_before);
+  EXPECT_EQ(engine.guardrail_stats().memory_victims, 0);
+  QueryEngine off(*db, CbqtConfig{});
+  EXPECT_EQ(SortedRows(engine, kSortSql), SortedRows(off, kSortSql));
 }
 
 // ---------------------------------------------------------------------------
-// Two concurrent batches over one engine (the TSan leg)
+// Concurrent sessions over the engine-wide caches (the TSan leg)
 // ---------------------------------------------------------------------------
 
-TEST(Mqo, TwoConcurrentBatchesStayCorrect) {
+TEST(Mqo, TwoConcurrentRoundsStayCorrect) {
   auto db = MakeSmallHrDb();
   ASSERT_NE(db, nullptr);
   QueryEngine off(*db, CbqtConfig{});
@@ -384,7 +246,7 @@ TEST(Mqo, TwoConcurrentBatchesStayCorrect) {
     for (auto& w : workers) w.join();
   }
   EXPECT_FALSE(mismatch);
-  EXPECT_GE(on.mqo_stats().batches_formed, 2);
+  EXPECT_GT(on.mqo_stats().shared_subplan_hits, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +373,7 @@ TEST(Mqo, RunAllConcurrentMergesInInputOrder) {
   EXPECT_EQ(report.succeeded, 12);
   EXPECT_EQ(report.untyped_failures(), 0);
   EXPECT_EQ(report.measurements.size(), 12u);
-  EXPECT_GE(report.mqo.batches_formed, 1);
+  EXPECT_GT(report.mqo.shared_subplan_hits, 0);
 
   // sessions <= 1 degenerates to the serial path with identical counting.
   WorkloadRunReport serial = runner.RunAllConcurrent(queries, MqoOn(), 1);
