@@ -40,7 +40,11 @@
 # inserted value back through the typed, dictionary and generic columns
 # with its kind and bits; IndexOrderTest probes the rowid-permutation
 # indexes against a brute-force scan and the row-key sort, including the
-# caller-owned lookup vector).
+# caller-owned lookup vector). The fuzz-smoke leg's spill sweep injects
+# memory pressure into every pipeline breaker's charge across the fuzz
+# deck, so the hash join's partition reload and chunked passes, the
+# recursive aggregate and distinct partitions and the sort runs all execute
+# against the reference interpreter; the leg fails when nothing spilled.
 #
 #   $ ./ci.sh              # release + tsan + asan + bench-smoke + fuzz-smoke
 #                          #   + perfbench-smoke
@@ -49,7 +53,8 @@
 #   $ ./ci.sh asan         # just the address/UB-sanitizer config
 #   $ ./ci.sh bench-smoke  # quick Release run of the perf benches; runs
 #                          #   every bench, then fails if any gate failed
-#   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg
+#   $ ./ci.sh fuzz-smoke   # time-boxed metamorphic differential fuzz leg,
+#                          #   with fault and spill sweeps
 #   $ ./ci.sh perfbench-smoke  # builds the end-to-end benchmark, checks
 #                              # its deterministic counts (seeds 1, 20061)
 set -euo pipefail
@@ -150,7 +155,13 @@ if [[ "${want}" == "all" || "${want}" == "fuzz-smoke" ]]; then
   #      (a fuzzer that cannot find the canary is not testing anything);
   #   3. fault sweep: probabilistic fault injection at the planner and
   #      executor sites must degrade cleanly (clean error or clean result,
-  #      never wrong rows).
+  #      never wrong rows);
+  #   4. spill sweep: injected memory pressure fails pipeline-breaker
+  #      charges at random, so hash-join builds (reloaded partitions and
+  #      chunks), aggregates, distincts and sorts take their spill paths,
+  #      differenced against the reference. It fails on any divergence, and
+  #      when no operator spilled (a sweep that spills nothing tests
+  #      nothing, as a canary run that catches nothing proves nothing).
   dir="build-ci-release"
   echo "=== [fuzz-smoke] configure + build ==="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -172,6 +183,20 @@ if [[ "${want}" == "all" || "${want}" == "fuzz-smoke" ]]; then
   (cd "${dir}" && ./tools/fuzz_cbqt --seed 3 --rounds 40 --time-box-ms 0 \
       --fault-sweep "exec-batch:p=0.02;planner:every=7;exec-spill-write:p=0.01" \
       --fault-seed 5)
+  echo "=== [fuzz-smoke] spill sweep ==="
+  if ! spill_out="$(cd "${dir}" && ./tools/fuzz_cbqt --seed 3 --rounds 40 \
+      --time-box-ms 0 --fault-sweep "memory-pressure:p=0.02" \
+      --fault-seed 5)"; then
+    echo "${spill_out}"
+    exit 1
+  fi
+  echo "${spill_out}"
+  spilled="$(sed -n 's/.* \([0-9][0-9]*\) spilled operators.*/\1/p' \
+      <<< "${spill_out}")"
+  if [[ -z "${spilled}" || "${spilled}" -eq 0 ]]; then
+    echo "FAIL: the spill sweep spilled no operator" >&2
+    exit 1
+  fi
 fi
 
 if [[ "${want}" == "all" || "${want}" == "perfbench-smoke" ]]; then

@@ -410,51 +410,50 @@ size_t FilterKernel::Select(int64_t* sel, size_t n) const {
   }
 }
 
-std::vector<CompiledExpr> CompileExprList(const std::vector<ExprPtr>& exprs,
-                                          const Schema* schema) {
-  std::vector<CompiledExpr> out;
-  out.reserve(exprs.size());
-  for (const auto& e : exprs) out.push_back(CompiledExpr::Compile(e.get(), schema));
-  return out;
+CompiledList::CompiledList(const std::vector<ExprPtr>& exprs,
+                           const Schema* schema)
+    : schema_(schema) {
+  exprs_.reserve(exprs.size());
+  for (const auto& e : exprs) {
+    exprs_.push_back(CompiledExpr::Compile(e.get(), schema));
+    if (!exprs_.back().fast()) any_fallback_ = true;
+  }
 }
 
-Result<Value> EvalCompiledConjuncts(const std::vector<CompiledExpr>& preds,
-                                    const Row& row, EvalContext& ctx) {
+CompiledList::CompiledList(std::vector<CompiledExpr> exprs,
+                           const Schema* schema)
+    : exprs_(std::move(exprs)), schema_(schema) {
+  for (const CompiledExpr& e : exprs_) {
+    if (!e.fast()) any_fallback_ = true;
+  }
+}
+
+Result<Value> CompiledList::TestFramed(EvalContext& ev, const Row& row) const {
+  ScopedFrame frame(ev, schema_, &row);
   bool unknown = false;
-  for (const auto& p : preds) {
-    Value v;
-    if (p.fast()) {
-      v = p.EvalFast(row, ctx.rownum);
-    } else {
-      auto r = p.EvalSlow(ctx);
-      if (!r.ok()) return r.status();
-      v = std::move(r.value());
-    }
-    if (v.is_null()) {
+  for (const CompiledExpr& p : exprs_) {
+    auto v = p.Eval(row, ev);
+    if (!v.ok()) return v.status();
+    if (v->is_null()) {
       unknown = true;
       continue;
     }
-    if (!v.AsBool()) return Value::Boolean(false);
+    if (!v->AsBool()) return Value::Boolean(false);
   }
   if (unknown) return Value::Null();
   return Value::Boolean(true);
 }
 
-Status EvalCompiledList(const std::vector<CompiledExpr>& exprs, const Row& row,
-                        EvalContext& ctx, Row* out, bool* has_null) {
+Status CompiledList::EvalFramed(EvalContext& ev, const Row& row, Row* out,
+                                bool* has_null) const {
+  ScopedFrame frame(ev, schema_, &row);
   out->clear();
   if (has_null != nullptr) *has_null = false;
-  for (const auto& e : exprs) {
-    Value v;
-    if (e.fast()) {
-      v = e.EvalFast(row, ctx.rownum);
-    } else {
-      auto r = e.EvalSlow(ctx);
-      if (!r.ok()) return r.status();
-      v = std::move(r.value());
-    }
-    if (has_null != nullptr && v.is_null()) *has_null = true;
-    out->push_back(std::move(v));
+  for (const CompiledExpr& e : exprs_) {
+    auto v = e.Eval(row, ev);
+    if (!v.ok()) return v.status();
+    if (has_null != nullptr && v->is_null()) *has_null = true;
+    out->push_back(std::move(v.value()));
   }
   return Status::OK();
 }

@@ -27,9 +27,9 @@ namespace cbqt {
 /// Anything outside the subset (function calls, subqueries, column refs
 /// that resolve through an *outer* frame) makes the whole program fall back
 /// to EvalExpr. The fallback requires the caller to keep a frame with the
-/// compiled schema and the current row as the innermost frame — exactly the
-/// hoisted batch frame every operator maintains — so both paths see
-/// identical resolution order and identical semantics.
+/// compiled schema and the current row as the innermost frame — the frame
+/// CompiledList pushes for the row — so both paths see identical
+/// resolution order and identical semantics.
 class CompiledExpr {
  public:
   /// Compiles `e` against `schema` (the innermost frame's schema at eval
@@ -43,10 +43,6 @@ class CompiledExpr {
   Value EvalFast(const Row& row, int64_t rownum) const {
     return EvalNode(root_, row, rownum);
   }
-
-  /// Fallback: the tree evaluator under the caller's frame stack (the
-  /// innermost frame must hold the compiled schema and current row).
-  Result<Value> EvalSlow(EvalContext& ctx) const { return EvalExpr(*expr_, ctx); }
 
   /// Appends the slots this fast program reads to `out`.
   void CollectSlots(std::vector<int>* out) const {
@@ -66,7 +62,9 @@ class CompiledExpr {
   /// first), and the constant, which points into this program.
   bool AsSlotCompare(int* slot, BinaryOp* op, const Value** constant) const;
 
-  /// Convenience dispatcher used by non-hot call sites.
+  /// The fast path when available, else the tree evaluator under the
+  /// caller's frame stack (the innermost frame must hold the compiled schema
+  /// and current row).
   Result<Value> Eval(const Row& row, EvalContext& ctx) const {
     if (fast_) return EvalNode(root_, row, ctx.rownum);
     return EvalExpr(*expr_, ctx);
@@ -157,22 +155,69 @@ class FilterKernel {
   int64_t code_ = -1;               // str_'s code in column_, or -1
 };
 
-/// Compiles every expression of `exprs` against `schema`.
-std::vector<CompiledExpr> CompileExprList(const std::vector<ExprPtr>& exprs,
-                                          const Schema* schema);
+/// One plan expression list compiled against one input schema: a filter,
+/// join conditions, keys, projections or aggregate arguments. When every
+/// member is fast, Test and Eval run inline with no frame push and no Status
+/// plumbing — the batch executor's hot filter, join and key loops.
+/// Otherwise they push one frame holding (schema, row) for the row, through
+/// which the fallback members resolve exactly as the tree evaluator does.
+class CompiledList {
+ public:
+  CompiledList() = default;
+  CompiledList(const std::vector<ExprPtr>& exprs, const Schema* schema);
+  CompiledList(std::vector<CompiledExpr> exprs, const Schema* schema);
 
-/// Conjunct-list evaluation with three-valued semantics (TRUE / FALSE /
-/// UNKNOWN-as-NULL), mirroring the tree evaluator's EvalConjuncts. The
-/// caller's innermost frame must hold (schema, row) for any fallback
-/// member.
-Result<Value> EvalCompiledConjuncts(const std::vector<CompiledExpr>& preds,
-                                    const Row& row, EvalContext& ctx);
+  bool empty() const { return exprs_.empty(); }
+  size_t size() const { return exprs_.size(); }
+  /// True when some member falls back to the tree evaluator.
+  bool needs_frame() const { return any_fallback_; }
+  std::vector<CompiledExpr>::const_iterator begin() const {
+    return exprs_.begin();
+  }
+  std::vector<CompiledExpr>::const_iterator end() const { return exprs_.end(); }
 
-/// Evaluates an expression list into `out` (cleared first). Used for hash /
-/// sort / group keys and projections. Sets *has_null when any value is
-/// NULL (pass null if not needed).
-Status EvalCompiledList(const std::vector<CompiledExpr>& exprs, const Row& row,
-                        EvalContext& ctx, Row* out, bool* has_null = nullptr);
+  /// The members as conjuncts over `row`, with three-valued semantics:
+  /// TRUE, FALSE (at the first FALSE member), or NULL for unknown —
+  /// mirroring the tree evaluator's EvalConjuncts.
+  Result<Value> Test(EvalContext& ev, const Row& row) const {
+    if (any_fallback_) return TestFramed(ev, row);
+    bool unknown = false;
+    for (const CompiledExpr& p : exprs_) {
+      Value v = p.EvalFast(row, ev.rownum);
+      if (v.is_null()) {
+        unknown = true;
+        continue;
+      }
+      if (!v.AsBool()) return Value::Boolean(false);
+    }
+    if (unknown) return Value::Null();
+    return Value::Boolean(true);
+  }
+
+  /// Evaluates every member over `row` into `out` (cleared first). Sets
+  /// *has_null when any value is NULL (pass null if not needed).
+  Status Eval(EvalContext& ev, const Row& row, Row* out,
+              bool* has_null = nullptr) const {
+    if (any_fallback_) return EvalFramed(ev, row, out, has_null);
+    out->clear();
+    if (has_null != nullptr) *has_null = false;
+    for (const CompiledExpr& e : exprs_) {
+      Value v = e.EvalFast(row, ev.rownum);
+      if (has_null != nullptr && v.is_null()) *has_null = true;
+      out->push_back(std::move(v));
+    }
+    return Status::OK();
+  }
+
+ private:
+  Result<Value> TestFramed(EvalContext& ev, const Row& row) const;
+  Status EvalFramed(EvalContext& ev, const Row& row, Row* out,
+                    bool* has_null) const;
+
+  std::vector<CompiledExpr> exprs_;
+  const Schema* schema_ = nullptr;
+  bool any_fallback_ = false;
+};
 
 }  // namespace cbqt
 

@@ -1,7 +1,6 @@
 #include "exec/eval.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "common/str_util.h"
 
@@ -70,13 +69,13 @@ Result<Value> EvalSubqueryPredicate(const Expr& e,
         if (v->is_null()) left_has_null = true;
         left.push_back(std::move(v.value()));
       }
-      // Fast path: hash probe. Valid when the probe row is null-free (a
-      // probe with NULLs needs per-row three-valued comparison).
-      if (view.row_set != nullptr && !left_has_null) {
-        const auto* set =
-            static_cast<const std::unordered_set<Row, RowHasher, RowEq>*>(
-                view.row_set);
-        if (set->count(left) > 0) {
+      // Fast path: hash probe. Valid when the probe row is null-free and a
+      // miss is decided: with one column a NULL in the result makes it
+      // unknown, but a multi-column result row holding a NULL can still be
+      // definitely unequal, so that needs per-row three-valued comparison.
+      if (view.row_set != nullptr && !left_has_null &&
+          (left.size() == 1 || !view.has_null)) {
+        if (view.row_set->count(left) > 0) {
           return Value::Boolean(e.subkind == SubqueryKind::kIn);
         }
         if (view.has_null) return Value::Null();

@@ -2,6 +2,7 @@
 #define CBQT_EXEC_EVAL_H_
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -23,7 +24,7 @@ struct SubqueryResultView {
   const std::vector<Row>* rows = nullptr;
   /// Hash set over the result rows (structural equality). May be null when
   /// the resolver does not provide one; callers then scan `rows`.
-  const void* row_set = nullptr;  // std::unordered_set<Row, RowHasher, RowEq>*
+  const std::unordered_set<Row, RowHasher, RowEq>* row_set = nullptr;
   /// True if any result row contains a NULL (drives three-valued IN).
   bool has_null = false;
 };
@@ -44,6 +45,21 @@ struct EvalContext {
   std::vector<Frame> frames;
   int64_t rownum = 0;  ///< current ROWNUM for kRownum expressions
   SubqueryResolver* subquery_resolver = nullptr;
+};
+
+/// Pushes (schema, row) as the innermost frame of `ctx` for its lifetime.
+class ScopedFrame {
+ public:
+  ScopedFrame(EvalContext& ctx, const Schema* schema, const Row* row)
+      : ctx_(ctx) {
+    ctx_.frames.push_back(Frame{schema, row});
+  }
+  ~ScopedFrame() { ctx_.frames.pop_back(); }
+  ScopedFrame(const ScopedFrame&) = delete;
+  ScopedFrame& operator=(const ScopedFrame&) = delete;
+
+ private:
+  EvalContext& ctx_;
 };
 
 /// Evaluates `e` under `ctx` with SQL three-valued semantics: the "unknown"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -19,29 +19,53 @@ namespace cbqt {
 // ExecContext
 // ---------------------------------------------------------------------------
 
+namespace {
+
+ExecOptions ClampBatchSize(ExecOptions options) {
+  if (options.batch_size == 0) options.batch_size = 1;
+  return options;
+}
+
+int64_t RowCap(const BudgetTracker* budget) {
+  if (budget != nullptr && budget->budget().max_exec_rows > 0) {
+    return budget->budget().max_exec_rows;
+  }
+  return std::numeric_limits<int64_t>::max();
+}
+
+}  // namespace
+
+ExecContext::ExecContext(const Database& database, const ExecOptions& opts)
+    : db(&database),
+      options(ClampBatchSize(opts)),
+      has_guards(opts.guards.any()),
+      row_cap(RowCap(opts.budget)) {}
+
 Status ExecContext::CountBatch(int64_t n) {
   if (n <= 0) return Status::OK();
   ++stats.batches;
   stats.rows_processed += n;
   if (stats.rows_processed > row_cap) {
-    budget->MarkExhausted(BudgetDimension::kExecRows);
+    options.budget->MarkExhausted(BudgetDimension::kExecRows);
     return Status::BudgetExhausted(
         "executor row budget exceeded (max_exec_rows=" +
-        std::to_string(budget->budget().max_exec_rows) + ")");
+        std::to_string(options.budget->budget().max_exec_rows) + ")");
   }
   if (has_guards) {
-    if (guards.faults != nullptr) {
-      CBQT_RETURN_IF_ERROR(guards.faults->MaybeFail(FaultSite::kExecBatch));
+    if (options.guards.faults != nullptr) {
+      CBQT_RETURN_IF_ERROR(
+          options.guards.faults->MaybeFail(FaultSite::kExecBatch));
     }
-    return guards.Poll();
+    return options.guards.Poll();
   }
   return Status::OK();
 }
 
 Status ExecContext::ChargeBuffered(ScopedReservation& res, int64_t bytes) {
-  if (guards.faults != nullptr) {
-    CBQT_RETURN_IF_ERROR(guards.faults->MaybeFail(FaultSite::kExecSpillCheck));
-    if (guards.faults->MaybeFire(FaultSite::kMemoryPressure)) {
+  FaultInjector* faults = options.guards.faults;
+  if (faults != nullptr) {
+    CBQT_RETURN_IF_ERROR(faults->MaybeFail(FaultSite::kExecSpillCheck));
+    if (faults->MaybeFire(FaultSite::kMemoryPressure)) {
       return Status::ResourceExhausted(
           "injected memory pressure (executor pipeline breaker)");
     }
@@ -51,7 +75,8 @@ Status ExecContext::ChargeBuffered(ScopedReservation& res, int64_t bytes) {
 
 Result<SpillManager*> ExecContext::GetSpill() {
   if (spill_mgr_ == nullptr) {
-    auto m = SpillManager::Create(spill_dir, guards.faults, &stats.spill);
+    auto m = SpillManager::Create(options.spill_dir, options.guards.faults,
+                                  &stats.spill);
     if (!m.ok()) return m.status();
     spill_mgr_ = std::move(m.value());
   }
@@ -346,74 +371,79 @@ bool SortRowLess(const Row& a, const Row& b, const std::vector<bool>& asc) {
   return SortRowLess(a, b, asc, a.size());
 }
 
-/// RAII frame push. Operators push once per batch (or per row on fallback
-/// paths) and mutate the row pointer in place.
-class FrameGuard {
- public:
-  FrameGuard(EvalContext& ctx, const Schema* schema) : ctx_(ctx) {
-    ctx_.frames.push_back(Frame{schema, nullptr});
+/// Opens `child`, hands fn each row of its non-empty batches — each batch
+/// counted with CountBatch first — and closes it.
+template <typename Fn>
+Status ConsumeInput(ExecContext* ctx, Operator* child, Fn&& fn) {
+  CBQT_RETURN_IF_ERROR(child->Open());
+  RowBatch b;
+  for (;;) {
+    auto more = child->NextBatch(&b);
+    if (!more.ok()) return more.status();
+    if (!more.value()) break;
+    if (b.empty()) continue;
+    CBQT_RETURN_IF_ERROR(ctx->CountBatch(static_cast<int64_t>(b.size())));
+    for (Row& r : b.rows()) CBQT_RETURN_IF_ERROR(fn(r));
   }
-  ~FrameGuard() { ctx_.frames.pop_back(); }
-  FrameGuard(const FrameGuard&) = delete;
-  FrameGuard& operator=(const FrameGuard&) = delete;
-
-  void SetRow(const Row* row) { ctx_.frames.back().row = row; }
-
- private:
-  EvalContext& ctx_;
-};
-
-bool AnySlow(const std::vector<CompiledExpr>& exprs) {
-  for (const auto& e : exprs) {
-    if (!e.fast()) return true;
-  }
-  return false;
+  child->Close();
+  return Status::OK();
 }
 
-/// Conjunct evaluation for one row. The all-fast path touches neither the
-/// frame stack nor Status plumbing — this is the batch executor's hot
-/// filter/join loop. The fallback pushes one frame for the row, matching
-/// the tree evaluator's resolution order exactly.
-Result<Value> EvalPredsOnRow(EvalContext& ev,
-                             const std::vector<CompiledExpr>& preds,
-                             const Row& row, const Schema* schema,
-                             bool needs_frame) {
-  if (!needs_frame) {
-    bool unknown = false;
-    for (const auto& p : preds) {
-      Value v = p.EvalFast(row, ev.rownum);
-      if (v.is_null()) {
-        unknown = true;
-        continue;
-      }
-      if (!v.AsBool()) return Value::Boolean(false);
+/// Re-reads spill file `f` from its start, calling fn(i, row) on each row
+/// i (0-based) while fn returns true. The rows were counted when first
+/// consumed, so the walk only polls for cancellation, once per 256 rows:
+/// after rows 255, 511, ..., or after rows 0, 256, ... when `poll_first`.
+template <typename Fn>
+Status WalkSpill(ExecContext* ctx, SpillFile* f, bool poll_first, Fn&& fn) {
+  CBQT_RETURN_IF_ERROR(f->Rewind());
+  const int64_t phase = poll_first ? 0 : 1;
+  Row r;
+  for (int64_t i = 0;; ++i) {
+    auto more = f->Next(&r);
+    if (!more.ok()) return more.status();
+    if (!more.value()) return Status::OK();
+    if (((i + phase) & kSpillPollMask) == 0) {
+      CBQT_RETURN_IF_ERROR(ctx->PollOnly());
     }
-    if (unknown) return Value::Null();
-    return Value::Boolean(true);
+    Result<bool> go_on = fn(i, r);
+    if (!go_on.ok()) return go_on.status();
+    if (!go_on.value()) return Status::OK();
   }
-  FrameGuard g(ev, schema);
-  g.SetRow(&row);
-  return EvalCompiledConjuncts(preds, row, ev);
 }
 
-/// Expression-list evaluation for one row (hash/sort/group keys,
-/// projections) with the same fast/fallback split as EvalPredsOnRow.
-Status EvalListOnRow(EvalContext& ev, const std::vector<CompiledExpr>& exprs,
-                     const Row& row, const Schema* schema, bool needs_frame,
-                     Row* out, bool* has_null = nullptr) {
-  if (!needs_frame) {
-    out->clear();
-    if (has_null != nullptr) *has_null = false;
-    for (const auto& e : exprs) {
-      Value v = e.EvalFast(row, ev.rownum);
-      if (has_null != nullptr && v.is_null()) *has_null = true;
-      out->push_back(std::move(v));
-    }
-    return Status::OK();
+/// Inner and left outer joins emit every matching combined row; semi and
+/// anti joins stop at a probe row's first match, which decides it.
+bool EmitsMatches(JoinKind kind) {
+  return kind == JoinKind::kInner || kind == JoinKind::kLeftOuter;
+}
+
+/// The join verdict: what a probe row emits beyond its matching combined
+/// rows, from whether some build row matched it and whether some
+/// comparison was unknown. Semi emits the row when matched, anti when not,
+/// null-aware anti when neither matched nor unknown (NOT IN semantics), and
+/// left outer the row NULL-extended by `right_width` when unmatched. Forced
+/// inline: it runs once per probe row, where the join kind's switch stays
+/// free of a call.
+[[gnu::always_inline]] inline void EmitVerdict(JoinKind kind, bool matched,
+                                               bool unknown, Row&& lrow,
+                                               size_t right_width,
+                                               std::vector<Row>* sink) {
+  switch (kind) {
+    case JoinKind::kSemi:
+      if (matched) sink->push_back(std::move(lrow));
+      return;
+    case JoinKind::kAnti:
+      if (!matched) sink->push_back(std::move(lrow));
+      return;
+    case JoinKind::kAntiNA:
+      if (!matched && !unknown) sink->push_back(std::move(lrow));
+      return;
+    case JoinKind::kLeftOuter:
+      if (!matched) sink->push_back(NullExtend(std::move(lrow), right_width));
+      return;
+    case JoinKind::kInner:
+      return;
   }
-  FrameGuard g(ev, schema);
-  g.SetRow(&row);
-  return EvalCompiledList(exprs, row, ev, out, has_null);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,9 +488,7 @@ Status MapScanSlots(const Schema& output, const TableDef& def,
 class ScanFilter {
  public:
   explicit ScanFilter(const PlanNode* node)
-      : node_(node),
-        filter_(CompileExprList(node->filter, &node->output)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+      : node_(node), filter_(node->filter, &node->output) {}
 
   /// Maps the scan's output onto `table`'s columns and moves the kernel
   /// conjuncts onto their columns. Once: a rescan re-Opens.
@@ -469,22 +497,22 @@ class ScanFilter {
     CBQT_RETURN_IF_ERROR(MapScanSlots(node_->output, table.def(), &src_slots_));
     table_ = &table;
     scratch_.resize(src_slots_.size());
-    if (filter_needs_frame_) return Status::OK();
+    if (filter_.needs_frame()) return Status::OK();
     std::vector<CompiledExpr> rest;
-    for (auto& p : filter_) {
+    for (const CompiledExpr& p : filter_) {
       FilterKernel k;
       const int src = FilterKernel::Make(p, &k)
                           ? src_slots_[static_cast<size_t>(k.slot())]
                           : kRowIdSrc;
       if (src == kRowIdSrc) {  // not a kernel, or a test of the rowid
         p.CollectSlots(&rest_slots_);
-        rest.push_back(std::move(p));
+        rest.push_back(p);
         continue;
       }
       k.Bind(table.column(static_cast<size_t>(src)));
       kernels_.push_back(std::move(k));
     }
-    filter_ = std::move(rest);
+    filter_ = CompiledList(std::move(rest), &node_->output);
     std::sort(rest_slots_.begin(), rest_slots_.end());
     rest_slots_.erase(std::unique(rest_slots_.begin(), rest_slots_.end()),
                       rest_slots_.end());
@@ -494,14 +522,14 @@ class ScanFilter {
   /// Appends to `out`, in order, the scan row of each candidate stored row
   /// (rowids sel[0, n)) that passes. The rowids are narrowed in place.
   Status Emit(EvalContext& ev, int64_t* sel, size_t n, RowBatch* out) {
-    if (filter_needs_frame_) {
+    if (filter_.needs_frame()) {
       // Each candidate's whole scan row is built in the scratch row, which
       // moves to the output only when the row passes.
       for (size_t i = 0; i < n; ++i) {
         for (size_t k = 0; k < src_slots_.size(); ++k) {
           scratch_[k] = ValueAt(src_slots_[k], sel[i]);
         }
-        auto pass = EvalPredsOnRow(ev, filter_, scratch_, &node_->output, true);
+        auto pass = filter_.Test(ev, scratch_);
         if (!pass.ok()) return pass.status();
         if (!IsTruthy(pass.value())) continue;
         out->Add(std::move(scratch_));
@@ -520,7 +548,7 @@ class ScanFilter {
           scratch_[static_cast<size_t>(s)] =
               ValueAt(src_slots_[static_cast<size_t>(s)], sel[i]);
         }
-        auto pass = EvalPredsOnRow(ev, filter_, scratch_, nullptr, false);
+        auto pass = filter_.Test(ev, scratch_);
         if (!pass.ok()) return pass.status();
         sel[kept] = sel[i];
         kept += IsTruthy(pass.value()) ? 1 : 0;
@@ -553,8 +581,7 @@ class ScanFilter {
   const PlanNode* node_;
   // On the scan's output schema; after Bind, the conjuncts that are not
   // kernels.
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
+  CompiledList filter_;
   const Table* table_ = nullptr;      // set by Bind
   std::vector<int> src_slots_;
   std::vector<FilterKernel> kernels_;  // bound to their stored columns
@@ -583,7 +610,7 @@ class TableScanOperator final : public Operator {
     out->Clear();
     const size_t num_rows = table_->NumRows();
     if (pos_ >= num_rows) return false;
-    size_t end = std::min(num_rows, pos_ + ctx_->batch_size);
+    size_t end = std::min(num_rows, pos_ + ctx_->options.batch_size);
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
     sel_.resize(end - pos_);
     for (size_t i = 0; i < sel_.size(); ++i) {
@@ -633,7 +660,7 @@ class IndexScanOperator final : public Operator {
   Result<bool> NextBatch(RowBatch* out) override {
     out->Clear();
     if (pos_ >= rowids_.size()) return false;
-    size_t end = std::min(rowids_.size(), pos_ + ctx_->batch_size);
+    size_t end = std::min(rowids_.size(), pos_ + ctx_->options.batch_size);
     // Candidates are counted before the filter, as the table scan counts.
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(end - pos_)));
     // The batch's stretch of rowids_ is its selection vector; a rescan
@@ -662,8 +689,7 @@ class FilterOperator final : public Operator {
                  std::unique_ptr<Operator> child)
       : Operator(ctx, node),
         child_(std::move(child)),
-        filter_(CompileExprList(node->filter, &node->output)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+        filter_(node->filter, &node->output) {}
 
   Status Open() override { return child_->Open(); }
 
@@ -675,8 +701,7 @@ class FilterOperator final : public Operator {
     if (in_.empty()) return true;
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(in_.size())));
     for (auto& r : in_.rows()) {
-      auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, &node_->output,
-                                 filter_needs_frame_);
+      auto pass = filter_.Test(ctx_->eval, r);
       if (!pass.ok()) return pass.status();
       if (IsTruthy(pass.value())) out->Add(std::move(r));
     }
@@ -687,8 +712,7 @@ class FilterOperator final : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
+  CompiledList filter_;
   RowBatch in_;
 };
 
@@ -698,10 +722,9 @@ class ProjectOperator final : public Operator {
                   std::unique_ptr<Operator> child)
       : Operator(ctx, node),
         child_(std::move(child)),
-        in_schema_(node->children.empty() ? &node->output
-                                          : &node->children[0]->output),
-        projs_(CompileExprList(node->projections, in_schema_)),
-        projs_need_frame_(AnySlow(projs_)) {}
+        projs_(node->projections, node->children.empty()
+                                      ? &node->output
+                                      : &node->children[0]->output) {}
 
   Status Open() override {
     row_index_ = 0;
@@ -743,9 +766,7 @@ class ProjectOperator final : public Operator {
     // (the enclosing operator may maintain its own, e.g. a lazy Limit).
     int64_t saved = ctx_->eval.rownum;
     ctx_->eval.rownum = rownum;
-    scratch_.clear();
-    Status st = EvalListOnRow(ctx_->eval, projs_, in, in_schema_,
-                              projs_need_frame_, &scratch_);
+    Status st = projs_.Eval(ctx_->eval, in, &scratch_);
     ctx_->eval.rownum = saved;
     CBQT_RETURN_IF_ERROR(st);
     // The input row is dead once evaluated; reuse its heap buffer for the
@@ -758,9 +779,7 @@ class ProjectOperator final : public Operator {
   }
 
   std::unique_ptr<Operator> child_;
-  const Schema* in_schema_;
-  std::vector<CompiledExpr> projs_;
-  bool projs_need_frame_;
+  CompiledList projs_;
   Row scratch_;
   RowBatch in_;
   int64_t row_index_ = 0;
@@ -784,8 +803,7 @@ class NestedLoopJoinOperator final : public Operator {
     combined_ = *left_schema_;
     combined_.insert(combined_.end(), right_schema_->begin(),
                      right_schema_->end());
-    conds_ = CompileExprList(node->join_conds, &combined_);
-    conds_need_frame_ = AnySlow(conds_);
+    conds_ = CompiledList(node->join_conds, &combined_);
   }
 
   Status Open() override {
@@ -804,7 +822,7 @@ class NestedLoopJoinOperator final : public Operator {
 
   Result<bool> NextBatch(RowBatch* out) override {
     out->Clear();
-    while (!left_done_ && out->size() < ctx_->batch_size) {
+    while (!left_done_ && out->size() < ctx_->options.batch_size) {
       if (left_pos_ >= left_batch_.size()) {
         auto more = left_->NextBatch(&left_batch_);
         if (!more.ok()) return more.status();
@@ -836,8 +854,7 @@ class NestedLoopJoinOperator final : public Operator {
     if (node_->rescan_right) {
       // Re-run the right subtree with the outer row in scope: index probes
       // and correlated filters below re-resolve against this frame.
-      FrameGuard g(ctx_->eval, left_schema_);
-      g.SetRow(&lrow);
+      ScopedFrame frame(ctx_->eval, left_schema_, &lrow);
       auto rows = DrainOperator(right_.get());
       if (!rows.ok()) return rows.status();
       per_row = std::move(rows.value());
@@ -852,8 +869,7 @@ class NestedLoopJoinOperator final : public Operator {
       comb.insert(comb.end(), rrow.begin(), rrow.end());
       Value pass = Value::Boolean(true);
       if (!conds_.empty()) {
-        auto v = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                conds_need_frame_);
+        auto v = conds_.Test(ctx_->eval, comb);
         if (!v.ok()) return v.status();
         pass = std::move(v.value());
       }
@@ -863,35 +879,12 @@ class NestedLoopJoinOperator final : public Operator {
       }
       if (!pass.AsBool()) continue;
       matched = true;
-      if (node_->join_kind == JoinKind::kInner ||
-          node_->join_kind == JoinKind::kLeftOuter) {
-        out->Add(std::move(comb));
-      }
-      if (node_->join_kind == JoinKind::kSemi ||
-          node_->join_kind == JoinKind::kAnti ||
-          node_->join_kind == JoinKind::kAntiNA) {
-        break;  // stop-at-first-match property
-      }
+      if (!EmitsMatches(node_->join_kind)) break;
+      out->Add(std::move(comb));
     }
     CBQT_RETURN_IF_ERROR(ctx_->CountBatch(examined));
-    switch (node_->join_kind) {
-      case JoinKind::kSemi:
-        if (matched) out->Add(std::move(lrow));
-        break;
-      case JoinKind::kAnti:
-        if (!matched) out->Add(std::move(lrow));
-        break;
-      case JoinKind::kAntiNA:
-        if (!matched && !unknown) out->Add(std::move(lrow));
-        break;
-      case JoinKind::kLeftOuter:
-        if (!matched) {
-          out->Add(NullExtend(std::move(lrow), right_schema_->size()));
-        }
-        break;
-      case JoinKind::kInner:
-        break;
-    }
+    EmitVerdict(node_->join_kind, matched, unknown, std::move(lrow),
+                right_schema_->size(), &out->rows());
     return Status::OK();
   }
 
@@ -900,8 +893,7 @@ class NestedLoopJoinOperator final : public Operator {
   const Schema* left_schema_;
   const Schema* right_schema_;
   Schema combined_;
-  std::vector<CompiledExpr> conds_;
-  bool conds_need_frame_ = false;
+  CompiledList conds_;
   RowBatch left_batch_;
   size_t left_pos_ = 0;
   bool left_done_ = false;
@@ -920,18 +912,15 @@ class HashJoinOperator final : public Operator {
       : Operator(ctx, node),
         left_(std::move(left)),
         right_(std::move(right)),
-        left_schema_(&node->children[0]->output),
         right_schema_(&node->children[1]->output) {
-    combined_ = *left_schema_;
+    const Schema* left_schema = &node->children[0]->output;
+    combined_ = *left_schema;
     combined_.insert(combined_.end(), right_schema_->begin(),
                      right_schema_->end());
-    lkeys_ = CompileExprList(node->hash_left_keys, left_schema_);
-    rkeys_ = CompileExprList(node->hash_right_keys, right_schema_);
-    conds_ = CompileExprList(node->join_conds, &combined_);
-    lkeys_need_frame_ = AnySlow(lkeys_);
-    rkeys_need_frame_ = AnySlow(rkeys_);
-    if (lkeys_.size() == 1) probe_slot_ = lkeys_[0].AsSlot();
-    conds_need_frame_ = AnySlow(conds_);
+    lkeys_ = CompiledList(node->hash_left_keys, left_schema);
+    rkeys_ = CompiledList(node->hash_right_keys, right_schema_);
+    conds_ = CompiledList(node->join_conds, &combined_);
+    if (lkeys_.size() == 1) probe_slot_ = lkeys_.begin()->AsSlot();
   }
 
   Status Open() override {
@@ -952,55 +941,31 @@ class HashJoinOperator final : public Operator {
     // Build on the right. The build side is a pipeline breaker: its hash
     // table bytes are charged against the per-query memory tracker, and on
     // the first failed charge the build degrades to Grace partitioning.
-    CBQT_RETURN_IF_ERROR(right_->Open());
-    RowBatch b;
-    for (;;) {
-      auto more = right_->NextBatch(&b);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      if (b.empty()) continue;
-      CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
-      for (auto& row : b.rows()) {
-        ++build_input_rows_;
-        bool has_null = false;
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, row,
-                                           right_schema_, rkeys_need_frame_,
-                                           &build_key_, &has_null));
-        if (has_null) {
-          // NULL keys never equal anything; they only matter for the
-          // null-aware antijoin's three-valued verdict.
-          build_has_null_key_ = true;
-          continue;
-        }
-        if (!spilled_ && ctx_->charge_memory()) {
-          Status st = ctx_->ChargeBuffered(
-              *build_mem_, EstimateRowBytes(build_key_) +
-                               EstimateRowBytes(row) +
-                               static_cast<int64_t>(sizeof(size_t)));
-          if (!st.ok()) {
-            if (!ctx_->ShouldSpill(st)) return st;
-            CBQT_RETURN_IF_ERROR(BeginBuildSpill());
-          }
-        }
-        if (spilled_) {
-          CBQT_RETURN_IF_ERROR(
-              parts_[PartitionOfKey(build_key_, 0)].build->Append(row));
-        } else {
-          CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(row)));
-        }
+    CBQT_RETURN_IF_ERROR(ConsumeInput(ctx_, right_.get(), [&](Row& row) {
+      ++build_input_rows_;
+      bool has_null = false;
+      auto fits = BuildStep(row, spilled_ ? nullptr : &*build_mem_, &has_null);
+      if (!fits.ok()) return fits.status();
+      if (has_null) {
+        // NULL keys never equal anything; they only matter for the
+        // null-aware antijoin's three-valued verdict.
+        build_has_null_key_ = true;
+        return Status::OK();
       }
-    }
-    right_->Close();
-
-    CBQT_RETURN_IF_ERROR(left_->Open());
+      if (!fits.value()) CBQT_RETURN_IF_ERROR(BeginBuildSpill());
+      if (spilled_) {
+        return parts_[PartitionOfKey(build_key_, 0)].build->Append(row);
+      }
+      return table_.Insert(build_key_, std::move(row));
+    }));
     if (spilled_) return RouteProbeSide();
-    return Status::OK();
+    return left_->Open();
   }
 
   Result<bool> NextBatch(RowBatch* out) override {
     out->Clear();
     if (spilled_) return NextSpilled(out);
-    while (!probe_done_ && out->size() < ctx_->batch_size) {
+    while (!probe_done_ && out->size() < ctx_->options.batch_size) {
       if (probe_pos_ >= probe_batch_.size()) {
         auto more = left_->NextBatch(&probe_batch_);
         if (!more.ok()) return more.status();
@@ -1036,11 +1001,34 @@ class HashJoinOperator final : public Operator {
     int64_t probe_rows = 0;
   };
 
-  /// Probes one outer row against the build table and applies the join
-  /// kind's emission rule. Shared by the in-memory path and the
-  /// per-partition spill path; candidate rows examined are counted exactly
-  /// as the row-at-a-time executor counted them.
-  Status ProbeOne(Row&& lrow, std::vector<Row>* sink) {
+  /// One build row's step: evaluates its key into build_key_ and, unless
+  /// `res` is null or the key holds a NULL, charges the row's table bytes
+  /// (key, row and one hash slot) to `res`. False when that charge failed
+  /// for memory and the build may spill or stop instead.
+  Result<bool> BuildStep(const Row& row, ScopedReservation* res,
+                         bool* has_null) {
+    CBQT_RETURN_IF_ERROR(rkeys_.Eval(ctx_->eval, row, &build_key_, has_null));
+    if (res == nullptr || !ctx_->charge_memory() ||
+        (has_null != nullptr && *has_null)) {
+      return true;
+    }
+    Status st = ctx_->ChargeBuffered(
+        *res, EstimateRowBytes(build_key_) + EstimateRowBytes(row) +
+                  static_cast<int64_t>(sizeof(size_t)));
+    if (st.ok()) return true;
+    if (ctx_->ShouldSpill(st)) return false;
+    return st;
+  }
+
+  /// Probes `lrow` against table_: each build row under its key that
+  /// passes the residual conditions matches. Inner and left outer joins
+  /// append each joined row to `sink`; semi and anti joins stop at the
+  /// first match. The candidates examined are counted as one batch, as the
+  /// row-at-a-time executor counted them. Sets *matched, and *unknown when
+  /// a comparison was unknown: a NULL probe key against a non-empty build,
+  /// or a residual condition that is NULL.
+  Status Probe(const Row& lrow, std::vector<Row>* sink, bool* matched,
+               bool* unknown) {
     // A one-slot key is read in place; any other key is evaluated into
     // probe_key_, a reused scratch row.
     bool has_null = false;
@@ -1049,62 +1037,48 @@ class HashJoinOperator final : public Operator {
       slot_key = &lrow[static_cast<size_t>(probe_slot_)];
       has_null = slot_key->is_null();
     } else {
-      CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
-                                         left_schema_, lkeys_need_frame_,
-                                         &probe_key_, &has_null));
+      CBQT_RETURN_IF_ERROR(
+          lkeys_.Eval(ctx_->eval, lrow, &probe_key_, &has_null));
     }
-    bool matched = false;
+    if (has_null) {
+      *unknown = *unknown || build_input_rows_ > 0;
+      return Status::OK();
+    }
     int64_t examined = 0;
-    if (!has_null) {
-      int ri = slot_key != nullptr ? table_.Find(*slot_key)
-                                   : table_.Find(probe_key_);
-      for (; ri != JoinTable::kNone; ri = table_.Next(ri)) {
-        ++examined;
-        const Row& rrow = table_.row(ri);
-        Row comb;
-        comb.reserve(lrow.size() + rrow.size());
-        comb.insert(comb.end(), lrow.begin(), lrow.end());
-        comb.insert(comb.end(), rrow.begin(), rrow.end());
-        if (!conds_.empty()) {
-          auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                     conds_need_frame_);
-          if (!pass.ok()) return pass.status();
-          if (!IsTruthy(pass.value())) continue;
+    int ri = slot_key != nullptr ? table_.Find(*slot_key)
+                                 : table_.Find(probe_key_);
+    for (; ri != JoinTable::kNone; ri = table_.Next(ri)) {
+      ++examined;
+      const Row& rrow = table_.row(ri);
+      Row comb;
+      comb.reserve(lrow.size() + rrow.size());
+      comb.insert(comb.end(), lrow.begin(), lrow.end());
+      comb.insert(comb.end(), rrow.begin(), rrow.end());
+      if (!conds_.empty()) {
+        auto pass = conds_.Test(ctx_->eval, comb);
+        if (!pass.ok()) return pass.status();
+        if (pass->is_null()) {
+          *unknown = true;
+          continue;
         }
-        matched = true;
-        if (node_->join_kind == JoinKind::kInner ||
-            node_->join_kind == JoinKind::kLeftOuter) {
-          sink->push_back(std::move(comb));
-        } else {
-          break;  // semi/anti: first match decides
-        }
+        if (!pass->AsBool()) continue;
       }
+      *matched = true;
+      if (!EmitsMatches(node_->join_kind)) break;
+      sink->push_back(std::move(comb));
     }
     if (examined > 0) CBQT_RETURN_IF_ERROR(ctx_->CountBatch(examined));
-    switch (node_->join_kind) {
-      case JoinKind::kSemi:
-        if (matched) sink->push_back(std::move(lrow));
-        break;
-      case JoinKind::kAnti:
-        if (!matched) sink->push_back(std::move(lrow));
-        break;
-      case JoinKind::kAntiNA:
-        // NOT IN semantics: a NULL on either side makes the comparison
-        // unknown, which rejects the row (unless the right side is empty).
-        if (build_input_rows_ == 0) {
-          sink->push_back(std::move(lrow));
-        } else if (!matched && !has_null && !build_has_null_key_) {
-          sink->push_back(std::move(lrow));
-        }
-        break;
-      case JoinKind::kLeftOuter:
-        if (!matched) {
-          sink->push_back(NullExtend(std::move(lrow), right_schema_->size()));
-        }
-        break;
-      case JoinKind::kInner:
-        break;
-    }
+    return Status::OK();
+  }
+
+  /// Probes one outer row and applies the join verdict. Shared by the
+  /// in-memory path and the per-partition spill path.
+  Status ProbeOne(Row&& lrow, std::vector<Row>* sink) {
+    bool matched = false;
+    bool unknown = build_has_null_key_;
+    CBQT_RETURN_IF_ERROR(Probe(lrow, sink, &matched, &unknown));
+    EmitVerdict(node_->join_kind, matched, unknown, std::move(lrow),
+                right_schema_->size(), sink);
     return Status::OK();
   }
 
@@ -1133,42 +1107,22 @@ class HashJoinOperator final : public Operator {
 
   /// Spilled build: the probe side is routed into matching partitions in
   /// one pass. Probe rows with NULL keys can never hash-match and are
-  /// resolved immediately by the join kind's rule.
+  /// resolved immediately by the join verdict, as unknown.
   Status RouteProbeSide() {
-    RowBatch b;
-    for (;;) {
-      auto more = left_->NextBatch(&b);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      if (b.empty()) continue;
-      CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
-      for (auto& lrow : b.rows()) {
-        bool has_null = false;
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
-                                           left_schema_, lkeys_need_frame_,
-                                           &probe_key_, &has_null));
-        if (has_null) {
-          switch (node_->join_kind) {
-            case JoinKind::kAnti:
-              pending_.push_back(std::move(lrow));
-              break;
-            case JoinKind::kLeftOuter:
-              pending_.push_back(
-                  NullExtend(std::move(lrow), right_schema_->size()));
-              break;
-            case JoinKind::kInner:
-            case JoinKind::kSemi:
-            case JoinKind::kAntiNA:  // unknown verdict rejects
-              break;
-          }
-          continue;
-        }
-        Part& p = parts_[PartitionOfKey(probe_key_, 0)];
-        CBQT_RETURN_IF_ERROR(p.probe->Append(lrow));
-        ++p.probe_rows;
+    CBQT_RETURN_IF_ERROR(ConsumeInput(ctx_, left_.get(), [&](Row& lrow) {
+      bool has_null = false;
+      CBQT_RETURN_IF_ERROR(
+          lkeys_.Eval(ctx_->eval, lrow, &probe_key_, &has_null));
+      if (has_null) {
+        EmitVerdict(node_->join_kind, false, true, std::move(lrow),
+                    right_schema_->size(), &pending_);
+        return Status::OK();
       }
-    }
-    left_->Close();
+      Part& p = parts_[PartitionOfKey(probe_key_, 0)];
+      CBQT_RETURN_IF_ERROR(p.probe->Append(lrow));
+      ++p.probe_rows;
+      return Status::OK();
+    }));
     for (auto& p : parts_) {
       CBQT_RETURN_IF_ERROR(p.build->FinishWrite());
       CBQT_RETURN_IF_ERROR(p.probe->FinishWrite());
@@ -1184,16 +1138,37 @@ class HashJoinOperator final : public Operator {
   Result<bool> NextSpilled(RowBatch* out) {
     for (;;) {
       while (pending_pos_ < pending_.size() &&
-             out->size() < ctx_->batch_size) {
+             out->size() < ctx_->options.batch_size) {
         out->Add(std::move(pending_[pending_pos_++]));
       }
-      if (out->size() >= ctx_->batch_size) return true;
+      if (out->size() >= ctx_->options.batch_size) return true;
       if (skip_parts_ || next_part_ >= parts_.size()) break;
       pending_.clear();
       pending_pos_ = 0;
       CBQT_RETURN_IF_ERROR(ProcessPartition(parts_[next_part_++]));
     }
     return !out->empty();
+  }
+
+  /// Loads partition `p`'s build rows from row `start` on into table_,
+  /// charging each to `res` — except a chunk's first row, which is always
+  /// admitted so every chunk makes progress. Stops before the first row
+  /// whose charge does not fit; returns the index past the last row loaded.
+  Result<int64_t> LoadBuild(Part& p, int64_t start, bool chunk,
+                            ScopedReservation& res) {
+    int64_t end = start;
+    CBQT_RETURN_IF_ERROR(WalkSpill(
+        ctx_, p.build, chunk, [&](int64_t i, Row& r) -> Result<bool> {
+          if (i < start) return true;  // before this chunk
+          auto fits =
+              BuildStep(r, chunk && table_.empty() ? nullptr : &res, nullptr);
+          if (!fits.ok()) return fits.status();
+          if (!fits.value()) return false;
+          CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(r)));
+          end = i + 1;
+          return true;
+        }));
+    return end;
   }
 
   /// Joins one partition: reload its build rows into the table (charged
@@ -1204,181 +1179,81 @@ class HashJoinOperator final : public Operator {
     if (p.probe_rows == 0) return Status::OK();  // nothing can be emitted
     {
       ScopedReservation res = ctx_->BufferReservation();
-      CBQT_RETURN_IF_ERROR(p.build->Rewind());
-      Row r;
-      bool fits = true;
-      int64_t seen = 0;
-      for (;;) {
-        auto more = p.build->Next(&r);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        if (((++seen) & kSpillPollMask) == 0) {
-          CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-        }
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, r,
-                                           right_schema_, rkeys_need_frame_,
-                                           &build_key_, nullptr));
-        if (ctx_->charge_memory()) {
-          Status st = ctx_->ChargeBuffered(
-              res, EstimateRowBytes(build_key_) + EstimateRowBytes(r) +
-                       static_cast<int64_t>(sizeof(size_t)));
-          if (!st.ok()) {
-            if (!ctx_->ShouldSpill(st)) return st;
-            fits = false;
-            break;
-          }
-        }
-        CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(r)));
-      }
-      if (!fits) {
+      auto end = LoadBuild(p, 0, false, res);
+      if (!end.ok()) return end.status();
+      if (end.value() < p.build->row_count()) {
         // The chunks get the whole budget, not what the abandoned load
         // left of it.
         res.Release();
         return ProcessPartitionChunked(p);
       }
-      // Probe this partition.
-      CBQT_RETURN_IF_ERROR(p.probe->Rewind());
-      Row lrow;
-      int64_t probed = 0;
-      for (;;) {
-        auto more = p.probe->Next(&lrow);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        if (((++probed) & kSpillPollMask) == 0) {
-          CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-        }
-        CBQT_RETURN_IF_ERROR(ProbeOne(std::move(lrow), &pending_));
-      }
+      CBQT_RETURN_IF_ERROR(WalkSpill(
+          ctx_, p.probe, false, [&](int64_t, Row& lrow) -> Result<bool> {
+            CBQT_RETURN_IF_ERROR(ProbeOne(std::move(lrow), &pending_));
+            return true;
+          }));
     }
     table_.Clear();
     return Status::OK();
   }
 
   /// Last-resort path: the partition's build side is processed in chunks
-  /// that do fit, with a per-probe-row matched bitset carried across
-  /// chunks so each join kind's emission rule stays exact.
+  /// that do fit, with each probe row's verdict inputs (matched, unknown)
+  /// carried across chunks, so the join verdict stays exact.
   Status ProcessPartitionChunked(Part& p) {
     const JoinKind kind = node_->join_kind;
-    std::vector<char> matched(static_cast<size_t>(p.probe_rows), 0);
+    constexpr char kMatched = 1;
+    constexpr char kUnknown = 2;
+    std::vector<char> seen(static_cast<size_t>(p.probe_rows), 0);
     const int64_t build_total = p.build->row_count();
     int64_t start = 0;
     while (start < build_total) {
       table_.Clear();
       ScopedReservation res = ctx_->BufferReservation();
-      CBQT_RETURN_IF_ERROR(p.build->Rewind());
-      Row r;
-      int64_t idx = 0;
-      for (; idx < build_total; ++idx) {
-        auto more = p.build->Next(&r);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        if ((idx & kSpillPollMask) == 0) {
-          CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-        }
-        if (idx < start) continue;  // before this chunk
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, rkeys_, r,
-                                           right_schema_, rkeys_need_frame_,
-                                           &build_key_, nullptr));
-        if (ctx_->charge_memory() && !table_.empty()) {
-          // The first row of a chunk is always admitted (progress
-          // guarantee); later rows stop the chunk when the budget is hit.
-          Status st = ctx_->ChargeBuffered(
-              res, EstimateRowBytes(build_key_) + EstimateRowBytes(r) +
-                       static_cast<int64_t>(sizeof(size_t)));
-          if (!st.ok()) {
-            if (!ctx_->ShouldSpill(st)) return st;
-            break;
-          }
-        }
-        CBQT_RETURN_IF_ERROR(table_.Insert(build_key_, std::move(r)));
-      }
-      int64_t chunk_end = start + static_cast<int64_t>(table_.size());
+      auto end = LoadBuild(p, start, true, res);
+      if (!end.ok()) return end.status();
+      start = end.value();
       // Probe every partition row against this chunk.
-      CBQT_RETURN_IF_ERROR(p.probe->Rewind());
-      Row lrow;
-      for (int64_t pi = 0;; ++pi) {
-        auto more = p.probe->Next(&lrow);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        if ((pi & kSpillPollMask) == 0) {
-          CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-        }
-        bool already = matched[static_cast<size_t>(pi)] != 0;
-        if (already && (kind == JoinKind::kSemi || kind == JoinKind::kAnti ||
-                        kind == JoinKind::kAntiNA)) {
-          continue;  // verdict decided by an earlier chunk
-        }
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, lkeys_, lrow,
-                                           left_schema_, lkeys_need_frame_,
-                                           &probe_key_, nullptr));
-        int64_t examined = 0;
-        for (int ri = table_.Find(probe_key_); ri != JoinTable::kNone;
-             ri = table_.Next(ri)) {
-          ++examined;
-          Row comb = lrow;
-          const Row& rrow = table_.row(ri);
-          comb.insert(comb.end(), rrow.begin(), rrow.end());
-          if (!conds_.empty()) {
-            auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                       conds_need_frame_);
-            if (!pass.ok()) return pass.status();
-            if (!IsTruthy(pass.value())) continue;
-          }
-          matched[static_cast<size_t>(pi)] = 1;
-          if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
-            pending_.push_back(std::move(comb));
-          } else if (kind == JoinKind::kSemi) {
-            if (!already) pending_.push_back(lrow);
-            break;
-          } else {
-            break;  // anti/antiNA: match only flips the bit
-          }
-        }
-        if (examined > 0) CBQT_RETURN_IF_ERROR(ctx_->CountBatch(examined));
-      }
-      start = chunk_end;
+      CBQT_RETURN_IF_ERROR(WalkSpill(
+          ctx_, p.probe, true, [&](int64_t pi, Row& lrow) -> Result<bool> {
+            char& s = seen[static_cast<size_t>(pi)];
+            if ((s & kMatched) != 0 && !EmitsMatches(kind)) {
+              return true;  // verdict decided by an earlier chunk
+            }
+            bool matched = false;
+            bool unknown = false;
+            CBQT_RETURN_IF_ERROR(Probe(lrow, &pending_, &matched, &unknown));
+            if (unknown) s |= kUnknown;
+            if (matched) {
+              s |= kMatched;
+              // A semijoin emits its row at the first match.
+              EmitVerdict(kind, true, false, std::move(lrow),
+                          right_schema_->size(), &pending_);
+            }
+            return true;
+          }));
     }
     table_.Clear();
-    // Final pass for kinds that emit unmatched probe rows.
-    if (kind == JoinKind::kAnti || kind == JoinKind::kAntiNA ||
-        kind == JoinKind::kLeftOuter) {
-      CBQT_RETURN_IF_ERROR(p.probe->Rewind());
-      Row lrow;
-      for (int64_t pi = 0;; ++pi) {
-        auto more = p.probe->Next(&lrow);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        if ((pi & kSpillPollMask) == 0) {
-          CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-        }
-        if (matched[static_cast<size_t>(pi)] != 0) continue;
-        if (kind == JoinKind::kLeftOuter) {
-          pending_.push_back(
-              NullExtend(std::move(lrow), right_schema_->size()));
-          lrow = Row{};
-        } else {
-          // kAnti always emits; kAntiNA reaches here only when no build row
-          // had a NULL key (skip_parts_ covers the other case) and this
-          // probe row's key is non-NULL (NULL keys never enter partitions).
-          pending_.push_back(std::move(lrow));
-          lrow = Row{};
-        }
-      }
+    // Final pass for the kinds that emit unmatched probe rows.
+    if (kind == JoinKind::kInner || kind == JoinKind::kSemi) {
+      return Status::OK();
     }
-    return Status::OK();
+    return WalkSpill(
+        ctx_, p.probe, true, [&](int64_t pi, Row& lrow) -> Result<bool> {
+          const char s = seen[static_cast<size_t>(pi)];
+          EmitVerdict(kind, (s & kMatched) != 0, (s & kUnknown) != 0,
+                      std::move(lrow), right_schema_->size(), &pending_);
+          return true;
+        });
   }
 
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
-  const Schema* left_schema_;
   const Schema* right_schema_;
   Schema combined_;
-  std::vector<CompiledExpr> lkeys_;
-  std::vector<CompiledExpr> rkeys_;
-  std::vector<CompiledExpr> conds_;
-  bool lkeys_need_frame_ = false;
-  bool rkeys_need_frame_ = false;
-  bool conds_need_frame_ = false;
+  CompiledList lkeys_;
+  CompiledList rkeys_;
+  CompiledList conds_;
   // The probe key's slot when it is one plain column of the probe row, else
   // -1.
   int probe_slot_ = -1;
@@ -1410,8 +1285,8 @@ class HashJoinOperator final : public Operator {
 // ---------------------------------------------------------------------------
 
 /// Base for operators whose semantics require the full input before the
-/// first output row and whose result is served from a buffer: merge join,
-/// set operations, windows, aggregation.
+/// first output row and whose result is served from a buffer: set
+/// operations, windows, aggregation.
 class BufferedOperator : public Operator {
  public:
   using Operator::Operator;
@@ -1424,7 +1299,7 @@ class BufferedOperator : public Operator {
 
   Result<bool> NextBatch(RowBatch* out) override {
     out->Clear();
-    while (pos_ < pending_.size() && out->size() < ctx_->batch_size) {
+    while (pos_ < pending_.size() && out->size() < ctx_->options.batch_size) {
       out->Add(std::move(pending_[pos_++]));
     }
     if (out->empty()) {
@@ -1442,136 +1317,6 @@ class BufferedOperator : public Operator {
   size_t pos_ = 0;
 };
 
-class MergeJoinOperator final : public BufferedOperator {
- public:
-  MergeJoinOperator(ExecContext* ctx, const PlanNode* node,
-                    std::unique_ptr<Operator> left,
-                    std::unique_ptr<Operator> right)
-      : BufferedOperator(ctx, node),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_schema_(&node->children[0]->output),
-        right_schema_(&node->children[1]->output) {
-    combined_ = *left_schema_;
-    combined_.insert(combined_.end(), right_schema_->begin(),
-                     right_schema_->end());
-    lkeys_ = CompileExprList(node->hash_left_keys, left_schema_);
-    rkeys_ = CompileExprList(node->hash_right_keys, right_schema_);
-    conds_ = CompileExprList(node->join_conds, &combined_);
-    lkeys_need_frame_ = AnySlow(lkeys_);
-    rkeys_need_frame_ = AnySlow(rkeys_);
-    conds_need_frame_ = AnySlow(conds_);
-  }
-
-  void Close() override {
-    left_->Close();
-    right_->Close();
-  }
-
- protected:
-  Status Compute() override {
-    auto lrows = DrainOperator(left_.get());
-    if (!lrows.ok()) return lrows.status();
-    auto rrows = DrainOperator(right_.get());
-    if (!rrows.ok()) return rrows.status();
-
-    struct Keyed {
-      Row keys;
-      const Row* row;
-    };
-    // Both sorted key buffers break the pipeline; charge their bytes.
-    // (Merge join does not spill — the planner only picks it for inputs it
-    // believes sortable in memory; the sort operator is the spilling path.)
-    ScopedReservation merge_mem = ctx_->BufferReservation();
-    std::vector<Keyed> lk, rk;
-    auto materialize = [&](const std::vector<Row>& rows, const Schema* schema,
-                           const std::vector<CompiledExpr>& keys,
-                           bool needs_frame,
-                           std::vector<Keyed>* out) -> Status {
-      CBQT_RETURN_IF_ERROR(
-          ctx_->CountBatch(static_cast<int64_t>(rows.size())));
-      for (const auto& r : rows) {
-        Keyed k{{}, &r};
-        bool has_null = false;
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, keys, r, schema,
-                                           needs_frame, &k.keys, &has_null));
-        if (has_null) continue;
-        CBQT_RETURN_IF_ERROR(ctx_->ChargeBufferedRow(
-            merge_mem, k.keys, static_cast<int64_t>(sizeof(Keyed))));
-        out->push_back(std::move(k));
-      }
-      return Status::OK();
-    };
-    CBQT_RETURN_IF_ERROR(materialize(lrows.value(), left_schema_, lkeys_,
-                                     lkeys_need_frame_, &lk));
-    CBQT_RETURN_IF_ERROR(materialize(rrows.value(), right_schema_, rkeys_,
-                                     rkeys_need_frame_, &rk));
-
-    auto key_less = [](const Keyed& a, const Keyed& b) {
-      for (size_t i = 0; i < a.keys.size(); ++i) {
-        if (TotalLess(a.keys[i], b.keys[i])) return true;
-        if (TotalLess(b.keys[i], a.keys[i])) return false;
-      }
-      return false;
-    };
-    std::sort(lk.begin(), lk.end(), key_less);
-    std::sort(rk.begin(), rk.end(), key_less);
-
-    size_t i = 0, j = 0;
-    while (i < lk.size() && j < rk.size()) {
-      if (key_less(lk[i], rk[j])) {
-        ++i;
-        continue;
-      }
-      if (key_less(rk[j], lk[i])) {
-        ++j;
-        continue;
-      }
-      // Equal key group: cross product, residual conditions applied.
-      size_t i_end = i;
-      while (i_end < lk.size() && !key_less(lk[i], lk[i_end]) &&
-             !key_less(lk[i_end], lk[i])) {
-        ++i_end;
-      }
-      size_t j_end = j;
-      while (j_end < rk.size() && !key_less(rk[j], rk[j_end]) &&
-             !key_less(rk[j_end], rk[j])) {
-        ++j_end;
-      }
-      for (size_t a = i; a < i_end; ++a) {
-        for (size_t b = j; b < j_end; ++b) {
-          CBQT_RETURN_IF_ERROR(ctx_->CountBatch(1));
-          Row comb = *lk[a].row;
-          comb.insert(comb.end(), rk[b].row->begin(), rk[b].row->end());
-          if (!conds_.empty()) {
-            auto pass = EvalPredsOnRow(ctx_->eval, conds_, comb, &combined_,
-                                       conds_need_frame_);
-            if (!pass.ok()) return pass.status();
-            if (!IsTruthy(pass.value())) continue;
-          }
-          pending_.push_back(std::move(comb));
-        }
-      }
-      i = i_end;
-      j = j_end;
-    }
-    return Status::OK();
-  }
-
- private:
-  std::unique_ptr<Operator> left_;
-  std::unique_ptr<Operator> right_;
-  const Schema* left_schema_;
-  const Schema* right_schema_;
-  Schema combined_;
-  std::vector<CompiledExpr> lkeys_;
-  std::vector<CompiledExpr> rkeys_;
-  std::vector<CompiledExpr> conds_;
-  bool lkeys_need_frame_ = false;
-  bool rkeys_need_frame_ = false;
-  bool conds_need_frame_ = false;
-};
-
 // ---------------------------------------------------------------------------
 // Aggregate (hybrid hash aggregation: resident groups keep aggregating,
 // overflow keys spill to salted partitions and re-aggregate recursively)
@@ -1583,22 +1328,17 @@ class AggregateOperator final : public BufferedOperator {
                     std::unique_ptr<Operator> child)
       : BufferedOperator(ctx, node),
         child_(std::move(child)),
-        in_schema_(&node->children[0]->output),
-        keys_(CompileExprList(node->group_keys, in_schema_)) {
+        keys_(node->group_keys, &node->children[0]->output) {
+    // COUNT(*) has no argument; it reads a NULL literal, which it ignores.
+    static const ExprPtr kNoArg = MakeLiteral(Value::Null());
+    std::vector<CompiledExpr> args;
     for (const auto& agg : node->agg_exprs) {
-      if (agg->agg == AggFunc::kCountStar) {
-        args_.push_back(CompiledExpr::Compile(agg.get(), in_schema_));
-        arg_used_.push_back(false);
-      } else {
-        args_.push_back(
-            CompiledExpr::Compile(agg->children[0].get(), in_schema_));
-        arg_used_.push_back(true);
-      }
+      const Expr* arg = agg->agg == AggFunc::kCountStar
+                            ? kNoArg.get()
+                            : agg->children[0].get();
+      args.push_back(CompiledExpr::Compile(arg, &node->children[0]->output));
     }
-    keys_need_frame_ = AnySlow(keys_);
-    for (size_t a = 0; a < args_.size(); ++a) {
-      if (arg_used_[a] && !args_[a].fast()) args_need_frame_ = true;
-    }
+    args_ = CompiledList(std::move(args), &node->children[0]->output);
   }
 
   void Close() override { child_->Close(); }
@@ -1625,27 +1365,13 @@ class AggregateOperator final : public BufferedOperator {
 
       AggState st;
       st.mem.emplace(ctx_->BufferReservation());
+      auto consume = [&](const Row& r) { return ConsumeRow(st, in_set, r); };
       if (multi_set) {
         CBQT_RETURN_IF_ERROR(
             ctx_->CountBatch(static_cast<int64_t>(input.size())));
-        for (const auto& r : input) {
-          CBQT_RETURN_IF_ERROR(ConsumeRow(st, in_set, r));
-        }
+        for (const auto& r : input) CBQT_RETURN_IF_ERROR(consume(r));
       } else {
-        CBQT_RETURN_IF_ERROR(child_->Open());
-        RowBatch b;
-        for (;;) {
-          auto more = child_->NextBatch(&b);
-          if (!more.ok()) return more.status();
-          if (!more.value()) break;
-          if (b.empty()) continue;
-          CBQT_RETURN_IF_ERROR(
-              ctx_->CountBatch(static_cast<int64_t>(b.size())));
-          for (const auto& r : b.rows()) {
-            CBQT_RETURN_IF_ERROR(ConsumeRow(st, in_set, r));
-          }
-        }
-        child_->Close();
+        CBQT_RETURN_IF_ERROR(ConsumeInput(ctx_, child_.get(), consume));
       }
       int64_t emitted = 0;
       CBQT_RETURN_IF_ERROR(FinishState(st, in_set, 0, &emitted));
@@ -1673,30 +1399,13 @@ class AggregateOperator final : public BufferedOperator {
 
   Status ConsumeRow(AggState& st, const std::vector<bool>& in_set,
                     const Row& r) {
-    const size_t num_keys = keys_.size();
-    const size_t num_aggs = args_.size();
-    std::optional<FrameGuard> fg;
-    if (keys_need_frame_ || args_need_frame_) {
-      fg.emplace(ctx_->eval, in_schema_);
-      fg->SetRow(&r);
-    }
     // key_scratch_ is reused across rows; try_emplace only consumes it when
-    // a new group is created, so repeated keys allocate nothing.
+    // a new group is created, so repeated keys allocate nothing. A key
+    // outside the grouping set reads NULL.
     Row& key = key_scratch_;
-    key.clear();
-    key.reserve(num_keys);
-    for (size_t g = 0; g < num_keys; ++g) {
-      if (!in_set[g]) {
-        key.push_back(Value::Null());
-        continue;
-      }
-      if (keys_[g].fast()) {
-        key.push_back(keys_[g].EvalFast(r, ctx_->eval.rownum));
-      } else {
-        auto v = keys_[g].EvalSlow(ctx_->eval);
-        if (!v.ok()) return v.status();
-        key.push_back(std::move(v.value()));
-      }
+    CBQT_RETURN_IF_ERROR(keys_.Eval(ctx_->eval, r, &key));
+    for (size_t g = 0; g < key.size(); ++g) {
+      if (!in_set[g]) key[g] = Value::Null();
     }
     std::vector<AggAccum>* accums = nullptr;
     if (st.spilled) {
@@ -1709,10 +1418,10 @@ class AggregateOperator final : public BufferedOperator {
     } else {
       auto [it, inserted] = st.groups.try_emplace(std::move(key));
       if (inserted) {
-        it->second.resize(num_aggs);
+        it->second.resize(args_.size());
         Status charged = ctx_->ChargeBufferedRow(
             *st.mem, it->first,
-            static_cast<int64_t>(num_aggs * sizeof(AggAccum)));
+            static_cast<int64_t>(args_.size() * sizeof(AggAccum)));
         if (!charged.ok()) {
           if (!ctx_->ShouldSpill(charged)) return charged;
           // Switch to hybrid mode: evict the uncharged group, keep every
@@ -1726,19 +1435,9 @@ class AggregateOperator final : public BufferedOperator {
       }
       accums = &it->second;
     }
-    for (size_t a = 0; a < num_aggs; ++a) {
-      const Expr& agg = *node_->agg_exprs[a];
-      Value v = Value::Null();
-      if (arg_used_[a]) {
-        if (args_[a].fast()) {
-          v = args_[a].EvalFast(r, ctx_->eval.rownum);
-        } else {
-          auto res = args_[a].EvalSlow(ctx_->eval);
-          if (!res.ok()) return res.status();
-          v = std::move(res.value());
-        }
-      }
-      (*accums)[a].Add(v, agg);
+    CBQT_RETURN_IF_ERROR(args_.Eval(ctx_->eval, r, &arg_scratch_));
+    for (size_t a = 0; a < arg_scratch_.size(); ++a) {
+      (*accums)[a].Add(arg_scratch_[a], *node_->agg_exprs[a]);
     }
     return Status::OK();
   }
@@ -1778,31 +1477,21 @@ class AggregateOperator final : public BufferedOperator {
       AggState sub;
       sub.salt = depth + 1;
       sub.mem.emplace(ctx_->BufferReservation());
-      CBQT_RETURN_IF_ERROR(f->Rewind());
-      Row r;
-      int64_t seen = 0;
-      for (;;) {
-        auto more = f->Next(&r);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        if (((++seen) & kSpillPollMask) == 0) {
-          CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-        }
-        CBQT_RETURN_IF_ERROR(ConsumeRow(sub, in_set, r));
-      }
+      CBQT_RETURN_IF_ERROR(WalkSpill(
+          ctx_, f, false, [&](int64_t, const Row& r) -> Result<bool> {
+            CBQT_RETURN_IF_ERROR(ConsumeRow(sub, in_set, r));
+            return true;
+          }));
       CBQT_RETURN_IF_ERROR(FinishState(sub, in_set, depth + 1, emitted));
     }
     return Status::OK();
   }
 
   std::unique_ptr<Operator> child_;
-  const Schema* in_schema_;
-  std::vector<CompiledExpr> keys_;
-  std::vector<CompiledExpr> args_;
-  std::vector<bool> arg_used_;
-  bool keys_need_frame_ = false;
-  bool args_need_frame_ = false;
+  CompiledList keys_;
+  CompiledList args_;  // one per aggregate
   Row key_scratch_;
+  Row arg_scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1815,9 +1504,7 @@ class SortOperator final : public Operator {
                std::unique_ptr<Operator> child)
       : Operator(ctx, node),
         child_(std::move(child)),
-        in_schema_(&node->children[0]->output),
-        keys_(CompileExprList(node->sort_keys, in_schema_)),
-        keys_need_frame_(AnySlow(keys_)) {}
+        keys_(node->sort_keys, &node->children[0]->output) {}
 
   Status Open() override {
     buffer_.clear();
@@ -1825,38 +1512,27 @@ class SortOperator final : public Operator {
     cursors_.clear();
     serve_pos_ = 0;
     res_.emplace(ctx_->BufferReservation());
-    CBQT_RETURN_IF_ERROR(child_->Open());
-    RowBatch b;
-    for (;;) {
-      auto more = child_->NextBatch(&b);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      if (b.empty()) continue;
-      CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(b.size())));
-      for (auto& r : b.rows()) {
-        SKeyed k;
-        CBQT_RETURN_IF_ERROR(EvalListOnRow(ctx_->eval, keys_, r, in_schema_,
-                                           keys_need_frame_, &k.keys,
-                                           nullptr));
-        if (ctx_->charge_memory()) {
-          int64_t bytes = EstimateRowBytes(k.keys) + EstimateRowBytes(r) +
-                          static_cast<int64_t>(sizeof(SKeyed));
-          Status st = ctx_->ChargeBuffered(*res_, bytes);
-          if (!st.ok()) {
-            if (!ctx_->ShouldSpill(st)) return st;
-            CBQT_RETURN_IF_ERROR(FlushRun());
-            // First row of the new run: admit it even if the budget is
-            // still tight (progress guarantee), but surface non-memory
-            // failures (injected faults) from the retried charge.
-            Status again = ctx_->ChargeBuffered(*res_, bytes);
-            if (!again.ok() && !ctx_->ShouldSpill(again)) return again;
-          }
+    CBQT_RETURN_IF_ERROR(ConsumeInput(ctx_, child_.get(), [&](Row& r) {
+      SKeyed k;
+      CBQT_RETURN_IF_ERROR(keys_.Eval(ctx_->eval, r, &k.keys));
+      if (ctx_->charge_memory()) {
+        int64_t bytes = EstimateRowBytes(k.keys) + EstimateRowBytes(r) +
+                        static_cast<int64_t>(sizeof(SKeyed));
+        Status st = ctx_->ChargeBuffered(*res_, bytes);
+        if (!st.ok()) {
+          if (!ctx_->ShouldSpill(st)) return st;
+          CBQT_RETURN_IF_ERROR(FlushRun());
+          // First row of the new run: admit it even if the budget is
+          // still tight (progress guarantee), but surface non-memory
+          // failures (injected faults) from the retried charge.
+          Status again = ctx_->ChargeBuffered(*res_, bytes);
+          if (!again.ok() && !ctx_->ShouldSpill(again)) return again;
         }
-        k.row = std::move(r);
-        buffer_.push_back(std::move(k));
       }
-    }
-    child_->Close();
+      k.row = std::move(r);
+      buffer_.push_back(std::move(k));
+      return Status::OK();
+    }));
     if (runs_.empty()) {
       // Fully in memory: one stable sort, serve from the buffer.
       std::stable_sort(buffer_.begin(), buffer_.end(),
@@ -1887,7 +1563,8 @@ class SortOperator final : public Operator {
     out->Clear();
     const size_t nk = keys_.size();
     if (runs_.empty()) {
-      while (serve_pos_ < buffer_.size() && out->size() < ctx_->batch_size) {
+      while (serve_pos_ < buffer_.size() &&
+             out->size() < ctx_->options.batch_size) {
         out->Add(std::move(buffer_[serve_pos_++].row));
       }
       if (out->empty()) {
@@ -1896,7 +1573,7 @@ class SortOperator final : public Operator {
       }
       return true;
     }
-    while (out->size() < ctx_->batch_size) {
+    while (out->size() < ctx_->options.batch_size) {
       int best = -1;
       for (size_t c = 0; c < cursors_.size(); ++c) {
         if (cursors_[c].eof) continue;
@@ -1966,9 +1643,7 @@ class SortOperator final : public Operator {
   }
 
   std::unique_ptr<Operator> child_;
-  const Schema* in_schema_;
-  std::vector<CompiledExpr> keys_;
-  bool keys_need_frame_;
+  CompiledList keys_;
   std::vector<SKeyed> buffer_;
   std::optional<ScopedReservation> res_;
   std::vector<SpillFile*> runs_;
@@ -1988,7 +1663,6 @@ class DistinctOperator final : public Operator {
 
   Status Open() override {
     seen_.clear();
-    spilled_ = false;
     parts_.clear();
     pending_.clear();
     pending_pos_ = 0;
@@ -2000,7 +1674,7 @@ class DistinctOperator final : public Operator {
 
   Result<bool> NextBatch(RowBatch* out) override {
     out->Clear();
-    while (!child_done_ && out->size() < ctx_->batch_size) {
+    while (!child_done_ && out->size() < ctx_->options.batch_size) {
       auto more = child_->NextBatch(&in_);
       if (!more.ok()) return more.status();
       if (!more.value()) {
@@ -2010,31 +1684,13 @@ class DistinctOperator final : public Operator {
       if (in_.empty()) continue;
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(in_.size())));
       for (auto& r : in_.rows()) {
-        if (spilled_) {
-          if (seen_.count(r) > 0) continue;  // already emitted in memory
-          CBQT_RETURN_IF_ERROR(
-              parts_[PartitionOfKey(r, 0)]->Append(r));
-          continue;
-        }
-        auto [it, inserted] = seen_.emplace(r, true);
-        if (!inserted) continue;
-        Status st = ctx_->ChargeBufferedRow(*res_, r);
-        if (!st.ok()) {
-          if (!ctx_->ShouldSpill(st)) return st;
-          // The uncharged key is evicted and routed to disk; the resident
-          // set stays live both as emitted output and as the dedup filter
-          // for the remaining stream.
-          seen_.erase(it);
-          CBQT_RETURN_IF_ERROR(BeginSpill());
-          CBQT_RETURN_IF_ERROR(
-              parts_[PartitionOfKey(r, 0)]->Append(r));
-          continue;
-        }
-        out->Add(std::move(r));
+        auto fresh = Dedup(seen_, *res_, &parts_, 0, r);
+        if (!fresh.ok()) return fresh.status();
+        if (fresh.value()) out->Add(std::move(r));
       }
     }
     if (!child_done_) return true;  // batch filled mid-stream
-    if (spilled_ && !parts_processed_) {
+    if (!parts_.empty() && !parts_processed_) {
       parts_processed_ = true;
       child_->Close();
       for (SpillFile* f : parts_) {
@@ -2044,7 +1700,8 @@ class DistinctOperator final : public Operator {
         CBQT_RETURN_IF_ERROR(ProcessPartition(f, 0));
       }
     }
-    while (pending_pos_ < pending_.size() && out->size() < ctx_->batch_size) {
+    while (pending_pos_ < pending_.size() &&
+           out->size() < ctx_->options.batch_size) {
       out->Add(std::move(pending_[pending_pos_++]));
     }
     return !out->empty();
@@ -2058,10 +1715,27 @@ class DistinctOperator final : public Operator {
   }
 
  private:
-  Status BeginSpill() {
-    CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", &parts_));
-    spilled_ = true;
-    return Status::OK();
+  /// One dedup step: true when `r` is new and stays resident in `seen`
+  /// (the caller emits it). Once `parts` (salted `salt`) are open, a row
+  /// not resident goes to its partition; the first row whose charge fails
+  /// is evicted, opens them and goes there too. The resident set stays
+  /// live both as emitted output and as the dedup filter for the rest.
+  Result<bool> Dedup(SeenMap& seen, ScopedReservation& res,
+                     std::vector<SpillFile*>* parts, int salt, const Row& r) {
+    if (!parts->empty()) {
+      if (seen.count(r) > 0) return false;  // already emitted in memory
+      CBQT_RETURN_IF_ERROR((*parts)[PartitionOfKey(r, salt)]->Append(r));
+      return false;
+    }
+    auto [it, inserted] = seen.emplace(r, true);
+    if (!inserted) return false;
+    Status st = ctx_->ChargeBufferedRow(res, r);
+    if (st.ok()) return true;
+    if (!ctx_->ShouldSpill(st)) return st;
+    seen.erase(it);
+    CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", parts));
+    CBQT_RETURN_IF_ERROR((*parts)[PartitionOfKey(r, salt)]->Append(r));
+    return false;
   }
 
   /// Dedups one partition into pending_, recursing with a fresh salt when
@@ -2076,38 +1750,13 @@ class DistinctOperator final : public Operator {
     SeenMap local;
     ScopedReservation res = ctx_->BufferReservation();
     std::vector<SpillFile*> subparts;
-    bool sub_spilled = false;
-    CBQT_RETURN_IF_ERROR(f->Rewind());
-    Row r;
-    int64_t seen_rows = 0;
-    for (;;) {
-      auto more = f->Next(&r);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      if (((++seen_rows) & kSpillPollMask) == 0) {
-        CBQT_RETURN_IF_ERROR(ctx_->PollOnly());
-      }
-      if (sub_spilled) {
-        if (local.count(r) > 0) continue;
-        CBQT_RETURN_IF_ERROR(
-            subparts[PartitionOfKey(r, depth + 1)]->Append(r));
-        continue;
-      }
-      auto [it, inserted] = local.emplace(r, true);
-      if (!inserted) continue;
-      Status st = ctx_->ChargeBufferedRow(res, r);
-      if (!st.ok()) {
-        if (!ctx_->ShouldSpill(st)) return st;
-        local.erase(it);
-        CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", &subparts));
-        sub_spilled = true;
-        CBQT_RETURN_IF_ERROR(
-            subparts[PartitionOfKey(r, depth + 1)]->Append(r));
-        continue;
-      }
-      pending_.push_back(std::move(r));
-      r = Row{};
-    }
+    CBQT_RETURN_IF_ERROR(WalkSpill(
+        ctx_, f, false, [&](int64_t, Row& r) -> Result<bool> {
+          auto fresh = Dedup(local, res, &subparts, depth + 1, r);
+          if (!fresh.ok()) return fresh.status();
+          if (fresh.value()) pending_.push_back(std::move(r));
+          return true;
+        }));
     for (SpillFile* sf : subparts) {
       CBQT_RETURN_IF_ERROR(sf->FinishWrite());
     }
@@ -2121,8 +1770,7 @@ class DistinctOperator final : public Operator {
   RowBatch in_;
   SeenMap seen_;
   std::optional<ScopedReservation> res_;
-  bool spilled_ = false;
-  std::vector<SpillFile*> parts_;
+  std::vector<SpillFile*> parts_;  // open once the stream has spilled
   std::vector<Row> pending_;
   size_t pending_pos_ = 0;
   bool child_done_ = false;
@@ -2228,9 +1876,7 @@ class LimitOperator final : public Operator {
                 std::unique_ptr<Operator> child)
       : Operator(ctx, node),
         child_(std::move(child)),
-        in_schema_(&node->children[0]->output),
-        filter_(CompileExprList(node->filter, in_schema_)),
-        filter_needs_frame_(AnySlow(filter_)) {}
+        filter_(node->filter, &node->children[0]->output) {}
 
   Status Open() override {
     emitted_ = 0;
@@ -2258,8 +1904,7 @@ class LimitOperator final : public Operator {
       if (!filter_.empty()) {
         // Lazy ROWNUM: the filter sees the next *output* position.
         ctx_->eval.rownum = emitted_ + 1;
-        auto pass = EvalPredsOnRow(ctx_->eval, filter_, r, in_schema_,
-                                   filter_needs_frame_);
+        auto pass = filter_.Test(ctx_->eval, r);
         if (!pass.ok()) {
           ctx_->eval.rownum = saved_rownum;
           return pass.status();
@@ -2279,9 +1924,7 @@ class LimitOperator final : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  const Schema* in_schema_;
-  std::vector<CompiledExpr> filter_;
-  bool filter_needs_frame_;
+  CompiledList filter_;
   RowBatch in_;
   int64_t emitted_ = 0;
   bool done_ = false;
@@ -2295,9 +1938,14 @@ class WindowOperator final : public BufferedOperator {
  public:
   WindowOperator(ExecContext* ctx, const PlanNode* node,
                  std::unique_ptr<Operator> child)
-      : BufferedOperator(ctx, node),
-        child_(std::move(child)),
-        in_schema_(&node->children[0]->output) {}
+      : BufferedOperator(ctx, node), child_(std::move(child)) {
+    const Schema* in_schema = &node->children[0]->output;
+    for (const auto& win : node->window_exprs) {
+      wins_.push_back({CompiledList(win->partition_by, in_schema),
+                       CompiledList(win->win_order_by, in_schema),
+                       CompiledList(win->children, in_schema)});
+    }
+  }
 
   void Close() override { child_->Close(); }
 
@@ -2313,35 +1961,21 @@ class WindowOperator final : public BufferedOperator {
 
     for (size_t w = 0; w < node_->window_exprs.size(); ++w) {
       const Expr& win = *node_->window_exprs[w];
+      const CompiledWindow& cw = wins_[w];
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(n)));
       // Partition rows.
       std::unordered_map<Row, std::vector<size_t>, RowHasher, RowEq> parts;
-      {
-        FrameGuard g(ev, in_schema_);
-        for (size_t i = 0; i < n; ++i) {
-          g.SetRow(&input[i]);
-          Row key;
-          for (const auto& p : win.partition_by) {
-            auto v = EvalExpr(*p, ev);
-            if (!v.ok()) return v.status();
-            key.push_back(std::move(v.value()));
-          }
-          parts[std::move(key)].push_back(i);
-        }
+      for (size_t i = 0; i < n; ++i) {
+        Row key;
+        CBQT_RETURN_IF_ERROR(cw.partition_by.Eval(ev, input[i], &key));
+        parts[std::move(key)].push_back(i);
       }
       for (auto& [key, indices] : parts) {
         // Sort the partition by the window ORDER BY keys.
         std::vector<Row> order_keys(indices.size());
-        {
-          FrameGuard g(ev, in_schema_);
-          for (size_t k = 0; k < indices.size(); ++k) {
-            g.SetRow(&input[indices[k]]);
-            for (const auto& o : win.win_order_by) {
-              auto v = EvalExpr(*o, ev);
-              if (!v.ok()) return v.status();
-              order_keys[k].push_back(std::move(v.value()));
-            }
-          }
+        for (size_t k = 0; k < indices.size(); ++k) {
+          CBQT_RETURN_IF_ERROR(
+              cw.order_by.Eval(ev, input[indices[k]], &order_keys[k]));
         }
         std::vector<size_t> perm(indices.size());
         for (size_t k = 0; k < perm.size(); ++k) perm[k] = k;
@@ -2353,6 +1987,7 @@ class WindowOperator final : public BufferedOperator {
         // peers (equal order keys) share the cumulative value at the end
         // of their peer group.
         AggAccum accum;
+        Row arg;
         Expr agg_proxy;
         agg_proxy.kind = ExprKind::kAggregate;
         agg_proxy.agg = win.win_func;
@@ -2365,16 +2000,9 @@ class WindowOperator final : public BufferedOperator {
             ++g_end;
           }
           for (size_t k = g; k < g_end; ++k) {
-            size_t row_idx = indices[perm[k]];
-            Value v = Value::Null();
-            if (win.win_func != AggFunc::kCountStar) {
-              FrameGuard fg(ev, in_schema_);
-              fg.SetRow(&input[row_idx]);
-              auto r = EvalExpr(*win.children[0], ev);
-              if (!r.ok()) return r.status();
-              v = std::move(r.value());
-            }
-            accum.Add(v, agg_proxy);
+            CBQT_RETURN_IF_ERROR(
+                cw.arg.Eval(ev, input[indices[perm[k]]], &arg));
+            accum.Add(arg.empty() ? Value::Null() : arg[0], agg_proxy);
           }
           Value result = accum.Finish(agg_proxy);
           for (size_t k = g; k < g_end; ++k) {
@@ -2396,20 +2024,29 @@ class WindowOperator final : public BufferedOperator {
   }
 
  private:
+  struct CompiledWindow {
+    CompiledList partition_by;
+    CompiledList order_by;
+    CompiledList arg;  // the aggregate's argument; none for COUNT(*)
+  };
+
   std::unique_ptr<Operator> child_;
-  const Schema* in_schema_;
+  std::vector<CompiledWindow> wins_;  // one per window expression
 };
 
 // ---------------------------------------------------------------------------
 // Subquery filter (TIS) — per-correlation-key result caching
 // ---------------------------------------------------------------------------
 
-/// TIS subquery resolver with per-correlation-key result caching.
+/// TIS subquery resolver with per-correlation-key result caching. Each
+/// subplan runs as an operator tree under the query's context, so its
+/// correlated refs resolve against the current outer row; the cached
+/// results persist for the whole operator (TIS caching) and are charged
+/// against the per-query memory tracker.
 class CachingSubqueryResolver : public SubqueryResolver {
  public:
-  CachingSubqueryResolver(const PlanNode& node, EvalContext& ctx,
-                          ExecStats* stats)
-      : node_(node), ctx_(ctx), stats_(stats) {
+  CachingSubqueryResolver(const PlanNode& node, ExecContext* ctx)
+      : node_(node), ctx_(ctx), mem_(ctx->BufferReservation()) {
     std::vector<const Expr*> subs;
     for (const auto& f : node.filter) CollectSubqueryNodesExec(f.get(), &subs);
     for (size_t i = 0; i < subs.size() && i < node.subplans.size(); ++i) {
@@ -2426,27 +2063,24 @@ class CachingSubqueryResolver : public SubqueryResolver {
     size_t i = it->second;
     Row key;
     for (const auto& k : node_.subplan_corr_keys[i]) {
-      auto v = EvalExpr(*k, ctx_);
+      auto v = EvalExpr(*k, ctx_->eval);
       if (!v.ok()) return v.status();
       key.push_back(std::move(v.value()));
     }
     auto& cache = caches_[i];
     auto hit = cache.find(key);
     if (hit != cache.end()) {
-      ++stats_->subquery_cache_hits;
+      ++ctx_->stats.subquery_cache_hits;
       return MakeView(hit->second);
     }
-    ++stats_->subquery_executions;
-    // Execute the subplan under the *current* context so correlated refs
-    // resolve against the outer row.
-    auto rows = run_fn(*node_.subplans[i]);
+    ++ctx_->stats.subquery_executions;
+    auto op = OperatorFactory::Build(*node_.subplans[i], ctx_);
+    if (!op.ok()) return op.status();
+    auto rows = DrainOperator(op.value().get());
     if (!rows.ok()) return rows.status();
-    if (charge_fn) {
-      // Materialized subquery results persist for the whole operator (TIS
-      // caching); charge them against the per-query memory tracker.
+    if (ctx_->charge_memory()) {
       for (const Row& r : rows.value()) {
-        Status charged = charge_fn(r);
-        if (!charged.ok()) return charged;
+        CBQT_RETURN_IF_ERROR(ctx_->ChargeBufferedRow(mem_, r));
       }
     }
     auto [pos, inserted] = cache.emplace(std::move(key), CachedResult{});
@@ -2454,12 +2088,6 @@ class CachingSubqueryResolver : public SubqueryResolver {
     pos->second.rows = std::move(rows.value());
     return MakeView(pos->second);
   }
-
-  /// Set by SubqueryFilterOperator: builds and drains an operator tree for
-  /// the subplan under the current evaluation context.
-  std::function<Result<std::vector<Row>>(const PlanNode&)> run_fn;
-  /// Optional memory-accounting hook for cached subquery result rows.
-  std::function<Status(const Row&)> charge_fn;
 
  private:
   struct CachedResult {
@@ -2492,8 +2120,8 @@ class CachingSubqueryResolver : public SubqueryResolver {
   }
 
   const PlanNode& node_;
-  EvalContext& ctx_;
-  ExecStats* stats_;
+  ExecContext* ctx_;
+  ScopedReservation mem_;  // the cached result rows
   std::map<const Expr*, size_t> index_;
   std::vector<std::unordered_map<Row, CachedResult, RowHasher, RowEq>>
       caches_;
@@ -2505,23 +2133,10 @@ class SubqueryFilterOperator final : public Operator {
                          std::unique_ptr<Operator> child)
       : Operator(ctx, node),
         child_(std::move(child)),
-        in_schema_(&node->children[0]->output),
-        conds_(CompileExprList(node->filter, in_schema_)) {}
+        conds_(node->filter, &node->children[0]->output) {}
 
   Status Open() override {
-    resolver_ = std::make_unique<CachingSubqueryResolver>(*node_, ctx_->eval,
-                                                          &ctx_->stats);
-    resolver_->run_fn = [this](const PlanNode& plan) {
-      auto op = OperatorFactory::Build(plan, ctx_);
-      if (!op.ok()) return Result<std::vector<Row>>(op.status());
-      return DrainOperator(op.value().get());
-    };
-    subq_mem_.emplace(ctx_->BufferReservation());
-    if (ctx_->charge_memory()) {
-      resolver_->charge_fn = [this](const Row& r) {
-        return ctx_->ChargeBufferedRow(*subq_mem_, r);
-      };
-    }
+    resolver_ = std::make_unique<CachingSubqueryResolver>(*node_, ctx_);
     return child_->Open();
   }
 
@@ -2534,12 +2149,10 @@ class SubqueryFilterOperator final : public Operator {
     // Subquery predicates always evaluate through the tree walker (the
     // compiled programs fall back), under a frame for the current row.
     EvalContext& ev = ctx_->eval;
-    FrameGuard g(ev, in_schema_);
     SubqueryResolver* saved = ev.subquery_resolver;
     for (auto& r : in_.rows()) {
-      g.SetRow(&r);
       ev.subquery_resolver = resolver_.get();
-      auto pass = EvalCompiledConjuncts(conds_, r, ev);
+      auto pass = conds_.Test(ev, r);
       ev.subquery_resolver = saved;
       if (!pass.ok()) return pass.status();
       if (IsTruthy(pass.value())) out->Add(std::move(r));
@@ -2550,16 +2163,13 @@ class SubqueryFilterOperator final : public Operator {
   void Close() override {
     child_->Close();
     resolver_.reset();
-    if (subq_mem_) subq_mem_->Release();
   }
 
  private:
   std::unique_ptr<Operator> child_;
-  const Schema* in_schema_;
-  std::vector<CompiledExpr> conds_;
+  CompiledList conds_;
   RowBatch in_;
   std::unique_ptr<CachingSubqueryResolver> resolver_;
-  std::optional<ScopedReservation> subq_mem_;
 };
 
 }  // namespace
@@ -2599,10 +2209,6 @@ Result<std::unique_ptr<Operator>> OperatorFactory::Build(const PlanNode& node,
     case PlanOp::kHashJoin:
       op = std::make_unique<HashJoinOperator>(ctx, &node, std::move(kids[0]),
                                               std::move(kids[1]));
-      break;
-    case PlanOp::kMergeJoin:
-      op = std::make_unique<MergeJoinOperator>(ctx, &node, std::move(kids[0]),
-                                               std::move(kids[1]));
       break;
     case PlanOp::kAggregate:
       op = std::make_unique<AggregateOperator>(ctx, &node, std::move(kids[0]));

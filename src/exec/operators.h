@@ -2,9 +2,7 @@
 #define CBQT_EXEC_OPERATORS_H_
 
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/budget.h"
@@ -21,23 +19,24 @@
 
 namespace cbqt {
 
-/// Shared execution state for one query: the database, the evaluation
-/// context (frame stack / ROWNUM / subquery resolver), the stats block the
-/// executor owns (never a caller pointer), the budget/guardrail handles,
-/// and the lazily created spill manager. One ExecContext per Execute()
-/// call; every operator of the tree borrows it.
+/// Shared execution state for one query: the database, the run's options,
+/// the evaluation context (frame stack / ROWNUM / subquery resolver), the
+/// stats block the executor owns (never a caller pointer), and the lazily
+/// created spill manager. One ExecContext per Execute() call; every
+/// operator of the tree borrows it.
 struct ExecContext {
-  const Database* db = nullptr;
+  /// `options.batch_size` is clamped to at least 1.
+  ExecContext(const Database& database, const ExecOptions& opts);
+
+  const Database* db;
+  const ExecOptions options;
   EvalContext eval;
   ExecStats stats;
 
-  BudgetTracker* budget = nullptr;
-  QueryGuards guards;
-  bool has_guards = false;
-  int64_t row_cap = std::numeric_limits<int64_t>::max();
-  size_t batch_size = kDefaultBatchSize;
-  bool enable_spill = true;
-  std::string spill_dir;
+  /// Derived from `options`: whether any guardrail is armed, and the row
+  /// budget (max_exec_rows, unbounded when unset).
+  const bool has_guards;
+  const int64_t row_cap;
 
   /// Counts `n` rows of operator work — one batch, one poll. The per-batch
   /// cost is one add, one predictable compare, and one branch on the
@@ -48,13 +47,15 @@ struct ExecContext {
   /// Cancellation/guardrail poll without counting work — used inside spill
   /// partition processing, where the rows were already counted when first
   /// consumed. Does not consume kExecBatch fault hits.
-  Status PollOnly() { return has_guards ? guards.Poll() : Status::OK(); }
+  Status PollOnly() {
+    return has_guards ? options.guards.Poll() : Status::OK();
+  }
 
   /// True when pipeline breakers must account their buffered bytes (a
   /// memory tracker is attached, or fault injection wants the charge
   /// sites). Call sites skip computing byte estimates entirely otherwise.
   bool charge_memory() const {
-    return guards.memory != nullptr || guards.faults != nullptr;
+    return options.guards.memory != nullptr || options.guards.faults != nullptr;
   }
 
   /// Buffered bytes accumulate locally and hit the tracker's atomics once
@@ -64,7 +65,7 @@ struct ExecContext {
 
   /// A reservation for one pipeline breaker's buffer, page-batched.
   ScopedReservation BufferReservation() {
-    ScopedReservation res(guards.memory);
+    ScopedReservation res(options.guards.memory);
     res.set_flush_quantum(kChargeQuantumBytes);
     return res;
   }
@@ -85,7 +86,7 @@ struct ExecContext {
   /// the query: spill is enabled and the failure is a memory one (other
   /// statuses — injected kInternal faults, cancellation — propagate).
   bool ShouldSpill(const Status& s) const {
-    return enable_spill && s.code() == StatusCode::kResourceExhausted;
+    return options.enable_spill && s.code() == StatusCode::kResourceExhausted;
   }
 
   /// The query's spill manager, created on first use so in-memory queries

@@ -184,8 +184,7 @@ std::vector<size_t> PruneNode(const PlanNode& node, std::vector<bool> required,
     }
 
     case PlanOp::kNestedLoopJoin:
-    case PlanOp::kHashJoin:
-    case PlanOp::kMergeJoin: {
+    case PlanOp::kHashJoin: {
       const Schema& left_output = node.children[0]->output;
       const Schema& right_output = node.children[1]->output;
       size_t ln = left_output.size();

@@ -65,6 +65,7 @@ std::string FuzzReport::Summary() const {
      << executions << " differential executions in "
      << static_cast<int64_t>(elapsed_ms) << " ms; " << guardrail_aborts
      << " guardrail aborts, " << injected_faults << " injected faults, "
+     << spilled_operators << " spilled operators, "
      << parse_rejects << " parse rejects, " << roundtrip_failures
      << " round-trip failures, " << mutant_invalid << " invalid mutants, "
      << ref_errors << " reference errors, " << failures.size()
@@ -229,6 +230,7 @@ FuzzReport RunFuzz(const Database& db, const FuzzOptions& options) {
       report.guardrail_aborts += outcome.guardrail_aborts;
       report.injected_faults += outcome.injected_faults;
       report.serde_roundtrips += outcome.serde_roundtrips;
+      report.spilled_operators += outcome.spilled_operators;
       for (const auto& f : outcome.failures) record_failure(round_seed, f);
     }
   }

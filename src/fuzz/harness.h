@@ -62,6 +62,8 @@ struct FuzzReport {
   int guardrail_aborts = 0;   ///< typed aborts, skipped (not compared)
   int injected_faults = 0;    ///< clean injected-fault errors (fault sweep)
   int serde_roundtrips = 0;   ///< chosen plans that round-tripped bit-identical
+  int64_t spilled_operators = 0;  ///< pipeline breakers that spilled, summed
+                                  ///< over the compared executions
   double elapsed_ms = 0;
   std::vector<FuzzRepro> failures;
 

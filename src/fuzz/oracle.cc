@@ -57,9 +57,12 @@ std::vector<DifferentialOracle::Entry> DifferentialOracle::DefaultDeck() {
     c.exec.batch_size = 1;
   });
   add("spill-64k", [](CbqtConfig& c) {
-    // A per-query budget small enough that pipeline breakers spill on the
-    // fuzz database, with spill enabled so queries still complete (those
-    // that overrun anyway abort typed and are skipped, not compared).
+    // A 64 KiB per-query memory budget, spill enabled. The budget also
+    // bounds charges that cannot spill (the optimizer's state copies,
+    // cached subquery results), so some queries abort typed and are
+    // skipped, not compared; on the small fuzz database few of the others
+    // spill. The memory-pressure spill sweep of `ci.sh fuzz-smoke` is what
+    // drives the hash-join, aggregate and distinct spill paths.
     c.guardrails.query_memory_bytes = 64 * 1024;
     c.exec.enable_spill = true;
     c.exec.batch_size = 16;
@@ -131,6 +134,7 @@ void DifferentialOracle::Check(const std::string& sql,
         ++out->serde_roundtrips;
       }
     }
+    out->spilled_operators += result.value().exec.spilled_operators;
     std::vector<Row> rows = std::move(result.value().rows);
     if (canary_applies && i == 0 && !rows.empty()) {
       rows.pop_back();  // the seeded wrong-rows bug the fuzzer must catch

@@ -1,6 +1,7 @@
 #ifndef CBQT_FUZZ_ORACLE_H_
 #define CBQT_FUZZ_ORACLE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,8 @@ struct OracleOutcome {
                              ///< degradation under a fault sweep
   int serde_roundtrips = 0;  ///< chosen plans round-tripped through the
                              ///< binary serde (set_serde_roundtrip)
+  int64_t spilled_operators = 0;  ///< ExecStats::spilled_operators, summed
+                                  ///< over the compared executions
   std::vector<DiffFailure> failures;
 };
 

@@ -20,7 +20,6 @@ struct JoinStepPlan {
 /// Physical join methods a coster can choose between.
 enum class JoinMethod : uint8_t {
   kHash,
-  kMerge,
   kIndexNestedLoop,  ///< per-left-row index probe into the right base table
   kNestedLoop,       ///< rescans the right input (lateral views included)
 };

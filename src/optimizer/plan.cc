@@ -98,8 +98,6 @@ const char* OpName(PlanOp op) {
       return "NestedLoopJoin";
     case PlanOp::kHashJoin:
       return "HashJoin";
-    case PlanOp::kMergeJoin:
-      return "MergeJoin";
     case PlanOp::kAggregate:
       return "Aggregate";
     case PlanOp::kSort:
@@ -150,7 +148,6 @@ std::string NodeLabel(const PlanNode& node, bool with_costs) {
     }
     case PlanOp::kNestedLoopJoin:
     case PlanOp::kHashJoin:
-    case PlanOp::kMergeJoin:
       out += std::string(" [") + JoinName(node.join_kind) +
              (node.null_aware ? ",null-aware" : "") + "]";
       break;
@@ -188,8 +185,7 @@ std::string NodeLabel(const PlanNode& node, bool with_costs) {
     for (const auto& f : node.filter) preds.push_back(ExprToSql(*f));
     out += " filter(" + JoinStrings(preds, " AND ") + ")";
   }
-  if ((node.op == PlanOp::kHashJoin || node.op == PlanOp::kMergeJoin) &&
-      !node.hash_left_keys.empty()) {
+  if (node.op == PlanOp::kHashJoin && !node.hash_left_keys.empty()) {
     std::vector<std::string> keys;
     for (size_t i = 0; i < node.hash_left_keys.size(); ++i) {
       keys.push_back(ExprToSql(*node.hash_left_keys[i]) + "=" +

@@ -32,7 +32,6 @@ enum class PlanOp {
   kProject,         ///< computes select expressions
   kNestedLoopJoin,  ///< left outer loop; right re-evaluated per row
   kHashJoin,        ///< equi-join; builds on the right child
-  kMergeJoin,       ///< sorts both inputs on the equi keys
   kAggregate,       ///< hash aggregation (plain or grouping sets)
   kSort,
   kDistinct,
@@ -74,9 +73,9 @@ struct PlanNode {
   // joins
   JoinKind join_kind = JoinKind::kInner;
   /// Generic join conditions evaluated on the combined row (NL join), or
-  /// the non-equi residuals for hash/merge joins.
+  /// the non-equi residuals for hash joins.
   std::vector<ExprPtr> join_conds;
-  /// Equi-key pairs for hash/merge joins (parallel vectors; left keys
+  /// Equi-key pairs for hash joins (parallel vectors; left keys
   /// reference the left child, right keys the right child).
   std::vector<ExprPtr> hash_left_keys;
   std::vector<ExprPtr> hash_right_keys;

@@ -35,7 +35,9 @@ namespace cbqt {
 
 /// Version stamped into every framed blob; a mismatch is a typed error so
 /// old snapshots are discarded rather than misread.
-inline constexpr uint32_t kPlanSerdeVersion = 1;
+/// Version 2: PlanOp lost its merge-join operator, which renumbered the
+/// operators after it.
+inline constexpr uint32_t kPlanSerdeVersion = 2;
 
 /// Nesting-depth ceiling for recursive readers (expressions, blocks,
 /// plans). Legitimate trees are tens deep; malformed bytes claiming more

@@ -378,15 +378,14 @@ class BlockJoinCoster : public JoinCoster {
     const Priced& p = *priced;
     RelEntry& r = rels_[static_cast<size_t>(rel)];
 
-    auto node = std::make_unique<PlanNode>(
-        p.method == JoinMethod::kHash    ? PlanOp::kHashJoin
-        : p.method == JoinMethod::kMerge ? PlanOp::kMergeJoin
-                                         : PlanOp::kNestedLoopJoin);
+    auto node = std::make_unique<PlanNode>(p.method == JoinMethod::kHash
+                                               ? PlanOp::kHashJoin
+                                               : PlanOp::kNestedLoopJoin);
     node->join_kind = r.tr->join;
     node->null_aware = r.tr->join == JoinKind::kAntiNA;
     node->children.push_back(left.plan);
 
-    if (p.method == JoinMethod::kHash || p.method == JoinMethod::kMerge) {
+    if (p.method == JoinMethod::kHash) {
       node->children.push_back(p.right->plan);
       for (const auto& eq : equis_) {
         node->hash_left_keys.push_back(eq.left_side->Clone());
@@ -582,14 +581,6 @@ class BlockJoinCoster : public JoinCoster {
                      left.rows * P_.hash_probe * penalty +
                      out_rows * P_.cpu_tuple,
                  JoinMethod::kHash);
-      }
-      // Merge join (inner only).
-      if (!equis_.empty() && kind == JoinKind::kInner) {
-        consider(left.cost + right.cost + P_.SortCost(left.rows) +
-                     P_.SortCost(right.rows) +
-                     (left.rows + right.rows) * P_.cpu_tuple +
-                     out_rows * P_.cpu_tuple,
-                 JoinMethod::kMerge);
       }
       // Index nested loop (base tables with a usable index).
       extra_.clear();

@@ -25,11 +25,56 @@ bool ProvablyNonNull(const QueryBlock& root, const Expr& e) {
 
 namespace {
 
+// True when NOT IN / ALL conjunct `w` over subquery `s` must become a
+// null-aware antijoin: some connecting operand may be NULL.
+bool NeedsNullAware(const QueryBlock& root, const Expr& w,
+                    const QueryBlock& s) {
+  if (w.subkind != SubqueryKind::kNotIn && w.subkind != SubqueryKind::kAllCmp) {
+    return false;
+  }
+  for (size_t i = 0; i < w.children.size(); ++i) {
+    if (!ProvablyNonNull(root, *w.children[i])) return true;
+    if (i < s.select.size() && !ProvablyNonNull(s, *s.select[i].expr)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The null-aware antijoin is unnested only in Oracle's single-column form:
+// one connecting column and no correlation, so a NULL anywhere in the
+// subquery result rejects every outer row (the verdict the hash join
+// decides). A correlated or multi-column one needs per-row three-valued
+// comparison and stays TIS.
+bool NullAwareUnnestable(const QueryBlock& root, const Expr& w,
+                         const QueryBlock& s) {
+  if (!NeedsNullAware(root, w, s)) return true;
+  return w.children.size() == 1 && !IsCorrelated(s);
+}
+
+// The join an unnested EXISTS / IN / ANY (semi), NOT EXISTS (anti) or
+// NOT IN / ALL (anti, or null-aware anti) subquery becomes. Decided while
+// `s` still holds its FROM list, which nullability checks resolve its
+// select items against.
+JoinKind UnnestJoinKind(const QueryBlock& root, const Expr& w,
+                        const QueryBlock& s) {
+  switch (w.subkind) {
+    case SubqueryKind::kNotExists:
+      return JoinKind::kAnti;
+    case SubqueryKind::kNotIn:
+    case SubqueryKind::kAllCmp:
+      return NeedsNullAware(root, w, s) ? JoinKind::kAntiNA : JoinKind::kAnti;
+    default:
+      return JoinKind::kSemi;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Heuristic merge unnesting
 // ---------------------------------------------------------------------------
 
-bool MergeUnnestable(const QueryBlock& parent, const Expr& w) {
+bool MergeUnnestable(const QueryBlock& root, const QueryBlock& parent,
+                     const Expr& w) {
   if (w.kind != ExprKind::kSubquery) return false;
   if (w.subkind == SubqueryKind::kScalar) return false;
   const QueryBlock& s = *w.subquery;
@@ -47,7 +92,7 @@ bool MergeUnnestable(const QueryBlock& parent, const Expr& w) {
     if (ContainsSubquery(*c)) return false;  // nested subqueries stay TIS
   }
   if (!CorrelatedOnlyToParent(s, parent)) return false;
-  return true;
+  return NullAwareUnnestable(root, w, s);
 }
 
 // Performs the merge of subquery conjunct `w` into `parent`.
@@ -56,36 +101,7 @@ void MergeUnnest(TransformContext& ctx, QueryBlock* parent, ExprPtr w) {
   std::set<std::string> inner;
   CollectDefinedAliases(s, &inner);
 
-  // Decide the join kind while `s` is still intact (nullability checks
-  // resolve columns against its FROM list).
-  JoinKind kind = JoinKind::kSemi;
-  switch (w->subkind) {
-    case SubqueryKind::kExists:
-    case SubqueryKind::kIn:
-    case SubqueryKind::kAnyCmp:
-      kind = JoinKind::kSemi;
-      break;
-    case SubqueryKind::kNotExists:
-      kind = JoinKind::kAnti;
-      break;
-    case SubqueryKind::kNotIn: {
-      bool nullable = false;
-      for (size_t i = 0; i < w->children.size(); ++i) {
-        if (!ProvablyNonNull(*ctx.root, *w->children[i])) nullable = true;
-        if (!ProvablyNonNull(s, *s.select[i].expr)) nullable = true;
-      }
-      kind = nullable ? JoinKind::kAntiNA : JoinKind::kAnti;
-      break;
-    }
-    case SubqueryKind::kAllCmp: {
-      bool nullable = !ProvablyNonNull(*ctx.root, *w->children[0]) ||
-                      !ProvablyNonNull(s, *s.select[0].expr);
-      kind = nullable ? JoinKind::kAntiNA : JoinKind::kAnti;
-      break;
-    }
-    case SubqueryKind::kScalar:
-      break;  // unreachable (filtered above)
-  }
+  const JoinKind kind = UnnestJoinKind(*ctx.root, *w, s);
 
   TableRef entry = std::move(s.from[0]);
   std::vector<ExprPtr> local_conds;
@@ -196,7 +212,8 @@ bool AggregateUnnestable(const QueryBlock& parent, const Expr& w) {
   return ExtractCorrelatedEqualities(probe.get(), parent, &eqs, &rest);
 }
 
-bool MultiTableUnnestable(const QueryBlock& parent, const Expr& w) {
+bool MultiTableUnnestable(const QueryBlock& root, const QueryBlock& parent,
+                          const Expr& w) {
   if (w.kind != ExprKind::kSubquery) return false;
   if (w.subkind == SubqueryKind::kScalar) return false;
   const QueryBlock& s = *w.subquery;
@@ -215,6 +232,7 @@ bool MultiTableUnnestable(const QueryBlock& parent, const Expr& w) {
     if (ContainsSubquery(*c) || ContainsRownum(*c)) return false;
   }
   if (!CorrelatedOnlyToParent(s, parent)) return false;
+  if (!NullAwareUnnestable(root, w, s)) return false;
   auto probe = s.Clone();
   std::vector<CorrelatedEq> eqs;
   std::vector<ExprPtr> rest;
@@ -231,7 +249,7 @@ std::vector<ViewUnnestCandidate> FindViewUnnestCandidates(
           const Expr& w = *b->where[i];
           if (AggregateUnnestable(*b, w)) {
             out.push_back(ViewUnnestCandidate{b, path, i, true});
-          } else if (MultiTableUnnestable(*b, w)) {
+          } else if (MultiTableUnnestable(*root, *b, w)) {
             out.push_back(ViewUnnestCandidate{b, path, i, false});
           }
         }
@@ -314,6 +332,7 @@ Status ApplyMultiTableUnnest(TransformContext& ctx, QueryBlock* block,
   if (!ExtractCorrelatedEqualities(&s, *block, &eqs, &rest)) {
     return Status::Internal("multi-table unnest candidate became illegal");
   }
+  const JoinKind kind = UnnestJoinKind(*ctx.root, *w, s);
 
   // The alias is keyed by the candidate's (state-independent) discovery
   // index: a candidate's view is named identically in every state that
@@ -335,34 +354,6 @@ Status ApplyMultiTableUnnest(TransformContext& ctx, QueryBlock* block,
     join_conds.push_back(MakeBinary(
         BinaryOp::kEq, std::move(eqs[k].outer),
         MakeColumnRef(valias, "c" + std::to_string(k))));
-  }
-
-  JoinKind kind = JoinKind::kSemi;
-  switch (w->subkind) {
-    case SubqueryKind::kExists:
-      kind = JoinKind::kSemi;
-      break;
-    case SubqueryKind::kNotExists:
-      kind = JoinKind::kAnti;
-      break;
-    case SubqueryKind::kIn:
-    case SubqueryKind::kAnyCmp:
-      kind = JoinKind::kSemi;
-      break;
-    case SubqueryKind::kNotIn:
-    case SubqueryKind::kAllCmp: {
-      bool nullable = false;
-      for (size_t i = 0; i < w->children.size(); ++i) {
-        if (!ProvablyNonNull(*ctx.root, *w->children[i])) nullable = true;
-      }
-      for (size_t i = 0; i < s.select.size() && i < w->children.size(); ++i) {
-        if (!ProvablyNonNull(*view, *s.select[i].expr)) nullable = true;
-      }
-      kind = nullable ? JoinKind::kAntiNA : JoinKind::kAnti;
-      break;
-    }
-    case SubqueryKind::kScalar:
-      break;
   }
 
   // IN / ANY / ALL connecting conditions join the outer operands with the
@@ -415,7 +406,7 @@ Result<bool> UnnestSubqueriesByMerge(TransformContext& ctx) {
     VisitAllBlocks(ctx.root, [&](QueryBlock* b) {
       if (target != nullptr || b->IsSetOp()) return;
       for (size_t i = 0; i < b->where.size(); ++i) {
-        if (MergeUnnestable(*b, *b->where[i])) {
+        if (MergeUnnestable(*ctx.root, *b, *b->where[i])) {
           target = b;
           conjunct = i;
           return;

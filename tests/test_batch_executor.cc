@@ -1077,5 +1077,49 @@ TEST_F(JoinTableTest, ManyDistinctKeysMatchReferenceInMemoryAndSpilled) {
   }
 }
 
+// Spill re-reads keep every row: big_b's spill partitions hold thousands of
+// rows each, far past the 256-row polling quantum of a re-read, and losing
+// any row changes the result — a DISTINCT row (all are distinct), a group's
+// count, or a semijoin row (every build key is probed). Under the smaller
+// budget the semijoin's partitions are joined in chunks.
+TEST_F(JoinTableTest, SpillPartitionsOfThousandsOfRowsKeepEveryRow) {
+  auto distinct = std::make_unique<PlanNode>(PlanOp::kDistinct);
+  distinct->children.push_back(Scan("big_b"));
+  distinct->output = distinct->children[0]->output;
+
+  auto agg = std::make_unique<PlanNode>(PlanOp::kAggregate);
+  agg->group_keys.push_back(MakeColumnRef("big_b", "k"));
+  agg->agg_exprs.push_back(MakeCountStar());
+  agg->children.push_back(Scan("big_b"));
+  agg->output = {ColumnSlot{"", "k", DataType::kInt64},
+                 ColumnSlot{"", "n", DataType::kInt64}};
+
+  auto semi = HashJoin(JoinKind::kSemi, "big_b", "big_b");
+
+  const struct {
+    const PlanNode* plan;
+    const char* name;
+  } cases[] = {{distinct.get(), "distinct"},
+               {agg.get(), "aggregate"},
+               {semi.get(), "semijoin"}};
+  for (const auto& c : cases) {
+    const std::vector<Row> in_memory = Execute(*c.plan, ExecOptions{});
+    ASSERT_GE(in_memory.size(), size_t{kBigDistinctKeys}) << c.name;
+    for (int64_t budget : {int64_t{4} << 20, int64_t{1} << 20}) {
+      MemoryTracker tracker("query", budget);
+      ExecOptions opts;
+      opts.guards.memory = &tracker;
+      Executor exec(*db_, std::move(opts));
+      auto spilled = exec.Execute(*c.plan);
+      ASSERT_TRUE(spilled.ok()) << c.name << ": "
+                                << spilled.status().ToString();
+      EXPECT_GE(spilled.value().stats.spilled_operators, 1) << c.name;
+      ExpectSameRows(std::move(spilled.value().rows), in_memory,
+                     std::string(c.name) + " budget=" +
+                         std::to_string(budget));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cbqt

@@ -51,8 +51,7 @@ TEST_F(PlannerTest, HashJoinForUnindexedEquiJoin) {
       "SELECT e.salary FROM employees e, job_history j WHERE e.job_id = "
       "j.job_id");
   ASSERT_NE(plan, nullptr);
-  EXPECT_TRUE(ShapeContains(*plan, "HashJoin") ||
-              ShapeContains(*plan, "MergeJoin"));
+  EXPECT_TRUE(ShapeContains(*plan, "HashJoin"));
 }
 
 TEST_F(PlannerTest, IndexNestedLoopForSelectiveOuter) {

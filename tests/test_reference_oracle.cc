@@ -200,6 +200,36 @@ TEST(ReferenceOracleEdge, CorrelatedQuantifiers) {
       "e.salary * 3 FROM employees e WHERE e.dept_id = d.dept_id)");
 }
 
+// NOT IN and ALL over a nullable column need a null-aware antijoin. A hash
+// antijoin can only decide that verdict for one connecting column and no
+// correlation: then any NULL in the subquery result rejects every row. The
+// correlated and two-column shapes must stay TIS (tuple iteration).
+TEST(ReferenceOracleEdge, NullAwareAntiJoins) {
+  // Correlated single-column NOT IN: only the NULL mgr_id rows of the
+  // department's own job make its verdict unknown.
+  CheckAgainstReference(
+      "SELECT d.dept_id FROM departments d WHERE d.loc_id NOT IN (SELECT "
+      "e.mgr_id FROM employees e WHERE e.job_id = d.dept_id)");
+  // Two-column NOT IN: (7, 7) against (3, NULL) is definitely unequal.
+  CheckAgainstReference(
+      "SELECT d.dept_id FROM departments d WHERE (d.dept_id, d.dept_id) NOT "
+      "IN (SELECT e.emp_id, e.mgr_id FROM employees e WHERE e.mgr_id IS "
+      "NULL AND e.emp_id < 200)");
+  // Correlated < ALL: a NULL comparison counts as unknown.
+  CheckAgainstReference(
+      "SELECT d.dept_id FROM departments d WHERE d.loc_id < ALL (SELECT "
+      "e.mgr_id FROM employees e WHERE e.job_id = d.dept_id AND e.emp_id < "
+      "300)");
+  // Control: uncorrelated single-column NOT IN, unnested to the hash
+  // null-aware antijoin, with and without a NULL in the subquery result.
+  CheckAgainstReference(
+      "SELECT d.dept_id FROM departments d WHERE d.loc_id NOT IN (SELECT "
+      "e.mgr_id FROM employees e WHERE e.salary > 100000)");
+  CheckAgainstReference(
+      "SELECT d.dept_id FROM departments d WHERE d.loc_id NOT IN (SELECT "
+      "e.mgr_id FROM employees e WHERE e.mgr_id IS NOT NULL)");
+}
+
 TEST(ReferenceOracleEdge, HavingAndOrderBy) {
   CheckAgainstReference(
       "SELECT e.dept_id, AVG(e.salary) AS a FROM employees e GROUP BY "
