@@ -36,6 +36,17 @@ double TickMs() {
 // Row-at-a-time baseline interpreter (the old executor's discipline)
 // ---------------------------------------------------------------------------
 
+// The baseline's key containers: std::unordered_map under the engine's key
+// hash and structural equality, as the old executor keyed them.
+struct BaselineKeyHash {
+  size_t operator()(const Row& r) const { return HashRow(r); }
+};
+struct BaselineKeyEq {
+  bool operator()(const Row& a, const Row& b) const {
+    return RowsEqualStructural(a, b);
+  }
+};
+
 struct BaselineAccum {
   double sum = 0;
   int64_t count = 0;
@@ -201,7 +212,9 @@ class RowAtATimeBaseline {
         if (!right.ok()) return right.status();
         const Schema& lschema = node.children[0]->output;
         const Schema& rschema = node.children[1]->output;
-        std::unordered_map<Row, std::vector<size_t>, RowHasher, RowEq> table;
+        std::unordered_map<Row, std::vector<size_t>, BaselineKeyHash,
+                           BaselineKeyEq>
+            table;
         for (size_t i = 0; i < right.value().size(); ++i) {
           ++rows_processed_;
           Row& r = right.value()[i];
@@ -263,7 +276,8 @@ class RowAtATimeBaseline {
         auto input = Exec(*node.children[0], ctx);
         if (!input.ok()) return input.status();
         const Schema& in_schema = node.children[0]->output;
-        std::unordered_map<Row, std::vector<BaselineAccum>, RowHasher, RowEq>
+        std::unordered_map<Row, std::vector<BaselineAccum>, BaselineKeyHash,
+                           BaselineKeyEq>
             groups;
         std::vector<Row> key_order;
         for (auto& r : input.value()) {

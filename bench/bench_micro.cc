@@ -1,6 +1,6 @@
 // Google-benchmark micro suite: optimizer-component costs that are not in
 // the paper but explain the Table 2 timings — deep copy, binding,
-// signatures, physical planning with and without the annotation cache, and
+// physical planning with and without the annotation cache, and
 // executor operator throughput.
 
 #include <benchmark/benchmark.h>
@@ -13,7 +13,6 @@
 #include "exec/executor.h"
 #include "optimizer/planner.h"
 #include "parser/parser.h"
-#include "sql/signature.h"
 #include "workload/runner.h"
 #include "workload/schema_gen.h"
 
@@ -79,15 +78,6 @@ void BM_DeepCopyQueryTree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeepCopyQueryTree);
-
-void BM_BlockSignature(benchmark::State& state) {
-  auto& qb = SharedBoundQuery();
-  for (auto _ : state) {
-    auto sig = BlockSignature(*qb);
-    benchmark::DoNotOptimize(sig);
-  }
-}
-BENCHMARK(BM_BlockSignature);
 
 void BM_PhysicalPlanColdCache(benchmark::State& state) {
   Database* db = SharedDb();

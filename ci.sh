@@ -25,11 +25,16 @@
 # spill-to-disk pipeline
 # (test_batch_executor forces sort / hash-join / aggregation / distinct
 # state through SpillManager temp files under a tiny memory budget, so the
-# serialize/partition/merge paths run under ASan), the hash-join build table
-# (JoinTableTest in test_batch_executor: duplicate, Int/Real and NULL keys,
-# and a 110k-distinct-key build that grows the table many times, joined in
-# memory, from reloaded spill partitions and in chunks; the one-slot probe
-# that reads the key in place, with two-column, expression and NULL keys),
+# serialize/partition/merge paths run under ASan), the executor's one key
+# table (exec/key_table.h; JoinTableTest in test_batch_executor: the hash
+# join's duplicate, Int/Real and NULL keys, and a 110k-distinct-key build
+# that grows the table many times, joined in memory, from reloaded spill
+# partitions and in chunks; the one-slot probe that reads the key in place,
+# with two-column, expression and NULL keys; GroupByEmitsGroupsInFirstSeenOrder,
+# KeysCompareStructurally, ManyKeysKeepFirstSeenOrderAndSpill and
+# SetOperationsMatchReference for the aggregate, COUNT(DISTINCT), DISTINCT
+# and set-operation tables), the charged drains of buffered inputs
+# (DrainedInputsAreChargedToTheQueryBudget in test_batch_executor),
 # the compiled expression fast path against the tree evaluator (CompiledExpr
 # tests in test_eval, including by-reference leaf operands), the typed
 # scan filter kernels (ScanKernelTest in test_batch_executor: kernels read

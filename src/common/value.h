@@ -98,10 +98,6 @@ size_t HashStep(size_t h, const Value& v);
 int64_t EstimateValueBytes(const Value& v);
 int64_t EstimateRowBytes(const Row& row);
 
-struct RowHasher {
-  size_t operator()(const Row& r) const { return HashRow(r); }
-};
-
 /// Structural value equality (NULLs match; numeric kinds compare by value so
 /// Int(2) == Real(2.0) for hashing consistency).
 bool ValuesEqualStructural(const Value& a, const Value& b);
@@ -109,12 +105,6 @@ bool ValuesEqualStructural(const Value& a, const Value& b);
 /// Structural row equality: same width and ValuesEqualStructural slot by
 /// slot.
 bool RowsEqualStructural(const Row& a, const Row& b);
-
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    return RowsEqualStructural(a, b);
-  }
-};
 
 }  // namespace cbqt
 

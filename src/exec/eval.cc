@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/str_util.h"
+#include "exec/key_table.h"
 
 namespace cbqt {
 
@@ -75,7 +76,7 @@ Result<Value> EvalSubqueryPredicate(const Expr& e,
       // definitely unequal, so that needs per-row three-valued comparison.
       if (view.row_set != nullptr && !left_has_null &&
           (left.size() == 1 || !view.has_null)) {
-        if (view.row_set->count(left) > 0) {
+        if (view.row_set->Find(left) != KeyTable::kNone) {
           return Value::Boolean(e.subkind == SubqueryKind::kIn);
         }
         if (view.has_null) return Value::Null();

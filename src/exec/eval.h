@@ -2,7 +2,6 @@
 #define CBQT_EXEC_EVAL_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -10,6 +9,8 @@
 #include "optimizer/plan.h"
 
 namespace cbqt {
+
+class KeyTable;
 
 /// One name-resolution frame: a schema plus the current row of that schema.
 struct Frame {
@@ -22,9 +23,9 @@ struct Frame {
 /// quadratic).
 struct SubqueryResultView {
   const std::vector<Row>* rows = nullptr;
-  /// Hash set over the result rows (structural equality). May be null when
-  /// the resolver does not provide one; callers then scan `rows`.
-  const std::unordered_set<Row, RowHasher, RowEq>* row_set = nullptr;
+  /// Key table over the result rows (structural equality). May be null
+  /// when the resolver does not provide one; callers then scan `rows`.
+  const KeyTable* row_set = nullptr;
   /// True if any result row contains a NULL (drives three-valued IN).
   bool has_null = false;
 };

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/fault_injector.h"
 #include "exec/compiled_expr.h"
+#include "exec/key_table.h"
 
 namespace cbqt {
 
@@ -85,8 +85,6 @@ Result<SpillManager*> ExecContext::GetSpill() {
 
 namespace {
 
-using SeenMap = std::unordered_map<Row, bool, RowHasher, RowEq>;
-
 /// Fan-out of a spilling pipeline breaker, and the recursion bound when a
 /// partition itself does not fit (each level re-salts the hash, so only an
 /// adversarial key set can keep colliding).
@@ -132,32 +130,24 @@ Row NullExtend(Row left, size_t right_width) {
   return left;
 }
 
-/// The hash join's build image, flat: distinct keys sit back to back in one
-/// value array (a key is copied only the first time it is seen), each with
-/// its HashRow and its first and last build row. An open-addressed bucket
-/// array maps a hash to a key id, and per-build-row next links chain each
-/// key's rows in build-input order. Keys hash with HashRow and compare with
-/// ValuesEqualStructural slot by slot (RowsEqualStructural), so Int(2)
-/// finds Real(2.0); callers never insert a key that holds a NULL. A
-/// one-column table is also probed by a bare value, hashed with one HashStep
-/// (the same hash as its one-value key row), so no key row is built.
+/// The hash join's build image: a KeyTable of the distinct build keys, and
+/// per key its first and last build row, with per-build-row next links
+/// chaining each key's rows in build-input order. Callers never insert a
+/// key that holds a NULL.
 class JoinTable {
  public:
-  static constexpr int kNone = -1;
+  static constexpr int kNone = KeyTable::kNone;
 
   /// Drops every key and row, keeping the allocations for the next build.
   void Clear() {
-    keys_.clear();
-    hashes_.clear();
+    keys_.Clear();
     head_.clear();
     tail_.clear();
-    std::fill(buckets_.begin(), buckets_.end(), kNone);
     rows_.clear();
     next_.clear();
   }
 
   bool empty() const { return rows_.empty(); }
-  size_t size() const { return rows_.size(); }
 
   /// Appends `row` after the earlier build rows of `key`.
   Status Insert(const Row& key, Row&& row) {
@@ -168,35 +158,22 @@ class JoinTable {
     const int ri = static_cast<int>(rows_.size());
     rows_.push_back(std::move(row));
     next_.push_back(kNone);
-    if ((hashes_.size() + 1) * 2 > buckets_.size()) Grow();
-    const size_t hash = HashRow(key);
-    const size_t b = Bucket(key.data(), hash);
-    if (buckets_[b] != kNone) {
-      const size_t k = static_cast<size_t>(buckets_[b]);
-      next_[static_cast<size_t>(tail_[k])] = ri;
-      tail_[k] = ri;
+    const auto [k, fresh] = keys_.Insert(key);
+    if (fresh) {
+      head_.push_back(ri);
+      tail_.push_back(ri);
       return Status::OK();
     }
-    width_ = key.size();
-    buckets_[b] = static_cast<int>(hashes_.size());
-    keys_.insert(keys_.end(), key.begin(), key.end());
-    hashes_.push_back(hash);
-    head_.push_back(ri);
-    tail_.push_back(ri);
+    next_[static_cast<size_t>(tail_[static_cast<size_t>(k)])] = ri;
+    tail_[static_cast<size_t>(k)] = ri;
     return Status::OK();
   }
 
   /// The first build row under `key`, or kNone; Next() walks the rest.
-  int Find(const Row& key) const {
-    if (hashes_.empty()) return kNone;
-    return Head(buckets_[Bucket(key.data(), HashRow(key))]);
-  }
+  int Find(const Row& key) const { return Head(keys_.Find(key)); }
 
   /// Find() on a one-column table, by the key value itself.
-  int Find(const Value& key) const {
-    if (hashes_.empty()) return kNone;
-    return Head(buckets_[Bucket(&key, HashStep(kHashRowSeed, key))]);
-  }
+  int Find(const Value& key) const { return Head(keys_.Find(key)); }
   int Next(int ri) const { return next_[static_cast<size_t>(ri)]; }
   const Row& row(int ri) const { return rows_[static_cast<size_t>(ri)]; }
 
@@ -206,68 +183,22 @@ class JoinTable {
   Status ForEachRow(Fn&& fn) const {
     for (size_t k = 0; k < head_.size(); ++k) {
       for (int ri = head_[k]; ri != kNone; ri = Next(ri)) {
-        CBQT_RETURN_IF_ERROR(fn(hashes_[k], row(ri)));
+        CBQT_RETURN_IF_ERROR(fn(keys_.hash(static_cast<int>(k)), row(ri)));
       }
     }
     return Status::OK();
   }
 
  private:
-  // Fibonacci hashing: the top bits of hash * 2^64/phi pick the bucket.
-  size_t Home(size_t hash) const {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-
   int Head(int k) const {
     return k == kNone ? kNone : head_[static_cast<size_t>(k)];
   }
 
-  // The bucket holding the id of the key at `key` (width_ values), or the
-  // empty bucket where it belongs.
-  size_t Bucket(const Value* key, size_t hash) const {
-    const size_t mask = buckets_.size() - 1;
-    for (size_t b = Home(hash);; b = (b + 1) & mask) {
-      const int k = buckets_[b];
-      if (k == kNone) return b;
-      if (hashes_[static_cast<size_t>(k)] == hash && KeyEquals(k, key)) {
-        return b;
-      }
-    }
-  }
-
-  bool KeyEquals(int k, const Value* key) const {
-    const Value* stored = keys_.data() + static_cast<size_t>(k) * width_;
-    for (size_t i = 0; i < width_; ++i) {
-      if (!ValuesEqualStructural(stored[i], key[i])) return false;
-    }
-    return true;
-  }
-
-  // Doubles the bucket array (16 at first) and re-places every key id from
-  // its stored hash; the load factor stays at most 1/2.
-  void Grow() {
-    const size_t n = buckets_.empty() ? 16 : buckets_.size() * 2;
-    buckets_.assign(n, kNone);
-    shift_ = 64;
-    for (size_t i = n; i > 1; i >>= 1) --shift_;
-    const size_t mask = n - 1;
-    for (size_t k = 0; k < hashes_.size(); ++k) {
-      size_t b = Home(hashes_[k]);
-      while (buckets_[b] != kNone) b = (b + 1) & mask;
-      buckets_[b] = static_cast<int>(k);
-    }
-  }
-
-  size_t width_ = 0;
-  std::vector<Value> keys_;    // width_ values per distinct key
-  std::vector<size_t> hashes_;  // HashRow per distinct key
-  std::vector<int> head_;       // first build row per distinct key
-  std::vector<int> tail_;       // last build row per distinct key
-  std::vector<int> buckets_;    // distinct key id, or kNone
-  int shift_ = 64;              // 64 - log2(buckets_.size())
-  std::vector<Row> rows_;       // build rows in input order
-  std::vector<int> next_;       // next build row under the same key
+  KeyTable keys_;
+  std::vector<int> head_;  // first build row per key id
+  std::vector<int> tail_;  // last build row per key id
+  std::vector<Row> rows_;  // build rows in input order
+  std::vector<int> next_;  // next build row under the same key
 };
 
 // Mirrors the planner's subquery traversal order (pre-order, not descending
@@ -290,7 +221,7 @@ struct AggAccum {
   int64_t isum = 0;
   Value min;
   Value max;
-  std::unordered_map<Row, bool, RowHasher, RowEq> distinct;
+  KeyTable distinct;  // COUNT(DISTINCT)'s values seen, one column
 
   void Add(const Value& v, const Expr& agg) {
     if (agg.agg == AggFunc::kCountStar) {
@@ -298,10 +229,7 @@ struct AggAccum {
       return;
     }
     if (v.is_null()) return;
-    if (agg.agg_distinct) {
-      Row key{v};
-      if (!distinct.emplace(std::move(key), true).second) return;
-    }
+    if (agg.agg_distinct && !distinct.Insert(v).second) return;
     ++count;
     switch (agg.agg) {
       case AggFunc::kSum:
@@ -799,7 +727,8 @@ class NestedLoopJoinOperator final : public Operator {
         left_(std::move(left)),
         right_(std::move(right)),
         left_schema_(&node->children[0]->output),
-        right_schema_(&node->children[1]->output) {
+        right_schema_(&node->children[1]->output),
+        right_mem_(ctx->BufferReservation()) {
     combined_ = *left_schema_;
     combined_.insert(combined_.end(), right_schema_->begin(),
                      right_schema_->end());
@@ -813,7 +742,7 @@ class NestedLoopJoinOperator final : public Operator {
     left_done_ = false;
     right_cache_.clear();
     if (!node_->rescan_right) {
-      auto rows = DrainOperator(right_.get());
+      auto rows = DrainOperator(right_.get(), &right_mem_);
       if (!rows.ok()) return rows.status();
       right_cache_ = std::move(rows.value());
     }
@@ -844,6 +773,7 @@ class NestedLoopJoinOperator final : public Operator {
     left_->Close();
     right_->Close();
     right_cache_.clear();
+    right_mem_.Release();
   }
 
  private:
@@ -898,6 +828,7 @@ class NestedLoopJoinOperator final : public Operator {
   size_t left_pos_ = 0;
   bool left_done_ = false;
   std::vector<Row> right_cache_;
+  ScopedReservation right_mem_;  // right_cache_'s rows
 };
 
 // ---------------------------------------------------------------------------
@@ -1328,7 +1259,8 @@ class AggregateOperator final : public BufferedOperator {
                     std::unique_ptr<Operator> child)
       : BufferedOperator(ctx, node),
         child_(std::move(child)),
-        keys_(node->group_keys, &node->children[0]->output) {
+        keys_(node->group_keys, &node->children[0]->output),
+        input_mem_(ctx->BufferReservation()) {
     // COUNT(*) has no argument; it reads a NULL literal, which it ignores.
     static const ExprPtr kNoArg = MakeLiteral(Value::Null());
     std::vector<CompiledExpr> args;
@@ -1341,7 +1273,10 @@ class AggregateOperator final : public BufferedOperator {
     args_ = CompiledList(std::move(args), &node->children[0]->output);
   }
 
-  void Close() override { child_->Close(); }
+  void Close() override {
+    child_->Close();
+    input_mem_.Release();
+  }
 
  protected:
   Status Compute() override {
@@ -1355,7 +1290,7 @@ class AggregateOperator final : public BufferedOperator {
     const bool multi_set = sets.size() > 1;
     std::vector<Row> input;
     if (multi_set) {
-      auto rows = DrainOperator(child_.get());
+      auto rows = DrainOperator(child_.get(), &input_mem_);
       if (!rows.ok()) return rows.status();
       input = std::move(rows.value());
     }
@@ -1390,7 +1325,8 @@ class AggregateOperator final : public BufferedOperator {
 
  private:
   struct AggState {
-    std::unordered_map<Row, std::vector<AggAccum>, RowHasher, RowEq> groups;
+    KeyTable groups;
+    std::vector<AggAccum> accums;  // args_.size() per group, by group id
     std::optional<ScopedReservation> mem;
     bool spilled = false;
     int salt = 0;
@@ -1399,45 +1335,36 @@ class AggregateOperator final : public BufferedOperator {
 
   Status ConsumeRow(AggState& st, const std::vector<bool>& in_set,
                     const Row& r) {
-    // key_scratch_ is reused across rows; try_emplace only consumes it when
-    // a new group is created, so repeated keys allocate nothing. A key
-    // outside the grouping set reads NULL.
+    // key_scratch_ is reused across rows; the group table copies a key's
+    // values only when it is new. A key outside the grouping set reads NULL.
     Row& key = key_scratch_;
     CBQT_RETURN_IF_ERROR(keys_.Eval(ctx_->eval, r, &key));
     for (size_t g = 0; g < key.size(); ++g) {
       if (!in_set[g]) key[g] = Value::Null();
     }
-    std::vector<AggAccum>* accums = nullptr;
-    if (st.spilled) {
-      auto it = st.groups.find(key);
-      if (it == st.groups.end()) {
-        // Not resident: route to the key's partition for a later pass.
+    int group = st.groups.Find(key);
+    if (group == KeyTable::kNone) {
+      // Not resident once spilled: route to the key's partition for a
+      // later pass.
+      if (st.spilled) return st.parts[PartitionOfKey(key, st.salt)]->Append(r);
+      Status charged = ctx_->ChargeBufferedRow(
+          *st.mem, key, static_cast<int64_t>(args_.size() * sizeof(AggAccum)));
+      if (!charged.ok()) {
+        if (!ctx_->ShouldSpill(charged)) return charged;
+        // Switch to hybrid mode: keep every already-charged group
+        // aggregating in memory, and route the overflow keys (starting
+        // with this one) to partitions.
+        CBQT_RETURN_IF_ERROR(BeginAggSpill(st));
         return st.parts[PartitionOfKey(key, st.salt)]->Append(r);
       }
-      accums = &it->second;
-    } else {
-      auto [it, inserted] = st.groups.try_emplace(std::move(key));
-      if (inserted) {
-        it->second.resize(args_.size());
-        Status charged = ctx_->ChargeBufferedRow(
-            *st.mem, it->first,
-            static_cast<int64_t>(args_.size() * sizeof(AggAccum)));
-        if (!charged.ok()) {
-          if (!ctx_->ShouldSpill(charged)) return charged;
-          // Switch to hybrid mode: evict the uncharged group, keep every
-          // already-charged group aggregating in memory, and route the
-          // overflow keys (starting with this one) to partitions.
-          Row key_copy = it->first;
-          st.groups.erase(it);
-          CBQT_RETURN_IF_ERROR(BeginAggSpill(st));
-          return st.parts[PartitionOfKey(key_copy, st.salt)]->Append(r);
-        }
-      }
-      accums = &it->second;
+      group = st.groups.Insert(key).first;
+      st.accums.resize(st.accums.size() + args_.size());
     }
     CBQT_RETURN_IF_ERROR(args_.Eval(ctx_->eval, r, &arg_scratch_));
+    AggAccum* accums =
+        st.accums.data() + static_cast<size_t>(group) * args_.size();
     for (size_t a = 0; a < arg_scratch_.size(); ++a) {
-      (*accums)[a].Add(arg_scratch_[a], *node_->agg_exprs[a]);
+      accums[a].Add(arg_scratch_[a], *node_->agg_exprs[a]);
     }
     return Status::OK();
   }
@@ -1453,19 +1380,24 @@ class AggregateOperator final : public BufferedOperator {
     return Status::OK();
   }
 
-  /// Emits the state's resident groups and recursively re-aggregates its
-  /// partitions (each level uses a fresh hash salt).
+  /// Emits the state's resident groups, in the order their keys were first
+  /// seen, and recursively re-aggregates its partitions (each level uses a
+  /// fresh hash salt).
   Status FinishState(AggState& st, const std::vector<bool>& in_set, int depth,
                      int64_t* emitted) {
-    for (auto& [key, accums] : st.groups) {
-      Row r = key;
-      for (size_t a = 0; a < accums.size(); ++a) {
+    const size_t num_args = args_.size();
+    for (int g = 0; g < static_cast<int>(st.groups.size()); ++g) {
+      Row r(st.groups.key(g), st.groups.key(g) + st.groups.width());
+      const AggAccum* accums =
+          st.accums.data() + static_cast<size_t>(g) * num_args;
+      for (size_t a = 0; a < num_args; ++a) {
         r.push_back(accums[a].Finish(*node_->agg_exprs[a]));
       }
       pending_.push_back(std::move(r));
       ++*emitted;
     }
-    st.groups.clear();
+    st.groups.Clear();
+    st.accums.clear();
     if (st.mem) st.mem->Release();
     if (!st.spilled) return Status::OK();
     for (SpillFile* f : st.parts) {
@@ -1492,6 +1424,7 @@ class AggregateOperator final : public BufferedOperator {
   CompiledList args_;  // one per aggregate
   Row key_scratch_;
   Row arg_scratch_;
+  ScopedReservation input_mem_;  // the input, drained for grouping sets
 };
 
 // ---------------------------------------------------------------------------
@@ -1662,7 +1595,7 @@ class DistinctOperator final : public Operator {
       : Operator(ctx, node), child_(std::move(child)) {}
 
   Status Open() override {
-    seen_.clear();
+    seen_.Clear();
     parts_.clear();
     pending_.clear();
     pending_pos_ = 0;
@@ -1709,31 +1642,30 @@ class DistinctOperator final : public Operator {
 
   void Close() override {
     child_->Close();
-    seen_.clear();
+    seen_.Clear();
     pending_.clear();
     if (res_) res_->Release();
   }
 
  private:
-  /// One dedup step: true when `r` is new and stays resident in `seen`
-  /// (the caller emits it). Once `parts` (salted `salt`) are open, a row
-  /// not resident goes to its partition; the first row whose charge fails
-  /// is evicted, opens them and goes there too. The resident set stays
-  /// live both as emitted output and as the dedup filter for the rest.
-  Result<bool> Dedup(SeenMap& seen, ScopedReservation& res,
+  /// One dedup step: true when `r` is new and now resident in `seen` (the
+  /// caller emits it). A new row is charged before it is inserted. Once
+  /// `parts` (salted `salt`) are open, a row not resident goes to its
+  /// partition; the first row whose charge fails opens them and goes there
+  /// too. The resident set stays live both as emitted output and as the
+  /// dedup filter for the rest.
+  Result<bool> Dedup(KeyTable& seen, ScopedReservation& res,
                      std::vector<SpillFile*>* parts, int salt, const Row& r) {
-    if (!parts->empty()) {
-      if (seen.count(r) > 0) return false;  // already emitted in memory
-      CBQT_RETURN_IF_ERROR((*parts)[PartitionOfKey(r, salt)]->Append(r));
-      return false;
+    if (seen.Find(r) != KeyTable::kNone) return false;  // already emitted
+    if (parts->empty()) {
+      Status st = ctx_->ChargeBufferedRow(res, r);
+      if (st.ok()) {
+        seen.Insert(r);
+        return true;
+      }
+      if (!ctx_->ShouldSpill(st)) return st;
+      CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", parts));
     }
-    auto [it, inserted] = seen.emplace(r, true);
-    if (!inserted) return false;
-    Status st = ctx_->ChargeBufferedRow(res, r);
-    if (st.ok()) return true;
-    if (!ctx_->ShouldSpill(st)) return st;
-    seen.erase(it);
-    CBQT_RETURN_IF_ERROR(OpenSpillPartitions(ctx_, "distinct", parts));
     CBQT_RETURN_IF_ERROR((*parts)[PartitionOfKey(r, salt)]->Append(r));
     return false;
   }
@@ -1747,7 +1679,7 @@ class DistinctOperator final : public Operator {
           "distinct spill recursion depth exceeded (adversarial key "
           "distribution)");
     }
-    SeenMap local;
+    KeyTable local;
     ScopedReservation res = ctx_->BufferReservation();
     std::vector<SpillFile*> subparts;
     CBQT_RETURN_IF_ERROR(WalkSpill(
@@ -1768,7 +1700,7 @@ class DistinctOperator final : public Operator {
 
   std::unique_ptr<Operator> child_;
   RowBatch in_;
-  SeenMap seen_;
+  KeyTable seen_;
   std::optional<ScopedReservation> res_;
   std::vector<SpillFile*> parts_;  // open once the stream has spilled
   std::vector<Row> pending_;
@@ -1785,10 +1717,13 @@ class SetOpOperator final : public BufferedOperator {
  public:
   SetOpOperator(ExecContext* ctx, const PlanNode* node,
                 std::vector<std::unique_ptr<Operator>> children)
-      : BufferedOperator(ctx, node), children_(std::move(children)) {}
+      : BufferedOperator(ctx, node),
+        children_(std::move(children)),
+        inputs_mem_(ctx->BufferReservation()) {}
 
   void Close() override {
     for (auto& c : children_) c->Close();
+    inputs_mem_.Release();
   }
 
  protected:
@@ -1796,60 +1731,44 @@ class SetOpOperator final : public BufferedOperator {
     std::vector<std::vector<Row>> inputs;
     inputs.reserve(children_.size());
     for (auto& c : children_) {
-      auto rows = DrainOperator(c.get());
+      auto rows = DrainOperator(c.get(), &inputs_mem_);
       if (!rows.ok()) return rows.status();
       inputs.push_back(std::move(rows.value()));
     }
     switch (node_->set_op) {
-      case SetOpKind::kUnionAll: {
-        for (auto& in : inputs) {
-          CBQT_RETURN_IF_ERROR(
-              ctx_->CountBatch(static_cast<int64_t>(in.size())));
-          for (auto& r : in) pending_.push_back(std::move(r));
-        }
-        break;
-      }
+      case SetOpKind::kUnionAll:
       case SetOpKind::kUnion: {
-        SeenMap seen;
+        const bool dedup = node_->set_op == SetOpKind::kUnion;
+        KeyTable seen;
         for (auto& in : inputs) {
           CBQT_RETURN_IF_ERROR(
               ctx_->CountBatch(static_cast<int64_t>(in.size())));
           for (auto& r : in) {
-            if (seen.emplace(r, true).second) pending_.push_back(std::move(r));
+            if (!dedup || seen.Insert(r).second) {
+              pending_.push_back(std::move(r));
+            }
           }
         }
         break;
       }
-      case SetOpKind::kIntersect: {
-        // Set semantics; NULLs match (paper §2.2.7).
-        SeenMap right;
-        for (size_t b = 1; b < inputs.size(); ++b) {
-          CBQT_RETURN_IF_ERROR(
-              ctx_->CountBatch(static_cast<int64_t>(inputs[b].size())));
-          for (auto& r : inputs[b]) right.emplace(std::move(r), true);
-        }
-        SeenMap emitted;
-        CBQT_RETURN_IF_ERROR(
-            ctx_->CountBatch(static_cast<int64_t>(inputs[0].size())));
-        for (auto& r : inputs[0]) {
-          if (right.count(r) > 0 && emitted.emplace(r, true).second) {
-            pending_.push_back(std::move(r));
-          }
-        }
-        break;
-      }
+      case SetOpKind::kIntersect:
       case SetOpKind::kMinus: {
-        SeenMap right;
+        // Set semantics; NULLs match (paper §2.2.7). Each distinct row of
+        // the first input is kept when a later input holds it (INTERSECT)
+        // or when none does (MINUS).
+        const bool keep_found = node_->set_op == SetOpKind::kIntersect;
+        KeyTable later;
         for (size_t b = 1; b < inputs.size(); ++b) {
           CBQT_RETURN_IF_ERROR(
               ctx_->CountBatch(static_cast<int64_t>(inputs[b].size())));
-          for (auto& r : inputs[b]) right.emplace(std::move(r), true);
+          for (const Row& r : inputs[b]) later.Insert(r);
         }
-        SeenMap emitted;
+        KeyTable emitted;
         CBQT_RETURN_IF_ERROR(
             ctx_->CountBatch(static_cast<int64_t>(inputs[0].size())));
         for (auto& r : inputs[0]) {
-          if (right.count(r) == 0 && emitted.emplace(r, true).second) {
+          const bool found = later.Find(r) != KeyTable::kNone;
+          if (found == keep_found && emitted.Insert(r).second) {
             pending_.push_back(std::move(r));
           }
         }
@@ -1863,6 +1782,7 @@ class SetOpOperator final : public BufferedOperator {
 
  private:
   std::vector<std::unique_ptr<Operator>> children_;
+  ScopedReservation inputs_mem_;  // the drained inputs
 };
 
 // ---------------------------------------------------------------------------
@@ -1938,7 +1858,9 @@ class WindowOperator final : public BufferedOperator {
  public:
   WindowOperator(ExecContext* ctx, const PlanNode* node,
                  std::unique_ptr<Operator> child)
-      : BufferedOperator(ctx, node), child_(std::move(child)) {
+      : BufferedOperator(ctx, node),
+        child_(std::move(child)),
+        input_mem_(ctx->BufferReservation()) {
     const Schema* in_schema = &node->children[0]->output;
     for (const auto& win : node->window_exprs) {
       wins_.push_back({CompiledList(win->partition_by, in_schema),
@@ -1947,11 +1869,14 @@ class WindowOperator final : public BufferedOperator {
     }
   }
 
-  void Close() override { child_->Close(); }
+  void Close() override {
+    child_->Close();
+    input_mem_.Release();
+  }
 
  protected:
   Status Compute() override {
-    auto drained = DrainOperator(child_.get());
+    auto drained = DrainOperator(child_.get(), &input_mem_);
     if (!drained.ok()) return drained.status();
     std::vector<Row> input = std::move(drained.value());
     EvalContext& ev = ctx_->eval;
@@ -1959,18 +1884,23 @@ class WindowOperator final : public BufferedOperator {
     std::vector<std::vector<Value>> win_cols(
         node_->window_exprs.size(), std::vector<Value>(n, Value::Null()));
 
+    KeyTable parts;
+    std::vector<std::vector<size_t>> members;  // input row indexes, by part
+    Row key;
     for (size_t w = 0; w < node_->window_exprs.size(); ++w) {
       const Expr& win = *node_->window_exprs[w];
       const CompiledWindow& cw = wins_[w];
       CBQT_RETURN_IF_ERROR(ctx_->CountBatch(static_cast<int64_t>(n)));
       // Partition rows.
-      std::unordered_map<Row, std::vector<size_t>, RowHasher, RowEq> parts;
+      parts.Clear();
+      members.clear();
       for (size_t i = 0; i < n; ++i) {
-        Row key;
         CBQT_RETURN_IF_ERROR(cw.partition_by.Eval(ev, input[i], &key));
-        parts[std::move(key)].push_back(i);
+        const auto [part, fresh] = parts.Insert(key);
+        if (fresh) members.emplace_back();
+        members[static_cast<size_t>(part)].push_back(i);
       }
-      for (auto& [key, indices] : parts) {
+      for (const std::vector<size_t>& indices : members) {
         // Sort the partition by the window ORDER BY keys.
         std::vector<Row> order_keys(indices.size());
         for (size_t k = 0; k < indices.size(); ++k) {
@@ -2032,6 +1962,7 @@ class WindowOperator final : public BufferedOperator {
 
   std::unique_ptr<Operator> child_;
   std::vector<CompiledWindow> wins_;  // one per window expression
+  ScopedReservation input_mem_;       // the drained input
 };
 
 // ---------------------------------------------------------------------------
@@ -2067,64 +1998,54 @@ class CachingSubqueryResolver : public SubqueryResolver {
       if (!v.ok()) return v.status();
       key.push_back(std::move(v.value()));
     }
-    auto& cache = caches_[i];
-    auto hit = cache.find(key);
-    if (hit != cache.end()) {
+    Cache& cache = caches_[i];
+    const int hit = cache.keys.Find(key);
+    if (hit != KeyTable::kNone) {
       ++ctx_->stats.subquery_cache_hits;
-      return MakeView(hit->second);
+      return View(cache.results[static_cast<size_t>(hit)]);
     }
     ++ctx_->stats.subquery_executions;
     auto op = OperatorFactory::Build(*node_.subplans[i], ctx_);
     if (!op.ok()) return op.status();
-    auto rows = DrainOperator(op.value().get());
+    auto rows = DrainOperator(op.value().get(), &mem_);
     if (!rows.ok()) return rows.status();
-    if (ctx_->charge_memory()) {
-      for (const Row& r : rows.value()) {
-        CBQT_RETURN_IF_ERROR(ctx_->ChargeBufferedRow(mem_, r));
+    cache.keys.Insert(key);
+    CachedResult& cached = cache.results.emplace_back();
+    cached.rows = std::move(rows.value());
+    // The index makes IN / NOT IN probes O(1) instead of a scan of the
+    // cached result per outer row.
+    for (const Row& r : cached.rows) {
+      for (const Value& v : r) {
+        if (v.is_null()) cached.has_null = true;
       }
+      cached.row_set.Insert(r);
     }
-    auto [pos, inserted] = cache.emplace(std::move(key), CachedResult{});
-    (void)inserted;
-    pos->second.rows = std::move(rows.value());
-    return MakeView(pos->second);
+    return View(cached);
   }
 
  private:
   struct CachedResult {
     std::vector<Row> rows;
-    std::unique_ptr<std::unordered_set<Row, RowHasher, RowEq>> row_set;
+    KeyTable row_set;  // the rows, as the IN / NOT IN probe index
     bool has_null = false;
   };
 
-  // Builds (and lazily indexes) the view handed to the evaluator. The hash
-  // index makes IN / NOT IN probes O(1) instead of a scan of the cached
-  // result per outer row.
-  static SubqueryResultView MakeView(CachedResult& cached) {
-    if (cached.row_set == nullptr) {
-      cached.row_set =
-          std::make_unique<std::unordered_set<Row, RowHasher, RowEq>>();
-      for (const Row& r : cached.rows) {
-        bool null_in_row = false;
-        for (const Value& v : r) {
-          if (v.is_null()) null_in_row = true;
-        }
-        if (null_in_row) cached.has_null = true;
-        cached.row_set->insert(r);
-      }
-    }
-    SubqueryResultView view;
-    view.rows = &cached.rows;
-    view.row_set = cached.row_set.get();
-    view.has_null = cached.has_null;
-    return view;
+  // One subplan's cache: a result per correlation key id. A deque keeps a
+  // handed-out view's result in place while later keys are added.
+  struct Cache {
+    KeyTable keys;
+    std::deque<CachedResult> results;
+  };
+
+  static SubqueryResultView View(const CachedResult& cached) {
+    return SubqueryResultView{&cached.rows, &cached.row_set, cached.has_null};
   }
 
   const PlanNode& node_;
   ExecContext* ctx_;
   ScopedReservation mem_;  // the cached result rows
   std::map<const Expr*, size_t> index_;
-  std::vector<std::unordered_map<Row, CachedResult, RowHasher, RowEq>>
-      caches_;
+  std::vector<Cache> caches_;  // one per subplan
 };
 
 class SubqueryFilterOperator final : public Operator {
@@ -2239,20 +2160,28 @@ Result<std::unique_ptr<Operator>> OperatorFactory::Build(const PlanNode& node,
   return op;
 }
 
-Result<std::vector<Row>> DrainOperator(Operator* op) {
+Result<std::vector<Row>> DrainOperator(Operator* op,
+                                       ScopedReservation* charge) {
+  ExecContext* ctx = op->context();
+  if (!ctx->charge_memory()) charge = nullptr;
   CBQT_RETURN_IF_ERROR(op->Open());
   std::vector<Row> out;
   RowBatch b;
-  for (;;) {
+  Status st = Status::OK();
+  while (st.ok()) {
     auto more = op->NextBatch(&b);
-    if (!more.ok()) {
-      op->Close();
-      return more.status();
+    if (!more.ok()) st = more.status();
+    if (!st.ok() || !more.value()) break;
+    for (Row& r : b.rows()) {
+      if (charge != nullptr) {
+        st = ctx->ChargeBuffered(*charge, EstimateRowBytes(r));
+        if (!st.ok()) break;
+      }
+      out.push_back(std::move(r));
     }
-    if (!more.value()) break;
-    for (auto& r : b.rows()) out.push_back(std::move(r));
   }
   op->Close();
+  if (!st.ok()) return st;
   return out;
 }
 

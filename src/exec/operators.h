@@ -118,6 +118,7 @@ class Operator {
   virtual void Close() {}
 
   const PlanNode& node() const { return *node_; }
+  ExecContext* context() const { return ctx_; }
 
  protected:
   ExecContext* ctx_;
@@ -133,8 +134,14 @@ class OperatorFactory {
 };
 
 /// Open → pull every batch → Close, materializing the full result. Used by
-/// the executor for the root and internally for subplans / build sides.
-Result<std::vector<Row>> DrainOperator(Operator* op);
+/// the executor for the root and internally for buffered inputs and TIS
+/// subplans. With `charge`, a query that accounts memory charges each row
+/// to it as it arrives, and a failed charge fails the drain (typed
+/// kResourceExhausted over budget; there is no spill path); the caller
+/// releases `charge` when it drops the rows. The executor's root drain is
+/// the caller's result and passes none.
+Result<std::vector<Row>> DrainOperator(Operator* op,
+                                       ScopedReservation* charge = nullptr);
 
 }  // namespace cbqt
 

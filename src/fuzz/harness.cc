@@ -10,7 +10,6 @@
 #include "fuzz/mutator.h"
 #include "fuzz/shrinker.h"
 #include "parser/parser.h"
-#include "sql/signature.h"
 #include "sql/unparser.h"
 #include "workload/runner.h"
 
@@ -25,12 +24,13 @@ uint64_t MixSeed(uint64_t seed, uint64_t i) {
   return x ^ (x >> 31);
 }
 
-// Parse + bind + signature, or empty on failure.
-std::string BoundSignature(const Database& db, const std::string& sql) {
+// True when `sql` parses and binds to a block equal to `bound`.
+bool ReparsesToEqualBlock(const Database& db, const std::string& sql,
+                          const QueryBlock& bound) {
   auto parsed = ParseSql(sql);
-  if (!parsed.ok()) return "";
-  if (!BindQuery(db, parsed.value().get()).ok()) return "";
-  return BlockSignature(*parsed.value());
+  if (!parsed.ok()) return false;
+  if (!BindQuery(db, parsed.value().get()).ok()) return false;
+  return BlockEquals(bound, *parsed.value());
 }
 
 }  // namespace
@@ -165,16 +165,15 @@ FuzzReport RunFuzz(const Database& db, const FuzzOptions& options) {
       continue;
     }
 
-    // Leg 2: unparser round-trip — Parse(BlockToSql(q)) re-binds to an
-    // equal block signature.
-    std::string sig1 = BlockSignature(*parsed.value());
+    // Leg 2: unparser round-trip — Parse(BlockToSql(q)) re-binds to a
+    // block equal to the bound original (BlockEquals: no reordering is
+    // forgiven).
     std::string rendered = BlockToSql(*parsed.value());
-    std::string sig2 = BoundSignature(db, rendered);
-    if (sig1.empty() || sig1 != sig2) {
+    if (!ReparsesToEqualBlock(db, rendered, *parsed.value())) {
       ++report.roundtrip_failures;
       record_failure(round_seed,
                      {"roundtrip", sql,
-                      "unparse->reparse signature mismatch; rendered: " +
+                      "unparse->reparse block mismatch; rendered: " +
                           rendered});
       continue;
     }

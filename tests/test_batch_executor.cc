@@ -32,6 +32,7 @@
 #include "common/result_compare.h"
 #include "exec/compiled_expr.h"
 #include "exec/eval.h"
+#include "exec/operators.h"
 #include "exec/prune.h"
 #include "exec/reference.h"
 #include "sql/parameterize.h"
@@ -47,6 +48,26 @@ void ExpectSameRows(std::vector<Row> actual, std::vector<Row> expected,
                     const std::string& label) {
   RowSetDiff diff = CompareRowMultisets(actual, expected);
   ASSERT_TRUE(diff.equal) << label << ": " << diff.message;
+}
+
+// Row-by-row identity: same width, and each value of the same kind and value,
+// where a NaN equals a NaN (Value's operator== says it does not), so rows
+// holding one can be compared.
+bool IdenticalRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t j = 0; j < a[i].size(); ++j) {
+      const Value& x = a[i][j];
+      const Value& y = b[i][j];
+      const bool both_nan = x.kind() == ValueKind::kDouble &&
+                            y.kind() == ValueKind::kDouble &&
+                            std::isnan(x.AsDouble()) &&
+                            std::isnan(y.AsDouble());
+      if (!both_nan && !(x == y)) return false;
+    }
+  }
+  return true;
 }
 
 class BatchExecutorTest : public ::testing::Test {
@@ -343,6 +364,81 @@ TEST_F(BatchExecutorTest, SubqueryCachingSurvivesBatching) {
   }
 }
 
+// The first node of `op` in `plan`, in pre-order over children, or null.
+const PlanNode* FindOp(const PlanNode& plan, PlanOp op) {
+  if (plan.op == op) return &plan;
+  for (const auto& c : plan.children) {
+    if (const PlanNode* n = FindOp(*c, op)) return n;
+  }
+  return nullptr;
+}
+
+// The buffers an operator drains whole before it emits a row are charged to
+// the query's memory budget as they fill: a window's input, a set
+// operation's inputs, a nested-loop join's cached right side and a
+// grouping-sets aggregate's input. The query's peak is at least the bytes of
+// the drained rows, less the one charge quantum a reservation may hold back,
+// and a budget below them fails the query typed (those buffers do not
+// spill).
+TEST_F(BatchExecutorTest, DrainedInputsAreChargedToTheQueryBudget) {
+  const struct {
+    const char* sql;
+    PlanOp op;
+  } cases[] = {
+      {"SELECT e.emp_id, e.dept_id, SUM(e.salary) OVER (PARTITION BY "
+       "e.dept_id ORDER BY e.emp_id) FROM employees e",
+       PlanOp::kWindow},
+      {"SELECT e.emp_id, e.salary FROM employees e WHERE e.salary > 60000 "
+       "UNION ALL SELECT e.emp_id, e.salary FROM employees e WHERE e.salary "
+       "<= 60000",
+       PlanOp::kSetOp},
+      {"SELECT d.dept_name, e.emp_id FROM departments d, employees e WHERE "
+       "e.salary > d.budget",
+       PlanOp::kNestedLoopJoin},
+      {"SELECT e.dept_id, e.job_id, COUNT(*) FROM employees e GROUP BY "
+       "GROUPING SETS ((e.dept_id), (e.job_id))",
+       PlanOp::kAggregate},
+  };
+  for (const auto& c : cases) {
+    CbqtConfig cfg;
+    cfg.guardrails.query_memory_bytes = int64_t{1} << 30;
+    QueryEngine engine(*db_, cfg);
+    auto run = engine.Run(c.sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString() << "\n" << c.sql;
+
+    // The drained rows: the inputs of the operator in the plan the engine
+    // ran, with the scan columns narrowed as the executor narrows them.
+    const PlanNode& plan = *run->prepared.plan;
+    PlanPtr pruned = PruneScanColumns(plan);
+    const PlanNode* node = FindOp(pruned != nullptr ? *pruned : plan, c.op);
+    ASSERT_NE(node, nullptr) << c.sql;
+    std::vector<const PlanNode*> drained;
+    for (const auto& child : node->children) drained.push_back(child.get());
+    if (c.op == PlanOp::kNestedLoopJoin) {
+      ASSERT_FALSE(node->rescan_right) << c.sql;
+      drained.erase(drained.begin());  // the streamed left side
+    } else if (c.op == PlanOp::kAggregate) {
+      ASSERT_GT(node->grouping_sets.size(), size_t{1}) << c.sql;
+    }
+    int64_t bytes = 0;
+    for (const PlanNode* d : drained) {
+      auto rows = Run(*d, ExecOptions{});
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString() << "\n" << c.sql;
+      for (const Row& r : rows.value().rows) bytes += EstimateRowBytes(r);
+    }
+    ASSERT_GT(bytes, 4 * ExecContext::kChargeQuantumBytes) << c.sql;
+    EXPECT_GT(run->peak_memory_bytes,
+              bytes - ExecContext::kChargeQuantumBytes)
+        << c.sql;
+
+    cfg.guardrails.query_memory_bytes = bytes / 2;
+    QueryEngine tight(*db_, cfg);
+    auto failed = tight.Run(c.sql);
+    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+        << failed.status().ToString() << "\n" << c.sql;
+  }
+}
+
 // Every node's output schema, in pre-order over children and subplans.
 void CollectOutputs(const PlanNode& node, std::vector<Schema>* out) {
   out->push_back(node.output);
@@ -569,7 +665,7 @@ class ScanKernelTest : public ::testing::Test {
     ReferenceExecutor reference(*db_);
     auto ref = reference.Execute(*qb);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
-    EXPECT_TRUE(Identical(ById(ref.value()), ById(tree)))
+    EXPECT_TRUE(IdenticalRows(ById(ref.value()), ById(tree)))
         << "reference vs tree: " << sql;
     ExpectSameRows(ref.value(), tree, "reference vs tree: " + sql);
     for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
@@ -579,30 +675,11 @@ class ScanKernelTest : public ::testing::Test {
       auto got = exec.Execute(*scan);
       ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << where;
       const std::string label = where + " batch=" + std::to_string(batch);
-      EXPECT_TRUE(Identical(got.value().rows, tree)) << label;
+      EXPECT_TRUE(IdenticalRows(got.value().rows, tree)) << label;
       EXPECT_EQ(got.value().stats.rows_processed,
                 static_cast<int64_t>(candidates.size()))
           << label;
     }
-  }
-
-  /// Row equality where a NaN equals a NaN (Value's operator== says it
-  /// does not), so rows holding one can be compared.
-  static bool Identical(const std::vector<Row>& a, const std::vector<Row>& b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].size() != b[i].size()) return false;
-      for (size_t j = 0; j < a[i].size(); ++j) {
-        const Value& x = a[i][j];
-        const Value& y = b[i][j];
-        const bool both_nan = x.kind() == ValueKind::kDouble &&
-                              y.kind() == ValueKind::kDouble &&
-                              std::isnan(x.AsDouble()) &&
-                              std::isnan(y.AsDouble());
-        if (!both_nan && !(x == y)) return false;
-      }
-    }
-    return true;
   }
 
   /// `rows` ordered by their id column (unique).
@@ -719,7 +796,9 @@ TEST(FilterKernelForm, SlotCompareConstantWithTheConstantOnEitherSide) {
 
 // Build tables hold (v, k); probe tables hold (id, k). v and id number the
 // rows in input order, so an ordered compare pins which build rows matched
-// each probe row and in what order.
+// each probe row and in what order. The same fixture checks the key table's
+// other users — aggregate groups, COUNT(DISTINCT), DISTINCT and the set
+// operations — on (v, k) tables whose k mixes value kinds.
 class JoinTableTest : public ::testing::Test {
  protected:
   static constexpr int kBigBuildRows = 120000;
@@ -771,6 +850,36 @@ class JoinTableTest : public ::testing::Test {
     AddTable("mb", "v", DataType::kInt64, std::move(mid_build));
     AddTable("mbn", "v", DataType::kInt64, std::move(mid_build_nn));
     AddTable("mp", "id", DataType::kInt64, std::move(mid_probe));
+
+    // Group keys of every kind: Int meeting Real both ways (3 then 3.0,
+    // 2.0 then 2), NULLs, strings, a string that spells a number, bools;
+    // v repeats so COUNT(DISTINCT v) differs from COUNT(*).
+    const Value nan = Value::Real(std::nan(""));
+    AddTable("gk", "v", DataType::kInt64,
+             {{I(0), I(3)},     {I(1), S("b")},     {I(2), null},
+              {I(0), R(2.0)},   {I(1), I(2)},       {I(2), S("a")},
+              {I(0), I(3)},     {I(3), null},       {I(1), R(2.5)},
+              {I(1), S("b")},   {I(4), I(7)},       {I(2), R(7.0)},
+              {I(0), R(3.0)},   {I(5), S("2")},     {I(1), B(true)},
+              {I(2), I(1)},     {I(6), B(true)},    {I(3), R(2.0)}});
+    // NaN keys among strings and NULLs (no other number for a NaN to
+    // compare equal to).
+    AddTable("gn", "v", DataType::kInt64,
+             {{I(0), nan},   {I(1), S("x")}, {I(2), null}, {I(3), nan},
+              {I(0), S("y")}, {I(1), S("x")}, {I(2), null}, {I(4), nan}});
+    // Int(2) meets Real(2.0), NULLs and NaNs, each twice or more.
+    AddTable("gs", "v", DataType::kInt64,
+             {{I(0), I(2)},   {I(1), R(2.0)}, {I(2), null}, {I(3), nan},
+              {I(4), null},   {I(5), nan},    {I(6), R(2.5)}, {I(7), I(2)}});
+    // Set-operation inputs: duplicates and NULLs on both sides, and
+    // (2, 'x') in sa meeting (2.0, 'x') in sb.
+    AddTable("sa", "v", DataType::kInt64,
+             {{I(1), null},  {I(1), null},   {I(2), S("x")}, {null, null},
+              {I(2), S("x")}, {I(3), S("y")}, {null, S("z")}, {I(4), S("w")},
+              {null, null},   {I(3), S("y")}});
+    AddTable("sb", "v", DataType::kInt64,
+             {{R(2.0), S("x")}, {null, null},   {null, null}, {I(1), S("q")},
+              {I(4), S("w")},   {I(4), S("w")}, {I(5), null}});
   }
 
   static void TearDownTestSuite() {
@@ -779,12 +888,15 @@ class JoinTableTest : public ::testing::Test {
   }
 
   static Value I(int64_t v) { return Value::Int(v); }
+  static Value R(double v) { return Value::Real(v); }
+  static Value S(const char* v) { return Value::Str(v); }
+  static Value B(bool v) { return Value::Boolean(v); }
 
   static void AddTable(const std::string& name, const std::string& first,
                        DataType key_type, std::vector<Row> rows) {
     TableDef def;
     def.name = name;
-    def.columns = {ColumnDef{first, DataType::kInt64, false},
+    def.columns = {ColumnDef{first, DataType::kInt64, true},
                    ColumnDef{"k", key_type, true}};
     ASSERT_TRUE(db_->CreateTable(std::move(def)).ok()) << name;
     ASSERT_TRUE(db_->InsertBulk(name, std::move(rows)).ok()) << name;
@@ -827,6 +939,37 @@ class JoinTableTest : public ::testing::Test {
     return std::move(result.value().rows);
   }
 
+  /// SELECT table.k, aggs... FROM table GROUP BY table.k; no key when
+  /// `grouped` is false.
+  static std::unique_ptr<PlanNode> Aggregate(const std::string& table,
+                                             std::vector<ExprPtr> aggs,
+                                             bool grouped = true) {
+    auto n = std::make_unique<PlanNode>(PlanOp::kAggregate);
+    if (grouped) {
+      n->group_keys.push_back(MakeColumnRef(table, "k"));
+      n->output.push_back(ColumnSlot{"", "k", DataType::kUnknown});
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      n->output.push_back(
+          ColumnSlot{"", "a" + std::to_string(a), DataType::kUnknown});
+    }
+    n->agg_exprs = std::move(aggs);
+    n->children.push_back(Scan(table));
+    return n;
+  }
+
+  /// SELECT DISTINCT table.k FROM table.
+  static std::unique_ptr<PlanNode> DistinctK(const std::string& table) {
+    auto project = std::make_unique<PlanNode>(PlanOp::kProject);
+    project->children.push_back(Scan(table));
+    project->projections.push_back(MakeColumnRef(table, "k"));
+    project->output = {ColumnSlot{table, "k", DataType::kUnknown}};
+    auto n = std::make_unique<PlanNode>(PlanOp::kDistinct);
+    n->output = project->output;
+    n->children.push_back(std::move(project));
+    return n;
+  }
+
   /// Runs `plan` in memory at batch sizes 1, 3 and 1024 and requires
   /// exactly `expected`, in order.
   static void ExpectOrderedRows(const PlanNode& plan,
@@ -838,7 +981,8 @@ class JoinTableTest : public ::testing::Test {
       std::vector<Row> got = Execute(plan, std::move(opts));
       EXPECT_EQ(Render(got), Render(expected))
           << label << " batch=" << batch;
-      EXPECT_TRUE(got == expected) << label << " batch=" << batch;
+      EXPECT_TRUE(IdenticalRows(got, expected))
+          << label << " batch=" << batch;
     }
   }
 
@@ -1118,6 +1262,121 @@ TEST_F(JoinTableTest, SpillPartitionsOfThousandsOfRowsKeepEveryRow) {
                      std::string(c.name) + " budget=" +
                          std::to_string(budget));
     }
+  }
+}
+
+// GROUP BY emits its groups in the order their keys first appear in its
+// input — the reference interpreter's order — at every batch size, over
+// keys of every kind.
+TEST_F(JoinTableTest, GroupByEmitsGroupsInFirstSeenOrder) {
+  for (const char* t : {"gk", "gn"}) {
+    const std::string table = t;
+    const std::string col = table + ".v";
+    const std::vector<Row> expected = Reference(
+        "SELECT " + table + ".k, COUNT(*), SUM(" + col + "), MIN(" + col +
+        "), COUNT(DISTINCT " + col + ") FROM " + table + " GROUP BY " +
+        table + ".k");
+    ASSERT_GE(expected.size(), size_t{4}) << table;
+    std::vector<ExprPtr> aggs;
+    aggs.push_back(MakeCountStar());
+    aggs.push_back(MakeAggregate(AggFunc::kSum, MakeColumnRef(table, "v")));
+    aggs.push_back(MakeAggregate(AggFunc::kMin, MakeColumnRef(table, "v")));
+    aggs.push_back(
+        MakeAggregate(AggFunc::kCount, MakeColumnRef(table, "v"), true));
+    ExpectOrderedRows(*Aggregate(table, std::move(aggs)), expected,
+                      "group by " + table + ".k");
+    ExpectOrderedRows(*DistinctK(table),
+                      Reference("SELECT DISTINCT " + table + ".k FROM " +
+                                table),
+                      "distinct " + table + ".k");
+  }
+}
+
+// Keys compare structurally: Int(2) and Real(2.0) are one group and one
+// DISTINCT row (keeping the first-seen Int), NULLs are one group and so are
+// NaNs, and COUNT(DISTINCT) counts 2 and 2.0 once.
+TEST_F(JoinTableTest, KeysCompareStructurally) {
+  const Value n = Value::Null();
+  const Value nan = R(std::nan(""));
+  std::vector<ExprPtr> count;
+  count.push_back(MakeCountStar());
+  ExpectOrderedRows(*Aggregate("gs", std::move(count)),
+                    {{I(2), I(3)}, {n, I(2)}, {nan, I(2)}, {R(2.5), I(1)}},
+                    "group by gs.k");
+  ExpectOrderedRows(*DistinctK("gs"), {{I(2)}, {n}, {nan}, {R(2.5)}},
+                    "distinct gs.k");
+  std::vector<ExprPtr> counts;
+  counts.push_back(MakeAggregate(AggFunc::kCount, MakeColumnRef("gs", "k")));
+  counts.push_back(
+      MakeAggregate(AggFunc::kCount, MakeColumnRef("gs", "k"), true));
+  ExpectOrderedRows(*Aggregate("gs", std::move(counts), false),
+                    {{I(6), I(3)}}, "count(distinct gs.k)");
+}
+
+// 110k distinct keys grow each table through many doublings and still come
+// out in first-seen order; under a 1 MiB budget the grouped aggregate and
+// the DISTINCT spill and return the in-memory rows as a multiset.
+TEST_F(JoinTableTest, ManyKeysKeepFirstSeenOrderAndSpill) {
+  // big_b holds keys 0..109999 once in order, then 0..4999 twice more.
+  std::vector<Row> groups, keys;
+  for (int k = 0; k < kBigDistinctKeys; ++k) {
+    const int64_t rows = k < 5000 ? 3 : 1;
+    groups.push_back({I(k), I(rows), I(rows)});
+    keys.push_back({I(k)});
+  }
+  std::vector<ExprPtr> aggs;
+  aggs.push_back(MakeCountStar());
+  aggs.push_back(
+      MakeAggregate(AggFunc::kCount, MakeColumnRef("big_b", "v"), true));
+  auto grouped = Aggregate("big_b", std::move(aggs));
+  auto distinct = DistinctK("big_b");
+  std::vector<ExprPtr> scalar;
+  scalar.push_back(MakeCountStar());
+  scalar.push_back(
+      MakeAggregate(AggFunc::kCount, MakeColumnRef("big_b", "k"), true));
+  auto counted = Aggregate("big_b", std::move(scalar), false);
+
+  EXPECT_TRUE(IdenticalRows(Execute(*grouped, ExecOptions{}), groups));
+  EXPECT_TRUE(IdenticalRows(Execute(*distinct, ExecOptions{}), keys));
+  EXPECT_TRUE(IdenticalRows(Execute(*counted, ExecOptions{}),
+                            {{I(kBigBuildRows), I(kBigDistinctKeys)}}));
+  for (const PlanNode* plan : {grouped.get(), distinct.get()}) {
+    MemoryTracker tracker("query", int64_t{1} << 20);
+    ExecOptions opts;
+    opts.guards.memory = &tracker;
+    Executor exec(*db_, std::move(opts));
+    auto spilled = exec.Execute(*plan);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    EXPECT_GE(spilled.value().stats.spilled_operators, 1);
+    ExpectSameRows(std::move(spilled.value().rows),
+                   plan == grouped.get() ? groups : keys,
+                   plan == grouped.get() ? "aggregate" : "distinct");
+  }
+}
+
+// Set operations keep each distinct first-input row in first-seen order:
+// UNION adds the second input's new rows, INTERSECT keeps the rows the
+// second input holds and MINUS the rows it does not, with NULLs matching
+// NULLs and 2 matching 2.0 — exactly the reference interpreter's rows.
+TEST_F(JoinTableTest, SetOperationsMatchReference) {
+  const struct {
+    SetOpKind kind;
+    const char* sql;
+  } cases[] = {{SetOpKind::kUnionAll, "UNION ALL"},
+               {SetOpKind::kUnion, "UNION"},
+               {SetOpKind::kIntersect, "INTERSECT"},
+               {SetOpKind::kMinus, "MINUS"}};
+  for (const auto& c : cases) {
+    auto n = std::make_unique<PlanNode>(PlanOp::kSetOp);
+    n->set_op = c.kind;
+    n->children.push_back(Scan("sa"));
+    n->children.push_back(Scan("sb"));
+    n->output = n->children[0]->output;
+    const std::vector<Row> expected =
+        Reference(std::string("SELECT sa.v, sa.k FROM sa ") + c.sql +
+                  " SELECT sb.v, sb.k FROM sb");
+    ASSERT_FALSE(expected.empty()) << c.sql;
+    ExpectOrderedRows(*n, expected, c.sql);
   }
 }
 

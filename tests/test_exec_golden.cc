@@ -1,10 +1,14 @@
 // Row identity against a committed golden file: for a fixed statement set
 // the executor's output must match tests/golden/rows.txt byte for byte.
 // Each entry records the row count, the deterministic work counter
-// (rows_processed) and an order-sensitive FNV-1a hash over every row's
-// Value::ToString() rendering. test_batch_executor compares multisets and
-// test_plan_golden compares plans; this is the check that an executor
-// refactor kept the order rows come out in and the work it counted.
+// (rows_processed), an order-sensitive FNV-1a hash over every row's
+// Value::ToString() rendering, and the same hash over the rows after
+// SortRowsCanonical. test_plan_golden compares plans; this is the check that
+// an executor refactor kept the rows it returns (the sorted hash: the row
+// multiset), the order it returns them in (the ordered hash) and the work it
+// counted. A change meant to reorder rows that carry no ORDER BY moves only
+// ordered hashes; a moved row count, rows_processed or sorted hash means the
+// result itself changed.
 //
 // Statement set: the first 300 statements of GenerateMixedWorkload at seed 1
 // on the small HR schema, and every tests/fuzz_corpus/*.sql file on the fuzz
@@ -12,7 +16,8 @@
 //
 // On a mismatch the full actual output is written to rows.actual.txt in the
 // working directory. When an executor change is meant to alter row order or
-// counted work, review that file and copy it over tests/golden/rows.txt.
+// counted work, review that file (every sorted hash should stay put) and copy
+// it over tests/golden/rows.txt.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "cbqt/engine.h"
+#include "common/result_compare.h"
 #include "common/str_util.h"
 #include "fuzz/harness.h"
 #include "tests/test_util.h"
@@ -61,8 +67,9 @@ uint64_t HashRows(const std::vector<Row>& rows) {
   return h;
 }
 
-// One golden entry: a label line, then the row count, the counted work and
-// the ordered row hash (or the error the statement failed with).
+// One golden entry: a label line, then the row count, the counted work, the
+// ordered row hash and the canonically sorted row hash (or the error the
+// statement failed with).
 void AppendEntry(const QueryEngine& engine, const std::string& label,
                  const std::string& sql, std::string* out) {
   *out += "## " + label + "\n";
@@ -71,10 +78,13 @@ void AppendEntry(const QueryEngine& engine, const std::string& label,
     *out += "error " + result.status().ToString() + "\n";
     return;
   }
-  *out += StrFormat("rows %zu processed %lld fnv %016llx\n",
+  std::vector<Row> sorted = result->rows;
+  SortRowsCanonical(&sorted);
+  *out += StrFormat("rows %zu processed %lld fnv %016llx sorted %016llx\n",
                     result->rows.size(),
                     static_cast<long long>(result->rows_processed),
-                    static_cast<unsigned long long>(HashRows(result->rows)));
+                    static_cast<unsigned long long>(HashRows(result->rows)),
+                    static_cast<unsigned long long>(HashRows(sorted)));
 }
 
 std::string RenderAllRows() {

@@ -1,8 +1,8 @@
-// Multi-query optimization tests: canonical block signatures, and the
-// engine-level invariants of the engine-wide optimizer caches — they never
-// change a plan or a row, they persist across queries, engine memory
-// pressure sheds them before it fails a query, and concurrent sessions
-// over one engine stay correct (the TSan leg).
+// Multi-query optimization tests: the engine-level invariants of the
+// engine-wide optimizer caches — they never change a plan or a row, they
+// persist across queries, engine memory pressure sheds them before it fails
+// a query, and concurrent sessions over one engine stay correct (the TSan
+// leg).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "fuzz/harness.h"
 #include "parser/parser.h"
 #include "sql/expr_util.h"
-#include "sql/signature.h"
 #include "sql/unparser.h"
 #include "tests/test_util.h"
 #include "workload/query_gen.h"
@@ -34,58 +33,6 @@ CbqtConfig MqoOn() {
   CbqtConfig cfg;
   cfg.mqo.enabled = true;
   return cfg;
-}
-
-std::string Sig(const Database& db, const std::string& sql) {
-  auto qb = ParseAndBind(db, sql);
-  return qb ? BlockSignature(*qb) : std::string();
-}
-
-// ---------------------------------------------------------------------------
-// Canonical sharing signatures (the MQO matching key)
-// ---------------------------------------------------------------------------
-
-TEST(MqoSignature, ConjunctOrderIsCanonicalized) {
-  auto db = MakeSmallHrDb();
-  ASSERT_NE(db, nullptr);
-  std::string a = Sig(*db,
-                      "SELECT e.emp_id FROM employees e WHERE e.salary > "
-                      "30000 AND e.dept_id = 5");
-  std::string b = Sig(*db,
-                      "SELECT e.emp_id FROM employees e WHERE e.dept_id = 5 "
-                      "AND e.salary > 30000");
-  std::string c = Sig(*db,
-                      "SELECT e.emp_id FROM employees e WHERE e.dept_id = 6 "
-                      "AND e.salary > 30000");
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);  // different constant: different work
-}
-
-TEST(MqoSignature, CommutativeOperandFlipIsCanonicalized) {
-  auto db = MakeSmallHrDb();
-  ASSERT_NE(db, nullptr);
-  std::string a = Sig(*db,
-                      "SELECT e.emp_id FROM employees e, departments d WHERE "
-                      "e.dept_id = d.dept_id");
-  std::string b = Sig(*db,
-                      "SELECT e.emp_id FROM employees e, departments d WHERE "
-                      "d.dept_id = e.dept_id");
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-}
-
-TEST(MqoSignature, InnerFromOrderIsCanonicalized) {
-  auto db = MakeSmallHrDb();
-  ASSERT_NE(db, nullptr);
-  std::string a = Sig(*db,
-                      "SELECT e.emp_id, d.dept_name FROM employees e, "
-                      "departments d WHERE e.dept_id = d.dept_id");
-  std::string b = Sig(*db,
-                      "SELECT e.emp_id, d.dept_name FROM departments d, "
-                      "employees e WHERE e.dept_id = d.dept_id");
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
 }
 
 // Two identical single-table branches in one plan.

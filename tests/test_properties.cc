@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cbqt/framework.h"
-#include "sql/signature.h"
+#include "sql/unparser.h"
 #include "tests/test_util.h"
 #include "workload/query_gen.h"
 #include "workload/runner.h"
@@ -64,9 +64,11 @@ TEST_P(WorkloadPropertyTest, BindingIsIdempotent) {
   for (const auto& q : Queries(12)) {
     auto qb = ParseAndBind(Shared().db(), q.sql);
     ASSERT_NE(qb, nullptr);
-    std::string sig = BlockSignature(*qb);
+    auto before = qb->Clone();
+    const std::string text = BlockToSql(*qb);
     ASSERT_TRUE(BindQuery(Shared().db(), qb.get()).ok());
-    EXPECT_EQ(BlockSignature(*qb), sig) << q.sql;
+    EXPECT_TRUE(BlockEquals(*before, *qb)) << q.sql;
+    EXPECT_EQ(BlockToSql(*qb), text) << q.sql;
   }
 }
 
@@ -76,7 +78,7 @@ TEST_P(WorkloadPropertyTest, CloneIsDeepAndEqual) {
     ASSERT_NE(qb, nullptr);
     auto copy = qb->Clone();
     EXPECT_TRUE(BlockEquals(*qb, *copy));
-    EXPECT_EQ(BlockSignature(*qb), BlockSignature(*copy));
+    EXPECT_EQ(BlockToSql(*qb), BlockToSql(*copy));
     // Mutating the copy leaves the original untouched (compound blocks
     // have no select list of their own; mutate a branch instead).
     if (copy->IsSetOp()) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "parser/parser.h"
-#include "sql/signature.h"
 
 namespace cbqt {
 namespace {
@@ -78,15 +77,18 @@ TEST(Unparser, SignatureEqualForEqualBlocks) {
   auto b = ParseSql("SELECT a, b FROM t WHERE a = 1 AND b > 2");
   auto c = ParseSql("SELECT a, b FROM t WHERE a = 2 AND b > 2");
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  EXPECT_EQ(BlockSignature(*a.value()), BlockSignature(*b.value()));
-  EXPECT_NE(BlockSignature(*a.value()), BlockSignature(*c.value()));
+  EXPECT_EQ(BlockToSql(*a.value()), BlockToSql(*b.value()));
+  EXPECT_NE(BlockToSql(*a.value()), BlockToSql(*c.value()));
+  EXPECT_TRUE(BlockEquals(*a.value(), *b.value()));
+  EXPECT_FALSE(BlockEquals(*a.value(), *c.value()));
 }
 
 TEST(Unparser, SignatureDistinguishesJoinKinds) {
   auto a = ParseSql("SELECT a FROM t JOIN s ON t.x = s.x");
   auto b = ParseSql("SELECT a FROM t LEFT OUTER JOIN s ON t.x = s.x");
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_NE(BlockSignature(*a.value()), BlockSignature(*b.value()));
+  EXPECT_NE(BlockToSql(*a.value()), BlockToSql(*b.value()));
+  EXPECT_FALSE(BlockEquals(*a.value(), *b.value()));
 }
 
 TEST(Unparser, PrettyBreaksClauses) {
