@@ -4,7 +4,7 @@
 # report zero races — the parallel CBQT search (ThreadPool + sharded
 # AnnotationCache), the one sharded LRU map behind the annotation cache,
 # the plan cache and the cursor table (common/sharded_lru.h: the tracked
-# Put/Find/Clear/EvictBytes stress ParallelPutFindClearStress in
+# Put/Find/Clear/EvictBytes stress ParallelPutFindClearEvictStress in
 # test_parallel_search, and the 4-session OLTP plan-cache leg
 # ConcurrentOltpStreamMatchesCacheOffReference in test_plan_cache), the
 # fault-injection tests (test_fault_injection,
@@ -13,14 +13,13 @@
 # hammering one TenantScheduler), the COW + join-order memo equivalence
 # sweeps (CowMemoMatchesFullClones in test_equivalence and
 # CowMemoEscapeHatchBitIdentical in test_paper_queries, both at
-# num_threads = 4), and the shared-plan leg
+# num_threads = 4), the shared-plan leg
 # (ConcurrentExecutionsShareOneCachedPlan in test_batch_executor: four
-# threads preparing and executing one immutable cached plan), and the
-# engine-wide MQO caches under concurrent sessions
-# (TwoConcurrentRoundsStayCorrect in test_mqo) are exercised in every
-# config; EngineMemoryPressureShedsTheMqoCaches in test_mqo checks that
-# engine memory pressure sheds those caches before it fails a query. ASan/UBSan additionally covers the robustness corpus
-# (test_parser_robustness, test_governor), shared plans that outlive their
+# threads preparing and executing one immutable cached plan), and
+# concurrent sessions over one engine (ConcurrentSessionsStayCorrect in
+# test_workload: 4 threads x 2 rounds, rows against a serial run) are
+# exercised in every config. ASan/UBSan additionally covers the robustness
+# corpus (test_parser_robustness, test_governor), shared plans that outlive their
 # evicted or cleared annotation-cache entry (test_annotation_cache), and the
 # spill-to-disk pipeline
 # (test_batch_executor forces sort / hash-join / aggregation / distinct
@@ -33,7 +32,9 @@
 # with two-column, expression and NULL keys; GroupByEmitsGroupsInFirstSeenOrder,
 # KeysCompareStructurally, ManyKeysKeepFirstSeenOrderAndSpill and
 # SetOperationsMatchReference for the aggregate, COUNT(DISTINCT), DISTINCT
-# and set-operation tables), the charged drains of buffered inputs
+# and set-operation tables; NanKeysMatchReference: NaN keys of every sign
+# and payload are one key apart from every number, in GROUP BY, DISTINCT
+# and the set operations, as in the reference interpreter), the charged drains of buffered inputs
 # (DrainedInputsAreChargedToTheQueryBudget in test_batch_executor),
 # the compiled expression fast path against the tree evaluator (CompiledExpr
 # tests in test_eval, including by-reference leaf operands), the typed

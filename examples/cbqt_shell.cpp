@@ -142,7 +142,7 @@ int main() {
     PrintRows(result->rows, prepared.plan->output);
     std::printf("optimize %.2f ms, execute %.2f ms, %lld rows processed\n",
                 prepared.optimize_ms, result->execute_ms,
-                static_cast<long long>(result->rows_processed));
+                static_cast<long long>(result->exec.rows_processed));
     std::printf("cbqt> ");
     std::fflush(stdout);
   }

@@ -67,7 +67,7 @@ int main() {
   }
   std::printf("Result: %zu rows (%lld rows processed by operators)\n",
               result->rows.size(),
-              static_cast<long long>(result->rows_processed));
+              static_cast<long long>(result->exec.rows_processed));
   for (size_t i = 0; i < result->rows.size() && i < 5; ++i) {
     std::printf("  %s, %s\n", result->rows[i][0].ToString().c_str(),
                 result->rows[i][1].ToString().c_str());

@@ -4,10 +4,10 @@
 //
 //   $ ./build/examples/workload_study [num_queries]
 //
-// The MQO axis runs the workload on N concurrent sessions sharing one
-// engine, with multi-query optimization on or off:
+// The sessions axis runs the cost-based workload on N concurrent sessions
+// sharing one engine:
 //
-//   $ ./build/examples/workload_study [num_queries] --mqo on|off [--sessions N]
+//   $ ./build/examples/workload_study [num_queries] --sessions N
 //
 // The multi-tenant axis runs N tenants against one scheduler-governed
 // engine, each tenant an OLTP-heavy serving mix with an analytics tail,
@@ -16,6 +16,8 @@
 //
 //   $ ./build/examples/workload_study [num_queries] --tenants 3 \
 //         [--priority-mix 0,2,2] [--sessions N]
+//
+// (With --tenants, --sessions sets the scheduler's concurrent slots; default 8.)
 
 #include <cstdio>
 #include <cstdlib>
@@ -32,24 +34,15 @@ using namespace cbqt;
 
 namespace {
 
-int RunMqoAxis(const WorkloadRunner& runner,
-               const std::vector<WorkloadQuery>& queries, bool mqo_on,
-               int sessions) {
+int RunSessionsAxis(const WorkloadRunner& runner,
+                    const std::vector<WorkloadQuery>& queries, int sessions) {
   CbqtConfig cfg = ConfigForMode(OptimizerMode::kCostBased);
-  cfg.mqo.enabled = mqo_on;
   double t0 = NowMs();
   WorkloadRunReport report = runner.RunAllConcurrent(queries, cfg, sessions);
   double wall_ms = NowMs() - t0;
-  std::printf("mqo=%s sessions=%d: %d/%d ok, %.1f ms wall, %.1f q/s\n",
-              mqo_on ? "on" : "off", sessions, report.succeeded,
-              report.attempted, wall_ms,
+  std::printf("sessions=%d: %d/%d ok, %.1f ms wall, %.1f q/s\n", sessions,
+              report.succeeded, report.attempted, wall_ms,
               wall_ms > 0 ? report.succeeded / wall_ms * 1000.0 : 0.0);
-  if (mqo_on) {
-    std::printf("  subplan_hits=%lld join_memo_hits=%lld cache_bytes=%lld\n",
-                static_cast<long long>(report.mqo.shared_subplan_hits),
-                static_cast<long long>(report.mqo.shared_join_memo_hits),
-                static_cast<long long>(report.mqo.cache_memory_bytes));
-  }
   if (report.failed > 0) {
     std::printf("%s\n", report.ErrorSummary().c_str());
   }
@@ -127,14 +120,11 @@ int RunTenantAxis(const WorkloadRunner& runner, const SchemaConfig& schema,
 
 int main(int argc, char** argv) {
   int count = 150;
-  int sessions = 8;
-  int mqo_axis = -1;  // -1: classic study; 0/1: concurrent MQO axis
+  int sessions = 0;  // > 0: concurrent sessions, or slots with --tenants
   int num_tenants = 0;  // > 0: multi-tenant scheduling axis
   std::vector<int> priority_mix = {0, 1, 2};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mqo") == 0 && i + 1 < argc) {
-      mqo_axis = std::strcmp(argv[++i], "on") == 0 ? 1 : 0;
-    } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
       sessions = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
       num_tenants = std::atoi(argv[++i]);
@@ -157,14 +147,12 @@ int main(int argc, char** argv) {
 
   if (num_tenants > 0) {
     return RunTenantAxis(runner, schema, count, num_tenants, priority_mix,
-                         sessions);
+                         sessions > 0 ? sessions : 8);
   }
 
   auto queries = GenerateMixedWorkload(count, 0.5, schema, 17);
 
-  if (mqo_axis >= 0) {
-    return RunMqoAxis(runner, queries, mqo_axis == 1, sessions);
-  }
+  if (sessions > 0) return RunSessionsAxis(runner, queries, sessions);
 
   struct FamilyAgg {
     int n = 0;

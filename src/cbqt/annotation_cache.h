@@ -75,11 +75,6 @@ class AnnotationCache {
     map_.ResetCounters();
   }
 
-  /// Memory-pressure shedding (ShardedLruMap::EvictBytes).
-  int64_t EvictBytes(int64_t target_bytes) {
-    return map_.EvictBytes(target_bytes);
-  }
-
   /// Telemetry for Table 1 and the micro benches.
   int64_t hits() const { return map_.hits(); }
   int64_t misses() const { return map_.misses(); }

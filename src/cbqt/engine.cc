@@ -53,16 +53,10 @@ QueryEngine::QueryEngine(const Database& db, CbqtConfig config,
       gr.any_tenant_memory_quota()) {
     root_memory_ = std::make_unique<MemoryTracker>("engine",
                                                    gr.engine_memory_bytes);
-    // Pressure ladder, engine level: shed cached plans, then the MQO
-    // layer's optimizer caches, before failing a reservation against the
-    // engine budget...
+    // Pressure ladder, engine level: shed cached plans before failing a
+    // reservation against the engine budget...
     root_memory_->set_pressure_callback([this](int64_t missing) -> int64_t {
-      int64_t freed = 0;
-      if (plan_cache_ != nullptr) freed = plan_cache_->EvictBytes(missing);
-      if (mqo_ != nullptr && freed < missing) {
-        freed += mqo_->EvictBytes(missing - freed);
-      }
-      return freed;
+      return plan_cache_ != nullptr ? plan_cache_->EvictBytes(missing) : 0;
     });
     // ...and as a last resort fail the largest admitted query. The victim
     // is cancelled with kResourceExhausted through the same token plumbing
@@ -99,9 +93,6 @@ QueryEngine::QueryEngine(const Database& db, CbqtConfig config,
   if (gr.scheduler.enabled_and_valid()) {
     scheduler_ =
         std::make_unique<TenantScheduler>(gr.scheduler, root_memory_.get());
-  }
-  if (config_.mqo.enabled) {
-    mqo_ = std::make_unique<MqoRegistry>(root_memory_.get());
   }
   if (config_.plan_cache.enabled()) {
     plan_cache_ =
@@ -193,10 +184,6 @@ GuardrailStats QueryEngine::guardrail_stats() const {
     out.engine_peak_bytes = root_memory_->peak_bytes();
   }
   return out;
-}
-
-MqoStats QueryEngine::mqo_stats() const {
-  return mqo_ != nullptr ? mqo_->stats() : MqoStats{};
 }
 
 SchedulerStats QueryEngine::scheduler_stats() const {
@@ -336,23 +323,13 @@ OptimizerBudget QueryEngine::BudgetFor(uint64_t id) const {
   return ScaledBudget(config_.budget, factor);
 }
 
-Result<CbqtResult> QueryEngine::OptimizeTree(const QueryBlock& query,
-                                             const OptimizerBudget& budget,
-                                             const QueryGuards& guards) const {
-  OptimizeOptions opts;
-  opts.budget = budget;
-  opts.guards = guards;
-  if (mqo_ != nullptr) opts.shared = mqo_->PrepareCaches(db_.stats_epoch());
-  return optimizer_.Optimize(query, opts);
-}
-
 Result<PreparedQuery> QueryEngine::PrepareUncached(
     const std::string& sql, const OptimizerBudget& budget,
     const QueryGuards& guards) const {
   double t0 = MonotonicMs();
   auto parsed = ParseSql(sql);
   if (!parsed.ok()) return parsed.status();
-  auto optimized = OptimizeTree(*parsed.value(), budget, guards);
+  auto optimized = optimizer_.Optimize(*parsed.value(), {budget, guards});
   if (!optimized.ok()) return optimized.status();
   PreparedQuery out;
   out.tree = std::move(optimized->tree);
@@ -549,7 +526,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
     parsed = std::move(*full);
     ParameterizeQuery(parsed.get());
   }
-  auto optimized = OptimizeTree(*parsed, budget, guards);
+  auto optimized = optimizer_.Optimize(*parsed, {budget, guards});
   if (!optimized.ok()) return optimized.status();
   // A cancelled or memory-failed optimization returned above — only fully
   // successful plans are published, so guardrail unwinds can never leak a
@@ -607,7 +584,6 @@ Result<QueryResult> QueryEngine::ExecuteAdmitted(PreparedQuery prepared,
   out.prepared = std::move(prepared);
   out.execute_ms = t1 - t0;
   out.exec = result.value().stats;
-  out.rows_processed = out.exec.rows_processed;
   if (guards.memory != nullptr) {
     out.peak_memory_bytes = guards.memory->peak_bytes();
   }

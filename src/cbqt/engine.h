@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cbqt/framework.h"
-#include "cbqt/mqo.h"
 #include "cbqt/plan_cache.h"
 #include "cbqt/plan_store.h"
 #include "cbqt/scheduler.h"
@@ -50,21 +49,19 @@ struct PreparedQuery {
 /// One end-to-end query execution.
 struct QueryResult {
   std::vector<Row> rows;
-  PreparedQuery prepared;      ///< the plan the rows were produced from
-  double execute_ms = 0;       ///< wall time of execution
-  int64_t rows_processed = 0;  ///< rows pushed through operators (work units)
+  PreparedQuery prepared;  ///< the plan the rows were produced from
+  double execute_ms = 0;   ///< wall time of execution
   /// High-water mark of the per-query memory tracker over the execution
   /// (zero when memory guardrails are off).
   int64_t peak_memory_bytes = 0;
-  /// Full executor counters for this execution (batches, subquery caching,
-  /// spilled pipeline breakers and spill I/O volumes).
+  /// Full executor counters for this execution (rows processed, batches,
+  /// subquery caching, spilled pipeline breakers and spill I/O volumes).
   ExecStats exec;
 };
 
 /// Telemetry of the engine runtime guardrails — the counters the engine
 /// itself keeps (all zero when disabled). Queueing and throttling live in
-/// scheduler_stats(), plan-cache shedding in plan_cache_stats(), and shared
-/// optimizer caches in mqo_stats().
+/// scheduler_stats() and plan-cache shedding in plan_cache_stats().
 struct GuardrailStats {
   int64_t admitted = 0;            ///< engine operations admitted
   int64_t cancelled = 0;           ///< operations that unwound kCancelled
@@ -172,10 +169,6 @@ class QueryEngine {
   /// Telemetry of the plan cache; all-zero when the cache is disabled.
   PlanCacheStats plan_cache_stats() const;
 
-  bool mqo_enabled() const { return mqo_ != nullptr; }
-  /// Telemetry of the MQO layer; all-zero when CbqtConfig::mqo is off.
-  MqoStats mqo_stats() const;
-
   bool plan_store_attached() const { return plan_store_ != nullptr; }
   /// Telemetry of the shared-store attachment; all-zero when not attached.
   PlanStoreStats plan_store_stats() const;
@@ -238,12 +231,6 @@ class QueryEngine {
                                         const OptimizerBudget& budget,
                                         const QueryGuards& guards) const;
 
-  /// One optimizer entry point for the foreground paths: routes through the
-  /// MQO layer's engine-wide caches when the registry is enabled.
-  Result<CbqtResult> OptimizeTree(const QueryBlock& query,
-                                  const OptimizerBudget& budget,
-                                  const QueryGuards& guards) const;
-
   /// Budget-upgrade ladder: called on every cache hit. For a degraded entry
   /// that has accumulated enough hits (and attempts remain), wins the
   /// per-entry CAS gate and schedules RunUpgrade on the engine's background
@@ -293,11 +280,6 @@ class QueryEngine {
   /// Catalog schema fingerprint captured at construction; stamps every
   /// persisted plan artifact (snapshot, shared-store records).
   uint64_t schema_fingerprint_ = 0;
-
-  /// Multi-query optimization registry (the engine-wide optimization
-  /// caches); null when CbqtConfig::mqo is off. Internally synchronized —
-  /// const engine operations share it.
-  mutable std::unique_ptr<MqoRegistry> mqo_;
 
   /// Null when CbqtConfig::plan_cache is disabled. Mutable state lives in
   /// the cache itself (sharded mutexes + atomics), so const Prepare stays

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "binder/binder.h"
+#include "cbqt/annotation_cache.h"
 #include "transform/groupby_placement.h"
 #include "transform/groupby_view_merge.h"
 #include "transform/join_factorization.h"
@@ -59,7 +60,6 @@ SearchStrategy CbqtOptimizer::ChooseStrategy(int num_objects,
 Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
                                            const OptimizeOptions& opts) const {
   const OptimizerBudget& budget = opts.budget ? *opts.budget : config_.budget;
-  const SharedOptimizeCaches& shared = opts.shared;
   // Per-query guardrails: the caller's handles, with the configured fault
   // injector filled in so the kCancelAt / kMemoryPressure sites fire even
   // when the caller only set the token/tracker.
@@ -72,15 +72,11 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
 
   CbqtStats stats;
   stats.threads_used = pool_ != nullptr ? pool_->num_threads() : 1;
-  // Both per-optimization caches charge their entries against the query's
-  // memory tracker (no-op when guardrails are off). Engine-wide caches
-  // (the MQO path) replace them when supplied.
+  // Both caches charge their entries against the query's memory tracker
+  // (no-op when guardrails are off).
   AnnotationCache cache(AnnotationCache::kDefaultShards,
                         AnnotationCache::kDefaultCapacity, guards.memory);
-  AnnotationCache* cache_ptr = nullptr;
-  if (config_.reuse_annotations) {
-    cache_ptr = shared.annotations != nullptr ? shared.annotations : &cache;
-  }
+  AnnotationCache* cache_ptr = config_.reuse_annotations ? &cache : nullptr;
   // Cross-state join-order memo (subset-granularity DP reuse); same sharded
   // store as the block annotations, different key space ("jo:" prefixed).
   // Subset-granularity entries outnumber block annotations, hence the
@@ -88,17 +84,8 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
   constexpr size_t kJoinMemoCapacity = 8192;
   AnnotationCache join_memo(AnnotationCache::kDefaultShards,
                             kJoinMemoCapacity, guards.memory);
-  AnnotationCache* join_memo_ptr = nullptr;
-  if (config_.reuse_join_orders) {
-    join_memo_ptr = shared.join_memo != nullptr ? shared.join_memo : &join_memo;
-  }
-  // Cache telemetry is reported as this optimization's delta (identical to
-  // the absolute counters for the private caches, whose counters start at
-  // zero here).
-  const int64_t ann_hits_before = cache_ptr ? cache_ptr->hits() : 0;
-  const int64_t ann_evictions_before = cache_ptr ? cache_ptr->evictions() : 0;
-  const int64_t jm_hits_before = join_memo_ptr ? join_memo_ptr->hits() : 0;
-  const int64_t jm_misses_before = join_memo_ptr ? join_memo_ptr->misses() : 0;
+  AnnotationCache* join_memo_ptr =
+      config_.reuse_join_orders ? &join_memo : nullptr;
   // Clone telemetry: process-wide counters, reported as this optimization's
   // deltas (concurrent Optimize() calls may inflate each other's numbers;
   // the counters are diagnostics, not decisions).
@@ -272,7 +259,6 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
       // fallback answer and must always be costed (§3.4-style bound on the
       // cost of costing is what the budget provides for the other states).
       popts.budget = any_bit ? tracker : nullptr;
-      popts.faults = injector;
       popts.guards = guards;
       auto opt = physical_.Optimize(*copy, popts);
       double cost = std::numeric_limits<double>::infinity();
@@ -328,9 +314,6 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
     auto outcome = RunSearch(strategy, n, evaluate, search_options);
     if (!outcome.ok()) return outcome.status();
     stats.states_evaluated += outcome->states_evaluated;
-    stats.parallel_batches += outcome->parallel_batches;
-    stats.speculative_wasted += outcome->speculative_wasted;
-    stats.cutoff_races_lost += outcome->cutoff_races_lost;
     stats.states_per_transformation[step.t->Name()] =
         outcome->states_evaluated;
     stats.failed_states += outcome->failed_states;
@@ -362,7 +345,6 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
   PhysicalOptimizeOptions final_popts;
   final_popts.cache = cache_ptr;
   final_popts.join_memo = join_memo_ptr;
-  final_popts.faults = injector;
   final_popts.guards = guards;
   auto final_opt = physical_.Optimize(*tree, final_popts);
   if (!final_opt.ok()) return final_opt.status();
@@ -371,16 +353,12 @@ Result<CbqtResult> CbqtOptimizer::Optimize(const QueryBlock& query,
       final_opt->blocks_planned;
   stats.interleaved_states =
       interleaved_states.load(std::memory_order_relaxed);
-  stats.annotation_hits =
-      cache_ptr ? cache_ptr->hits() - ann_hits_before : 0;
-  stats.annotation_evictions =
-      cache_ptr ? cache_ptr->evictions() - ann_evictions_before : 0;
+  // The caches are this call's own, so their counters are its telemetry.
+  stats.annotation_hits = cache_ptr ? cache_ptr->hits() : 0;
   stats.blocks_cloned = CowBlocksClonedCount() - cloned_before;
   stats.blocks_shared = CowSharesCount() - shared_before;
-  stats.join_memo_hits =
-      join_memo_ptr ? join_memo_ptr->hits() - jm_hits_before : 0;
-  stats.join_memo_misses =
-      join_memo_ptr ? join_memo_ptr->misses() - jm_misses_before : 0;
+  stats.join_memo_hits = join_memo_ptr ? join_memo_ptr->hits() : 0;
+  stats.join_memo_misses = join_memo_ptr ? join_memo_ptr->misses() : 0;
   if (tracker != nullptr) {
     stats.budget_exhausted = tracker->exhausted();
     stats.budget_check_ns = tracker->check_ns();

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "cbqt/annotation_cache.h"
 #include "cbqt/search.h"
 #include "cbqt/transform_mask.h"
 #include "common/budget.h"
@@ -58,22 +57,6 @@ struct PlanCacheConfig {
   bool enabled() const { return capacity > 0; }
 };
 
-/// Configuration of the multi-query optimization layer (cbqt/mqo.h). Off by
-/// default — single-query behavior is untouched. When on, queries optimize
-/// against one engine-wide AnnotationCache / join-order memo instead of
-/// private per-optimization caches; both are keyed by exact text, so
-/// sharing never changes a plan.
-struct MqoConfig {
-  bool enabled = false;
-};
-
-/// Engine-wide optimization caches handed into Optimize() by the MQO layer
-/// (null members fall back to the private per-optimization caches).
-struct SharedOptimizeCaches {
-  AnnotationCache* annotations = nullptr;
-  AnnotationCache* join_memo = nullptr;
-};
-
 /// Per-call options of CbqtOptimizer::Optimize.
 struct OptimizeOptions {
   /// Overrides CbqtConfig::budget when set — the plan cache's upgrade path
@@ -86,12 +69,6 @@ struct OptimizeOptions {
   /// Cancellation and memory exhaustion are hard failures — unlike budget
   /// exhaustion there is no best-so-far degradation.
   QueryGuards guards;
-  /// Engine-wide caches (the MQO layer's path): non-null members replace
-  /// the private per-optimization annotation cache / join-order memo. The
-  /// reported cache telemetry becomes before/after deltas of the shared
-  /// counters (concurrent queries may inflate each other's numbers —
-  /// diagnostics, not decisions).
-  SharedOptimizeCaches shared;
 };
 
 /// Configuration of the cost-based transformation framework.
@@ -143,10 +120,6 @@ struct CbqtConfig {
   /// Engine-level plan cache (QueryEngine). Off by default.
   PlanCacheConfig plan_cache;
 
-  /// Multi-query optimization across the admitted batch (QueryEngine).
-  /// Off by default.
-  MqoConfig mqo;
-
   uint64_t seed = 42;  ///< iterative-search randomness
 
   /// Threads used to evaluate transformation states concurrently (exhaustive
@@ -188,7 +161,6 @@ struct CbqtStats {
   int interleaved_states = 0;    ///< extra states from interleaving
   int64_t blocks_planned = 0;    ///< query blocks physically optimized
   int64_t annotation_hits = 0;   ///< §3.4.2 reuses
-  int64_t annotation_evictions = 0;  ///< LRU evictions from the bounded cache
 
   // Per-state evaluation cost telemetry (copy-on-write trees + join memo).
   int64_t blocks_cloned = 0;     ///< block nodes deep-copied during search
@@ -200,11 +172,7 @@ struct CbqtStats {
   /// transformations actually applied, e.g. "unnest-view(1,0)"
   std::vector<std::string> applied;
 
-  // Parallel-evaluation telemetry (see SearchOutcome).
-  int threads_used = 1;        ///< pool width states were evaluated on
-  int parallel_batches = 0;    ///< batches dispatched across all searches
-  int speculative_wasted = 0;  ///< linear speculation discarded
-  int cutoff_races_lost = 0;   ///< full costings a serial cut-off would skip
+  int threads_used = 1;  ///< pool width states were evaluated on
 
   // Resource-governor / fault-isolation telemetry.
   bool budget_exhausted = false;  ///< the OptimizerBudget tripped
@@ -250,10 +218,11 @@ class CbqtOptimizer {
                          CostParams params = {});
 
   /// Optimizes a bound or unbound query tree (the input is cloned and
-  /// re-bound internally). `opts` carries the per-call budget override,
-  /// runtime guardrails, and engine-wide MQO caches (see OptimizeOptions);
-  /// the default runs under CbqtConfig::budget with no guardrails and
-  /// private caches.
+  /// re-bound internally). `opts` carries the per-call budget override and
+  /// runtime guardrails (see OptimizeOptions); the default runs under
+  /// CbqtConfig::budget with no guardrails. Every call plans against its
+  /// own annotation cache and join-order memo (§3.4.2 reuse is across the
+  /// states of one query).
   Result<CbqtResult> Optimize(const QueryBlock& query,
                               const OptimizeOptions& opts = {}) const;
 

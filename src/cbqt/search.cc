@@ -1,7 +1,7 @@
 #include "cbqt/search.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <set>
 #include <utility>
 #include <vector>
@@ -261,10 +261,6 @@ Result<SearchOutcome> ExhaustiveParallel(int n, const StateEvaluator& evaluate,
       if (c < outcome.best_cost) {
         outcome.best_cost = c;
         outcome.best_state = states[i];
-      } else if (std::isfinite(c) && c > outcome.best_cost) {
-        // Fully costed, yet strictly worse than a best that was already
-        // known: a serial pass would have cut this state off.
-        ++outcome.cutoff_races_lost;
       }
     }
     if (stop) break;
@@ -355,8 +351,6 @@ Result<SearchOutcome> LinearParallel(int n, const StateEvaluator& evaluate,
         current = states[j];
         current_cost = c;
         i += static_cast<int>(j) + 1;
-        outcome.speculative_wasted +=
-            static_cast<int>(results.size() - j) - 1;
         accepted = true;
         break;
       }

@@ -61,12 +61,7 @@ struct SearchOutcome {
   /// best-so-far state (always valid: the zero state is costed first).
   bool budget_exhausted = false;
 
-  // Parallel-execution telemetry (all zero under serial execution).
-  int parallel_batches = 0;    ///< batches dispatched to the pool
-  int speculative_wasted = 0;  ///< linear: speculative evals discarded
-  /// Exhaustive: states fully costed in parallel that a serial pass would
-  /// have abandoned via cut-off (the cut-off update raced and arrived late).
-  int cutoff_races_lost = 0;
+  int parallel_batches = 0;  ///< batches dispatched to the pool (0 serial)
 };
 
 /// Knobs of one search run.

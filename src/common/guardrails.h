@@ -138,7 +138,8 @@ struct QueryGuards {
   /// pipeline breakers, state clones, memo and cache inserts.
   MemoryTracker* memory = nullptr;
   /// Deterministic fault injection for the guardrail paths themselves
-  /// (kMemoryPressure, kCancelAt, kExecBatch, kExecSpillCheck).
+  /// (kMemoryPressure, kCancelAt, kExecBatch, kExecSpillCheck) and the
+  /// physical optimizer (kPlanner).
   FaultInjector* faults = nullptr;
 
   bool any() const { return cancel || memory || faults; }

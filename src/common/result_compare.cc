@@ -7,10 +7,6 @@ namespace cbqt {
 
 namespace {
 
-bool IsNan(const Value& v) {
-  return v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble());
-}
-
 bool IsNumeric(const Value& v) {
   return v.kind() == ValueKind::kInt64 || v.kind() == ValueKind::kDouble;
 }

@@ -46,6 +46,8 @@ size_t Value::Hash() const {
       // Hash through double so Int(2) and Real(2.0) collide on purpose.
       return std::hash<double>()(static_cast<double>(AsInt()));
     case ValueKind::kDouble:
+      // Every NaN is one key (ValuesEqualStructural), whatever its bits.
+      if (IsNan(*this)) return 0x7ff8000000000000ULL;
       return std::hash<double>()(AsDouble());
     case ValueKind::kString:
       return std::hash<std::string>()(AsString());
@@ -62,6 +64,10 @@ bool IsNumeric(const Value& v) {
 }
 
 }  // namespace
+
+bool IsNan(const Value& v) {
+  return v.kind() == ValueKind::kDouble && std::isnan(v.AsDouble());
+}
 
 Ordering CompareValues(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Ordering::kUnknown;
@@ -112,6 +118,9 @@ bool TotalLess(const Value& a, const Value& b) {
 bool ValuesEqualStructural(const Value& a, const Value& b) {
   if (a.is_null() && b.is_null()) return true;
   if (a.is_null() || b.is_null()) return false;
+  // SQL `=` (CompareValues) finds a NaN equal to every number; as a key a
+  // NaN equals only a NaN, so the relation stays an equivalence.
+  if (IsNan(a) || IsNan(b)) return IsNan(a) && IsNan(b);
   Ordering ord = CompareValues(a, b);
   if (ord == Ordering::kEqual) return true;
   if (ord != Ordering::kUnknown) return false;

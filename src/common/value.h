@@ -50,9 +50,9 @@ class Value {
   /// 3.5, 'abc', TRUE).
   std::string ToString() const;
 
-  /// Hash for hash-join/aggregation keys. NULLs hash to a fixed value;
-  /// int64 and double with the same numeric value hash identically so mixed
-  /// numeric joins work.
+  /// Hash for hash-join/aggregation keys. NULLs hash to a fixed value, and
+  /// so do NaNs, whatever their sign or payload; int64 and double with the
+  /// same numeric value hash identically so mixed numeric joins work.
   size_t Hash() const;
 
  private:
@@ -61,6 +61,9 @@ class Value {
   explicit Value(Payload data) : data_(std::move(data)) {}
   Payload data_;
 };
+
+/// True for a double NaN (of any sign or payload).
+bool IsNan(const Value& v);
 
 /// Three-valued comparison result.
 enum class Ordering { kLess, kEqual, kGreater, kUnknown };
@@ -99,7 +102,8 @@ int64_t EstimateValueBytes(const Value& v);
 int64_t EstimateRowBytes(const Row& row);
 
 /// Structural value equality (NULLs match; numeric kinds compare by value so
-/// Int(2) == Real(2.0) for hashing consistency).
+/// Int(2) == Real(2.0) for hashing consistency; a NaN matches every NaN and
+/// nothing else). Agrees with Value::Hash: equal values hash equal.
 bool ValuesEqualStructural(const Value& a, const Value& b);
 
 /// Structural row equality: same width and ValuesEqualStructural slot by

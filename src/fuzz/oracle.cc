@@ -67,12 +67,6 @@ std::vector<DifferentialOracle::Entry> DifferentialOracle::DefaultDeck() {
     c.exec.enable_spill = true;
     c.exec.batch_size = 16;
   });
-  add("mqo", [](CbqtConfig& c) {
-    // Multi-query optimization on: queries run one-at-a-time here, but
-    // every optimization plans against the engine-wide annotation cache and
-    // join memo, so later queries hit entries published by earlier ones.
-    c.mqo.enabled = true;
-  });
   return deck;
 }
 

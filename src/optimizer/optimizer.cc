@@ -4,8 +4,8 @@ namespace cbqt {
 
 Result<PhysicalOptimization> PhysicalOptimizer::Optimize(
     const QueryBlock& qb, const PhysicalOptimizeOptions& options) const {
-  if (options.faults != nullptr) {
-    CBQT_RETURN_IF_ERROR(options.faults->MaybeFail(FaultSite::kPlanner));
+  if (FaultInjector* faults = options.guards.faults) {
+    CBQT_RETURN_IF_ERROR(faults->MaybeFail(FaultSite::kPlanner));
   }
   if (options.budget != nullptr && options.budget->CheckDeadline()) {
     return Status::BudgetExhausted(

@@ -37,9 +37,6 @@ struct PhysicalOptimizeOptions {
   /// block and aborts with kBudgetExhausted once it trips — the caller
   /// (search / framework) degrades to its best-so-far answer.
   BudgetTracker* budget = nullptr;
-  /// Testing only: deterministic fault injection (FaultSite::kPlanner fires
-  /// once per Optimize call).
-  FaultInjector* faults = nullptr;
   /// When non-null, cross-state join-order memoization: finished DP
   /// subproblems (per subset of a block's FROM list) are keyed by canonical
   /// fingerprints of the member relations and applicable predicates, so
@@ -48,6 +45,7 @@ struct PhysicalOptimizeOptions {
   AnnotationCache* join_memo = nullptr;
   /// Runtime guardrails (cancellation token, per-query memory tracker,
   /// guardrail fault sites), polled at the per-block budget quantum.
+  /// FaultSite::kPlanner of `guards.faults` fires once per Optimize call.
   QueryGuards guards;
 };
 

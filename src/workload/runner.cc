@@ -11,6 +11,20 @@ namespace cbqt {
 
 namespace {
 
+/// The measurement of one successful run; consumes its CBQT stats.
+RunMeasurement Measure(QueryResult& result) {
+  RunMeasurement m;
+  m.opt_ms = result.prepared.optimize_ms;
+  m.exec_ms = result.execute_ms;
+  m.est_cost = result.prepared.cost;
+  m.plan_shape = PlanShape(*result.prepared.plan);
+  m.rows_processed = result.exec.rows_processed;
+  m.result_rows = result.rows.size();
+  m.cbqt = std::move(result.prepared.stats);
+  m.from_plan_cache = result.prepared.from_plan_cache;
+  return m;
+}
+
 /// Folds one query's outcome into the report. Single-threaded: concurrent
 /// runs collect outcomes first and fold them in input order afterwards.
 void FoldOutcome(const WorkloadQuery& q, Result<QueryResult>& result,
@@ -40,15 +54,7 @@ void FoldOutcome(const WorkloadQuery& q, Result<QueryResult>& result,
     return;
   }
   ++report->succeeded;
-  RunMeasurement m;
-  m.opt_ms = result->prepared.optimize_ms;
-  m.exec_ms = result->execute_ms;
-  m.est_cost = result->prepared.cost;
-  m.plan_shape = PlanShape(*result->prepared.plan);
-  m.rows_processed = result->rows_processed;
-  m.result_rows = result->rows.size();
-  m.cbqt = std::move(result->prepared.stats);
-  m.from_plan_cache = result->prepared.from_plan_cache;
+  RunMeasurement m = Measure(*result);
   if (m.cbqt.budget_exhausted) ++report->budget_exhausted_queries;
   report->searches_degraded += m.cbqt.searches_degraded;
   report->failed_states += m.cbqt.failed_states;
@@ -60,12 +66,11 @@ void FoldOutcome(const WorkloadQuery& q, Result<QueryResult>& result,
   report->measurements.push_back(std::move(m));
 }
 
-/// Folds the shared engine's end-of-run telemetry (plan cache, guardrails,
-/// MQO) into the report.
+/// Folds the shared engine's end-of-run telemetry (plan cache, scheduler,
+/// guardrails) into the report.
 void FoldEngineStats(const QueryEngine& engine, WorkloadRunReport* report) {
   report->plan_cache = engine.plan_cache_stats();
   report->scheduler = engine.scheduler_stats();
-  report->mqo = engine.mqo_stats();
   GuardrailStats gs = engine.guardrail_stats();
   report->engine_peak_memory_bytes = gs.engine_peak_bytes;
   report->memory_victims = gs.memory_victims;
@@ -104,17 +109,7 @@ Result<RunMeasurement> WorkloadRunner::Run(const std::string& sql,
   QueryEngine engine(db_, config, params_);
   auto result = engine.Run(sql);
   if (!result.ok()) return result.status();
-
-  RunMeasurement m;
-  m.opt_ms = result->prepared.optimize_ms;
-  m.exec_ms = result->execute_ms;
-  m.est_cost = result->prepared.cost;
-  m.plan_shape = PlanShape(*result->prepared.plan);
-  m.cbqt = std::move(result->prepared.stats);
-  m.rows_processed = result->rows_processed;
-  m.result_rows = result->rows.size();
-  m.from_plan_cache = result->prepared.from_plan_cache;
-  return m;
+  return Measure(*result);
 }
 
 WorkloadRunReport WorkloadRunner::RunAll(

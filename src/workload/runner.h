@@ -90,12 +90,11 @@ struct WorkloadRunReport {
   int searches_degraded = 0;         ///< searches that fell back to heuristics
   int failed_states = 0;             ///< fault-isolated state evaluations
 
-  // End-of-run telemetry snapshots of the shared engine (the cache,
-  // scheduler and MQO registry live for the duration of one run's engine;
-  // each is all-zero when its layer is off).
+  // End-of-run telemetry snapshots of the shared engine (the cache and
+  // scheduler live for the duration of one run's engine; each is all-zero
+  // when its layer is off).
   PlanCacheStats plan_cache;
   SchedulerStats scheduler;
-  MqoStats mqo;
 
   // Guardrail telemetry from the shared engine (zero when guardrails off).
   int64_t engine_peak_memory_bytes = 0;  ///< root tracker high-water mark
@@ -137,14 +136,10 @@ class WorkloadRunner {
   WorkloadRunReport RunAll(const std::vector<WorkloadQuery>& queries,
                            const CbqtConfig& config) const;
 
-  /// Concurrent-sessions variant — the MQO measurement axis: `sessions`
-  /// threads share one engine, queries are dealt round-robin by input index
-  /// (deterministic partition: session s runs queries s, s+sessions, ...),
-  /// and the merged report keeps measurements in input order. With
-  /// `config.mqo.enabled` the concurrent sessions plan against the
-  /// engine-wide MQO caches and share sub-plan annotations; with it off
-  /// this is a plain concurrency baseline over the same engine.
-  /// `sessions <= 1` degenerates to RunAll.
+  /// Concurrent-sessions variant: `sessions` threads share one engine,
+  /// queries are dealt round-robin by input index (deterministic partition:
+  /// session s runs queries s, s+sessions, ...), and the merged report keeps
+  /// measurements in input order. `sessions <= 1` degenerates to RunAll.
   WorkloadRunReport RunAllConcurrent(const std::vector<WorkloadQuery>& queries,
                                      const CbqtConfig& config,
                                      int sessions) const;

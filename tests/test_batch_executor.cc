@@ -862,15 +862,32 @@ class JoinTableTest : public ::testing::Test {
               {I(1), S("b")},   {I(4), I(7)},       {I(2), R(7.0)},
               {I(0), R(3.0)},   {I(5), S("2")},     {I(1), B(true)},
               {I(2), I(1)},     {I(6), B(true)},    {I(3), R(2.0)}});
-    // NaN keys among strings and NULLs (no other number for a NaN to
-    // compare equal to).
+    // NaN keys among strings and NULLs.
     AddTable("gn", "v", DataType::kInt64,
              {{I(0), nan},   {I(1), S("x")}, {I(2), null}, {I(3), nan},
               {I(0), S("y")}, {I(1), S("x")}, {I(2), null}, {I(4), nan}});
-    // Int(2) meets Real(2.0), NULLs and NaNs, each twice or more.
+    // Int(2) meets Real(2.0), NULLs and NaNs of either sign, each twice or
+    // more; a NaN sits between the equal numbers.
+    const Value neg_nan = Value::Real(-std::nan(""));
     AddTable("gs", "v", DataType::kInt64,
-             {{I(0), I(2)},   {I(1), R(2.0)}, {I(2), null}, {I(3), nan},
-              {I(4), null},   {I(5), nan},    {I(6), R(2.5)}, {I(7), I(2)}});
+             {{I(0), I(2)},   {I(1), R(2.0)},  {I(2), null}, {I(3), nan},
+              {I(4), null},   {I(5), neg_nan}, {I(6), R(2.5)}, {I(7), I(2)}});
+    // NaNs of every making (quiet, negative, with a payload, 0/0 computed
+    // at run time) among numbers, as keys and in set-operation rows.
+    volatile double zero = 0.0;
+    const Value div_nan = Value::Real(zero / zero);
+    const Value payload_nan = Value::Real(std::nan("7"));
+    AddTable("gq", "v", DataType::kDouble,
+             {{I(0), R(2.0)}, {I(1), nan},     {I(2), R(2.0)},
+              {I(3), neg_nan}, {I(4), null},   {I(5), I(2)},
+              {I(6), payload_nan}, {I(7), R(3.0)}, {I(8), div_nan}});
+    AddTable("qa", "v", DataType::kDouble,
+             {{I(1), R(2.0)}, {I(1), nan},  {I(1), R(2.0)}, {I(2), neg_nan},
+              {I(1), payload_nan}, {I(2), R(3.0)}, {null, nan},
+              {I(2), div_nan}});
+    AddTable("qb", "v", DataType::kDouble,
+             {{I(1), neg_nan}, {I(2), R(2.0)}, {I(2), I(3)},
+              {null, payload_nan}, {I(3), nan}});
     // Set-operation inputs: duplicates and NULLs on both sides, and
     // (2, 'x') in sa meeting (2.0, 'x') in sb.
     AddTable("sa", "v", DataType::kInt64,
@@ -1294,7 +1311,8 @@ TEST_F(JoinTableTest, GroupByEmitsGroupsInFirstSeenOrder) {
 
 // Keys compare structurally: Int(2) and Real(2.0) are one group and one
 // DISTINCT row (keeping the first-seen Int), NULLs are one group and so are
-// NaNs, and COUNT(DISTINCT) counts 2 and 2.0 once.
+// NaNs of either sign (keeping the first-seen NaN) apart from the numbers
+// around them, and COUNT(DISTINCT) counts 2 and 2.0 once and the NaNs once.
 TEST_F(JoinTableTest, KeysCompareStructurally) {
   const Value n = Value::Null();
   const Value nan = R(std::nan(""));
@@ -1311,6 +1329,44 @@ TEST_F(JoinTableTest, KeysCompareStructurally) {
       MakeAggregate(AggFunc::kCount, MakeColumnRef("gs", "k"), true));
   ExpectOrderedRows(*Aggregate("gs", std::move(counts), false),
                     {{I(6), I(3)}}, "count(distinct gs.k)");
+}
+
+// A NaN key equals every NaN, whatever its sign or payload, and nothing
+// else, in the executor's key table and in the reference interpreter alike:
+// GROUP BY, DISTINCT and the set operations over NaNs among numbers return
+// the reference's rows, in its order.
+TEST_F(JoinTableTest, NanKeysMatchReference) {
+  std::vector<ExprPtr> aggs;
+  aggs.push_back(MakeCountStar());
+  aggs.push_back(MakeAggregate(AggFunc::kSum, MakeColumnRef("gq", "v")));
+  const std::vector<Row> groups =
+      Reference("SELECT gq.k, COUNT(*), SUM(gq.v) FROM gq GROUP BY gq.k");
+  // 2.0, NaN, NULL and 3.0.
+  ASSERT_EQ(groups.size(), size_t{4}) << Render(groups);
+  ExpectOrderedRows(*Aggregate("gq", std::move(aggs)), groups,
+                    "group by gq.k");
+  ExpectOrderedRows(*DistinctK("gq"),
+                    Reference("SELECT DISTINCT gq.k FROM gq"),
+                    "distinct gq.k");
+
+  const struct {
+    SetOpKind kind;
+    const char* sql;
+  } cases[] = {{SetOpKind::kUnion, "UNION"},
+               {SetOpKind::kIntersect, "INTERSECT"},
+               {SetOpKind::kMinus, "MINUS"}};
+  for (const auto& c : cases) {
+    auto n = std::make_unique<PlanNode>(PlanOp::kSetOp);
+    n->set_op = c.kind;
+    n->children.push_back(Scan("qa"));
+    n->children.push_back(Scan("qb"));
+    n->output = n->children[0]->output;
+    const std::vector<Row> expected =
+        Reference(std::string("SELECT qa.v, qa.k FROM qa ") + c.sql +
+                  " SELECT qb.v, qb.k FROM qb");
+    ASSERT_FALSE(expected.empty()) << c.sql;
+    ExpectOrderedRows(*n, expected, c.sql);
+  }
 }
 
 // 110k distinct keys grow each table through many doublings and still come

@@ -82,7 +82,7 @@ void AppendEntry(const QueryEngine& engine, const std::string& label,
   SortRowsCanonical(&sorted);
   *out += StrFormat("rows %zu processed %lld fnv %016llx sorted %016llx\n",
                     result->rows.size(),
-                    static_cast<long long>(result->rows_processed),
+                    static_cast<long long>(result->exec.rows_processed),
                     static_cast<unsigned long long>(HashRows(result->rows)),
                     static_cast<unsigned long long>(HashRows(sorted)));
 }

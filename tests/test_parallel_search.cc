@@ -18,6 +18,7 @@
 #include "cbqt/framework.h"
 #include "cbqt/search.h"
 #include "common/memory_tracker.h"
+#include "common/sharded_lru.h"
 #include "common/thread_pool.h"
 #include "tests/test_util.h"
 #include "workload/runner.h"
@@ -292,12 +293,14 @@ CostAnnotation MakeAnnotation(double cost) {
   return ann;
 }
 
-TEST(AnnotationCacheConcurrency, ParallelPutFindClearStress) {
-  // Tracked, so every Put, replacement, eviction, EvictBytes and Clear
-  // moves bytes in the tracker while the others run.
+TEST(ShardedLruMapConcurrency, ParallelPutFindClearEvictStress) {
+  // The map behind the annotation cache and the plan cache. Tracked, so
+  // every Put, replacement, eviction, EvictBytes and Clear moves bytes in
+  // the tracker while the others run.
   MemoryTracker tracker("stress", 0);
-  AnnotationCache cache(AnnotationCache::kDefaultShards,
-                        AnnotationCache::kDefaultCapacity, &tracker);
+  ShardedLruMap<CostAnnotation> cache(AnnotationCache::kDefaultShards,
+                                      AnnotationCache::kDefaultCapacity,
+                                      &tracker);
   const int kThreads = 8;
   const int kOpsPerThread = 2000;
   const int kKeySpace = 64;
@@ -316,7 +319,10 @@ TEST(AnnotationCacheConcurrency, ParallelPutFindClearStress) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         std::string key = "sig-" + std::to_string((i * 7 + t) % kKeySpace);
         if (i % 3 == 0) {
-          cache.Put(key, MakeAnnotation(static_cast<double>(i % 97)));
+          cache.Put(key,
+                    std::make_shared<const CostAnnotation>(
+                        MakeAnnotation(static_cast<double>(i % 97))),
+                    /*bytes=*/64 + i % 97);
         } else {
           auto hit = cache.Find(key);
           if (hit != nullptr) {

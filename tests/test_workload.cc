@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "cbqt/engine.h"
 #include "tests/test_util.h"
 #include "workload/query_gen.h"
 #include "workload/runner.h"
@@ -27,6 +31,21 @@ class WorkloadTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
   SchemaConfig schema_;
 };
+
+// Two identical single-table branches in one plan, a join and a grouped
+// aggregate: the statements the concurrent-session tests run.
+const char* kUnionSql =
+    "SELECT e.emp_id, e.salary FROM employees e WHERE e.salary > 30000 "
+    "UNION ALL "
+    "SELECT e.emp_id, e.salary FROM employees e WHERE e.salary > 30000";
+
+const char* kJoinSql =
+    "SELECT e.employee_name, d.dept_name FROM employees e, departments d "
+    "WHERE e.dept_id = d.dept_id AND e.salary > 40000";
+
+const char* kAggSql =
+    "SELECT e.dept_id, COUNT(*), AVG(e.salary) FROM employees e "
+    "WHERE e.salary > 20000 GROUP BY e.dept_id";
 
 TEST_F(WorkloadTest, SchemaBuildsAllTables) {
   for (const char* name :
@@ -290,6 +309,68 @@ TEST_F(WorkloadTest, TenantThrottlingIsTypedNeverUntyped) {
   EXPECT_EQ(report.per_tenant[0].gave_up_throttled, report.tenant_throttled);
   EXPECT_EQ(report.per_tenant[0].succeeded + report.per_tenant[0].failed,
             report.per_tenant[0].attempted);
+}
+
+// Concurrent sessions over one engine (the TSan leg): 4 threads, 2 rounds,
+// every result equal to a serial run's rows.
+TEST_F(WorkloadTest, ConcurrentSessionsStayCorrect) {
+  const std::vector<std::string> sqls = {kUnionSql, kJoinSql, kAggSql};
+  std::vector<std::vector<Row>> expected;
+  QueryEngine serial(*db_);
+  for (const auto& sql : sqls) {
+    auto result = serial.Run(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n" << sql;
+    SortRowsCanonical(&result->rows);
+    expected.push_back(std::move(result->rows));
+  }
+
+  QueryEngine engine(*db_);
+  std::atomic<bool> mismatch{false};
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t) {
+      workers.emplace_back([&, t] {
+        for (size_t q = 0; q < sqls.size(); ++q) {
+          const size_t i = (q + static_cast<size_t>(t)) % sqls.size();
+          auto result = engine.Run(sqls[i]);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          SortRowsCanonical(&result->rows);
+          if (result->rows != expected[i]) mismatch = true;
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  EXPECT_FALSE(mismatch);
+}
+
+TEST_F(WorkloadTest, RunAllConcurrentMergesInInputOrder) {
+  WorkloadRunner runner(*db_);
+  std::vector<WorkloadQuery> queries;
+  for (int i = 0; i < 12; ++i) {
+    WorkloadQuery q;
+    q.id = i;
+    q.sql = (i % 2 == 0) ? kUnionSql : kJoinSql;
+    queries.push_back(q);
+  }
+  WorkloadRunReport report = runner.RunAllConcurrent(queries, CbqtConfig{}, 4);
+  EXPECT_EQ(report.attempted, 12);
+  EXPECT_EQ(report.succeeded, 12);
+  EXPECT_EQ(report.untyped_failures(), 0);
+  EXPECT_EQ(report.measurements.size(), 12u);
+
+  // sessions <= 1 degenerates to the serial path with identical counting,
+  // and the merged measurements line up with the serial ones by input index.
+  WorkloadRunReport serial = runner.RunAllConcurrent(queries, CbqtConfig{}, 1);
+  EXPECT_EQ(serial.succeeded, 12);
+  ASSERT_EQ(serial.measurements.size(), report.measurements.size());
+  ASSERT_NE(serial.measurements[0].result_rows,
+            serial.measurements[1].result_rows);
+  for (size_t i = 0; i < report.measurements.size(); ++i) {
+    EXPECT_EQ(report.measurements[i].result_rows,
+              serial.measurements[i].result_rows)
+        << i;
+  }
 }
 
 TEST_F(WorkloadTest, SortRowsCanonicalIsTotal) {
