@@ -1,15 +1,11 @@
-// Plan persistence benchmark: warm-start and cross-instance sharing, results
-// written to BENCH_plan_warmstart.json. Three legs, each self-asserting:
+// Plan persistence benchmark: snapshot warm-start and serde identity, results
+// written to BENCH_plan_warmstart.json. Two legs, each self-asserting:
 //
 //   1. Snapshot warm-start — a fresh engine loading a persisted plan-cache
 //      snapshot serves its *first* Prepare of a heavy statement from the
 //      warm cache. Gate: >= 10x faster than a cold optimize, and the served
 //      plan is bit-identical (same serialized bytes) to the cold plan.
-//   2. Shared plan store — instance A optimizes a population of statement
-//      shapes and publishes them; instance B attaches to the same store
-//      file and must import every shape on its first touch (first-hit rate
-//      1.0 — B never runs the CBQT search).
-//   3. Serde execution identity — every fuzz-corpus plan is serialized,
+//   2. Serde execution identity — every fuzz-corpus plan is serialized,
 //      deserialized, and executed; the restored plan must produce rows
 //      identical to the original's.
 //
@@ -68,26 +64,6 @@ int ParseIntArg(int argc, char** argv, const char* name, int def) {
   return def;
 }
 
-// Statement shapes for the shared-store leg: every subset of four extra
-// select columns over a join + subquery body is a distinct parameterized
-// key, so instance B must import each one individually.
-std::vector<std::string> StorePopulation() {
-  const char* cols[] = {"e.employee_name", "e.dept_id", "e.job_id",
-                        "e.emp_id"};
-  std::vector<std::string> shapes;
-  for (int mask = 0; mask < 8; ++mask) {
-    std::string select = "SELECT e.salary";
-    for (int b = 0; b < 3; ++b) {
-      if (mask & (1 << b)) select += std::string(", ") + cols[b];
-    }
-    shapes.push_back(select +
-                     " FROM employees e, departments d WHERE e.dept_id = "
-                     "d.dept_id AND EXISTS (SELECT 1 FROM job_history j "
-                     "WHERE j.emp_id = e.emp_id) AND e.salary > ");
-  }
-  return shapes;
-}
-
 std::string Fresh(const char* name) {
   std::filesystem::remove(name);
   return name;
@@ -96,8 +72,7 @@ std::string Fresh(const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf(
-      "=== Plan persistence: snapshot warm-start, shared store, serde ===\n");
+  std::printf("=== Plan persistence: snapshot warm-start, serde ===\n");
   int reps = ParseIntArg(argc, argv, "--reps", 5);
 
   SchemaConfig schema;
@@ -109,7 +84,6 @@ int main(int argc, char** argv) {
   if (Status a = db.Analyze(); !a.ok()) return 1;
 
   const std::string snapshot = Fresh("bench_warmstart.cbqs");
-  const std::string store = Fresh("bench_warmstart.cbqh");
 
   // ---- Leg 1: snapshot warm-start vs cold optimize. ----
   // Cold: a fresh engine per rep pays for the full CBQT search.
@@ -135,7 +109,6 @@ int main(int argc, char** argv) {
     CbqtConfig cfg;
     cfg.plan_cache.capacity = 64;
     cfg.plan_cache.snapshot_path = snapshot;
-    cfg.plan_cache.snapshot_on_shutdown = false;
     QueryEngine seed(db, cfg);
     if (!seed.Prepare(HeavySql(5000)).ok()) return 1;
     if (Status st = seed.SavePlanSnapshot(); !st.ok()) {
@@ -154,7 +127,6 @@ int main(int argc, char** argv) {
     CbqtConfig cfg;
     cfg.plan_cache.capacity = 64;
     cfg.plan_cache.snapshot_path = snapshot;
-    cfg.plan_cache.snapshot_on_shutdown = false;
     double t0 = NowMs();
     QueryEngine engine(db, cfg);
     double t1 = NowMs();
@@ -183,37 +155,7 @@ int main(int argc, char** argv) {
               speedup >= 10 ? "(>= 10x target met)" : "(below 10x target)",
               bit_identical ? "bit-identical" : "DIVERGED");
 
-  // ---- Leg 2: cross-instance sharing through the plan store. ----
-  std::vector<std::string> shapes = StorePopulation();
-  int publishes = 0, first_hits = 0;
-  {
-    CbqtConfig cfg;
-    cfg.plan_cache.capacity = 64;
-    cfg.plan_cache.shared_store_path = store;
-    QueryEngine a(db, cfg);
-    if (!a.plan_store_attached()) {
-      std::fprintf(stderr, "FAIL: instance A could not attach the store\n");
-      return 1;
-    }
-    for (const auto& shape : shapes) {
-      if (!a.Prepare(shape + "5000").ok()) return 1;
-    }
-    publishes = static_cast<int>(a.plan_cache_stats().store_publishes);
-
-    QueryEngine b(db, cfg);
-    for (const auto& shape : shapes) {
-      auto r = b.Prepare(shape + "5000");
-      if (!r.ok()) return 1;
-      if (r->from_plan_store) ++first_hits;
-    }
-  }
-  double first_hit_rate =
-      static_cast<double>(first_hits) / static_cast<double>(shapes.size());
-  std::printf("\n  shared store: %d published, %d/%zu first-touch imports "
-              "on instance B (first-hit rate %.2f)\n",
-              publishes, first_hits, shapes.size(), first_hit_rate);
-
-  // ---- Leg 3: serde execution identity over the fuzz corpus. ----
+  // ---- Leg 2: serde execution identity over the fuzz corpus. ----
   Database fuzz_db;
   if (!BuildFuzzDatabase(&fuzz_db).ok()) return 1;
   CbqtConfig fuzz_cfg;
@@ -264,13 +206,10 @@ int main(int argc, char** argv) {
       "  \"warm_prepare_ms\": %.4f,\n"
       "  \"warmstart_speedup\": %.2f,\n"
       "  \"bit_identical\": %s,\n"
-      "  \"shared_store\": {\"shapes\": %zu, \"publishes\": %d, "
-      "\"first_hits\": %d, \"first_hit_rate\": %.4f},\n"
       "  \"serde_corpus\": {\"plans\": %d, \"row_identical\": %s}\n"
       "}\n",
       cold_ms, load_ms, warm_ms, speedup, bit_identical ? "true" : "false",
-      shapes.size(), publishes, first_hits, first_hit_rate, corpus_plans,
-      rows_identical ? "true" : "false");
+      corpus_plans, rows_identical ? "true" : "false");
   if (FILE* f = std::fopen("BENCH_plan_warmstart.json", "w")) {
     std::fputs(buf, f);
     std::fclose(f);
@@ -285,11 +224,6 @@ int main(int argc, char** argv) {
   }
   if (!bit_identical) {
     std::fprintf(stderr, "FAIL: warm-start plan not bit-identical\n");
-    return 1;
-  }
-  if (first_hits != static_cast<int>(shapes.size())) {
-    std::fprintf(stderr, "FAIL: instance B imported %d of %zu shapes\n",
-                 first_hits, shapes.size());
     return 1;
   }
   if (corpus_plans == 0 || !rows_identical) {

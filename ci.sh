@@ -5,8 +5,10 @@
 # AnnotationCache), the one sharded LRU map behind the annotation cache,
 # the plan cache and the cursor table (common/sharded_lru.h: the tracked
 # Put/Find/Clear/EvictBytes stress ParallelPutFindClearEvictStress in
-# test_parallel_search, and the 4-session OLTP plan-cache leg
-# ConcurrentOltpStreamMatchesCacheOffReference in test_plan_cache), the
+# test_parallel_search, and the concurrent plan-cache legs of
+# test_plan_cache: the 4-session OLTP stream
+# ConcurrentOltpStreamMatchesCacheOffReference and
+# ConcurrentSharedEngineRunsAreSafe, threads sharing one cached engine), the
 # fault-injection tests (test_fault_injection,
 # injected faults + budget under num_threads >= 4), the tenant scheduler's
 # concurrent admission/dispatch legs (test_scheduler, multi-tenant threads
@@ -34,15 +36,19 @@
 # SetOperationsMatchReference for the aggregate, COUNT(DISTINCT), DISTINCT
 # and set-operation tables; NanKeysMatchReference: NaN keys of every sign
 # and payload are one key apart from every number, in GROUP BY, DISTINCT
-# and the set operations, as in the reference interpreter), the charged drains of buffered inputs
+# and the set operations, as in the reference interpreter;
+# NanJoinKeysAndOrderByFollowOneNumericRule: SQL comparison's one NaN rule,
+# a NaN equal to a NaN and above every number, in the hash join, the
+# nested loop, the IN semijoin and ORDER BY), the charged drains of buffered inputs
 # (DrainedInputsAreChargedToTheQueryBudget in test_batch_executor),
 # the compiled expression fast path against the tree evaluator (CompiledExpr
 # tests in test_eval, including by-reference leaf operands), the typed
 # scan filter kernels (ScanKernelTest in test_batch_executor: kernels read
 # the stored column arrays and dictionary codes over a selection vector of
-# rowids, checked against the tree evaluator over every value kind, NaN
-# and int64 beyond 2^53, in table and index scans at batch sizes 1, 3 and
-# 1024), and the column store (test_storage: ColumnStorage reads every
+# rowids, checked against the tree evaluator over every value kind, NaNs,
+# the infinities and int64 beyond 2^53, and against the NaN rule itself for
+# NaN and infinite constants, in table and index scans at batch sizes 1, 3
+# and 1024), and the column store (test_storage: ColumnStorage reads every
 # inserted value back through the typed, dictionary and generic columns
 # with its kind and bits; IndexOrderTest probes the rowid-permutation
 # indexes against a brute-force scan and the row-key sort, including the
@@ -115,8 +121,7 @@ if [[ "${want}" == "all" || "${want}" == "bench-smoke" ]]; then
   run_bench bench_table1_reuse ./bench/bench_table1_reuse
   run_bench bench_plan_cache ./bench/bench_plan_cache --reps 3
   # bench_plan_warmstart asserts the persistence gates: snapshot warm-start
-  # >= 10x faster than a cold optimize at bit-identical plans, instance B
-  # importing every shape from the shared store on first touch, and
+  # >= 10x faster than a cold optimize at bit-identical plans, and
   # fuzz-corpus plans executing row-identically after a serde round-trip.
   run_bench bench_plan_warmstart ./bench/bench_plan_warmstart --reps 3
   # bench_state_eval asserts its own gates: bit-identical plans between

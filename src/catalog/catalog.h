@@ -74,9 +74,8 @@ class Catalog {
 
   /// Order-independent-of-insertion structural hash of the whole schema:
   /// table names, column names/types/nullability, keys, foreign keys, and
-  /// indexes. Persisted plan artifacts (snapshot files, shared plan-store
-  /// records) stamp this fingerprint and are discarded when it no longer
-  /// matches, so a plan optimized against one schema is never executed
+  /// indexes. Persisted plan artifacts (plan-cache snapshot files) stamp
+  /// this fingerprint and are discarded when it no longer matches, so a plan optimized against one schema is never executed
   /// against another.
   uint64_t Fingerprint() const;
 

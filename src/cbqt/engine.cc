@@ -111,12 +111,6 @@ QueryEngine::QueryEngine(const Database& db, CbqtConfig config,
       (void)plan_cache_->LoadSnapshot(pc.snapshot_path, db_.stats_epoch(),
                                       schema_fingerprint_);
     }
-    if (!pc.shared_store_path.empty()) {
-      auto store = PlanStore::Open(pc.shared_store_path, schema_fingerprint_);
-      // A store of a different schema (or a malformed one) is refused:
-      // run without sharing rather than share wrong plans.
-      if (store.ok()) plan_store_ = std::move(*store);
-    }
   }
 }
 
@@ -142,8 +136,7 @@ QueryEngine::~QueryEngine() {
   if (upgrade_pool_ != nullptr) upgrade_pool_->Wait();
   // Snapshot after the pool drain so the file carries the upgraded entries
   // (and never races a background Put).
-  if (plan_cache_ != nullptr && config_.plan_cache.snapshot_on_shutdown &&
-      !config_.plan_cache.snapshot_path.empty()) {
+  if (plan_cache_ != nullptr && !config_.plan_cache.snapshot_path.empty()) {
     (void)plan_cache_->SaveSnapshot(config_.plan_cache.snapshot_path,
                                     schema_fingerprint_);
   }
@@ -151,10 +144,6 @@ QueryEngine::~QueryEngine() {
 
 PlanCacheStats QueryEngine::plan_cache_stats() const {
   return plan_cache_ != nullptr ? plan_cache_->stats() : PlanCacheStats{};
-}
-
-PlanStoreStats QueryEngine::plan_store_stats() const {
-  return plan_store_ != nullptr ? plan_store_->stats() : PlanStoreStats{};
 }
 
 Status QueryEngine::SavePlanSnapshot() const {
@@ -410,10 +399,6 @@ void QueryEngine::RunUpgrade(std::shared_ptr<const CachedPlanEntry> entry,
   }
   fresh->bytes = EstimateEntryBytes(*fresh);
   plan_cache_->RecordUpgradeAttempt(!fresh->degraded);
-  if (plan_store_ != nullptr && !fresh->degraded) {
-    // An upgraded plan is exactly what peers want: publish the improvement.
-    if (plan_store_->Publish(*fresh).ok()) plan_cache_->RecordStorePublish();
-  }
   plan_cache_->Put(fresh);
   entry->upgrade_in_flight.store(false, std::memory_order_release);
 }
@@ -454,7 +439,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   }
 
   // Selectivity bands of the statement's literal values (lazy: only needed
-  // when a cached/imported candidate exists or a fresh entry is built).
+  // when a cached candidate exists or a fresh entry is built).
   std::vector<int> bands;
   bool bands_computed = false;
   auto current_bands = [&]() -> const std::vector<int>& {
@@ -468,53 +453,33 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
     return bands;
   };
 
-  auto serve = [&](const std::shared_ptr<const CachedPlanEntry>& e,
-                   bool from_store) {
-    PreparedQuery out;
-    out.tree = e->tree->Clone();
-    BindTreeParams(out.tree.get(), ps.params);
-    if (ps.params.empty()) {
-      out.plan = e->plan;
-    } else {
-      std::unique_ptr<PlanNode> plan = e->plan->Clone();
-      RebindPlanParams(plan.get(), ps.params);
-      out.plan = std::move(plan);
-    }
-    out.cost = e->cost;
-    out.stats = e->stats;
-    out.from_plan_cache = true;
-    out.from_plan_store = from_store;
-    out.degraded = e->degraded;
-    out.optimize_ms = MonotonicMs() - t0;
-    plan_cache_->RecordHitLatency(out.optimize_ms);
-    return out;
-  };
-
   auto entry = plan_cache_->Find(ps.key, epoch);
   if (entry != nullptr) {
     if (ps.params.empty() || current_bands() == entry->param_bands) {
       MaybeUpgrade(entry, epoch);
-      return serve(entry, false);
+      PreparedQuery out;
+      out.tree = entry->tree->Clone();
+      BindTreeParams(out.tree.get(), ps.params);
+      if (ps.params.empty()) {
+        out.plan = entry->plan;
+      } else {
+        std::unique_ptr<PlanNode> plan = entry->plan->Clone();
+        RebindPlanParams(plan.get(), ps.params);
+        out.plan = std::move(plan);
+      }
+      out.cost = entry->cost;
+      out.stats = entry->stats;
+      out.from_plan_cache = true;
+      out.degraded = entry->degraded;
+      out.optimize_ms = MonotonicMs() - t0;
+      plan_cache_->RecordHitLatency(out.optimize_ms);
+      return out;
     }
     // Cardinality-aware re-binding: the re-bound literals land in a
     // different selectivity band than the plan was optimized for — blind
     // reuse risks a badly mis-costed plan, so re-cost from scratch (the
     // fresh Put below replaces the entry, re-centering its bands).
     plan_cache_->RecordRebindRecost();
-  } else if (plan_store_ != nullptr) {
-    // Local miss: try a peer's published plan before paying for the search.
-    auto peer = plan_store_->Import(ps.key, epoch, guards.cancel);
-    if (!peer.ok()) {
-      // Cancellation must unwind; a corrupt store just means no sharing.
-      if (IsGuardrailAbort(peer.status().code())) return peer.status();
-    } else if (*peer != nullptr) {
-      if (ps.params.empty() || current_bands() == (*peer)->param_bands) {
-        plan_cache_->Put(*peer);
-        plan_cache_->RecordStoreImport();
-        return serve(*peer, true);
-      }
-      plan_cache_->RecordStoreStale();
-    }
   }
 
   if (parsed == nullptr) {
@@ -529,7 +494,7 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   auto optimized = optimizer_.Optimize(*parsed, {budget, guards});
   if (!optimized.ok()) return optimized.status();
   // A cancelled or memory-failed optimization returned above — only fully
-  // successful plans are published, so guardrail unwinds can never leak a
+  // successful plans are cached, so guardrail unwinds can never leak a
   // partial result into the cache.
 
   // The cache entry and the caller share one plan.
@@ -547,11 +512,6 @@ Result<PreparedQuery> QueryEngine::PrepareAdmitted(const std::string& sql,
   fresh->degraded = IsDegraded(fresh->stats);
   fresh->planned_budget = budget;
   fresh->bytes = EstimateEntryBytes(*fresh);
-  if (plan_store_ != nullptr && !fresh->degraded) {
-    // Share the search result with peer instances. Best effort: a store
-    // write failure only costs the sharing, never the query.
-    if (plan_store_->Publish(*fresh).ok()) plan_cache_->RecordStorePublish();
-  }
   plan_cache_->Put(std::move(fresh));
 
   PreparedQuery out;

@@ -12,7 +12,6 @@
 
 #include "cbqt/framework.h"
 #include "cbqt/plan_cache.h"
-#include "cbqt/plan_store.h"
 #include "cbqt/scheduler.h"
 #include "common/cancellation.h"
 #include "common/guardrails.h"
@@ -37,10 +36,6 @@ struct PreparedQuery {
   CbqtStats stats;                   ///< CBQT telemetry
   double optimize_ms = 0;            ///< wall time of parse + CBQT + planning
   bool from_plan_cache = false;      ///< served from the engine plan cache
-  /// Served from the shared plan store: a peer instance's published plan was
-  /// imported on a local miss (implies from_plan_cache going forward — the
-  /// imported entry is also cached locally).
-  bool from_plan_store = false;
   /// Planned under a tripped OptimizerBudget (the plan cache's upgrade path
   /// re-optimizes such statements once they prove hot).
   bool degraded = false;
@@ -169,17 +164,13 @@ class QueryEngine {
   /// Telemetry of the plan cache; all-zero when the cache is disabled.
   PlanCacheStats plan_cache_stats() const;
 
-  bool plan_store_attached() const { return plan_store_ != nullptr; }
-  /// Telemetry of the shared-store attachment; all-zero when not attached.
-  PlanStoreStats plan_store_stats() const;
-
   /// On-demand snapshot of the plan cache to PlanCacheConfig::snapshot_path
-  /// (also runs at destruction when snapshot_on_shutdown is set). Fails
+  /// (also runs at destruction whenever a snapshot path is set). Fails
   /// typed when the cache is disabled or no snapshot path is configured.
   Status SavePlanSnapshot() const;
 
   /// Blocks until every background budget-upgrade scheduled so far has
-  /// finished (re-optimized and republished, or burned its attempt). Used by
+  /// finished (re-optimized and re-cached, or burned its attempt). Used by
   /// tests and benches for deterministic observation; production callers
   /// never need it — hits keep serving the degraded plan until the upgraded
   /// entry lands.
@@ -278,17 +269,13 @@ class QueryEngine {
   mutable std::atomic<int64_t> memory_victims_{0};
 
   /// Catalog schema fingerprint captured at construction; stamps every
-  /// persisted plan artifact (snapshot, shared-store records).
+  /// persisted plan artifact (the snapshot).
   uint64_t schema_fingerprint_ = 0;
 
   /// Null when CbqtConfig::plan_cache is disabled. Mutable state lives in
   /// the cache itself (sharded mutexes + atomics), so const Prepare stays
   /// thread-safe.
   std::unique_ptr<PlanCache> plan_cache_;
-  /// Shared-store attachment; null when PlanCacheConfig::shared_store_path
-  /// is empty, the cache is disabled, or attaching failed (a foreign-schema
-  /// store is refused — the engine then runs without sharing).
-  std::unique_ptr<PlanStore> plan_store_;
   /// Background worker for budget upgrades; null when the plan cache is
   /// disabled. Declared last so it is destroyed first: the destructor drains
   /// in-flight upgrades while plan_cache_ and optimizer_ are still alive.

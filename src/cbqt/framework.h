@@ -39,20 +39,13 @@ struct PlanCacheConfig {
   /// original budget scaled by multiplier^k (deadline and state cap).
   double upgrade_budget_multiplier = 8.0;
 
-  /// Persistent warm-start: when set, the engine loads this snapshot file at
-  /// construction (entries with a stale stats epoch or a foreign schema
-  /// fingerprint are skipped) and — with `snapshot_on_shutdown` — streams
-  /// the cache back to it at destruction. QueryEngine::SavePlanSnapshot
-  /// saves on demand. Empty disables persistence.
+  /// Persistent warm-start, the one way a plan leaves or enters an engine:
+  /// when set, the engine loads this snapshot file at construction (entries
+  /// with a stale stats epoch or a foreign schema fingerprint are skipped)
+  /// and streams the cache back to it at destruction, after in-flight
+  /// upgrades drain. QueryEngine::SavePlanSnapshot saves on demand. Empty
+  /// disables persistence.
   std::string snapshot_path;
-  bool snapshot_on_shutdown = true;
-
-  /// Cross-instance plan sharing: when set, the engine attaches to this
-  /// file-backed shared plan store (cbqt/plan_store.h). Freshly optimized
-  /// and upgraded non-degraded plans are published; a local cache miss
-  /// first tries to import a peer's entry before optimizing from scratch.
-  /// Empty disables sharing.
-  std::string shared_store_path;
 
   bool enabled() const { return capacity > 0; }
 };

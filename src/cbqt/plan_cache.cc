@@ -105,9 +105,6 @@ PlanCacheStats PlanCache::stats() const {
   out.snapshot_loaded = snapshot_loaded_.load(std::memory_order_relaxed);
   out.snapshot_stale = snapshot_stale_.load(std::memory_order_relaxed);
   out.snapshot_saved = snapshot_saved_.load(std::memory_order_relaxed);
-  out.store_imports = store_imports_.load(std::memory_order_relaxed);
-  out.store_publishes = store_publishes_.load(std::memory_order_relaxed);
-  out.store_stale = store_stale_.load(std::memory_order_relaxed);
   out.rebind_recosts = rebind_recosts_.load(std::memory_order_relaxed);
   out.cursor_hits = cursor_hits_.load(std::memory_order_relaxed);
   out.cursor_misses = cursor_misses_.load(std::memory_order_relaxed);
@@ -131,18 +128,6 @@ void PlanCache::RecordMissLatency(double ms) {
 void PlanCache::RecordUpgradeAttempt(bool upgraded) {
   upgrade_attempts_.fetch_add(1, std::memory_order_relaxed);
   if (upgraded) upgrades_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PlanCache::RecordStoreImport() {
-  store_imports_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PlanCache::RecordStorePublish() {
-  store_publishes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PlanCache::RecordStoreStale() {
-  store_stale_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PlanCache::RecordRebindRecost() {

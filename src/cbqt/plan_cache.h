@@ -139,13 +139,10 @@ struct PlanCacheStats {
   int64_t memory_bytes = 0;      ///< estimated bytes held by cached entries
   int64_t shed_bytes = 0;        ///< bytes freed by EvictBytes (memory pressure)
 
-  // Persistence / sharing telemetry (zero when neither is configured).
+  // Persistence telemetry (zero when no snapshot is configured).
   int64_t snapshot_loaded = 0;   ///< entries warm-started from a snapshot
   int64_t snapshot_stale = 0;    ///< snapshot entries skipped (epoch/schema)
   int64_t snapshot_saved = 0;    ///< entries streamed to a snapshot file
-  int64_t store_imports = 0;     ///< misses served from the shared plan store
-  int64_t store_publishes = 0;   ///< entries published to the shared store
-  int64_t store_stale = 0;       ///< store entries rejected (epoch/bands)
   int64_t rebind_recosts = 0;    ///< hits re-costed on a selectivity-band move
 
   // Cursor table (FindCursor / PutCursor).
@@ -242,10 +239,7 @@ class PlanCache {
   void RecordMissLatency(double ms);
   void RecordUpgradeAttempt(bool upgraded);
 
-  // Shared-store / re-binding telemetry, recorded by QueryEngine.
-  void RecordStoreImport();
-  void RecordStorePublish();
-  void RecordStoreStale();
+  // Re-binding telemetry, recorded by QueryEngine.
   void RecordRebindRecost();
 
   /// Streams every cached entry to `path` (atomically: tmp file + rename) as
@@ -288,9 +282,6 @@ class PlanCache {
   std::atomic<int64_t> snapshot_stale_{0};
   /// mutable: SaveSnapshot is logically const (the cache is unchanged).
   mutable std::atomic<int64_t> snapshot_saved_{0};
-  std::atomic<int64_t> store_imports_{0};
-  std::atomic<int64_t> store_publishes_{0};
-  std::atomic<int64_t> store_stale_{0};
   std::atomic<int64_t> rebind_recosts_{0};
   std::atomic<int64_t> cursor_hits_{0};
   std::atomic<int64_t> cursor_misses_{0};
@@ -305,8 +296,7 @@ inline constexpr uint32_t kPlanSnapshotMagic = 0x53514243u;  // "CBQS" LE
 
 /// Serializes one cache entry (key, epoch, trees, plan, cost, telemetry,
 /// parameter bands, upgrade-ladder state) into `w` — unframed; the snapshot
-/// file and shared-store records add their own frame around batches of
-/// entries. The mutable atomics (hits, upgrade gate) are not persisted.
+/// file adds its own frame around the batch of entries. The mutable atomics (hits, upgrade gate) are not persisted.
 void SerializeCachedPlanEntry(const CachedPlanEntry& entry, ByteWriter* w);
 
 /// Inverse of SerializeCachedPlanEntry. The deserialized trees are unbound

@@ -5,29 +5,12 @@
 
 namespace cbqt {
 
-namespace {
-
-bool IsNumeric(const Value& v) {
-  return v.kind() == ValueKind::kInt64 || v.kind() == ValueKind::kDouble;
-}
-
-// TotalLess with NaN placed after every other number (TotalLess finds a NaN
-// equal to every number, which is no order to sort by).
-bool CanonicalLess(const Value& a, const Value& b) {
-  if ((IsNan(a) || IsNan(b)) && IsNumeric(a) && IsNumeric(b)) {
-    return !IsNan(a) && IsNan(b);
-  }
-  return TotalLess(a, b);
-}
-
-}  // namespace
-
 void SortRowsCanonical(std::vector<Row>* rows) {
   std::sort(rows->begin(), rows->end(), [](const Row& a, const Row& b) {
     size_t n = std::min(a.size(), b.size());
     for (size_t i = 0; i < n; ++i) {
-      if (CanonicalLess(a[i], b[i])) return true;
-      if (CanonicalLess(b[i], a[i])) return false;
+      if (TotalLess(a[i], b[i])) return true;
+      if (TotalLess(b[i], a[i])) return false;
     }
     return a.size() < b.size();
   });

@@ -15,8 +15,8 @@ namespace cbqt {
 /// sorting, with NULL-aware structural value equality.
 
 /// Sorts rows into a canonical total order: lexicographic TotalLess
-/// (NULLs last, a Real NaN after every other number), shorter rows first on
-/// a common prefix.
+/// (NULLs last, a NaN after every other number), shorter rows first on a
+/// common prefix.
 void SortRowsCanonical(std::vector<Row>* rows);
 
 /// Renders one row for diff messages: [v1, v2, ...] with SQL-ish values.

@@ -43,7 +43,7 @@ enum class StatusCode {
   /// (see cbqt/scheduler.h RetryAfterMs) that well-behaved clients honor
   /// with jittered backoff. Cheap, typed, retryable.
   kTenantThrottled,
-  /// Serialized bytes (plan snapshot, shared plan store record) failed
+  /// Serialized bytes (plan snapshot, framed plan blob) failed
   /// structural validation: bad magic, version skew, checksum mismatch,
   /// truncation, or an out-of-range enum/count. The reader guarantees a
   /// typed error for arbitrary malformed input — never UB — so callers

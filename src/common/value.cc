@@ -72,10 +72,9 @@ bool IsNan(const Value& v) {
 Ordering CompareValues(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Ordering::kUnknown;
   if (IsNumeric(a) && IsNumeric(b)) {
-    double x = a.NumericValue();
-    double y = b.NumericValue();
-    if (x < y) return Ordering::kLess;
-    if (x > y) return Ordering::kGreater;
+    int c = NumericOrder(a.NumericValue(), b.NumericValue());
+    if (c < 0) return Ordering::kLess;
+    if (c > 0) return Ordering::kGreater;
     return Ordering::kEqual;
   }
   if (a.kind() != b.kind()) return Ordering::kUnknown;
@@ -118,9 +117,6 @@ bool TotalLess(const Value& a, const Value& b) {
 bool ValuesEqualStructural(const Value& a, const Value& b) {
   if (a.is_null() && b.is_null()) return true;
   if (a.is_null() || b.is_null()) return false;
-  // SQL `=` (CompareValues) finds a NaN equal to every number; as a key a
-  // NaN equals only a NaN, so the relation stays an equivalence.
-  if (IsNan(a) || IsNan(b)) return IsNan(a) && IsNan(b);
   Ordering ord = CompareValues(a, b);
   if (ord == Ordering::kEqual) return true;
   if (ord != Ordering::kUnknown) return false;

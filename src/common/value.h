@@ -1,6 +1,7 @@
 #ifndef CBQT_COMMON_VALUE_H_
 #define CBQT_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -65,12 +66,23 @@ class Value {
 /// True for a double NaN (of any sign or payload).
 bool IsNan(const Value& v);
 
+/// Three-way order of two numbers (< 0 less, 0 equal, > 0 greater), the one
+/// numeric rule of SQL comparison. It is Oracle's BINARY_DOUBLE rule: a NaN
+/// equals a NaN, whatever its sign or payload, and sorts above every other
+/// number, +infinity included.
+inline int NumericOrder(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  if (x == y) return 0;
+  return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+}
+
 /// Three-valued comparison result.
 enum class Ordering { kLess, kEqual, kGreater, kUnknown };
 
 /// SQL comparison: returns kUnknown if either side is NULL; numeric kinds
-/// compare numerically; strings lexicographically; bools false < true.
-/// Cross-kind non-numeric comparisons return kUnknown.
+/// compare as doubles by NumericOrder; strings lexicographically; bools
+/// false < true. Cross-kind non-numeric comparisons return kUnknown.
 Ordering CompareValues(const Value& a, const Value& b);
 
 /// Null-safe equality (SQL "IS NOT DISTINCT FROM"): NULLs match each other.

@@ -1,5 +1,8 @@
 #include "exec/compiled_expr.h"
 
+#include <cmath>
+#include <limits>
+
 namespace cbqt {
 
 CompiledExpr CompiledExpr::Compile(const Expr* e, const Schema* schema) {
@@ -275,6 +278,40 @@ bool Holds(int c) {
   return c >= 0;  // kGe
 }
 
+// NumericOrder(x, y) for a constant y that is not a NaN (Make settles a NaN
+// constant): a NaN x is neither < nor <= y, so it orders above y with no
+// branch of its own.
+int OrderToConstant(double x, double y) {
+  return x < y ? -1 : (x <= y ? 0 : 1);
+}
+
+// The comparison against +-infinity that `x <op> NaN` reduces to under
+// NumericOrder: x = NaN and x >= NaN hold only for a NaN x, x < NaN and
+// x != NaN for every other number, x <= NaN always and x > NaN never.
+void SettleNanConstant(BinaryOp* op, double* c) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (*op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kGe:
+      *op = BinaryOp::kGt;
+      *c = kInf;
+      return;
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+      *op = BinaryOp::kLe;
+      *c = kInf;
+      return;
+    case BinaryOp::kLe:
+      *op = BinaryOp::kGe;
+      *c = -kInf;
+      return;
+    default:  // kGt
+      *op = BinaryOp::kLt;
+      *c = -kInf;
+      return;
+  }
+}
+
 // Keeps, in order, the rowids of sel[0, n) that `pass` accepts, and returns
 // how many remain.
 template <typename Pass>
@@ -300,6 +337,7 @@ bool FilterKernel::Make(const CompiledExpr& p, FilterKernel* out) {
     case ValueKind::kDouble:
       out->family_ = Family::kNumeric;
       out->num_ = c->NumericValue();
+      if (std::isnan(out->num_)) SettleNanConstant(&op, &out->num_);
       break;
     case ValueKind::kString:
       out->family_ = Family::kString;
@@ -341,8 +379,7 @@ size_t FilterKernel::SelectOp(int64_t* sel, size_t n) const {
                 v.kind() != ValueKind::kDouble) {
               return false;
             }
-            const double x = v.NumericValue();
-            return Holds<kOp>(x < num_ ? -1 : (x > num_ ? 1 : 0));
+            return Holds<kOp>(OrderToConstant(v.NumericValue(), num_));
           }
           case Family::kString:
             return v.kind() == ValueKind::kString &&
@@ -356,14 +393,13 @@ size_t FilterKernel::SelectOp(int64_t* sel, size_t n) const {
     case ColumnKind::kInt64:
       if (family_ != Family::kNumeric) return 0;
       return SelectWhere(sel, n, [valid, xs = col.ints(), y = num_](size_t r) {
-        const double x = static_cast<double>(xs[r]);
-        return (valid[r] != 0) & Holds<kOp>(x < y ? -1 : (x > y ? 1 : 0));
+        return (valid[r] != 0) &
+               Holds<kOp>(OrderToConstant(static_cast<double>(xs[r]), y));
       });
     case ColumnKind::kDouble:
       if (family_ != Family::kNumeric) return 0;
       return SelectWhere(sel, n, [valid, xs = col.doubles(), y = num_](size_t r) {
-        const double x = xs[r];
-        return (valid[r] != 0) & Holds<kOp>(x < y ? -1 : (x > y ? 1 : 0));
+        return (valid[r] != 0) & Holds<kOp>(OrderToConstant(xs[r], y));
       });
     case ColumnKind::kString: {
       if (family_ != Family::kString) return 0;

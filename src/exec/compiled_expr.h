@@ -119,9 +119,11 @@ class CompiledExpr {
 /// once by the constant's kind (numeric, string or bool), bound to the
 /// stored column the slot reads, and run over that column's array. It keeps
 /// exactly the rows for which the compiled comparison is TRUE: numeric kinds
-/// compare as double, as CompareValues does (so Int meets Real, int64 beyond
-/// 2^53 rounds, and NaN compares equal); a stored value of another kind
-/// family, or NULL, is unknown and rejects the row.
+/// compare as double by NumericOrder, as CompareValues does (so Int meets
+/// Real, int64 beyond 2^53 rounds, and a NaN equals only a NaN and sorts
+/// above every other number); a stored value of another kind family, or
+/// NULL, is unknown and rejects the row. A NaN constant is settled once, in
+/// Make, into the equivalent comparison against an infinity.
 class FilterKernel {
  public:
   /// The kernel of conjunct `p`; false when `p` is not of the kernel form.

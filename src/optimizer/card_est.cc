@@ -46,7 +46,8 @@ double RangeFraction(const ColumnStats& cs, BinaryOp op, const Value& lit) {
   double lo = cs.min.NumericValue();
   double hi = cs.max.NumericValue();
   double v = lit.NumericValue();
-  if (hi <= lo) return kDefaultRangeSel;
+  // Also catches a NaN maximum: NaN sorts above every number (NumericOrder).
+  if (!(hi > lo)) return kDefaultRangeSel;
   double frac_below = (v - lo) / (hi - lo);
   frac_below = std::min(1.0, std::max(0.0, frac_below));
   switch (op) {

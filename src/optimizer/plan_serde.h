@@ -15,7 +15,7 @@ namespace cbqt {
 
 /// Compact binary (de)serialization for physical plans and the query trees
 /// that carry their CBQT provenance — the layer underneath the persistent
-/// plan-cache snapshot and the cross-instance shared plan store.
+/// plan-cache snapshot and the standalone plan blobs of plan_dump.
 ///
 /// Wire format: little-endian fixed-width scalars, length-prefixed strings
 /// and vectors, a one-byte tag per enum, and a presence byte per optional
@@ -44,8 +44,7 @@ inline constexpr uint32_t kPlanSerdeVersion = 2;
 /// fail typed instead of overflowing the stack.
 inline constexpr int kSerdeMaxDepth = 200;
 
-/// FNV-1a 64-bit over `bytes` — the payload checksum of framed blobs and of
-/// shared-store records.
+/// FNV-1a 64-bit over `bytes` — the payload checksum of framed blobs.
 uint64_t Fnv1a64(std::string_view bytes);
 
 /// Append-only encoder. Never fails; the buffer grows as needed.
@@ -138,8 +137,8 @@ Status ReadPlanNode(ByteReader* r, std::unique_ptr<PlanNode>* out,
 // ---- framing -------------------------------------------------------------
 
 /// Wraps `payload` in the common frame: magic, kPlanSerdeVersion, payload
-/// size, FNV-1a checksum, payload bytes. The snapshot file, shared-store
-/// records, and plan_dump blobs all share this frame (different magics).
+/// size, FNV-1a checksum, payload bytes. The snapshot file and plan_dump
+/// blobs share this frame (different magics).
 std::string FramePayload(uint32_t magic, std::string payload);
 
 /// Validates magic / version / size / checksum and returns a view of the

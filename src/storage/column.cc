@@ -7,14 +7,6 @@ namespace cbqt {
 
 namespace {
 
-// Three-way order of two doubles as CompareValues orders numbers: a NaN on
-// either side compares equal.
-int NumericOrder(double x, double y) {
-  if (x < y) return -1;
-  if (x > y) return 1;
-  return 0;
-}
-
 int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
 
 int ValueOrder(const Value& a, const Value& b) {

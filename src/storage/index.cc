@@ -7,14 +7,16 @@ namespace cbqt {
 namespace {
 
 // TotalLess over one numeric column: NULLs last, numbers compared as double
-// (as CompareValues compares them, so a NaN ties with every number).
+// by NumericOrder (as CompareValues compares them, so NaNs sort last among
+// the numbers).
 template <typename T>
 struct NumericLess {
   const uint8_t* valid;
   const T* xs;
   bool operator()(int64_t a, int64_t b) const {
     return valid[a] != 0 &&
-           (valid[b] == 0 || static_cast<double>(xs[a]) < static_cast<double>(xs[b]));
+           (valid[b] == 0 || NumericOrder(static_cast<double>(xs[a]),
+                                          static_cast<double>(xs[b])) < 0);
   }
 };
 
@@ -22,14 +24,13 @@ struct NumericLess {
 template <typename T>
 void LookupNumeric(const std::vector<int64_t>& order, const uint8_t* valid,
                    const T* xs, double y, std::vector<int64_t>* out) {
-  auto it = std::lower_bound(order.begin(), order.end(), y,
-                             [valid, xs](int64_t r, double probe) {
-                               return valid[r] != 0 &&
-                                      static_cast<double>(xs[r]) < probe;
-                             });
+  auto it = std::lower_bound(
+      order.begin(), order.end(), y, [valid, xs](int64_t r, double probe) {
+        return valid[r] != 0 &&
+               NumericOrder(static_cast<double>(xs[r]), probe) < 0;
+      });
   for (; it != order.end() && valid[*it] != 0; ++it) {
-    const double x = static_cast<double>(xs[*it]);
-    if (x < y || x > y) break;
+    if (NumericOrder(static_cast<double>(xs[*it]), y) != 0) break;
     out->push_back(*it);
   }
 }

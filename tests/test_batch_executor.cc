@@ -528,11 +528,11 @@ TEST_F(BatchExecutorTest, ConcurrentExecutionsShareOneCachedPlan) {
 // ---------------------------------------------------------------------------
 
 // One table whose columns hold every value kind: i holds int64 values at and
-// beyond 2^53, r a NaN and -0.0, x (declared Int) values of every kind. Each
-// column cycles through its list at its own period, so the rows mix them.
-// The kernel path must keep exactly the rows the tree evaluator keeps, in
-// table (or index) order, count the same candidates, and agree with the
-// reference interpreter.
+// beyond 2^53, r NaNs of either sign and with a payload, the infinities and
+// -0.0, x (declared Int) values of every kind. Each column cycles through its
+// list at its own period, so the rows mix them. The kernel path must keep
+// exactly the rows the tree evaluator keeps, in table (or index) order, count
+// the same candidates, and agree with the reference interpreter.
 class ScanKernelTest : public ::testing::Test {
  protected:
   static constexpr int kRows = 90;
@@ -559,12 +559,16 @@ class ScanKernelTest : public ::testing::Test {
         Value::Int(std::numeric_limits<int64_t>::max()),
         Value::Int(std::numeric_limits<int64_t>::min()),
         Value::Int(2),        null};
+    const double inf = std::numeric_limits<double>::infinity();
+    // An odd count, so (k * 2) % size reaches every entry.
     const std::vector<Value> reals = {
         Value::Real(2.0),  Value::Real(2.5),
         Value::Real(std::nan("")), Value::Real(-0.0),
         Value::Real(1e300), Value::Real(3.0),
         Value::Real(-2.5), null,
-        Value::Real(9007199254740992.0)};
+        Value::Real(9007199254740992.0), Value::Real(-std::nan("")),
+        Value::Real(inf), Value::Real(std::nan("7")),
+        Value::Real(-inf)};
     const std::vector<Value> strs = {Value::Str(""),  Value::Str("a"),
                                      Value::Str("b"), Value::Str("ab"),
                                      Value::Str("B"), null,
@@ -597,13 +601,25 @@ class ScanKernelTest : public ::testing::Test {
            "kt WHERE " + where;
   }
 
+  /// Replaces every literal under `e` with `v`: a NaN or an infinity, which
+  /// no SQL literal spells.
+  static void SetLiterals(Expr* e, const Value& v) {
+    if (e->kind == ExprKind::kLiteral) e->literal = v;
+    for (auto& c : e->children) SetLiterals(c.get(), v);
+  }
+
   /// A table scan of kt (index scan on kt_g = `g` when `g` >= 0) whose
   /// output is every column plus rowid, filtered by the bound conjuncts of
-  /// `where`. Also returns those conjuncts' candidate rowids, in scan order.
+  /// `where`, with every literal set to `*constant` when one is given. Also
+  /// returns those conjuncts' candidate rowids, in scan order.
   static std::unique_ptr<PlanNode> Scan(const std::string& where, int64_t g,
-                                        std::vector<int64_t>* candidates) {
+                                        std::vector<int64_t>* candidates,
+                                        const Value* constant = nullptr) {
     auto qb = ParseAndBind(*db_, Select(where));
     if (qb == nullptr) return nullptr;
+    if (constant != nullptr) {
+      for (auto& w : qb->where) SetLiterals(w.get(), *constant);
+    }
     auto n = std::make_unique<PlanNode>(g >= 0 ? PlanOp::kIndexScan
                                                : PlanOp::kTableScan);
     n->table_name = "kt";
@@ -651,10 +667,13 @@ class ScanKernelTest : public ::testing::Test {
 
   /// Runs the scan for `where` at batch sizes 1, 3 and 1024 against the tree
   /// evaluator (same rows in the same order, one count per candidate) and
-  /// the reference interpreter (same rows).
-  static void Check(const std::string& where, int64_t g = -1) {
+  /// the reference interpreter (same rows). With a `constant` (table scans
+  /// only), every literal of `where` takes its value.
+  static void Check(const std::string& where, int64_t g = -1,
+                    const Value* constant = nullptr) {
+    ASSERT_TRUE(constant == nullptr || g < 0) << where;
     std::vector<int64_t> candidates;
-    auto scan = Scan(where, g, &candidates);
+    auto scan = Scan(where, g, &candidates, constant);
     ASSERT_NE(scan, nullptr) << where;
     const std::vector<Row> tree = TreeRows(*scan, candidates);
     std::string sql = g >= 0 ? Select("kt.g = " + std::to_string(g) +
@@ -662,6 +681,9 @@ class ScanKernelTest : public ::testing::Test {
                              : Select(where);
     auto qb = ParseAndBind(*db_, sql);
     ASSERT_NE(qb, nullptr) << sql;
+    if (constant != nullptr) {
+      for (auto& w : qb->where) SetLiterals(w.get(), *constant);
+    }
     ReferenceExecutor reference(*db_);
     auto ref = reference.Execute(*qb);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
@@ -716,9 +738,69 @@ std::string WithOp(const std::string& shape, const std::string& op) {
   return out;
 }
 
+// The verdict of `x <op> c` under Oracle's BINARY_DOUBLE rule, spelled out:
+// a NaN equals a NaN and is greater than every other number.
+bool NumericRuleHolds(const std::string& op, double x, double c) {
+  const bool x_nan = std::isnan(x);
+  const bool c_nan = std::isnan(c);
+  const int order = x_nan || c_nan ? (x_nan ? 1 : 0) - (c_nan ? 1 : 0)
+                                   : (x < c ? -1 : (x == c ? 0 : 1));
+  if (op == "=") return order == 0;
+  if (op == "<>") return order != 0;
+  if (op == "<") return order < 0;
+  if (op == "<=") return order <= 0;
+  if (op == ">") return order > 0;
+  return order >= 0;
+}
+
+// The rows of kt whose r passes `r <op> c` by NumericRuleHolds, by id.
+std::vector<int64_t> RuleRows(const Table& table, const std::string& op,
+                              double c) {
+  std::vector<int64_t> ids;
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    const Value v = table.RowAt(r)[3];
+    if (!v.is_null() && NumericRuleHolds(op, v.AsDouble(), c)) {
+      ids.push_back(static_cast<int64_t>(r));
+    }
+  }
+  return ids;
+}
+
 TEST_F(ScanKernelTest, EveryOpConstantSideAndKindMatchesTreeEvaluator) {
   for (const char* shape : kKernelShapes) {
     for (const char* op : kCompareOps) Check(WithOp(shape, op));
+  }
+  // Constants against the stored NaNs, infinities and numbers, among them
+  // ones no SQL literal spells: a NaN (which the kernel settles once) and
+  // the infinities. On r the kernel keeps exactly the rows the rule itself
+  // picks, at batch sizes 1 and 1024.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double c : {std::nan(""), -std::nan(""), 2.0, inf, -inf}) {
+    const Value constant = Value::Real(c);
+    for (const char* shape :
+         {"kt.r $ 0.5", "0.5 $ kt.r", "kt.i $ 0.5", "kt.x $ 0.5"}) {
+      for (const char* op : kCompareOps) {
+        Check(WithOp(shape, op), -1, &constant);
+      }
+    }
+    for (const char* op : kCompareOps) {
+      std::vector<int64_t> candidates;
+      auto scan = Scan(WithOp("kt.r $ 0.5", op), -1, &candidates, &constant);
+      ASSERT_NE(scan, nullptr);
+      const std::vector<int64_t> expected =
+          RuleRows(*db_->FindTable("kt"), op, c);
+      for (size_t batch : {size_t{1}, size_t{1024}}) {
+        ExecOptions opts;
+        opts.batch_size = batch;
+        Executor exec(*db_, std::move(opts));
+        auto got = exec.Execute(*scan);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        std::vector<int64_t> kept;
+        for (const Row& row : got.value().rows) kept.push_back(row[0].AsInt());
+        EXPECT_EQ(kept, expected)
+            << "kt.r " << op << " " << c << " batch=" << batch;
+      }
+    }
   }
 }
 
@@ -888,6 +970,15 @@ class JoinTableTest : public ::testing::Test {
     AddTable("qb", "v", DataType::kDouble,
              {{I(1), neg_nan}, {I(2), R(2.0)}, {I(2), I(3)},
               {null, payload_nan}, {I(3), nan}});
+    // NaNs of every form among numbers out of order, the infinities and
+    // NULLs: 24 rows, the 12 values twice.
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<Value> mixed = {R(5.5),  nan,         R(-1.0), I(3),
+                                      neg_nan, R(1e300),    R(-inf), payload_nan,
+                                      R(inf),  null,        R(0.0),  div_nan};
+    std::vector<Row> ordered;
+    for (int i = 0; i < 24; ++i) ordered.push_back({I(i), mixed[i % 12]});
+    AddTable("qo", "v", DataType::kDouble, std::move(ordered));
     // Set-operation inputs: duplicates and NULLs on both sides, and
     // (2, 'x') in sa meeting (2.0, 'x') in sb.
     AddTable("sa", "v", DataType::kInt64,
@@ -1366,6 +1457,83 @@ TEST_F(JoinTableTest, NanKeysMatchReference) {
                   " SELECT qb.v, qb.k FROM qb");
     ASSERT_FALSE(expected.empty()) << c.sql;
     ExpectOrderedRows(*n, expected, c.sql);
+  }
+}
+
+// SQL comparison has one NaN rule, Oracle's for BINARY_DOUBLE: a NaN equals
+// a NaN, whatever its sign or payload, and sorts above every other number.
+// So an equi-join on NaN keys returns the reference interpreter's rows under
+// the hash join and the nested loop alike, and so does an IN semijoin; and
+// ORDER BY puts the numbers in ascending order, then the NaNs, then NULLs.
+TEST_F(JoinTableTest, NanJoinKeysAndOrderByFollowOneNumericRule) {
+  auto nested = [](JoinKind kind, const std::string& probe,
+                   const std::string& build) {
+    auto n = HashJoin(kind, probe, build);
+    n->op = PlanOp::kNestedLoopJoin;
+    n->join_conds.push_back(MakeBinary(BinaryOp::kEq,
+                                       std::move(n->hash_left_keys[0]),
+                                       std::move(n->hash_right_keys[0])));
+    n->hash_left_keys.clear();
+    n->hash_right_keys.clear();
+    return n;
+  };
+  const struct {
+    JoinKind kind;
+    const char* probe;
+    const char* sql;
+    size_t rows;
+  } cases[] = {
+      // qa's five NaNs meet qb's three, its two 2.0s meet qb's 2.0, and
+      // 3.0 meets 3.
+      {JoinKind::kInner, "qa",
+       "SELECT qa.v, qa.k, qb.v, qb.k FROM qa, qb WHERE qa.k = qb.k", 18},
+      // qo's eight NaNs and two 3s; its other numbers meet no NaN of qb.
+      {JoinKind::kSemi, "qo",
+       "SELECT qo.v, qo.k FROM qo WHERE qo.k IN (SELECT qb.k FROM qb)", 10},
+  };
+  for (const auto& c : cases) {
+    const std::vector<Row> expected = Reference(c.sql);
+    EXPECT_EQ(expected.size(), c.rows) << c.sql << "\n" << Render(expected);
+    for (const auto& plan :
+         {HashJoin(c.kind, c.probe, "qb"), nested(c.kind, c.probe, "qb")}) {
+      for (size_t batch : {size_t{1}, size_t{1024}}) {
+        ExecOptions opts;
+        opts.batch_size = batch;
+        const std::vector<Row> got = Execute(*plan, std::move(opts));
+        const std::string label =
+            std::string(c.sql) +
+            (plan->op == PlanOp::kHashJoin ? " hash join" : " nested loop") +
+            " batch=" + std::to_string(batch);
+        EXPECT_EQ(got.size(), expected.size()) << label;
+        EXPECT_TRUE(RowMultisetsEqual(got, expected, false)) << label;
+      }
+    }
+  }
+
+  auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
+  sort->children.push_back(Scan("qo"));
+  sort->output = sort->children[0]->output;
+  sort->sort_keys.push_back(MakeColumnRef("qo", "k"));
+  sort->sort_ascending.push_back(true);
+  for (size_t batch : {size_t{1}, size_t{1024}}) {
+    ExecOptions opts;
+    opts.batch_size = batch;
+    const std::vector<Row> got = Execute(*sort, std::move(opts));
+    ASSERT_EQ(got.size(), size_t{24});
+    // 14 numbers ascending, then 8 NaNs, then 2 NULLs.
+    std::vector<Value> keys;
+    for (const Row& r : got) keys.push_back(r[1]);
+    const std::string label =
+        "order by qo.k batch=" + std::to_string(batch) + ": " + Render(got);
+    for (size_t i = 0; i < 14; ++i) {
+      EXPECT_TRUE(!keys[i].is_null() && !IsNan(keys[i])) << label;
+      if (i > 0) {
+        EXPECT_LE(keys[i - 1].NumericValue(), keys[i].NumericValue())
+            << label;
+      }
+    }
+    for (size_t i = 14; i < 22; ++i) EXPECT_TRUE(IsNan(keys[i])) << label;
+    for (size_t i = 22; i < 24; ++i) EXPECT_TRUE(keys[i].is_null()) << label;
   }
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cbqt/engine.h"
-#include "cbqt/plan_store.h"
 #include "common/cancellation.h"
 #include "optimizer/card_est.h"
 #include "sql/expr_util.h"
@@ -28,6 +27,15 @@ CbqtConfig CachedConfig(size_t capacity = 64, int num_shards = 1) {
   cfg.plan_cache.capacity = capacity;
   cfg.plan_cache.num_shards = num_shards;
   return cfg;
+}
+
+// A fresh path under the test temp dir; any leftover from a previous run is
+// removed so every test starts cold.
+std::string FreshTempPath(const std::string& name) {
+  std::filesystem::path p =
+      std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove(p);
+  return p.string();
 }
 
 std::vector<Row> SortedRows(QueryResult result) {
@@ -123,34 +131,55 @@ TEST_F(PlanCacheTest, ParameterizedStatementsShareOneEntry) {
 }
 
 TEST_F(PlanCacheTest, CachedResultsMatchUncachedAcrossLiterals) {
-  QueryEngine cached(*db_, CachedConfig());
+  CbqtConfig cfg = CachedConfig();
+  cfg.plan_cache.snapshot_path = FreshTempPath("cbqt_snap_literals.cbqs");
+  QueryEngine cached(*db_, cfg);
   QueryEngine uncached(*db_, CbqtConfig{});
   ASSERT_FALSE(uncached.plan_cache_enabled());
   const std::vector<std::string> sqls = {
       // Same shape, varied literals: every run after the first is a hit whose
-      // plan literals were re-bound.
+      // plan literals were re-bound, except where a literal moves the
+      // selectivity band (> 100000000 keeps no row) and re-costs.
       "SELECT e.employee_name, e.salary FROM employees e, departments d "
       "WHERE e.dept_id = d.dept_id AND e.salary > 5000",
       "SELECT e.employee_name, e.salary FROM employees e, departments d "
       "WHERE e.dept_id = d.dept_id AND e.salary > 8000",
       "SELECT e.employee_name, e.salary FROM employees e, departments d "
-      "WHERE e.dept_id = d.dept_id AND e.salary > 100",
+      "WHERE e.dept_id = d.dept_id AND e.salary > 100000000",
+      "SELECT e.employee_name, e.salary FROM employees e, departments d "
+      "WHERE e.dept_id = d.dept_id AND e.salary > 5100",
       // Subquery shape with two parameterized literals.
       "SELECT e.employee_name FROM employees e WHERE e.salary > 7000 AND "
       "e.dept_id IN (SELECT d.dept_id FROM departments d WHERE d.loc_id < 5)",
       "SELECT e.employee_name FROM employees e WHERE e.salary > 2000 AND "
       "e.dept_id IN (SELECT d.dept_id FROM departments d WHERE d.loc_id < 9)",
   };
-  for (const auto& sql : sqls) {
-    auto hit = cached.Run(sql);
-    auto ref = uncached.Run(sql);
-    ASSERT_TRUE(hit.ok()) << sql << "\n" << hit.status().ToString();
-    ASSERT_TRUE(ref.ok()) << sql;
-    EXPECT_EQ(SortedRows(std::move(hit.value())),
-              SortedRows(std::move(ref.value())))
-        << sql;
-  }
+  auto sweep = [&](const QueryEngine& engine) {
+    for (const auto& sql : sqls) {
+      auto hit = engine.Run(sql);
+      auto ref = uncached.Run(sql);
+      ASSERT_TRUE(hit.ok()) << sql << "\n" << hit.status().ToString();
+      ASSERT_TRUE(ref.ok()) << sql;
+      EXPECT_EQ(SortedRows(std::move(hit.value())),
+                SortedRows(std::move(ref.value())))
+          << sql;
+    }
+  };
+  sweep(cached);
   EXPECT_GE(cached.plan_cache_stats().hits, 3);
+  EXPECT_GE(cached.plan_cache_stats().rebind_recosts, 1);
+
+  // Snapshot leg: an engine built from the saved cache serves its first
+  // statement from the loaded entry, and the same sweep, band move
+  // included, returns the cache-off engine's rows.
+  ASSERT_TRUE(cached.SavePlanSnapshot().ok());
+  QueryEngine loaded(*db_, cfg);
+  ASSERT_EQ(loaded.plan_cache_stats().snapshot_loaded, 2);
+  auto first = loaded.Prepare(sqls[0]);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first->from_plan_cache);
+  sweep(loaded);
+  EXPECT_GE(loaded.plan_cache_stats().rebind_recosts, 1);
 }
 
 // True when some expression in the plan under `node` holds a parameter slot.
@@ -500,16 +529,7 @@ TEST_F(PlanCacheTest, ConcurrentSharedEngineRunsAreSafe) {
   EXPECT_GE(stats.hits, 1);
 }
 
-// ---- persistence & sharing ----------------------------------------------
-
-// A fresh path under the test temp dir; any leftover from a previous run is
-// removed so every test starts cold.
-std::string FreshTempPath(const std::string& name) {
-  std::filesystem::path p =
-      std::filesystem::path(::testing::TempDir()) / name;
-  std::filesystem::remove(p);
-  return p.string();
-}
+// ---- persistence ----------------------------------------------
 
 TEST_F(PlanCacheTest, SnapshotWarmStartServesBitIdenticalPlans) {
   const std::string path = FreshTempPath("cbqt_snap_warm.cbqs");
@@ -560,7 +580,7 @@ TEST_F(PlanCacheTest, SnapshotIsWrittenOnShutdownAndLoadedAtStartup) {
       "SELECT d.dept_name FROM departments d WHERE d.loc_id > 3";
 
   CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.snapshot_path = path;  // snapshot_on_shutdown defaults true
+  cfg.plan_cache.snapshot_path = path;  // saved at destruction
   {
     QueryEngine engine(*db_, cfg);
     ASSERT_TRUE(engine.Prepare(sql).ok());
@@ -691,7 +711,6 @@ TEST_F(PlanCacheTest, SnapshotReloadKeepsLruOrder) {
       "SELECT e.employee_name FROM employees e WHERE e.dept_id > 1";
   CbqtConfig cfg = CachedConfig(/*capacity=*/3, /*num_shards=*/1);
   cfg.plan_cache.snapshot_path = path;
-  cfg.plan_cache.snapshot_on_shutdown = false;
   {
     QueryEngine cold(*db_, cfg);
     for (const std::string& sql : {a, b, c}) {
@@ -714,202 +733,6 @@ TEST_F(PlanCacheTest, SnapshotReloadKeepsLruOrder) {
   auto evicted = warm.Prepare(a);
   ASSERT_TRUE(evicted.ok());
   EXPECT_FALSE(evicted->from_plan_cache);
-}
-
-TEST_F(PlanCacheTest, SecondInstanceImportsPublishedPlansFromSharedStore) {
-  const std::string path = FreshTempPath("cbqt_store_share.cbqh");
-  const std::string sql =
-      "SELECT e.employee_name, d.dept_name FROM employees e, departments d "
-      "WHERE e.dept_id = d.dept_id AND e.salary > 5000";
-
-  CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.shared_store_path = path;
-
-  QueryEngine first(*db_, cfg);
-  ASSERT_TRUE(first.plan_store_attached());
-  auto optimized = first.Prepare(sql);
-  ASSERT_TRUE(optimized.ok());
-  EXPECT_FALSE(optimized->from_plan_cache);
-  EXPECT_GE(first.plan_cache_stats().store_publishes, 1);
-  EXPECT_GE(first.plan_store_stats().publishes, 1);
-
-  QueryEngine second(*db_, cfg);
-  ASSERT_TRUE(second.plan_store_attached());
-  QueryEngine uncached(*db_, CbqtConfig{});
-  // The second instance has never optimized this statement: its very first
-  // Prepare is served from the peer's published plan.
-  auto imported = second.Run(sql);
-  auto ref = uncached.Run(sql);
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE(imported->prepared.from_plan_cache);
-  EXPECT_TRUE(imported->prepared.from_plan_store);
-  EXPECT_EQ(PlanShape(*imported->prepared.plan), PlanShape(*optimized->plan));
-  EXPECT_EQ(SortedRows(std::move(imported.value())),
-            SortedRows(std::move(ref.value())));
-  EXPECT_EQ(second.plan_cache_stats().store_imports, 1);
-  EXPECT_EQ(second.plan_store_stats().imports, 1);
-
-  // Once imported, the entry lives in the local cache: repeats are plain
-  // hits with no further store traffic.
-  auto repeat = second.Prepare(sql);
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_TRUE(repeat->from_plan_cache);
-  EXPECT_FALSE(repeat->from_plan_store);
-  EXPECT_EQ(second.plan_store_stats().imports, 1);
-}
-
-TEST_F(PlanCacheTest, SharedStoreRejectsStaleEpochRecords) {
-  const std::string path = FreshTempPath("cbqt_store_stale.cbqh");
-  const std::string sql =
-      "SELECT e.employee_name FROM employees e WHERE e.salary > 5000";
-  CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.shared_store_path = path;
-
-  QueryEngine first(*db_, cfg);
-  ASSERT_TRUE(first.Prepare(sql).ok());
-
-  ASSERT_TRUE(db_->Analyze().ok());  // the published record is now stale
-
-  QueryEngine second(*db_, cfg);
-  auto p = second.Prepare(sql);
-  ASSERT_TRUE(p.ok());
-  EXPECT_FALSE(p->from_plan_store);
-  EXPECT_FALSE(p->from_plan_cache);
-  EXPECT_GE(second.plan_store_stats().stale_rejected, 1);
-  EXPECT_EQ(second.plan_cache_stats().store_imports, 0);
-}
-
-TEST_F(PlanCacheTest, SharedStoreWithForeignFingerprintIsRefused) {
-  const std::string path = FreshTempPath("cbqt_store_foreign.cbqh");
-  uint64_t fp = db_->catalog().Fingerprint();
-  auto store = PlanStore::Open(path, fp);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto foreign = PlanStore::Open(path, fp ^ 1);
-  ASSERT_FALSE(foreign.ok());
-  EXPECT_EQ(foreign.status().code(), StatusCode::kDataCorruption);
-
-  // An engine over the same schema attaches fine to the existing store.
-  CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.shared_store_path = path;
-  QueryEngine engine(*db_, cfg);
-  EXPECT_TRUE(engine.plan_store_attached());
-}
-
-TEST_F(PlanCacheTest, PlanStoreImportHonorsCancellation) {
-  const std::string path = FreshTempPath("cbqt_store_cancel.cbqh");
-  CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.shared_store_path = path;
-  QueryEngine publisher(*db_, cfg);
-  ASSERT_TRUE(publisher
-                  .Prepare("SELECT e.employee_name FROM employees e "
-                           "WHERE e.salary > 5000")
-                  .ok());
-  ASSERT_GE(publisher.plan_store_stats().publishes, 1);
-
-  // A fresh attachment has the published record still unscanned; a token
-  // tripped before the import must unwind the scan, not finish it.
-  auto store = PlanStore::Open(path, db_->catalog().Fingerprint());
-  ASSERT_TRUE(store.ok());
-  CancellationToken token;
-  token.Cancel();
-  auto imported = (*store)->Import("any-key", db_->stats_epoch(), &token);
-  ASSERT_FALSE(imported.ok());
-  EXPECT_EQ(imported.status().code(), StatusCode::kCancelled);
-
-  // Without the token the same attachment scans and resolves normally.
-  auto clean = (*store)->Import("any-key", db_->stats_epoch());
-  ASSERT_TRUE(clean.ok());
-  EXPECT_EQ(*clean, nullptr);  // unknown key, but the scan completed
-  EXPECT_GE((*store)->stats().records_scanned, 1);
-}
-
-TEST_F(PlanCacheTest, CorruptStoreRecordStopsScanTyped) {
-  const std::string path = FreshTempPath("cbqt_store_corrupt.cbqh");
-  CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.shared_store_path = path;
-  QueryEngine publisher(*db_, cfg);
-  ASSERT_TRUE(publisher
-                  .Prepare("SELECT e.employee_name FROM employees e "
-                           "WHERE e.salary > 5000")
-                  .ok());
-
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::app);
-    f << "garbage-that-is-not-a-framed-record";
-  }
-
-  auto store = PlanStore::Open(path, db_->catalog().Fingerprint());
-  ASSERT_TRUE(store.ok());
-  auto imported = (*store)->Import("any-key", db_->stats_epoch());
-  ASSERT_FALSE(imported.ok());
-  EXPECT_EQ(imported.status().code(), StatusCode::kDataCorruption);
-  EXPECT_GE((*store)->stats().corrupt_skipped, 1);
-
-  // The engine path degrades to "no sharing" and still answers the query.
-  QueryEngine reader(*db_, cfg);
-  auto p = reader.Prepare(
-      "SELECT e.employee_name FROM employees e WHERE e.salary > 5000");
-  ASSERT_TRUE(p.ok());
-  EXPECT_FALSE(p->from_plan_store);
-}
-
-TEST_F(PlanCacheTest, ConcurrentTwoEngineSharedStoreTraffic) {
-  // Two engines attached to one store, hammered from both sides: publishes
-  // and imports race through flock + the per-attachment incremental scan.
-  // Run under TSan in CI.
-  const std::string path = FreshTempPath("cbqt_store_race.cbqh");
-  CbqtConfig cfg = CachedConfig(/*capacity=*/32, /*num_shards=*/4);
-  cfg.plan_cache.shared_store_path = path;
-  QueryEngine a(*db_, cfg);
-  QueryEngine b(*db_, cfg);
-  ASSERT_TRUE(a.plan_store_attached());
-  ASSERT_TRUE(b.plan_store_attached());
-  QueryEngine uncached(*db_, CbqtConfig{});
-
-  const std::vector<std::string> sqls = {
-      "SELECT e.employee_name FROM employees e WHERE e.salary > 5000",
-      "SELECT d.dept_name FROM departments d WHERE d.loc_id > 2",
-      "SELECT l.city FROM locations l WHERE l.loc_id > 1",
-      "SELECT e.employee_name, d.dept_name FROM employees e, departments d "
-      "WHERE e.dept_id = d.dept_id AND e.salary > 8000",
-  };
-  std::vector<std::vector<Row>> expected;
-  for (const auto& sql : sqls) {
-    auto ref = uncached.Run(sql);
-    ASSERT_TRUE(ref.ok());
-    expected.push_back(SortedRows(std::move(ref.value())));
-  }
-
-  constexpr int kThreads = 6;
-  constexpr int kIters = 8;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      QueryEngine& engine = (t % 2 == 0) ? a : b;
-      for (int i = 0; i < kIters; ++i) {
-        size_t shape = static_cast<size_t>((t + i) % sqls.size());
-        auto result = engine.Run(sqls[shape]);
-        if (!result.ok() ||
-            SortedRows(std::move(result.value())) != expected[shape]) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  // Every statement was optimized at most a handful of times across both
-  // engines — the store shares search results instead of repeating them.
-  int64_t imports = a.plan_cache_stats().store_imports +
-                    b.plan_cache_stats().store_imports;
-  int64_t publishes = a.plan_cache_stats().store_publishes +
-                      b.plan_cache_stats().store_publishes;
-  EXPECT_GE(publishes, static_cast<int64_t>(sqls.size()));
-  EXPECT_GE(imports, 0);  // timing-dependent, but must never corrupt results
 }
 
 // ---- cardinality-aware re-binding ----------------------------------------
@@ -951,11 +774,11 @@ TEST_F(PlanCacheTest, SameBandRebindsStayCacheHits) {
 }
 
 TEST_F(PlanCacheTest, WorkloadReportSurfacesPersistenceCounters) {
-  const std::string store = FreshTempPath("cbqt_store_report.cbqh");
+  const std::string snapshot = FreshTempPath("cbqt_snap_report.cbqs");
   CbqtConfig cfg = CachedConfig();
-  cfg.plan_cache.shared_store_path = store;
+  cfg.plan_cache.snapshot_path = snapshot;
   {
-    QueryEngine seed_engine(*db_, cfg);
+    QueryEngine seed_engine(*db_, cfg);  // saves the snapshot at destruction
     ASSERT_TRUE(seed_engine
                     .Prepare("SELECT e.employee_name FROM employees e "
                              "WHERE e.salary > 5000")
@@ -968,11 +791,10 @@ TEST_F(PlanCacheTest, WorkloadReportSurfacesPersistenceCounters) {
   WorkloadRunner runner(*db_);
   WorkloadRunReport report = runner.RunAll({q, q}, cfg);
   EXPECT_EQ(report.failed, 0) << report.ErrorSummary();
-  // The runner's engine imported the seeded peer plan (or republished its
-  // own): the persistence counters flow through to the report.
-  EXPECT_GE(report.plan_cache.store_imports + report.plan_cache.store_publishes,
-            1);
-  EXPECT_GE(report.plan_cache.hits + report.plan_cache.misses, 2);
+  // The runner's engine warm-started from the seeded snapshot: the
+  // persistence counters flow through to the report, and both runs hit.
+  EXPECT_EQ(report.plan_cache.snapshot_loaded, 1);
+  EXPECT_EQ(report.plan_cache.hits, 2);
 }
 
 // ---- cursor sharing (stateful) --------------------------------------------
@@ -1086,27 +908,23 @@ TEST_F(PlanCacheTest, EvictedPlanWithLiveCursorRecordTakesTheFullPath) {
   EXPECT_TRUE(settled->from_plan_cache);
 }
 
-TEST_F(PlanCacheTest, WarmStartAndStoreImportHitOnFirstPrepareThenUseCursor) {
+TEST_F(PlanCacheTest, WarmStartHitsOnFirstPrepareThenUsesCursor) {
   const std::string snapshot = FreshTempPath("cbqt_cursor_warm.cbqs");
-  const std::string store = FreshTempPath("cbqt_cursor_store.cbqh");
   const std::string shape =
       "SELECT e.employee_name FROM employees e WHERE e.salary > ";
 
   CbqtConfig cfg = CachedConfig();
   cfg.plan_cache.snapshot_path = snapshot;
-  cfg.plan_cache.shared_store_path = store;
   {
     QueryEngine cold(*db_, cfg);
     ASSERT_TRUE(cold.Prepare(shape + "5000").ok());
     ASSERT_TRUE(cold.SavePlanSnapshot().ok());
   }
 
-  // Snapshot warm start: the snapshot carries plans, not cursor records.
-  // The first Prepare parses (a cursor miss) and is still a plan hit; the
-  // next one is keyed from the record it registered.
-  CbqtConfig warm_cfg = CachedConfig();
-  warm_cfg.plan_cache.snapshot_path = snapshot;
-  QueryEngine warm(*db_, warm_cfg);
+  // The snapshot carries plans, not cursor records. The first Prepare
+  // parses (a cursor miss) and is still a plan hit; the next one is keyed
+  // from the record it registered.
+  QueryEngine warm(*db_, cfg);
   auto first = warm.Prepare(shape + "5100");
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->from_plan_cache);
@@ -1117,23 +935,6 @@ TEST_F(PlanCacheTest, WarmStartAndStoreImportHitOnFirstPrepareThenUseCursor) {
   EXPECT_EQ(stats.cursor_misses, 1);
   EXPECT_EQ(stats.cursor_hits, 1);
   EXPECT_EQ(stats.hits, 2);
-
-  // Shared-store import: same story on a peer with an empty local cache.
-  CbqtConfig peer_cfg = CachedConfig();
-  peer_cfg.plan_cache.shared_store_path = store;
-  QueryEngine peer(*db_, peer_cfg);
-  auto imported = peer.Prepare(shape + "5300");
-  ASSERT_TRUE(imported.ok());
-  EXPECT_TRUE(imported->from_plan_cache);
-  EXPECT_TRUE(imported->from_plan_store);
-  auto repeat = peer.Prepare(shape + "5400");
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_TRUE(repeat->from_plan_cache);
-  EXPECT_FALSE(repeat->from_plan_store);
-  stats = peer.plan_cache_stats();
-  EXPECT_EQ(stats.store_imports, 1);
-  EXPECT_EQ(stats.cursor_misses, 1);
-  EXPECT_EQ(stats.cursor_hits, 1);
 }
 
 TEST_F(PlanCacheTest, BandMoveThroughTheCursorPathRecosts) {
