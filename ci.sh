@@ -48,7 +48,15 @@
 # rowids, checked against the tree evaluator over every value kind, NaNs,
 # the infinities and int64 beyond 2^53, and against the NaN rule itself for
 # NaN and infinite constants, in table and index scans at batch sizes 1, 3
-# and 1024), and the column store (test_storage: ColumnStorage reads every
+# and 1024; OuterBoundKernelsInReopenedSubplansMatchReference: correlated
+# EXISTS and scalar-aggregate subqueries whose inner scan tests its
+# correlated conjunct as an outer-bound kernel, every comparison in both
+# operand orders, outer arithmetic, NULL, NaN, infinite, beyond-2^53,
+# dictionary-absent and other-kind outer values, one subplan tree re-opened
+# per correlation key, against the reference interpreter), the reference
+# interpreter itself (test_reference_oracle whole, gbp cases included: WHERE
+# runs as the last FROM entry's rows form, so no FROM product is held), and
+# the column store (test_storage: ColumnStorage reads every
 # inserted value back through the typed, dictionary and generic columns
 # with its kind and bits; IndexOrderTest probes the rowid-permutation
 # indexes against a brute-force scan and the row-key sort, including the

@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -120,6 +121,14 @@ bool ValuesEqualStructural(const Value& a, const Value& b) {
   Ordering ord = CompareValues(a, b);
   if (ord == Ordering::kEqual) return true;
   if (ord != Ordering::kUnknown) return false;
+  return a == b;
+}
+
+bool ValuesIdentical(const Value& a, const Value& b) {
+  if (a.kind() == ValueKind::kDouble && b.kind() == ValueKind::kDouble) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
   return a == b;
 }
 

@@ -122,6 +122,12 @@ bool ValuesEqualStructural(const Value& a, const Value& b);
 /// slot.
 bool RowsEqualStructural(const Row& a, const Row& b);
 
+/// Value identity: the same kind and the same bits (NULL is NULL). Stricter
+/// than ValuesEqualStructural, which matches Int(2) with Real(2.0), 2^53
+/// with 2^53 + 1 and -0.0 with 0.0, values that arithmetic or the result
+/// kind can tell apart. Agrees with Value::Hash: identical values hash equal.
+bool ValuesIdentical(const Value& a, const Value& b);
+
 }  // namespace cbqt
 
 #endif  // CBQT_COMMON_VALUE_H_

@@ -30,26 +30,11 @@ bool CompiledExpr::AsSlotCompare(int* slot, BinaryOp* op,
   const Node* s = &l;
   const Node* c = &r;
   if (l.op == Op::kConst && r.op == Op::kSlot) {
-    // const <cmp> slot reads as slot <mirrored cmp> const: CompareValues is
+    // const <cmp> slot reads as slot <swapped cmp> const: CompareValues is
     // antisymmetric, so the verdict is the same for every pair.
     s = &r;
     c = &l;
-    switch (bop) {
-      case BinaryOp::kLt:
-        bop = BinaryOp::kGt;
-        break;
-      case BinaryOp::kGt:
-        bop = BinaryOp::kLt;
-        break;
-      case BinaryOp::kLe:
-        bop = BinaryOp::kGe;
-        break;
-      case BinaryOp::kGe:
-        bop = BinaryOp::kLe;
-        break;
-      default:
-        break;  // = and <> are symmetric
-    }
+    bop = SwapComparison(bop);
   }
   if (s->op != Op::kSlot || c->op != Op::kConst || c->constant.is_null()) {
     return false;
@@ -331,21 +316,25 @@ bool FilterKernel::Make(const CompiledExpr& p, FilterKernel* out) {
   int slot = -1;
   BinaryOp op = BinaryOp::kEq;
   const Value* c = nullptr;
-  if (!p.AsSlotCompare(&slot, &op, &c)) return false;
-  switch (c->kind()) {
+  return p.AsSlotCompare(&slot, &op, &c) && MakeCompare(slot, op, *c, out);
+}
+
+bool FilterKernel::MakeCompare(int slot, BinaryOp op, const Value& c,
+                               FilterKernel* out) {
+  switch (c.kind()) {
     case ValueKind::kInt64:
     case ValueKind::kDouble:
       out->family_ = Family::kNumeric;
-      out->num_ = c->NumericValue();
+      out->num_ = c.NumericValue();
       if (std::isnan(out->num_)) SettleNanConstant(&op, &out->num_);
       break;
     case ValueKind::kString:
       out->family_ = Family::kString;
-      out->str_ = c->AsString();
+      out->str_ = c.AsString();
       break;
     case ValueKind::kBool:
       out->family_ = Family::kBool;
-      out->bool_ = c->AsBool();
+      out->bool_ = c.AsBool();
       break;
     case ValueKind::kNull:
       return false;

@@ -116,8 +116,10 @@ class CompiledExpr {
 };
 
 /// A typed filter kernel: one `slot <cmp> constant` conjunct, specialized
-/// once by the constant's kind (numeric, string or bool), bound to the
-/// stored column the slot reads, and run over that column's array. It keeps
+/// by the constant's kind (numeric, string or bool), bound to the stored
+/// column the slot reads, and run over that column's array. The constant is
+/// a literal of the conjunct, specialized once, or a value of the enclosing
+/// query's current row, specialized again each time the scan opens. It keeps
 /// exactly the rows for which the compiled comparison is TRUE: numeric kinds
 /// compare as double by NumericOrder, as CompareValues does (so Int meets
 /// Real, int64 beyond 2^53 rounds, and a NaN equals only a NaN and sorts
@@ -128,6 +130,12 @@ class FilterKernel {
  public:
   /// The kernel of conjunct `p`; false when `p` is not of the kernel form.
   static bool Make(const CompiledExpr& p, FilterKernel* out);
+
+  /// Specializes `out` to `slot <op> c`, keeping its bound column (Bind
+  /// again to resolve a string constant's code); false, leaving `out`
+  /// unchanged, when `c` is NULL.
+  static bool MakeCompare(int slot, BinaryOp op, const Value& c,
+                          FilterKernel* out);
 
   /// The slot of the conjunct's input schema the kernel tests.
   int slot() const { return slot_; }

@@ -10,7 +10,9 @@
 
 namespace cbqt {
 
-class KeyTable;
+template <bool (*kEq)(const Value&, const Value&)>
+class BasicKeyTable;
+using KeyTable = BasicKeyTable<ValuesEqualStructural>;
 
 /// One name-resolution frame: a schema plus the current row of that schema.
 struct Frame {

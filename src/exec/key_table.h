@@ -18,14 +18,17 @@ namespace cbqt {
 /// Distinct keys sit back to back in one value array (a key is copied only
 /// the first time it is seen), each with its HashRow, and get dense ids 0,
 /// 1, 2, ... in first-seen order. An open-addressed bucket array maps a
-/// hash to a key id. Keys hash with HashRow and compare with
-/// ValuesEqualStructural slot by slot (RowsEqualStructural), so Int(2) finds
-/// Real(2.0) and NULL finds NULL. Every key of one table has the same width.
+/// hash to a key id. Keys hash with HashRow and compare slot by slot with
+/// `kEq`: in a KeyTable, with ValuesEqualStructural (RowsEqualStructural),
+/// so Int(2) finds Real(2.0) and NULL finds NULL; in an IdenticalKeyTable,
+/// with ValuesIdentical, so a key finds only the same value of the same
+/// kind. Every key of one table has the same width.
 /// A one-column table is also probed and filled by a bare value, hashed with
 /// one HashStep (the same hash as its one-value key row), so no key row is
 /// built. A caller that keeps something per key keeps it in a vector indexed
 /// by key id.
-class KeyTable {
+template <bool (*kEq)(const Value&, const Value&)>
+class BasicKeyTable {
  public:
   static constexpr int kNone = -1;
 
@@ -105,7 +108,7 @@ class KeyTable {
   bool KeyEquals(int k, const Value* key) const {
     const Value* stored = this->key(k);
     for (size_t i = 0; i < width_; ++i) {
-      if (!ValuesEqualStructural(stored[i], key[i])) return false;
+      if (!kEq(stored[i], key[i])) return false;
     }
     return true;
   }
@@ -131,6 +134,15 @@ class KeyTable {
   uint32_t width_ = 0;
   int shift_ = 64;  // 64 - log2(buckets_.size())
 };
+
+/// The hash join's build table, aggregate groups, COUNT(DISTINCT), the
+/// DISTINCT and set-operation seen sets, window partitions and the IN /
+/// NOT IN probe index of a subquery result.
+using KeyTable = BasicKeyTable<ValuesEqualStructural>;
+
+/// The TIS subquery caches' correlation keys: a cached result stands for a
+/// re-run of the subquery only under an identical outer value.
+using IdenticalKeyTable = BasicKeyTable<ValuesIdentical>;
 
 }  // namespace cbqt
 

@@ -12,6 +12,7 @@
 #include "common/fault_injector.h"
 #include "exec/compiled_expr.h"
 #include "exec/key_table.h"
+#include "sql/expr_util.h"
 
 namespace cbqt {
 
@@ -401,70 +402,84 @@ Status MapScanSlots(const Schema& output, const TableDef& def,
   return Status::OK();
 }
 
+/// True when `e` is built from literals, unary and binary operators and
+/// column refs that all resolve outside `schema` (the scan's output),
+/// through an enclosing frame: its value is fixed while the enclosing
+/// frames hold their rows.
+bool IsOuterBound(const Expr& e, const Schema& schema) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumnRef:
+      return FindSlot(schema, e.table_alias, e.column_name) < 0;
+    case ExprKind::kUnary:
+    case ExprKind::kBinary:
+      for (const auto& c : e.children) {
+        if (!IsOuterBound(*c, schema)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// True when conjunct `e` is `column <cmp> outer` or `outer <cmp> column`,
+/// where the column resolves in `schema` and `outer` IsOuterBound. Fills the
+/// column's slot, the comparison as seen with the column on the left, and
+/// the outer expression.
+bool AsOuterBoundCompare(const Expr& e, const Schema& schema, int* slot,
+                         BinaryOp* op, const Expr** outer) {
+  if (e.kind != ExprKind::kBinary || !IsComparisonOp(e.bop)) return false;
+  for (size_t side = 0; side < 2; ++side) {
+    const Expr& col = *e.children[side];
+    const Expr& other = *e.children[1 - side];
+    if (col.kind != ExprKind::kColumnRef) continue;
+    const int found = FindSlot(schema, col.table_alias, col.column_name);
+    if (found < 0 || !IsOuterBound(other, schema)) continue;
+    *slot = found;
+    *op = side == 0 ? e.bop : SwapComparison(e.bop);
+    *outer = &other;
+    return true;
+  }
+  return false;
+}
+
 /// A scan's pushed filter and its materialization from the stored columns,
 /// shared by the table and index scans. Candidates arrive as a selection
-/// vector of rowids. When every conjunct is fast, each `slot <cmp> constant`
-/// conjunct on a stored column runs first as a typed FilterKernel straight
-/// over that column's array, narrowing the selection vector; the other
-/// conjuncts, compiled against the scan's output schema, then test each
-/// remaining candidate on a scratch scan row that holds only the slots they
-/// read. The survivors are materialized last, from the columns, a column at
-/// a time and only the scan's output slots (late materialization: rows that
-/// fail, and unreferenced columns, never leave the table). With a fallback
-/// conjunct there are no kernels: each candidate is materialized and the
-/// whole filter runs on it in conjunct order, with the fallback evaluator.
+/// vector of rowids. Each `slot <cmp> constant` conjunct on a stored column
+/// runs first as a typed FilterKernel straight over that column's array,
+/// narrowing the selection vector. So does each outer-bound conjunct,
+/// `slot <cmp> outer` where `outer` reads only enclosing frames (a
+/// correlated predicate of a tuple-iteration subquery): its constant is
+/// `outer`'s value, evaluated once per Open at the first non-empty batch,
+/// and a NULL value rejects every candidate. The other conjuncts then test
+/// each remaining candidate on a scratch scan row that holds only the slots
+/// they read. The survivors are materialized last, from the columns, a
+/// column at a time and only the scan's output slots (late
+/// materialization: rows that fail, and unreferenced columns, never leave
+/// the table). A conjunct that needs the enclosing frames and is not
+/// outer-bound (a function call, say) keeps the filter whole: no kernels,
+/// every conjunct tested in its original order, so each conjunct is
+/// evaluated on the rows the planner priced it for.
 class ScanFilter {
  public:
   explicit ScanFilter(const PlanNode* node)
       : node_(node), filter_(node->filter, &node->output) {}
 
-  /// Maps the scan's output onto `table`'s columns and moves the kernel
-  /// conjuncts onto their columns. Once: a rescan re-Opens.
-  Status Bind(const Table& table) {
-    if (table_ != nullptr) return Status::OK();
-    CBQT_RETURN_IF_ERROR(MapScanSlots(node_->output, table.def(), &src_slots_));
-    table_ = &table;
-    scratch_.resize(src_slots_.size());
-    if (filter_.needs_frame()) return Status::OK();
-    std::vector<CompiledExpr> rest;
-    for (const CompiledExpr& p : filter_) {
-      FilterKernel k;
-      const int src = FilterKernel::Make(p, &k)
-                          ? src_slots_[static_cast<size_t>(k.slot())]
-                          : kRowIdSrc;
-      if (src == kRowIdSrc) {  // not a kernel, or a test of the rowid
-        p.CollectSlots(&rest_slots_);
-        rest.push_back(p);
-        continue;
-      }
-      k.Bind(table.column(static_cast<size_t>(src)));
-      kernels_.push_back(std::move(k));
-    }
-    filter_ = CompiledList(std::move(rest), &node_->output);
-    std::sort(rest_slots_.begin(), rest_slots_.end());
-    rest_slots_.erase(std::unique(rest_slots_.begin(), rest_slots_.end()),
-                      rest_slots_.end());
+  /// Called by each Open of the scan: binds the filter to `table` on the
+  /// first call, and makes the outer-bound kernels bind afresh.
+  Status Open(const Table& table) {
+    if (table_ == nullptr) CBQT_RETURN_IF_ERROR(Bind(table));
+    outer_pending_ = !outer_.empty();
     return Status::OK();
   }
 
   /// Appends to `out`, in order, the scan row of each candidate stored row
   /// (rowids sel[0, n)) that passes. The rowids are narrowed in place.
   Status Emit(EvalContext& ev, int64_t* sel, size_t n, RowBatch* out) {
-    if (filter_.needs_frame()) {
-      // Each candidate's whole scan row is built in the scratch row, which
-      // moves to the output only when the row passes.
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t k = 0; k < src_slots_.size(); ++k) {
-          scratch_[k] = ValueAt(src_slots_[k], sel[i]);
-        }
-        auto pass = filter_.Test(ev, scratch_);
-        if (!pass.ok()) return pass.status();
-        if (!IsTruthy(pass.value())) continue;
-        out->Add(std::move(scratch_));
-        scratch_ = Row(src_slots_.size());
-      }
-      return Status::OK();
-    }
+    if (n == 0) return Status::OK();
+    if (outer_pending_) CBQT_RETURN_IF_ERROR(BindOuter(ev));
+    if (outer_null_) return Status::OK();
     for (const FilterKernel& k : kernels_) {
       if (n == 0) return Status::OK();
       n = k.Select(sel, n);
@@ -499,6 +514,89 @@ class ScanFilter {
   }
 
  private:
+  /// An outer-bound kernel: kernels_[kernel] tests `slot <op> expr`.
+  struct OuterBound {
+    size_t kernel = 0;
+    int slot = -1;
+    BinaryOp op = BinaryOp::kEq;
+    const Expr* expr = nullptr;
+    const Column* column = nullptr;
+  };
+
+  /// Maps the scan's output onto `table`'s columns and moves the kernel
+  /// conjuncts onto their columns.
+  Status Bind(const Table& table) {
+    CBQT_RETURN_IF_ERROR(MapScanSlots(node_->output, table.def(), &src_slots_));
+    table_ = &table;
+    scratch_.resize(src_slots_.size());
+    std::vector<CompiledExpr> rest;
+    bool rest_needs_frame = false;
+    size_t i = 0;
+    for (const CompiledExpr& p : filter_) {
+      const Expr& e = *node_->filter[i++];
+      FilterKernel k;
+      OuterBound ob;
+      int src = kRowIdSrc;
+      if (FilterKernel::Make(p, &k)) {
+        src = src_slots_[static_cast<size_t>(k.slot())];
+      } else if (AsOuterBoundCompare(e, node_->output, &ob.slot, &ob.op,
+                                     &ob.expr)) {
+        src = src_slots_[static_cast<size_t>(ob.slot)];
+      }
+      if (src == kRowIdSrc) {  // not a kernel, or a test of the rowid
+        rest_needs_frame |= !p.fast();
+        rest.push_back(p);
+        continue;
+      }
+      const Column& column = table.column(static_cast<size_t>(src));
+      if (ob.expr != nullptr) {
+        ob.kernel = kernels_.size();
+        ob.column = &column;
+        outer_.push_back(ob);
+      }
+      k.Bind(column);
+      kernels_.push_back(std::move(k));
+    }
+    if (rest_needs_frame) {
+      kernels_.clear();
+      outer_.clear();
+      for (const auto& f : node_->filter) {
+        VisitExprDeepConst(f.get(), [this](const Expr* x) {
+          if (x->kind != ExprKind::kColumnRef) return;
+          const int s = FindSlot(node_->output, x->table_alias, x->column_name);
+          if (s >= 0) rest_slots_.push_back(s);
+        });
+      }
+    } else {
+      filter_ = CompiledList(std::move(rest), &node_->output);
+      for (const CompiledExpr& p : filter_) p.CollectSlots(&rest_slots_);
+    }
+    std::sort(rest_slots_.begin(), rest_slots_.end());
+    rest_slots_.erase(std::unique(rest_slots_.begin(), rest_slots_.end()),
+                      rest_slots_.end());
+    return Status::OK();
+  }
+
+  /// Specializes each outer-bound kernel to its expression's value under
+  /// the enclosing frames, the frames every candidate of this Open is
+  /// tested under. A NULL value makes its comparison unknown for every
+  /// candidate.
+  Status BindOuter(EvalContext& ev) {
+    outer_pending_ = false;
+    outer_null_ = false;
+    for (const OuterBound& ob : outer_) {
+      auto v = EvalExpr(*ob.expr, ev);
+      if (!v.ok()) return v.status();
+      FilterKernel& k = kernels_[ob.kernel];
+      if (!FilterKernel::MakeCompare(ob.slot, ob.op, v.value(), &k)) {
+        outer_null_ = true;
+        continue;
+      }
+      k.Bind(*ob.column);
+    }
+    return Status::OK();
+  }
+
   /// The value of stored column `src` (or the rowid) at `rowid`.
   Value ValueAt(int src, int64_t rowid) const {
     if (src == kRowIdSrc) return Value::Int(rowid);
@@ -507,15 +605,17 @@ class ScanFilter {
   }
 
   const PlanNode* node_;
-  // On the scan's output schema; after Bind, the conjuncts that are not
-  // kernels.
+  // On the scan's output schema; after the first Open, the conjuncts that
+  // are not kernels.
   CompiledList filter_;
-  const Table* table_ = nullptr;      // set by Bind
+  const Table* table_ = nullptr;      // set by the first Open
   std::vector<int> src_slots_;
   std::vector<FilterKernel> kernels_;  // bound to their stored columns
+  std::vector<OuterBound> outer_;      // the kernels bound per Open
+  bool outer_pending_ = false;         // outer_ not yet bound this Open
+  bool outer_null_ = false;            // some outer value is NULL
   std::vector<int> rest_slots_;        // the output slots filter_ reads
-  Row scratch_;  // the scan row of the candidate in test (rest_slots_ only
-                 // when the filter is all fast)
+  Row scratch_;  // the candidate in test, rest_slots_ only
 };
 
 class TableScanOperator final : public Operator {
@@ -529,7 +629,7 @@ class TableScanOperator final : public Operator {
       return Status::Internal("missing table at execution: " +
                               node_->table_name);
     }
-    CBQT_RETURN_IF_ERROR(filter_.Bind(*table_));
+    CBQT_RETURN_IF_ERROR(filter_.Open(*table_));
     pos_ = 0;
     return Status::OK();
   }
@@ -570,7 +670,7 @@ class IndexScanOperator final : public Operator {
       return Status::Internal("missing table/index at execution: " +
                               node_->table_name + "/" + node_->index_name);
     }
-    CBQT_RETURN_IF_ERROR(filter_.Bind(*table));
+    CBQT_RETURN_IF_ERROR(filter_.Open(*table));
     // Probe values resolve through the *enclosing* frames (a rescanning
     // nested-loop join re-Opens this operator once per outer row with the
     // outer frame pushed), so they go through the tree evaluator.
@@ -1971,7 +2071,9 @@ class WindowOperator final : public BufferedOperator {
 
 /// TIS subquery resolver with per-correlation-key result caching. Each
 /// subplan runs as an operator tree under the query's context, so its
-/// correlated refs resolve against the current outer row; the cached
+/// correlated refs resolve against the current outer row. The tree is built
+/// at the subplan's first cache miss and re-opened and drained at each
+/// later one, as a nested-loop join re-opens its rescanned side. The cached
 /// results persist for the whole operator (TIS caching) and are charged
 /// against the per-query memory tracker.
 class CachingSubqueryResolver : public SubqueryResolver {
@@ -2000,14 +2102,17 @@ class CachingSubqueryResolver : public SubqueryResolver {
     }
     Cache& cache = caches_[i];
     const int hit = cache.keys.Find(key);
-    if (hit != KeyTable::kNone) {
+    if (hit != IdenticalKeyTable::kNone) {
       ++ctx_->stats.subquery_cache_hits;
       return View(cache.results[static_cast<size_t>(hit)]);
     }
     ++ctx_->stats.subquery_executions;
-    auto op = OperatorFactory::Build(*node_.subplans[i], ctx_);
-    if (!op.ok()) return op.status();
-    auto rows = DrainOperator(op.value().get(), &mem_);
+    if (cache.op == nullptr) {
+      auto op = OperatorFactory::Build(*node_.subplans[i], ctx_);
+      if (!op.ok()) return op.status();
+      cache.op = std::move(op.value());
+    }
+    auto rows = DrainOperator(cache.op.get(), &mem_);
     if (!rows.ok()) return rows.status();
     cache.keys.Insert(key);
     CachedResult& cached = cache.results.emplace_back();
@@ -2030,10 +2135,12 @@ class CachingSubqueryResolver : public SubqueryResolver {
     bool has_null = false;
   };
 
-  // One subplan's cache: a result per correlation key id. A deque keeps a
-  // handed-out view's result in place while later keys are added.
+  // One subplan's cache: its operator tree, and a result per correlation
+  // key id. A deque keeps a handed-out view's result in place while later
+  // keys are added.
   struct Cache {
-    KeyTable keys;
+    std::unique_ptr<Operator> op;  // built at the first miss
+    IdenticalKeyTable keys;
     std::deque<CachedResult> results;
   };
 

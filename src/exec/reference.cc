@@ -218,7 +218,27 @@ Result<std::vector<Row>> ReferenceExecutor::ExecuteRegular(
     return s;
   };
 
-  for (const auto& tr : qb.from) {
+  // WHERE, tested on each row of the last FROM entry as it is formed, in
+  // conjunct order, so the product of the entries is never held whole.
+  auto where_pass = [&](const Schema& s, const Row& r) -> Result<bool> {
+    ctx.frames.push_back(Frame{&s, &r});
+    for (const auto& w : qb.where) {
+      auto v = EvalExpr(*w, ctx);
+      if (!v.ok()) {
+        ctx.frames.pop_back();
+        return v.status();
+      }
+      if (!IsTruthy(v.value())) {
+        ctx.frames.pop_back();
+        return false;
+      }
+    }
+    ctx.frames.pop_back();
+    return true;
+  };
+
+  for (size_t e = 0; e < qb.from.size(); ++e) {
+    const TableRef& tr = qb.from[e];
     Schema eschema = entry_schema(tr);
     std::vector<Row> right;
     bool per_row = tr.lateral;
@@ -231,8 +251,22 @@ Result<std::vector<Row>> ReferenceExecutor::ExecuteRegular(
     combined.insert(combined.end(), eschema.begin(), eschema.end());
     schemas_.push_back(combined);
     Schema& combined_ref = schemas_.back();
+    const bool widens =
+        tr.join == JoinKind::kInner || tr.join == JoinKind::kLeftOuter;
+    const bool last = e + 1 == qb.from.size() && !qb.where.empty();
+    const Schema& out_schema = widens ? combined_ref : schema;
 
     std::vector<Row> next;
+    // Keeps `r`, a row of this entry's result; WHERE decides after the last.
+    auto emit = [&](Row r) -> Status {
+      if (last) {
+        auto pass = where_pass(out_schema, r);
+        if (!pass.ok()) return pass.status();
+        if (!pass.value()) return Status::OK();
+      }
+      next.push_back(std::move(r));
+      return Status::OK();
+    };
     for (const Row& lrow : acc) {
       std::vector<Row> rrows;
       if (per_row) {
@@ -276,21 +310,21 @@ Result<std::vector<Row>> ReferenceExecutor::ExecuteRegular(
         }
         if (!pass.AsBool()) continue;
         matched = true;
-        if (tr.join == JoinKind::kInner || tr.join == JoinKind::kLeftOuter) {
-          next.push_back(std::move(comb));
+        if (widens) {
+          CBQT_RETURN_IF_ERROR(emit(std::move(comb)));
         } else {
           break;  // semi/anti decided by the first match
         }
       }
       switch (tr.join) {
         case JoinKind::kSemi:
-          if (matched) next.push_back(lrow);
+          if (matched) CBQT_RETURN_IF_ERROR(emit(lrow));
           break;
         case JoinKind::kAnti:
-          if (!matched) next.push_back(lrow);
+          if (!matched) CBQT_RETURN_IF_ERROR(emit(lrow));
           break;
         case JoinKind::kAntiNA:
-          if (!matched && !unknown) next.push_back(lrow);
+          if (!matched && !unknown) CBQT_RETURN_IF_ERROR(emit(lrow));
           break;
         case JoinKind::kLeftOuter:
           if (!matched) {
@@ -298,38 +332,24 @@ Result<std::vector<Row>> ReferenceExecutor::ExecuteRegular(
             for (size_t i = 0; i < eschema.size(); ++i) {
               comb.push_back(Value::Null());
             }
-            next.push_back(std::move(comb));
+            CBQT_RETURN_IF_ERROR(emit(std::move(comb)));
           }
           break;
         case JoinKind::kInner:
           break;
       }
     }
-    if (tr.join == JoinKind::kInner || tr.join == JoinKind::kLeftOuter) {
-      schema = combined_ref;
-    }
+    if (widens) schema = combined_ref;
     acc = std::move(next);
   }
 
-  // ---- WHERE ----
-  if (!qb.where.empty()) {
+  // ---- WHERE, for a block with no FROM entry ----
+  if (qb.from.empty() && !qb.where.empty()) {
     std::vector<Row> kept;
     for (const Row& r : acc) {
-      ctx.frames.push_back(Frame{&schema, &r});
-      bool pass = true;
-      for (const auto& w : qb.where) {
-        auto v = EvalExpr(*w, ctx);
-        if (!v.ok()) {
-          ctx.frames.pop_back();
-          return v.status();
-        }
-        if (!IsTruthy(v.value())) {
-          pass = false;
-          break;
-        }
-      }
-      ctx.frames.pop_back();
-      if (pass) kept.push_back(r);
+      auto pass = where_pass(schema, r);
+      if (!pass.ok()) return pass.status();
+      if (pass.value()) kept.push_back(r);
     }
     acc = std::move(kept);
   }

@@ -404,6 +404,24 @@ class FuzzGen {
 
   // ---- subqueries ----
 
+  // A correlated conjunct between `inner` and `outer` column refs: mostly
+  // `inner = outer`, sometimes with <, >= or <> instead, the operands
+  // mirrored, or `outer + k` on the outer side.
+  std::string CorrelatedPred(const std::string& inner,
+                             const std::string& outer) {
+    const char* op = "=";
+    if (rng_.NextBool(0.35)) {
+      const char* const kOps[] = {"<", ">=", "<>"};
+      op = kOps[rng_.NextUint(3)];
+    }
+    std::string rhs = outer;
+    if (rng_.NextBool(0.2)) {
+      rhs = "(" + outer + " + " + std::to_string(1 + rng_.NextUint(3)) + ")";
+    }
+    if (rng_.NextBool(0.3)) return rhs + " " + op + " " + inner;
+    return inner + " " + op + " " + rhs;
+  }
+
   // One subquery predicate correlated (or not) with `outer` via a join edge.
   std::string SubqueryPred(const std::vector<GenRel>& rels) {
     // Candidate (outer rel, edge, direction) pairs where the outer side's
@@ -436,8 +454,29 @@ class FuzzGen {
     in.cols = inner.cols;
     in.card = inner.card;
     in.table = c.inner_table;
-    std::string corr = in.alias + "." + c.inner_col + " = " + outer.alias +
-                       "." + c.outer_col;
+    std::string corr = CorrelatedPred(in.alias + "." + c.inner_col,
+                                      outer.alias + "." + c.outer_col);
+    if (rng_.NextBool(0.25)) {
+      // A second correlated conjunct on a nullable outer column, so a
+      // tuple-iteration scan also meets NULL outer values.
+      std::vector<const GenCol*> nullable;
+      for (const auto& col : outer.cols) {
+        if (col.nullable) nullable.push_back(&col);
+      }
+      std::vector<const GenCol*> numeric;
+      for (const auto& col : in.cols) {
+        if (col.type == ColType::kId || col.type == ColType::kInt ||
+            col.type == ColType::kReal) {
+          numeric.push_back(&col);
+        }
+      }
+      if (!nullable.empty() && !numeric.empty()) {
+        const GenCol& ic = *numeric[rng_.NextUint(numeric.size())];
+        const GenCol& oc = *nullable[rng_.NextUint(nullable.size())];
+        corr += " AND " + CorrelatedPred(in.alias + "." + ic.name,
+                                         outer.alias + "." + oc.name);
+      }
+    }
     switch (rng_.NextUint(5)) {
       case 0:
         return "EXISTS (SELECT 1 FROM " + inner.name + " " + in.alias +

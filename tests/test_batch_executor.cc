@@ -873,6 +873,94 @@ TEST(FilterKernelForm, SlotCompareConstantWithTheConstantOnEitherSide) {
 }
 
 // ---------------------------------------------------------------------------
+// Outer-bound scan kernels (tuple-iteration subqueries)
+// ---------------------------------------------------------------------------
+
+// A copy of `node` whose table scans of alias `alias` are index scans of kt_g
+// probing `g`. The subquery's own `alias.g = g` conjunct keeps its rows.
+PlanPtr WithIndexScans(const PlanNode& node, const std::string& alias,
+                       int64_t g) {
+  std::unique_ptr<PlanNode> copy = node.Clone();
+  if (copy->op == PlanOp::kTableScan && copy->table_alias == alias) {
+    copy->op = PlanOp::kIndexScan;
+    copy->index_name = "kt_g";
+    copy->probes.clear();
+    copy->probes.push_back(MakeLiteral(Value::Int(g)));
+  }
+  for (auto& c : copy->children) c = WithIndexScans(*c, alias, g);
+  for (auto& s : copy->subplans) s = WithIndexScans(*s, alias, g);
+  return copy;
+}
+
+// The correlated conjunct of the inner scan `i` of kt, where `$` is the
+// comparison op and `o` the outer row of kt: the inner column on either
+// side; outer values of every kind, among them int64s at and beyond 2^53,
+// NaNs, the infinities and NULLs; outer arithmetic; a string the inner
+// column's dictionary lacks (o.x's '2'); and an outer value of another kind
+// than the inner column (a number against i.s, a string against i.i).
+const char* const kOuterBoundShapes[] = {
+    "i.i $ o.i",     "o.i $ i.i",     "i.r $ o.r", "o.r $ i.r",
+    "i.r $ o.i + 1", "o.r * 2 $ i.i", "i.s $ o.s", "o.x $ i.s",
+    "i.s $ o.i",     "i.i $ o.x",     "i.b $ o.b", "i.x $ o.r",
+};
+
+// Correlated EXISTS and scalar-aggregate subqueries kept under
+// tuple-iteration semantics (unnesting off): the inner scan tests the
+// correlated conjunct as a kernel whose constant is the outer row's value,
+// bound afresh each time the subplan re-opens for a new correlation key.
+// Every op and shape, in table scans and in index scans, at batch sizes 1, 3
+// and 1024, returns the reference interpreter's rows, and the one subplan
+// tree re-opens for many keys.
+TEST_F(ScanKernelTest, OuterBoundKernelsInReopenedSubplansMatchReference) {
+  CbqtConfig cfg;
+  cfg.transforms = cfg.transforms.Without(Transform::kUnnest);
+  CbqtOptimizer optimizer(*db_, cfg);
+  ReferenceExecutor reference(*db_);
+  for (const char* shape : kOuterBoundShapes) {
+    for (const char* op : kCompareOps) {
+      for (int64_t g : {int64_t{-1}, int64_t{1}}) {
+        const std::string pred =
+            (g >= 0 ? "i.g = " + std::to_string(g) + " AND " : "") +
+            WithOp(shape, op);
+        for (const std::string& sql :
+             {"SELECT o.id FROM kt o WHERE EXISTS (SELECT 1 FROM kt i WHERE " +
+                  pred + ")",
+              "SELECT o.id FROM kt o WHERE (SELECT SUM(i.id) FROM kt i "
+              "WHERE " + pred + ") > o.id * 20"}) {
+          auto qb = ParseAndBind(*db_, sql);
+          ASSERT_NE(qb, nullptr) << sql;
+          auto expected = reference.Execute(*qb);
+          ASSERT_TRUE(expected.ok()) << expected.status().ToString() << sql;
+          auto opt = optimizer.Optimize(*qb);
+          ASSERT_TRUE(opt.ok()) << opt.status().ToString() << "\n" << sql;
+          PlanPtr plan = g >= 0 ? WithIndexScans(*opt->plan, "i", g)
+                                : PlanPtr(std::move(opt->plan));
+          const PlanNode* tis = FindOp(*plan, PlanOp::kSubqueryFilter);
+          ASSERT_NE(tis, nullptr) << sql << "\n" << PlanToString(*plan);
+          ASSERT_EQ(tis->subplans.size(), size_t{1}) << sql;
+          ASSERT_NE(FindOp(*tis->subplans[0], g >= 0 ? PlanOp::kIndexScan
+                                                     : PlanOp::kTableScan),
+                    nullptr)
+              << sql << "\n" << PlanToString(*plan);
+          for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+            ExecOptions opts;
+            opts.batch_size = batch;
+            Executor exec(*db_, std::move(opts));
+            auto got = exec.Execute(*plan);
+            const std::string label = sql + " batch=" + std::to_string(batch);
+            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << label;
+            EXPECT_TRUE(IdenticalRows(ById(got.value().rows),
+                                      ById(expected.value())))
+                << label << "\n" << PlanToString(*plan);
+            EXPECT_GE(got.value().stats.subquery_executions, 3) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Hash-join build table
 // ---------------------------------------------------------------------------
 
